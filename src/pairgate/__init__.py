@@ -50,6 +50,6 @@ from .model import (
     triplet_from_wavelengths,
     vacuum_fluctuation,
 )
-from .oracle import IntegrationConfig, OdeState, Scheme, integrate, oracle_pair_flux
+from .oracle import IntegrationConfig, OdeState, integrate, oracle_pair_flux
 
 __version__ = "0.1.0"

@@ -8,16 +8,14 @@ this boundary only. Exit codes: 0 success, 2 input validation, 3 I/O.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from . import model, oracle
 from .materials import (
     MATERIALS_ENV_VAR,
-    MaterialParseError,
     UnknownMaterialError,
     lookup,
     resolve_catalog,
@@ -29,10 +27,10 @@ from .model import (
     Medium,
     Process,
     PumpDrive,
+    _check,
     triplet_from_wavelengths,
 )
 from .units import (
-    UnitParseError,
     format_intensity,
     format_sig,
     parse_area,
@@ -44,7 +42,7 @@ from .units import (
     parse_length,
 )
 
-__all__ = ["main", "SweepSpec", "SweepVariable", "SweepScale"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -58,61 +56,38 @@ ORACLE_REFERENCE = {
 }
 
 
-class CliInputError(Exception):
-    """Inconsistent or missing flags detected after argparse."""
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line, '<prog>: <message>', exit 2."""
+
+    def error(self, message: str):
+        print(f"{self.prog}: {message}", file=sys.stderr)
+        raise SystemExit(EXIT_INPUT)
 
 
-class SweepVariable(Enum):
-    BETA_L = "beta_l"
-    LENGTH = "length"
-    PUMP_INTENSITY = "pump_intensity"
-
-
-class SweepScale(Enum):
-    LINEAR = "linear"
-    LOG = "log"
-
-
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class SweepSpec:
     """Axis of a parameter sweep; fixed parameters ride along via flags."""
 
-    variable: SweepVariable
     start: float
     stop: float
     count: int
-    scale: SweepScale = SweepScale.LINEAR
+    log: bool = False
 
     def __post_init__(self) -> None:
+        # every swept quantity (beta*L, length, pump intensity) is nonnegative
+        if self.log and self.start <= 0:
+            raise ValueError("log scale requires min > 0")
+        _check("--min", self.start, inclusive=True)
+        _check("--max", self.stop, inclusive=True)
         if not self.start < self.stop:
             raise ValueError("sweep requires min < max")
         if self.count < 2:
             raise ValueError("sweep requires at least 2 points")
-        if self.scale is SweepScale.LOG and self.start <= 0:
-            raise ValueError("log scale requires min > 0")
 
     def grid(self) -> np.ndarray:
-        if self.scale is SweepScale.LINEAR:
+        if not self.log:
             return np.linspace(self.start, self.stop, self.count)
         return 10.0 ** np.linspace(np.log10(self.start), np.log10(self.stop), self.count)
-
-
-def _unit_type(parser_fn):
-    def convert(text: str):
-        try:
-            return parser_fn(text)
-        except UnitParseError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from exc
-
-    convert.__name__ = parser_fn.__name__
-    return convert
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,29 +101,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     medium_flags = argparse.ArgumentParser(add_help=False)
     medium_flags.add_argument("--material", help="material name from the catalog")
-    medium_flags.add_argument("--chi2", type=_unit_type(parse_chi2), metavar="CHI",
+    medium_flags.add_argument("--chi2", type=parse_chi2, metavar="CHI",
                               help="second-order susceptibility, e.g. 1pm/V (implies spdc)")
-    medium_flags.add_argument("--chi3", type=_unit_type(parse_chi3), metavar="CHI",
+    medium_flags.add_argument("--chi3", type=parse_chi3, metavar="CHI",
                               help="third-order susceptibility, e.g. 1e-22m2/V2 (implies fwm)")
     medium_flags.add_argument("--n-p", type=float, default=None, help="pump refractive index")
     medium_flags.add_argument("--n-s", type=float, default=None, help="signal refractive index")
     medium_flags.add_argument("--n-i", type=float, default=None, help="idler refractive index")
 
     wave_flags = argparse.ArgumentParser(add_help=False)
-    wave_flags.add_argument("--lambda-s", type=_unit_type(parse_length), metavar="LEN",
+    wave_flags.add_argument("--lambda-s", type=parse_length, metavar="LEN",
                             default=DEFAULT_WAVELENGTH, help="signal wavelength (default 1um)")
-    wave_flags.add_argument("--lambda-i", type=_unit_type(parse_length), metavar="LEN",
+    wave_flags.add_argument("--lambda-i", type=parse_length, metavar="LEN",
                             default=DEFAULT_WAVELENGTH, help="idler wavelength (default 1um)")
-    wave_flags.add_argument("--lambda-p", type=_unit_type(parse_length), metavar="LEN",
+    wave_flags.add_argument("--lambda-p", type=parse_length, metavar="LEN",
                             default=None, help="pump wavelength (derived when omitted)")
 
     pump_flags = argparse.ArgumentParser(add_help=False)
-    pump_flags.add_argument("--pump-intensity", type=_unit_type(parse_intensity), metavar="I",
+    pump_flags.add_argument("--pump-intensity", type=parse_intensity, metavar="I",
                             help="pump intensity, e.g. 40MW/cm2 (FWM: total of both pump waves)")
-    pump_flags.add_argument("--pump-field", type=_unit_type(parse_field), metavar="E",
+    pump_flags.add_argument("--pump-field", type=parse_field, metavar="E",
                             help="pump field amplitude, e.g. 5MV/m (alternative to intensity)")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pairgate",
         description="Photon-pair generation by SPDC/FWM: gain regimes, "
                     "universal limit criteria, limit pump intensities.",
@@ -160,11 +135,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_classify = sub.add_parser("classify", parents=[common, medium_flags, wave_flags, pump_flags],
                                 help="classify the operating regime of a configuration")
-    p_classify.add_argument("--length", type=_unit_type(parse_length), metavar="LEN",
+    p_classify.add_argument("--length", type=parse_length, metavar="LEN",
                             required=True, help="interaction length, e.g. 1cm")
-    p_classify.add_argument("--section", type=_unit_type(parse_area), metavar="AREA",
+    p_classify.add_argument("--section", type=parse_area, metavar="AREA",
                             default=None, help="overlap section, e.g. 1mm2 (enables field report)")
-    p_classify.add_argument("--delta-nu", type=_unit_type(parse_frequency), metavar="BW",
+    p_classify.add_argument("--delta-nu", type=parse_frequency, metavar="BW",
                             default=None, help="pair linewidth, e.g. 1GHz (enables field report)")
     p_classify.add_argument("--band", type=float, default=0.01,
                             help="relative at-limit band on beta*L (default 0.01)")
@@ -173,41 +148,41 @@ def build_parser() -> argparse.ArgumentParser:
                             help="absolute pair flux for a configuration or a given beta*L")
     p_flux.add_argument("--beta-l", type=float, default=None,
                         help="gain product beta*L (bypasses the medium/pump flags)")
-    p_flux.add_argument("--length", type=_unit_type(parse_length), metavar="LEN", default=None,
+    p_flux.add_argument("--length", type=parse_length, metavar="LEN", default=None,
                         help="interaction length (required without --beta-l)")
-    p_flux.add_argument("--delta-nu", type=_unit_type(parse_frequency), metavar="BW",
+    p_flux.add_argument("--delta-nu", type=parse_frequency, metavar="BW",
                         required=True, help="pair linewidth, e.g. 1GHz")
 
     p_limit = sub.add_parser("limit", parents=[common, medium_flags, wave_flags],
                              help="limit pump intensity at which beta*L = 1")
-    p_limit.add_argument("--length", type=_unit_type(parse_length), metavar="LEN",
+    p_limit.add_argument("--length", type=parse_length, metavar="LEN",
                          required=True, help="interaction length, e.g. 1mm")
 
     p_sweep = sub.add_parser("sweep", parents=[common, medium_flags, wave_flags],
                              help="CSV parameter sweeps, including figure presets")
     p_sweep.add_argument("--figure", choices=("2", "3", "4"), default=None,
                          help="preset sweep reproducing one of the reference figures")
-    p_sweep.add_argument("--variable", choices=[v.value for v in SweepVariable], default=None,
+    p_sweep.add_argument("--variable", choices=("beta_l", "length", "pump_intensity"),
                          help="swept variable for an explicit sweep")
     p_sweep.add_argument("--min", dest="sweep_min", default=None,
                          help="sweep start (unit-suffixed for length/intensity)")
     p_sweep.add_argument("--max", dest="sweep_max", default=None,
                          help="sweep stop (unit-suffixed for length/intensity)")
-    p_sweep.add_argument("--count", type=_positive_int, default=101, help="number of points")
+    p_sweep.add_argument("--count", type=int, default=101, help="number of points")
     p_sweep.add_argument("--scale", choices=("linear", "log"), default="linear")
-    p_sweep.add_argument("--length", type=_unit_type(parse_length), metavar="LEN", default=None,
+    p_sweep.add_argument("--length", type=parse_length, metavar="LEN", default=None,
                          help="fixed interaction length (pump_intensity sweeps)")
-    p_sweep.add_argument("--delta-nu", type=_unit_type(parse_frequency), metavar="BW",
+    p_sweep.add_argument("--delta-nu", type=parse_frequency, metavar="BW",
                          default=None, help="pair linewidth for flux columns")
 
     p_oracle = sub.add_parser("oracle", parents=[common],
                               help="compare the RK4 coupled-wave oracle against the closed form")
     p_oracle.add_argument("--beta-l", type=float, required=True, help="gain product beta*L")
-    p_oracle.add_argument("--steps", type=_positive_int, default=1024,
+    p_oracle.add_argument("--steps", type=int, default=1024,
                           help="fixed RK4 step count (default 1024)")
-    p_oracle.add_argument("--delta-nu", type=_unit_type(parse_frequency), metavar="BW",
+    p_oracle.add_argument("--delta-nu", type=parse_frequency, metavar="BW",
                           default=1.0, help="pair linewidth (default 1Hz)")
-    p_oracle.add_argument("--section", type=_unit_type(parse_area), metavar="AREA",
+    p_oracle.add_argument("--section", type=parse_area, metavar="AREA",
                           default=ORACLE_REFERENCE["section"],
                           help="overlap section of the reference scenario (default 1mm2)")
 
@@ -223,29 +198,18 @@ def _build_medium(args) -> Medium:
                            "--chi2" if args.chi2 is not None else None,
                            "--chi3" if args.chi3 is not None else None) if s]
     if len(sources) != 1:
-        raise CliInputError(
+        raise ValueError(
             "specify exactly one medium source among --material, --chi2, --chi3"
             + (f" (got {', '.join(sources)})" if sources else "")
         )
     if args.material:
-        catalog = resolve_catalog(args.materials)
-        record = lookup(catalog, args.material)
-        medium = record.to_medium()
-        overrides = {
-            "n_p": args.n_p if args.n_p is not None else medium.n_p,
-            "n_s": args.n_s if args.n_s is not None else medium.n_s,
-            "n_i": args.n_i if args.n_i is not None else medium.n_i,
-        }
-        return Medium(process=medium.process, chi_eff=medium.chi_eff, **overrides)
-    process = Process.SPDC if args.chi2 is not None else Process.FWM
-    chi = args.chi2 if args.chi2 is not None else args.chi3
-    return Medium(
-        process=process,
-        chi_eff=chi,
-        n_p=args.n_p if args.n_p is not None else 1.0,
-        n_s=args.n_s if args.n_s is not None else 1.0,
-        n_i=args.n_i if args.n_i is not None else 1.0,
-    )
+        medium = lookup(resolve_catalog(args.materials), args.material).to_medium()
+    elif args.chi2 is not None:
+        medium = Medium(process=Process.SPDC, chi_eff=args.chi2)
+    else:
+        medium = Medium(process=Process.FWM, chi_eff=args.chi3)
+    indices = {key: getattr(args, key) for key in ("n_p", "n_s", "n_i")}
+    return dataclasses.replace(medium, **{k: v for k, v in indices.items() if v is not None})
 
 
 def _build_triplet(args, process: Process) -> model.WaveTriplet:
@@ -254,10 +218,8 @@ def _build_triplet(args, process: Process) -> model.WaveTriplet:
 
 def _build_pump(args) -> PumpDrive:
     if (args.pump_intensity is None) == (args.pump_field is None):
-        raise CliInputError("specify exactly one of --pump-intensity or --pump-field")
-    if args.pump_intensity is not None:
-        return PumpDrive.from_intensity(args.pump_intensity)
-    return PumpDrive.from_field(args.pump_field)
+        raise ValueError("specify exactly one of --pump-intensity or --pump-field")
+    return PumpDrive(intensity=args.pump_intensity, field_amplitude=args.pump_field)
 
 
 # --------------------------------------------------------------------------
@@ -349,13 +311,11 @@ def cmd_flux(args) -> str:
     physical = [args.pump_intensity, args.pump_field, args.length]
     if args.beta_l is not None:
         if any(v is not None for v in physical) or args.material or args.chi2 or args.chi3:
-            raise CliInputError("--beta-l replaces the medium/pump/length flags; drop them")
+            raise ValueError("--beta-l replaces the medium/pump/length flags; drop them")
         beta_l = args.beta_l
-        if beta_l < 0:
-            raise CliInputError("--beta-l: must be nonnegative")
     else:
         if args.length is None:
-            raise CliInputError("--length is required when --beta-l is not given")
+            raise ValueError("--length is required when --beta-l is not given")
         medium = _build_medium(args)
         triplet = _build_triplet(args, medium.process)
         pump = _build_pump(args)
@@ -427,19 +387,14 @@ def _figure_sweep(figure: str) -> str:
 
 def _explicit_sweep(args) -> str:
     if args.sweep_min is None or args.sweep_max is None:
-        raise CliInputError("explicit sweeps require --min and --max")
-    variable = SweepVariable(args.variable)
-    scale = SweepScale(args.scale)
+        raise ValueError("explicit sweeps require --min and --max")
 
     def spec(parse):
         try:
             start, stop = parse(args.sweep_min), parse(args.sweep_max)
-        except (UnitParseError, ValueError) as exc:
-            raise CliInputError(f"--min/--max: {exc}") from exc
-        try:
-            return SweepSpec(variable, start, stop, args.count, scale)
         except ValueError as exc:
-            raise CliInputError(f"--min/--max/--count/--scale: {exc}") from exc
+            raise ValueError(f"--min/--max: {exc}") from exc
+        return SweepSpec(start, stop, args.count, args.scale == "log")
 
     def flux_columns(beta_l: float) -> list[float]:
         row = [model.pairs_per_bandwidth(beta_l)]
@@ -451,14 +406,14 @@ def _explicit_sweep(args) -> str:
         ["pairs_per_s"] if args.delta_nu is not None else []
     )
 
-    if variable is SweepVariable.BETA_L:
+    if args.variable == "beta_l":
         sweep = spec(float)
         rows = [[float(x)] + flux_columns(float(x)) for x in sweep.grid()]
         return _render_csv(["beta_l"] + flux_header, rows)
 
-    if variable is SweepVariable.LENGTH:
+    if args.variable == "length":
         if args.delta_nu is not None:
-            raise CliInputError("--delta-nu does not apply to a length sweep")
+            raise ValueError("--delta-nu does not apply to a length sweep")
         sweep = spec(parse_length)
         medium = _build_medium(args)
         rows = []
@@ -471,7 +426,7 @@ def _explicit_sweep(args) -> str:
 
     sweep = spec(parse_intensity)
     if args.length is None:
-        raise CliInputError("--length is required for a pump_intensity sweep")
+        raise ValueError("--length is required for a pump_intensity sweep")
     medium = _build_medium(args)
     triplet = _build_triplet(args, medium.process)
     rows = []
@@ -484,15 +439,13 @@ def _explicit_sweep(args) -> str:
 
 def cmd_sweep(args) -> str:
     if (args.figure is None) == (args.variable is None):
-        raise CliInputError("specify exactly one of --figure or --variable")
+        raise ValueError("specify exactly one of --figure or --variable")
     if args.figure is not None:
         return _figure_sweep(args.figure)
     return _explicit_sweep(args)
 
 
 def cmd_oracle(args) -> str:
-    if args.beta_l < 0:
-        raise CliInputError("--beta-l: must be nonnegative")
     medium = Medium(process=Process.SPDC, chi_eff=ORACLE_REFERENCE["chi2"])
     triplet = triplet_from_wavelengths(DEFAULT_WAVELENGTH, DEFAULT_WAVELENGTH, Process.SPDC)
     geometry = Geometry(length=ORACLE_REFERENCE["length"], section=args.section)
@@ -533,10 +486,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         output = _COMMANDS[args.command](args)
-    except CliInputError as exc:
-        print(f"pairgate {args.command}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (MaterialParseError, UnknownMaterialError, ValueError, OSError) as exc:
+    except (ValueError, UnknownMaterialError, OSError) as exc:
         # OSError here is a failed catalog read, i.e. a bad --materials value
         message = exc.args[0] if isinstance(exc, KeyError) else str(exc)
         print(f"pairgate {args.command}: {message}", file=sys.stderr)

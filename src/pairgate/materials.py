@@ -13,7 +13,8 @@ Format, one block per material:
 
 Keys: process (spdc|fwm), chi_eff (number + unit, pm/V or m/V for spdc,
 m2/V2 for fwm), optional indices n_p/n_s/n_i (default 1.0) and an optional
-free-text note. The declared chi unit must match the process order.
+free-text note. The declared chi unit must match the process order. Every
+value except the note may carry a trailing '# comment'.
 
 When all three indices are left at the 1.0 default the record is flagged as
 effective-gamma mode: limit pump intensities computed from it coincide with
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .model import Medium, Process
-from .units import _QUANTITY_RE, _normalize_unit
+from .units import CHI2_UNITS, CHI3_UNITS, UnitParseError, split_quantity
 
 __all__ = [
     "MaterialRecord",
@@ -50,10 +51,11 @@ __all__ = [
 
 MATERIALS_ENV_VAR = "PAIRGATE_MATERIALS"
 
+# chi unit -> (process whose order it fits, scale to SI)
 _CHI_UNITS = {
-    "pm/V": (Process.SPDC, 1e-12),
-    "m/V": (Process.SPDC, 1.0),
-    "m2/V2": (Process.FWM, 1.0),
+    unit: (process, scale)
+    for process, table in ((Process.SPDC, CHI2_UNITS), (Process.FWM, CHI3_UNITS))
+    for unit, scale in table.items()
 }
 
 _PROCESS_NAMES = {p.value: p for p in Process}
@@ -94,17 +96,11 @@ class MaterialRecord:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("material name must be nonempty")
-        if self.chi_unit not in _CHI_UNITS:
-            raise ValueError(f"unknown chi unit {self.chi_unit!r}")
-        if _CHI_UNITS[self.chi_unit][0] is not self.process:
+        if _CHI_UNITS.get(self.chi_unit, (None,))[0] is not self.process:
             raise ValueError(
-                f"chi unit {self.chi_unit!r} does not match process {self.process.value!r}"
+                f"chi_eff unit {self.chi_unit!r} does not match process {self.process.value!r}"
             )
-        if self.chi_eff <= 0:
-            raise ValueError("chi_eff must be strictly positive")
-        for field_name in ("n_p", "n_s", "n_i"):
-            if getattr(self, field_name) < 1.0:
-                raise ValueError(f"{field_name} must be >= 1")
+        self.to_medium()  # Medium checks chi_eff and the indices
 
     @property
     def chi_eff_si(self) -> float:
@@ -156,28 +152,12 @@ note = approximate chi3 of fused-silica fiber
 _INDEX_KEYS = ("n_p", "n_s", "n_i")
 
 
-def _parse_chi(value: str, origin: str, line: int) -> tuple[float, str]:
-    match = _QUANTITY_RE.match(value)
-    if match is None:
-        raise MaterialParseError(
-            f"chi_eff must be <number> <unit>, got {value!r}", origin, line
-        )
-    unit = _normalize_unit(match.group(2))
-    if unit not in _CHI_UNITS:
-        allowed = ", ".join(sorted(_CHI_UNITS))
-        raise MaterialParseError(
-            f"unknown chi unit {match.group(2)!r}; allowed: {allowed}", origin, line
-        )
-    return float(match.group(1)), unit
-
-
 def _build_record(
     name: str, fields: dict[str, tuple[str, int]], origin: str, header_line: int
 ) -> MaterialRecord:
-    if "process" not in fields:
-        raise MaterialParseError(f"material {name!r} lacks a process key", origin, header_line)
-    if "chi_eff" not in fields:
-        raise MaterialParseError(f"material {name!r} lacks a chi_eff key", origin, header_line)
+    for key in ("process", "chi_eff"):
+        if key not in fields:
+            raise MaterialParseError(f"material {name!r} lacks a {key} key", origin, header_line)
 
     process_text, process_line = fields["process"]
     process = _PROCESS_NAMES.get(process_text.lower())
@@ -189,15 +169,10 @@ def _build_record(
         )
 
     chi_text, chi_line = fields["chi_eff"]
-    chi_value, chi_unit = _parse_chi(chi_text, origin, chi_line)
-    if chi_value <= 0:
-        raise MaterialParseError("chi_eff must be strictly positive", origin, chi_line)
-    if _CHI_UNITS[chi_unit][0] is not process:
-        raise MaterialParseError(
-            f"chi unit {chi_unit!r} does not match a {process.value} process",
-            origin,
-            chi_line,
-        )
+    try:
+        chi_value, chi_unit = split_quantity(chi_text, _CHI_UNITS, "chi")
+    except UnitParseError as exc:
+        raise MaterialParseError(str(exc), origin, chi_line) from exc
 
     indices = {}
     for key in _INDEX_KEYS:
@@ -207,20 +182,21 @@ def _build_record(
                 indices[key] = float(text)
             except ValueError:
                 raise MaterialParseError(f"{key} must be a number, got {text!r}", origin, line)
-            if indices[key] < 1.0:
-                raise MaterialParseError(f"{key} must be >= 1", origin, line)
-        else:
-            indices[key] = 1.0
 
     note = fields["note"][0] if "note" in fields else ""
-    return MaterialRecord(
-        name=name,
-        process=process,
-        chi_eff=chi_value,
-        chi_unit=chi_unit,
-        provenance_note=note,
-        **indices,
-    )
+    try:
+        return MaterialRecord(
+            name=name,
+            process=process,
+            chi_eff=chi_value,
+            chi_unit=chi_unit,
+            provenance_note=note,
+            **indices,
+        )
+    except ValueError as exc:
+        # the constructor's messages start with the offending key
+        lines = [line for key, (_, line) in fields.items() if str(exc).startswith(key)]
+        raise MaterialParseError(str(exc), origin, lines[0] if lines else header_line) from exc
 
 
 def load_catalog(text: str, origin: str = "<string>") -> list[MaterialRecord]:
@@ -245,8 +221,6 @@ def load_catalog(text: str, origin: str = "<string>") -> list[MaterialRecord]:
             name = line[1:-1].strip()
             header_line = lineno
             fields = {}
-            if not name:
-                raise MaterialParseError("empty material name", origin, lineno)
             if name in seen:
                 raise MaterialParseError(
                     f"duplicate material {name!r} (first defined at line {seen[name]})",
@@ -265,6 +239,8 @@ def load_catalog(text: str, origin: str = "<string>") -> list[MaterialRecord]:
             )
         key, _, value = line.partition("=")
         key = key.strip()
+        if key != "note":  # the note is free text and may contain '#'
+            value = value.partition("#")[0]
         value = value.strip()
         if key not in ("process", "chi_eff", "note", *_INDEX_KEYS):
             raise MaterialParseError(f"unknown key {key!r}", origin, lineno)

@@ -13,6 +13,7 @@ interaction is assumed throughout.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -20,6 +21,7 @@ from typing import NamedTuple
 from .constants import CODATA2018
 
 __all__ = [
+    "BETA_L_MAX",
     "Process",
     "Arm",
     "Regime",
@@ -55,6 +57,27 @@ __all__ = [
 # supplied; loose enough to absorb wavelength rounding, tight enough to catch
 # genuinely inconsistent inputs.
 ENERGY_CONSERVATION_RTOL = 1e-6
+
+# Largest beta*L at which both (exp(beta_l) - 1)^2/8 and exp(2*beta_l)/8 are
+# finite floats (~354.89); every kernel taking a raw beta*L rejects more.
+BETA_L_MAX = 0.5 * math.log(sys.float_info.max)
+
+
+def _check(name: str, value: float, low: float = 0.0, inclusive: bool = False) -> None:
+    """The one domain check on raw numbers: finite and > low (>= low if inclusive)."""
+    if low < value < math.inf or (inclusive and value == low):
+        return
+    if low == 0.0:
+        need = "nonnegative" if inclusive else "strictly positive"
+    else:
+        need = f"{'>=' if inclusive else '>'} {low:g}"
+    raise ValueError(f"{name} must be {need} and finite, got {value!r}")
+
+
+def _check_beta_l(beta_l: float) -> None:
+    if not 0.0 <= beta_l <= BETA_L_MAX:
+        _check("beta_l", beta_l, inclusive=True)
+        raise ValueError(f"beta_l must be <= BETA_L_MAX = {BETA_L_MAX:.2f}, got {beta_l!r}")
 
 
 class Process(Enum):
@@ -101,12 +124,11 @@ class WaveTriplet:
     process: Process
 
     def __post_init__(self) -> None:
-        for name in ("omega_p", "omega_s", "omega_i"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+        for name in ("omega_s", "omega_i", "omega_p"):
+            _check(name, getattr(self, name))
         pump_total = self.omega_p if self.process is Process.SPDC else 2.0 * self.omega_p
         residual = abs(pump_total - (self.omega_s + self.omega_i)) / pump_total
-        if residual > ENERGY_CONSERVATION_RTOL:
+        if not residual <= ENERGY_CONSERVATION_RTOL:
             raise ValueError(
                 f"energy conservation violated for {self.process.value}: "
                 f"relative residual {residual:.3e} exceeds {ENERGY_CONSERVATION_RTOL:.0e}"
@@ -115,8 +137,6 @@ class WaveTriplet:
     @classmethod
     def from_signal_idler(cls, omega_s: float, omega_i: float, process: Process) -> "WaveTriplet":
         """Build a triplet with the pump frequency fixed by energy conservation."""
-        if omega_s <= 0 or omega_i <= 0:
-            raise ValueError("signal and idler frequencies must be strictly positive")
         total = omega_s + omega_i
         omega_p = total if process is Process.SPDC else 0.5 * total
         return cls(omega_p, omega_s, omega_i, process)
@@ -126,8 +146,6 @@ class WaveTriplet:
         """Build a triplet with the idler frequency fixed by energy conservation."""
         pump_total = omega_p if process is Process.SPDC else 2.0 * omega_p
         omega_i = pump_total - omega_s
-        if omega_i <= 0:
-            raise ValueError("signal frequency exceeds the available pump energy")
         return cls(omega_p, omega_s, omega_i, process)
 
     def omega(self, arm: Arm) -> float:
@@ -141,15 +159,14 @@ def triplet_from_wavelengths(
     lambda_p: float | None = None,
 ) -> WaveTriplet:
     """Triplet from vacuum wavelengths (m); the pump is derived when omitted."""
-    if lambda_s <= 0 or lambda_i <= 0:
-        raise ValueError("wavelengths must be strictly positive")
+    _check("lambda_s", lambda_s)
+    _check("lambda_i", lambda_i)
     two_pi_c = 2.0 * math.pi * CODATA2018.c
     omega_s = two_pi_c / lambda_s
     omega_i = two_pi_c / lambda_i
     if lambda_p is None:
         return WaveTriplet.from_signal_idler(omega_s, omega_i, process)
-    if lambda_p <= 0:
-        raise ValueError("wavelengths must be strictly positive")
+    _check("lambda_p", lambda_p)
     return WaveTriplet(two_pi_c / lambda_p, omega_s, omega_i, process)
 
 
@@ -170,11 +187,9 @@ class Medium:
     n_i: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.chi_eff <= 0:
-            raise ValueError("chi_eff must be strictly positive")
+        _check("chi_eff", self.chi_eff)
         for name in ("n_p", "n_s", "n_i"):
-            if getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be >= 1")
+            _check(name, getattr(self, name), 1.0, inclusive=True)
 
     def n(self, arm: Arm) -> float:
         return self.n_s if arm is Arm.SIGNAL else self.n_i
@@ -188,10 +203,8 @@ class Geometry:
     section: float
 
     def __post_init__(self) -> None:
-        if self.length <= 0:
-            raise ValueError("length must be strictly positive")
-        if self.section <= 0:
-            raise ValueError("section must be strictly positive")
+        _check("length", self.length)
+        _check("section", self.section)
 
 
 @dataclass(frozen=True)
@@ -210,8 +223,7 @@ class PumpDrive:
         if (self.intensity is None) == (self.field_amplitude is None):
             raise ValueError("specify exactly one of intensity or field_amplitude")
         value = self.intensity if self.intensity is not None else self.field_amplitude
-        if value < 0:
-            raise ValueError("pump drive must be nonnegative")
+        _check("pump drive", value, inclusive=True)
 
     @classmethod
     def from_intensity(cls, intensity: float) -> "PumpDrive":
@@ -222,16 +234,18 @@ class PumpDrive:
         return cls(field_amplitude=field_amplitude)
 
     def field(self, n_p: float) -> float:
-        """Pump field amplitude (V/m) at pump index n_p."""
+        """Pump field amplitude (V/m) at pump index n_p, a checked index such
+        as Medium.n_p; intensity_to_field checks a raw one."""
         if self.field_amplitude is not None:
             return self.field_amplitude
-        return intensity_to_field(self.intensity, n_p)
+        return math.sqrt(2.0 * self.intensity * CODATA2018.c * CODATA2018.mu0 / n_p)
 
     def as_intensity(self, n_p: float) -> float:
-        """Pump intensity (W/m^2) at pump index n_p."""
+        """Pump intensity (W/m^2) at a checked pump index n_p."""
         if self.intensity is not None:
             return self.intensity
-        return field_to_intensity(self.field_amplitude, n_p)
+        e_p, k = self.field_amplitude, CODATA2018
+        return 0.5 * n_p * e_p * e_p / (k.c * k.mu0)
 
 
 @dataclass(frozen=True)
@@ -244,13 +258,10 @@ class Bandwidth:
     delta_omega: float
 
     def __post_init__(self) -> None:
-        if self.delta_omega <= 0:
-            raise ValueError("bandwidth must be strictly positive")
+        _check("bandwidth delta_omega", self.delta_omega)
 
     @classmethod
     def from_delta_nu(cls, delta_nu: float) -> "Bandwidth":
-        if delta_nu <= 0:
-            raise ValueError("bandwidth must be strictly positive")
         return cls(delta_omega=2.0 * math.pi * delta_nu)
 
     @property
@@ -286,10 +297,8 @@ def coupling_factor(omega: float, n: float) -> float:
     Multiplied by the dimensionless product chi_eff*field it yields the
     spatial gain rate of one arm.
     """
-    if omega <= 0:
-        raise ValueError("omega must be strictly positive")
-    if n < 1.0:
-        raise ValueError("refractive index must be >= 1")
+    _check("omega", omega)
+    _check("refractive index", n, 1.0, inclusive=True)
     return omega / (2.0 * n * CODATA2018.c)
 
 
@@ -299,12 +308,15 @@ def vacuum_fluctuation(omega: float, n: float, section: float, delta_omega: floa
     sqrt(hbar*omega*delta_omega / (4*pi*c*eps0*n*section)); equivalently
     sqrt(h*nu*delta_nu / (2*c*eps0*n*section)).
     """
-    if omega <= 0 or section <= 0 or delta_omega <= 0:
-        raise ValueError("omega, section and delta_omega must be strictly positive")
-    if n < 1.0:
-        raise ValueError("refractive index must be >= 1")
+    _check("omega", omega)
+    _check("refractive index", n, 1.0, inclusive=True)
+    _check("section", section)
+    _check("delta_omega", delta_omega)
     k = CODATA2018
-    return math.sqrt(k.hbar * omega * delta_omega / (4.0 * math.pi * k.c * k.eps0 * n * section))
+    denom = 4.0 * math.pi * k.c * k.eps0 * n * section  # zero only for a subnormal section
+    vac = math.sqrt(k.hbar * omega * delta_omega / denom) if denom else math.inf
+    _check("vacuum field", vac, inclusive=True)
+    return vac
 
 
 def intensity_to_field(intensity: float, n: float) -> float:
@@ -312,25 +324,30 @@ def intensity_to_field(intensity: float, n: float) -> float:
 
     Inverse of I = (1/2)*(n/(c*mu0))*E^2.
     """
-    if intensity < 0:
-        raise ValueError("intensity must be nonnegative")
-    if n < 1.0:
-        raise ValueError("refractive index must be >= 1")
-    return math.sqrt(2.0 * intensity * CODATA2018.c * CODATA2018.mu0 / n)
+    _check("refractive index", n, 1.0, inclusive=True)
+    return PumpDrive.from_intensity(intensity).field(n)
 
 
 def field_to_intensity(field: float, n: float) -> float:
     """Intensity (W/m^2) of a plane wave of given field amplitude (V/m)."""
-    if field < 0:
-        raise ValueError("field amplitude must be nonnegative")
-    if n < 1.0:
-        raise ValueError("refractive index must be >= 1")
-    return 0.5 * n * field * field / (CODATA2018.c * CODATA2018.mu0)
+    _check("refractive index", n, 1.0, inclusive=True)
+    return PumpDrive.from_field(field).as_intensity(n)
 
 
 # --------------------------------------------------------------------------
 # parametric gain
 # --------------------------------------------------------------------------
+
+def _couplings(medium: Medium, triplet: WaveTriplet) -> tuple[float, float]:
+    """coupling_factor of both arms; Medium and WaveTriplet already checked its inputs."""
+    if medium.process is not triplet.process:
+        raise ValueError(
+            f"process mismatch: medium is {medium.process.value}, "
+            f"triplet is {triplet.process.value}"
+        )
+    c = CODATA2018.c
+    return triplet.omega_s / (2.0 * medium.n_s * c), triplet.omega_i / (2.0 * medium.n_i * c)
+
 
 def _drive_coupling(medium: Medium, pump: PumpDrive) -> float:
     """Dimensionless chi*pump product whose units cancel against 1/m couplings.
@@ -350,13 +367,7 @@ def gain_coefficient(medium: Medium, triplet: WaveTriplet, pump: PumpDrive) -> f
     beta = chi2*E_p*sqrt(ks*ki) for SPDC and (1/2)*chi3*E_p^2*sqrt(ks*ki)
     for FWM, with ks, ki the signal/idler coupling factors.
     """
-    if medium.process is not triplet.process:
-        raise ValueError(
-            f"process mismatch: medium is {medium.process.value}, "
-            f"triplet is {triplet.process.value}"
-        )
-    ks = coupling_factor(triplet.omega_s, medium.n_s)
-    ki = coupling_factor(triplet.omega_i, medium.n_i)
+    ks, ki = _couplings(medium, triplet)
     return _drive_coupling(medium, pump) * math.sqrt(ks * ki)
 
 
@@ -365,12 +376,8 @@ def pump_for_gain(
 ) -> PumpDrive:
     """Pump drive that realizes a target gain product beta*L (inverse of
     gain_coefficient at fixed medium and geometry)."""
-    if beta_l < 0:
-        raise ValueError("beta_l must be nonnegative")
-    if medium.process is not triplet.process:
-        raise ValueError("process mismatch between medium and triplet")
-    ks = coupling_factor(triplet.omega_s, medium.n_s)
-    ki = coupling_factor(triplet.omega_i, medium.n_i)
+    _check_beta_l(beta_l)
+    ks, ki = _couplings(medium, triplet)
     drive = beta_l / (geometry.length * math.sqrt(ks * ki))
     if medium.process is Process.SPDC:
         return PumpDrive.from_field(drive / medium.chi_eff)
@@ -397,10 +404,9 @@ def pair_flux_general(
     cosh(x)-1 is evaluated as 2*sinh(x/2)^2 so the small-signal regime keeps
     full precision.
     """
-    if beta_l < 0:
-        raise ValueError("beta_l must be nonnegative")
-    if vac_s < 0 or vac_i < 0:
-        raise ValueError("seed amplitudes must be nonnegative")
+    _check_beta_l(beta_l)
+    _check("vac_s", vac_s, inclusive=True)
+    _check("vac_i", vac_i, inclusive=True)
     cosh_m1 = 2.0 * math.sinh(0.5 * beta_l) ** 2
     weight = math.sqrt(triplet.omega_s * medium.n_i / (triplet.omega_i * medium.n_s))
     bracket = vac_s * cosh_m1 + weight * vac_i * math.sinh(beta_l)
@@ -414,18 +420,18 @@ def pair_flux_reduced(beta_l: float, delta_nu: float) -> float:
 
     (delta_nu/8)*(exp(beta_l)-1)^2, via expm1 for small-gain stability.
     """
-    if beta_l < 0:
-        raise ValueError("beta_l must be nonnegative")
-    if delta_nu <= 0:
-        raise ValueError("delta_nu must be strictly positive")
+    _check_beta_l(beta_l)
+    _check("delta_nu", delta_nu)
     growth = math.expm1(beta_l)
-    return 0.125 * delta_nu * growth * growth
+    pairs = 0.125 * delta_nu * growth * growth
+    if pairs == math.inf:
+        raise ValueError(f"pair flux overflows a float at delta_nu={delta_nu!r}")
+    return pairs
 
 
 def pairs_per_bandwidth(beta_l: float) -> float:
     """Dimensionless pair flux per frequency unit, (1/8)*(exp(beta_l)-1)^2."""
-    if beta_l < 0:
-        raise ValueError("beta_l must be nonnegative")
+    _check_beta_l(beta_l)
     growth = math.expm1(beta_l)
     return 0.125 * growth * growth
 
@@ -436,8 +442,7 @@ def flux_asymptote(beta_l: float, branch: AsymptoteBranch) -> float:
     Small signal: (1/8)*(beta_l)^2 (spontaneous, quadratic).
     High signal: (1/8)*exp(2*beta_l) (stimulated, exponential).
     """
-    if beta_l < 0:
-        raise ValueError("beta_l must be nonnegative")
+    _check_beta_l(beta_l)
     if branch is AsymptoteBranch.SMALL:
         return 0.125 * beta_l * beta_l
     return 0.125 * math.exp(2.0 * beta_l)
@@ -456,8 +461,7 @@ def limit_criteria() -> LimitCriteria:
 
 def field_ratio(beta_l: float) -> float:
     """Generated-field to vacuum-field amplitude ratio, exp(beta_l) - 1."""
-    if beta_l < 0:
-        raise ValueError("beta_l must be nonnegative")
+    _check_beta_l(beta_l)
     return math.expm1(beta_l)
 
 
@@ -476,7 +480,9 @@ def generated_field(
     vac = vacuum_fluctuation(
         triplet.omega(arm), medium.n(arm), geometry.section, bandwidth.delta_omega
     )
-    return vac * field_ratio(beta_l)
+    generated = vac * field_ratio(beta_l)
+    _check("generated field", generated, inclusive=True)
+    return generated
 
 
 def photon_number_from_field(
@@ -491,8 +497,7 @@ def photon_number_from_field(
     N = eps0*n*c*S/(4*hbar*omega) * field^2; with the field produced by
     generated_field this inverts exactly to pair_flux_reduced.
     """
-    if field < 0:
-        raise ValueError("field amplitude must be nonnegative")
+    _check("field amplitude", field, inclusive=True)
     k = CODATA2018
     omega = triplet.omega(arm)
     prefactor = k.eps0 * medium.n(arm) * k.c * geometry.section / (4.0 * k.hbar * omega)
@@ -514,16 +519,21 @@ def limit_pump_intensity(
     Wavelengths are vacuum values in m. For FWM the result is the total
     two-wave pump intensity.
     """
-    if lambda_s <= 0 or lambda_i <= 0:
-        raise ValueError("wavelengths must be strictly positive")
-    if length <= 0:
-        raise ValueError("length must be strictly positive")
+    _check("lambda_s", lambda_s)
+    _check("lambda_i", lambda_i)
+    _check("length", length)
     k = CODATA2018
-    if medium.process is Process.SPDC:
-        numer = medium.n_p * medium.n_s * medium.n_i * lambda_s * lambda_i
-        return numer / (2.0 * math.pi**2 * k.mu0 * k.c * (length * medium.chi_eff) ** 2)
-    numer = medium.n_p * math.sqrt(medium.n_s * medium.n_i * lambda_s * lambda_i)
-    return numer * math.sqrt(k.eps0 / k.mu0) / (math.pi * length * medium.chi_eff)
+    try:
+        if medium.process is Process.SPDC:
+            numer = medium.n_p * medium.n_s * medium.n_i * lambda_s * lambda_i
+            i_lim = numer / (2.0 * math.pi**2 * k.mu0 * k.c * (length * medium.chi_eff) ** 2)
+        else:
+            numer = medium.n_p * math.sqrt(medium.n_s * medium.n_i * lambda_s * lambda_i)
+            i_lim = numer * math.sqrt(k.eps0 / k.mu0) / (math.pi * length * medium.chi_eff)
+    except ArithmeticError as exc:  # an intermediate left the float range
+        raise ValueError(f"limit pump intensity out of the float range: {exc}") from exc
+    _check("limit pump intensity", i_lim, inclusive=True)
+    return i_lim
 
 
 def effective_limit_intensity(
@@ -546,8 +556,7 @@ def classify_regime(beta_l: float, at_limit_band: float = 0.01) -> RegimeReport:
     beta_l within +/- at_limit_band (relative) of 1 counts as at-limit; the
     band is a reporting convenience, exact equality being measure-zero.
     """
-    if beta_l < 0:
-        raise ValueError("beta_l must be nonnegative")
+    _check_beta_l(beta_l)
     if not 0.0 <= at_limit_band < 1.0:
         raise ValueError("at_limit_band must lie in [0, 1)")
     if beta_l < 1.0 - at_limit_band:

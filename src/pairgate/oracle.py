@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .constants import CODATA2018
 from .model import (
@@ -30,18 +29,15 @@ from .model import (
     Medium,
     PumpDrive,
     WaveTriplet,
+    _check,
+    _couplings,
     _drive_coupling,
-    coupling_factor,
     vacuum_fluctuation,
 )
 
-__all__ = ["Scheme", "OdeState", "IntegrationConfig", "integrate", "oracle_pair_flux"]
+__all__ = ["OdeState", "IntegrationConfig", "integrate", "oracle_pair_flux"]
 
 MIN_STEPS = 16
-
-
-class Scheme(Enum):
-    RK4 = "rk4"
 
 
 @dataclass(frozen=True)
@@ -53,14 +49,13 @@ class OdeState:
     e_i: float
 
     def __post_init__(self) -> None:
-        if self.e_s < 0 or self.e_i < 0:
-            raise ValueError("field moduli must be nonnegative in the gain-only system")
+        _check("e_s", self.e_s, inclusive=True)
+        _check("e_i", self.e_i, inclusive=True)
 
 
 @dataclass(frozen=True)
 class IntegrationConfig:
     steps: int = 1024
-    scheme: Scheme = Scheme.RK4
 
     def __post_init__(self) -> None:
         if self.steps < MIN_STEPS:
@@ -83,11 +78,8 @@ def integrate(
     """
     if initial.z != 0.0:
         raise ValueError("initial state must be at z = 0")
-    if medium.process is not triplet.process:
-        raise ValueError("process mismatch between medium and triplet")
 
-    ks = coupling_factor(triplet.omega_s, medium.n_s)
-    ki = coupling_factor(triplet.omega_i, medium.n_i)
+    ks, ki = _couplings(medium, triplet)
     g = _drive_coupling(medium, pump)
     cs = ks * g  # growth of e_s fed by e_i (1/m)
     ci = ki * g
@@ -137,4 +129,6 @@ def oracle_pair_flux(
     prefactor = k.eps0 * medium.n(Arm.SIGNAL) * k.c * geometry.section / (
         4.0 * k.hbar * triplet.omega_s
     )
-    return prefactor * generated * generated
+    flux = prefactor * generated * generated
+    _check("oracle pair flux", flux, inclusive=True)
+    return flux

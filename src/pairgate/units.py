@@ -11,11 +11,13 @@ The library core is strict SI; everything here converts to or from it.
 
 from __future__ import annotations
 
+import argparse
 import math
 import re
 
 __all__ = [
     "UnitParseError",
+    "split_quantity",
     "parse_length",
     "parse_area",
     "parse_intensity",
@@ -28,8 +30,8 @@ __all__ = [
 ]
 
 
-class UnitParseError(ValueError):
-    """A quantity string did not match the <number><unit> grammar."""
+class UnitParseError(ValueError, argparse.ArgumentTypeError):
+    """Not a finite <number><unit>; an ArgumentTypeError, so argparse shows this text."""
 
 
 LENGTH_UNITS = {
@@ -94,20 +96,28 @@ def _normalize_unit(token: str) -> str:
     return token.replace("^", "").replace("µ", "u").replace("μ", "u")
 
 
-def _parse(text: str, table: dict[str, float], dimension: str) -> float:
+def split_quantity(text: str, table: dict, dimension: str) -> tuple[float, str]:
+    """'2.5 pm/V' -> (2.5, 'pm/V'): the number as written and the normalized unit."""
     match = _QUANTITY_RE.match(text)
     if match is None:
         raise UnitParseError(
             f"cannot parse {dimension} {text!r}: expected <number><unit>, e.g. 1{next(iter(table))}"
         )
-    value = float(match.group(1))
     unit = _normalize_unit(match.group(2))
     if unit not in table:
         allowed = ", ".join(sorted(table))
         raise UnitParseError(
             f"unknown {dimension} unit {match.group(2)!r}; allowed: {allowed}"
         )
-    return value * table[unit]
+    return float(match.group(1)), unit
+
+
+def _parse(text: str, table: dict[str, float], dimension: str) -> float:
+    value, unit = split_quantity(text, table, dimension)
+    value *= table[unit]
+    if not math.isfinite(value):
+        raise UnitParseError(f"{dimension} {text!r} is out of the floating-point range")
+    return value
 
 
 def parse_length(text: str) -> float:

@@ -4,12 +4,16 @@ Golden tests assert that CSV output reproduces direct library calls bit for
 bit, guaranteeing no physics is computed in the CLI layer.
 """
 
+import contextlib
 import csv
 import io
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairgate import cli, model
 from pairgate.materials import MATERIALS_ENV_VAR
@@ -406,6 +410,118 @@ def test_sweep_validation_errors(capsys):
     )
     assert code == 2
     assert "log" in err
+
+
+def run_cli_catching_exit(argv):
+    """cli.main with argparse's SystemExit folded into the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["flux", "--beta-l", "400", "--delta-nu", "1Hz"],
+    ["flux", "--beta-l", "800", "--delta-nu", "1Hz"],
+    ["flux", "--beta-l", "nan", "--delta-nu", "1Hz"],
+    ["flux", "--beta-l", "300", "--delta-nu", "1e200THz"],
+    ["limit", "--chi2", "1pm/V", "--n-s", "inf", "--length", "1mm"],
+    ["limit", "--chi2", "1pm/V", "--length", "1e-150m"],
+    ["classify", "--chi2", "1pm/V", "--length", "1cm", "--pump-intensity", "1e400W/m2"],
+    ["sweep", "--variable", "beta_l", "--min", "0", "--max", "1000"],
+    ["sweep", "--variable", "beta_l", "--min", "nan", "--max", "1"],
+    ["oracle", "--beta-l", "inf"],
+    # argparse rejections
+    ["limit", "--chi2", "1pm/V", "--length", "3furlong"],
+    ["flux", "--beta-l", "1", "--delta-nu", "3Gbps"],
+    ["classify", "--chi2", "1pm/V", "--length", "1cm", "--pump-intensity", "3MW/in2"],
+    ["sweep", "--variable", "beta_l", "--min", "0", "--max", "1", "--count", "-3"],
+    ["oracle", "--beta-l", "1", "--steps", "-3"],
+    ["oracle", "--beta-l", "1", "--steps", "many"],
+    ["criteria", "--format", "xml"],
+])
+def test_invalid_input_is_one_line_exit_2(argv):
+    code, out, err = run_cli_catching_exit(argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"pairgate {argv[0]}: ")
+
+
+def test_help_still_exits_zero():
+    code, out, _ = run_cli_catching_exit(["flux", "--help"])
+    assert code == 0
+    assert "--beta-l" in out
+
+
+# --------------------------------------------------------------------------
+# fuzzed argv: every input ends in a finite result or a one-line error
+# --------------------------------------------------------------------------
+
+_NUMBERS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e400", "1e308", "1e300", "1e-300",
+                     "1e-320", "0", "-0", "-1", "-1e30", "354.9", "355"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(min_value=1e-3, max_value=1e3).map(repr),
+)
+_UNITS = {
+    "len": ["nm", "um", "mm", "cm", "m", "km", "furlong"],
+    "area": ["um2", "mm2", "m2", "acre"],
+    "int": ["W/m2", "MW/cm2", "TW/cm2", "MW/in2"],
+    "field": ["V/m", "MV/m", "V/in"],
+    "freq": ["Hz", "GHz", "THz", "Gbps"],
+    "chi2": ["pm/V", "m/V", "m2/V2"],
+    "chi3": ["m2/V2", "pm/V"],
+}
+_FLAGS = {
+    "classify": {"--chi2": "chi2", "--chi3": "chi3", "--length": "len", "--pump-intensity": "int",
+                 "--pump-field": "field", "--section": "area", "--delta-nu": "freq",
+                 "--band": "num", "--n-p": "num", "--n-s": "num", "--lambda-s": "len"},
+    "flux": {"--beta-l": "num", "--delta-nu": "freq", "--chi2": "chi2", "--length": "len",
+             "--pump-intensity": "int", "--n-i": "num", "--lambda-i": "len"},
+    "limit": {"--chi2": "chi2", "--chi3": "chi3", "--length": "len", "--lambda-s": "len",
+              "--lambda-i": "len", "--n-p": "num", "--n-s": "num", "--n-i": "num"},
+    "sweep": {"--min": "num", "--max": "num", "--delta-nu": "freq", "--chi2": "chi2",
+              "--length": "len", "--lambda-s": "len"},
+    "oracle": {"--beta-l": "num", "--delta-nu": "freq", "--section": "area"},
+}
+
+
+@st.composite
+def fuzzed_argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    if command == "sweep":
+        argv += ["--variable", draw(st.sampled_from(["beta_l", "length", "pump_intensity"])),
+                 "--count", str(draw(st.integers(-2, 40))),
+                 "--scale", draw(st.sampled_from(["linear", "log"]))]
+    if command == "oracle":
+        argv += ["--steps", str(draw(st.sampled_from([-1, 0, 16, 64])))]
+    for flag, kind in _FLAGS[command].items():
+        if draw(st.booleans()):
+            value = draw(_NUMBERS)
+            if command == "sweep" and flag in ("--min", "--max"):
+                kind = draw(st.sampled_from(["num", "len", "int"]))
+            if kind != "num":
+                value += draw(st.sampled_from(_UNITS[kind]))
+            argv.append(f"{flag}={value}")
+    if command != "oracle":
+        argv += ["--format", draw(st.sampled_from(["table", "csv"]))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=fuzzed_argv())
+def test_fuzzed_argv_ends_in_finite_output_or_one_line_error(argv):
+    code, out, err = run_cli_catching_exit(argv)
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert len(err.splitlines()) == 1
+    if code == 0:
+        assert not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE), out
 
 
 def test_sweep_unwritable_path_is_io_error(tmp_path, capsys):

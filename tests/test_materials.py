@@ -1,5 +1,8 @@
 """Material catalog: parsing, validation, presets, lookup, round trip."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from pairgate.materials import (
@@ -112,6 +115,30 @@ def test_malformed_lines_rejected():
         load_catalog("[x]\nprocess = spdc\nchi_eff = 1 pm/V\nn_s = 0.5\n")
     with pytest.raises(MaterialParseError, match="unknown chi unit"):
         load_catalog("[x]\nprocess = spdc\nchi_eff = 1 furlong\n")
+    with pytest.raises(MaterialParseError, match=r":4: n_p .*finite"):
+        load_catalog("[x]\nprocess = spdc\nchi_eff = 1 pm/V\nn_p = nan\n")
+    with pytest.raises(MaterialParseError, match=r":3: chi_eff .*finite"):
+        load_catalog("[x]\nprocess = spdc\nchi_eff = 1e400 pm/V\n")
+    with pytest.raises(MaterialParseError, match=r":1: .*nonempty"):
+        load_catalog("[]\nprocess = spdc\nchi_eff = 1 pm/V\n")
+
+
+def test_readme_catalog_example_parses_as_written():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Material catalog", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.DOTALL).group(1)
+    (record,) = load_catalog(block)
+    assert record.process is Process.SPDC
+    assert record.chi_unit == "pm/V"
+    assert (record.n_p, record.n_s, record.n_i) == (1.8, 1.75, 1.75)
+
+
+def test_trailing_comments_are_stripped_except_from_the_note():
+    doc = "[x]  \nprocess = fwm # order\nchi_eff = 2e-22 m2/V2 # typical\nnote = a # b\n"
+    (record,) = load_catalog(doc)
+    assert record.chi_eff == 2e-22
+    assert record.provenance_note == "a # b"
+    assert load_catalog(serialize_catalog([record])) == [record]
 
 
 def test_lookup_hits_and_misses():

@@ -23,6 +23,7 @@ from conftest import (
 )
 from pairgate.constants import CODATA2018
 from pairgate.model import (
+    BETA_L_MAX,
     Arm,
     AsymptoteBranch,
     Bandwidth,
@@ -82,6 +83,10 @@ def test_coupling_factor_domain_errors():
         coupling_factor(-1e15, 1.0)
     with pytest.raises(ValueError):
         coupling_factor(1e15, 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        coupling_factor(math.nan, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        coupling_factor(1e15, math.inf)
 
 
 # --------------------------------------------------------------------------
@@ -115,6 +120,10 @@ def test_vacuum_fluctuation_domain_errors():
         vacuum_fluctuation(1e15, 1.0, 0.0, 1e9)
     with pytest.raises(ValueError):
         vacuum_fluctuation(1e15, 1.0, 1e-6, -1e9)
+    with pytest.raises(ValueError):
+        vacuum_fluctuation(1e15, 1.0, math.nan, 1e9)
+    with pytest.raises(ValueError, match="vacuum field"):
+        vacuum_fluctuation(1e300, 1.0, 1e-6, 1e300)  # finite inputs, field overflows
 
 
 # --------------------------------------------------------------------------
@@ -138,10 +147,11 @@ def test_intensity_field_round_trip(intensity, n):
 
 
 def test_intensity_to_field_rejects_negative():
-    with pytest.raises(ValueError):
-        intensity_to_field(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        field_to_intensity(-1.0, 1.0)
+    for value in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            intensity_to_field(value, 1.0)
+        with pytest.raises(ValueError):
+            field_to_intensity(value, 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -209,6 +219,24 @@ def test_pair_flux_reduced_domain_errors():
         pair_flux_reduced(-0.1, 1.0)
     with pytest.raises(ValueError):
         pair_flux_reduced(1.0, 0.0)
+    with pytest.raises(ValueError, match="BETA_L_MAX"):
+        pair_flux_reduced(800.0, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        pair_flux_reduced(1.0, math.inf)
+    with pytest.raises(ValueError, match="pair flux"):
+        pair_flux_reduced(BETA_L_MAX, 1e12)  # in range, overflows through delta_nu
+
+
+def test_beta_l_max_is_the_overflow_edge():
+    above = math.nextafter(BETA_L_MAX, math.inf)
+    for kernel in (pairs_per_bandwidth, field_ratio, classify_regime,
+                   lambda x: flux_asymptote(x, AsymptoteBranch.HIGH),
+                   lambda x: pair_flux_reduced(x, 1.0)):
+        kernel(BETA_L_MAX)  # the edge itself is finite
+        with pytest.raises(ValueError, match="BETA_L_MAX"):
+            kernel(above)
+    assert math.isfinite(pairs_per_bandwidth(BETA_L_MAX))
+    assert math.isfinite(flux_asymptote(BETA_L_MAX, AsymptoteBranch.HIGH))
 
 
 def test_pair_flux_general_zero_gain():
@@ -240,8 +268,9 @@ def test_pair_flux_general_reduces_for_vacuum_seeds(scenario, beta_l, d_omega):
 def test_pair_flux_general_rejects_negative_gain():
     medium, triplet = degenerate_spdc()
     geometry = Geometry(length=1e-3, section=1e-6)
-    with pytest.raises(ValueError):
-        pair_flux_general(-1.0, 0.1, 0.1, triplet, medium, geometry)
+    for beta_l, vac_s in ((-1.0, 0.1), (math.nan, 0.1), (400.0, 0.1), (1.0, math.inf)):
+        with pytest.raises(ValueError):
+            pair_flux_general(beta_l, vac_s, 0.1, triplet, medium, geometry)
 
 
 def test_pairs_per_bandwidth_values():
@@ -401,10 +430,14 @@ def test_effective_limit_divides_out_indices():
 
 def test_limit_intensity_rejects_bad_geometry():
     spdc = Medium(process=Process.SPDC, chi_eff=1e-12)
-    with pytest.raises(ValueError):
-        limit_pump_intensity(spdc, 1e-6, 1e-6, 0.0)
-    with pytest.raises(ValueError):
-        limit_pump_intensity(spdc, -1e-6, 1e-6, 1e-3)
+    for lambda_s, length in (
+        (1e-6, 0.0), (-1e-6, 1e-3), (math.nan, 1e-3), (1e-6, math.inf),
+        (1e-6, 1e-150),  # (L*chi)^2 underflows to zero
+        (1e-6, 1e300),   # (L*chi)^2 overflows
+        (1e300, 1e-3),   # the intensity itself overflows
+    ):
+        with pytest.raises(ValueError):
+            limit_pump_intensity(spdc, lambda_s, 1e-6, length)
 
 
 @given(medium=media(), lambda_s=wavelengths, lambda_i=wavelengths, length=lengths)
@@ -447,7 +480,10 @@ def test_classify_band_contract():
     with pytest.raises(ValueError):
         classify_regime(1.0, at_limit_band=-0.1)
     with pytest.raises(ValueError):
-        classify_regime(-1.0)
+        classify_regime(1.0, at_limit_band=math.nan)
+    for beta_l in (-1.0, math.nan, math.inf, 800.0):
+        with pytest.raises(ValueError):
+            classify_regime(beta_l)
 
 
 # --------------------------------------------------------------------------
@@ -524,6 +560,12 @@ class TestWaveTriplet:
             WaveTriplet(2e15, -1e15, 3e15, Process.SPDC)
         with pytest.raises(ValueError):
             WaveTriplet.from_pump_signal(1e15, 2e15, Process.SPDC)
+        with pytest.raises(ValueError, match="omega_s"):
+            WaveTriplet.from_signal_idler(math.nan, 1e15, Process.SPDC)
+        with pytest.raises(ValueError):
+            WaveTriplet(1e308, 1e308, 1e308, Process.FWM)  # 2*omega_p overflows
+        with pytest.raises(ValueError, match="lambda_s"):
+            triplet_from_wavelengths(0.0, 1e-6, Process.SPDC)
 
     def test_from_wavelengths_degenerate(self):
         triplet = triplet_from_wavelengths(1e-6, 1e-6, Process.SPDC)
@@ -539,6 +581,10 @@ class TestMedium:
             Medium(process=Process.SPDC, chi_eff=0.0)
         with pytest.raises(ValueError):
             Medium(process=Process.SPDC, chi_eff=1e-12, n_s=0.9)
+        with pytest.raises(ValueError, match="n_s"):
+            Medium(process=Process.SPDC, chi_eff=1e-12, n_s=math.inf)
+        with pytest.raises(ValueError, match="chi_eff"):
+            Medium(process=Process.SPDC, chi_eff=math.nan)
 
 
 class TestGeometry:
@@ -547,6 +593,8 @@ class TestGeometry:
             Geometry(length=0.0, section=1e-6)
         with pytest.raises(ValueError):
             Geometry(length=1e-3, section=-1e-6)
+        with pytest.raises(ValueError, match="length"):
+            Geometry(math.nan, 1e-6)
 
 
 class TestPumpDrive:
@@ -557,6 +605,10 @@ class TestPumpDrive:
             PumpDrive(intensity=1.0, field_amplitude=1.0)
         with pytest.raises(ValueError):
             PumpDrive.from_intensity(-1.0)
+        with pytest.raises(ValueError, match="finite"):
+            PumpDrive.from_intensity(math.inf)
+        with pytest.raises(ValueError, match="finite"):
+            PumpDrive.from_field(math.nan)
 
     def test_conversion_consistency(self):
         drive = PumpDrive.from_intensity(1e13)
@@ -577,3 +629,7 @@ class TestBandwidth:
             Bandwidth(delta_omega=0.0)
         with pytest.raises(ValueError):
             Bandwidth.from_delta_nu(-1.0)
+        with pytest.raises(ValueError, match="finite"):
+            Bandwidth(math.nan)
+        with pytest.raises(ValueError, match="finite"):
+            Bandwidth.from_delta_nu(1e308)  # 2*pi*delta_nu overflows

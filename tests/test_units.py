@@ -58,7 +58,9 @@ def test_parse_frequency_and_area_and_field():
     assert parse_field("5MV/m") == pytest.approx(5e6, rel=1e-15)
 
 
-@pytest.mark.parametrize("text", ["", "nm", "12", "1 light-year", "1 Mw/cm2", "banana"])
+@pytest.mark.parametrize(
+    "text", ["", "nm", "12", "1 light-year", "1 Mw/cm2", "banana", "1e400m", "nan m", "inf m"]
+)
 def test_parse_rejects_garbage(text):
     with pytest.raises(UnitParseError):
         parse_length(text)
@@ -69,6 +71,8 @@ def test_parse_error_names_dimension_and_units():
         parse_intensity("1pm/V")
     with pytest.raises(UnitParseError, match="GW/cm2"):
         parse_intensity("1parsec")
+    with pytest.raises(UnitParseError, match="intensity"):
+        parse_intensity("1e300TW/cm2")  # finite number, overflows once scaled
 
 
 def test_format_sig():
