@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
-
-import numpy as np
 
 from . import model, oracle
 from .materials import (
@@ -49,6 +48,7 @@ EXIT_INPUT = 2
 EXIT_IO = 3
 
 DEFAULT_WAVELENGTH = 1e-6  # m, degenerate signal/idler default
+MAX_SWEEP_POINTS = 10**6  # the grid is built whole (~32 MB at the cap); 10x the largest bench sweep
 ORACLE_REFERENCE = {
     "chi2": 1e-12,       # m/V
     "length": 1e-3,      # m
@@ -83,11 +83,26 @@ class SweepSpec:
             raise ValueError("sweep requires min < max")
         if self.count < 2:
             raise ValueError("sweep requires at least 2 points")
+        if self.count > MAX_SWEEP_POINTS:
+            raise ValueError(
+                f"--count must be <= MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}, got {self.count}")
 
-    def grid(self) -> np.ndarray:
-        if not self.log:
-            return np.linspace(self.start, self.stop, self.count)
-        return 10.0 ** np.linspace(np.log10(self.start), np.log10(self.stop), self.count)
+    def grid(self) -> list[float]:
+        """numpy.linspace's points, i*step + start with the last one exactly stop;
+        a log grid is 10**x over that grid between the log10 endpoints."""
+        start, stop = self.start, self.stop
+        if self.log:
+            start, stop = math.log10(start), math.log10(stop)
+        div = self.count - 1
+        step = (stop - start) / div
+        if step:
+            points = [i * step + start for i in range(div)] + [stop]
+        else:  # a subnormal span whose step underflows: numpy scales i/div instead
+            points = [i / div * (stop - start) + start for i in range(div)] + [stop]
+        try:
+            return [10.0 ** x for x in points] if self.log else points
+        except OverflowError:
+            raise ValueError(f"--max {self.stop!r} overflows a log grid") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,9 +323,10 @@ def cmd_classify(args) -> str:
 
 
 def cmd_flux(args) -> str:
-    physical = [args.pump_intensity, args.pump_field, args.length]
     if args.beta_l is not None:
-        if any(v is not None for v in physical) or args.material or args.chi2 or args.chi3:
+        replaced = (args.pump_intensity, args.pump_field, args.length,
+                    args.material, args.chi2, args.chi3)
+        if any(v is not None for v in replaced):
             raise ValueError("--beta-l replaces the medium/pump/length flags; drop them")
         beta_l = args.beta_l
     else:
@@ -354,87 +370,40 @@ def cmd_limit(args) -> str:
     ])
 
 
-def _figure_sweep(figure: str) -> str:
-    # reference-figure presets: degenerate 1 um pair, unit indices
-    if figure == "2":
-        grid = np.linspace(0.0, 6.0, 121)
-        rows = [[float(x), model.pairs_per_bandwidth(float(x))] for x in grid]
-        return _render_csv(["beta_l", "pairs_per_bandwidth"], rows)
-
-    if figure == "3":
-        chis = [(1e-12, "1pm_V"), (1e-11, "10pm_V"), (1e-10, "100pm_V")]
-        grid = 10.0 ** np.linspace(-3.0, 0.0, 61)
-        process = Process.SPDC
-        tag = "chi2"
-    else:
-        chis = [(1e-22, "1e-22m2_V2"), (1e-20, "1e-20m2_V2"), (1e-18, "1e-18m2_V2")]
-        grid = 10.0 ** np.linspace(-3.0, 3.0, 121)
-        process = Process.FWM
-        tag = "chi3"
-
-    media = [Medium(process=process, chi_eff=chi) for chi, _ in chis]
-    header = ["length_m"] + [f"gamma_W_per_m2_{tag}_{label}" for _, label in chis]
-    rows = []
-    for length in grid:
-        row = [float(length)]
-        row += [
-            model.effective_limit_intensity(m, DEFAULT_WAVELENGTH, DEFAULT_WAVELENGTH, float(length))
-            for m in media
-        ]
-        rows.append(row)
+def _flux_csv(header: list[str], rows: list[list[float]], delta_nu: float | None) -> str:
+    """Renders rows ending in beta*L with pairs/Hz (and pairs/s given delta_nu) appended."""
+    header = header + ["pairs_per_bandwidth"] + (["pairs_per_s"] if delta_nu is not None else [])
+    for row in rows:
+        beta_l = row[-1]
+        row.append(model.pairs_per_bandwidth(beta_l))
+        if delta_nu is not None:
+            row.append(model.pair_flux_reduced(beta_l, delta_nu))
     return _render_csv(header, rows)
 
 
-def _explicit_sweep(args) -> str:
-    if args.sweep_min is None or args.sweep_max is None:
-        raise ValueError("explicit sweeps require --min and --max")
+def _length_sweep(sweep: SweepSpec, media: list[Medium], lambda_s: float, lambda_i: float,
+                  header: list[str]) -> str:
+    """Effective limit intensity against length, one column per medium."""
+    rows = [
+        [length] + [model.effective_limit_intensity(m, lambda_s, lambda_i, length) for m in media]
+        for length in sweep.grid()
+    ]
+    return _render_csv(header, rows)
 
-    def spec(parse):
-        try:
-            start, stop = parse(args.sweep_min), parse(args.sweep_max)
-        except ValueError as exc:
-            raise ValueError(f"--min/--max: {exc}") from exc
-        return SweepSpec(start, stop, args.count, args.scale == "log")
 
-    def flux_columns(beta_l: float) -> list[float]:
-        row = [model.pairs_per_bandwidth(beta_l)]
-        if args.delta_nu is not None:
-            row.append(model.pair_flux_reduced(beta_l, args.delta_nu))
-        return row
-
-    flux_header = ["pairs_per_bandwidth"] + (
-        ["pairs_per_s"] if args.delta_nu is not None else []
-    )
-
-    if args.variable == "beta_l":
-        sweep = spec(float)
-        rows = [[float(x)] + flux_columns(float(x)) for x in sweep.grid()]
-        return _render_csv(["beta_l"] + flux_header, rows)
-
-    if args.variable == "length":
-        if args.delta_nu is not None:
-            raise ValueError("--delta-nu does not apply to a length sweep")
-        sweep = spec(parse_length)
-        medium = _build_medium(args)
-        rows = []
-        for length in sweep.grid():
-            rows.append([
-                float(length),
-                model.effective_limit_intensity(medium, args.lambda_s, args.lambda_i, float(length)),
-            ])
-        return _render_csv(["length_m", "gamma_W_per_m2"], rows)
-
-    sweep = spec(parse_intensity)
-    if args.length is None:
-        raise ValueError("--length is required for a pump_intensity sweep")
-    medium = _build_medium(args)
-    triplet = _build_triplet(args, medium.process)
-    rows = []
-    for intensity in sweep.grid():
-        pump = PumpDrive.from_intensity(float(intensity))
-        beta_l = model.gain_coefficient(medium, triplet, pump) * args.length
-        rows.append([float(intensity), beta_l] + flux_columns(beta_l))
-    return _render_csv(["pump_intensity_W_per_m2", "beta_l"] + flux_header, rows)
+def _figure_sweep(figure: str) -> str:
+    # reference-figure presets: degenerate 1 um pair, unit indices
+    if figure == "2":
+        return _flux_csv(["beta_l"], [[x] for x in SweepSpec(0.0, 6.0, 121).grid()], None)
+    if figure == "3":
+        sweep, process, tag = SweepSpec(1e-3, 1.0, 61, log=True), Process.SPDC, "chi2"
+        chis = [(1e-12, "1pm_V"), (1e-11, "10pm_V"), (1e-10, "100pm_V")]
+    else:
+        sweep, process, tag = SweepSpec(1e-3, 1e3, 121, log=True), Process.FWM, "chi3"
+        chis = [(1e-22, "1e-22m2_V2"), (1e-20, "1e-20m2_V2"), (1e-18, "1e-18m2_V2")]
+    media = [Medium(process=process, chi_eff=chi) for chi, _ in chis]
+    header = ["length_m"] + [f"gamma_W_per_m2_{tag}_{label}" for _, label in chis]
+    return _length_sweep(sweep, media, DEFAULT_WAVELENGTH, DEFAULT_WAVELENGTH, header)
 
 
 def cmd_sweep(args) -> str:
@@ -442,7 +411,29 @@ def cmd_sweep(args) -> str:
         raise ValueError("specify exactly one of --figure or --variable")
     if args.figure is not None:
         return _figure_sweep(args.figure)
-    return _explicit_sweep(args)
+    if args.sweep_min is None or args.sweep_max is None:
+        raise ValueError("explicit sweeps require --min and --max")
+    if args.variable == "length" and args.delta_nu is not None:
+        raise ValueError("--delta-nu does not apply to a length sweep")
+    parse = {"beta_l": float, "length": parse_length,
+             "pump_intensity": parse_intensity}[args.variable]
+    try:
+        start, stop = parse(args.sweep_min), parse(args.sweep_max)
+    except ValueError as exc:
+        raise ValueError(f"--min/--max: {exc}") from exc
+    sweep = SweepSpec(start, stop, args.count, args.scale == "log")
+    if args.variable == "beta_l":
+        return _flux_csv(["beta_l"], [[x] for x in sweep.grid()], args.delta_nu)
+    if args.variable == "length":
+        return _length_sweep(sweep, [_build_medium(args)], args.lambda_s, args.lambda_i,
+                             ["length_m", "gamma_W_per_m2"])
+    if args.length is None:
+        raise ValueError("--length is required for a pump_intensity sweep")
+    medium = _build_medium(args)
+    triplet = _build_triplet(args, medium.process)
+    rows = [[i, model.gain_coefficient(medium, triplet, PumpDrive.from_intensity(i)) * args.length]
+            for i in sweep.grid()]
+    return _flux_csv(["pump_intensity_W_per_m2", "beta_l"], rows, args.delta_nu)
 
 
 def cmd_oracle(args) -> str:

@@ -25,8 +25,11 @@ class PhysicalConstants:
     hbar: float = field(init=False)    # reduced Planck constant (J s)
 
     def __post_init__(self) -> None:
-        if self.c <= 0 or self.h <= 0 or self.eps0 <= 0 or self.mu0 <= 0:
-            raise ValueError("physical constants must be strictly positive")
+        # model._check cannot be imported here: model imports this module
+        for name in ("c", "h", "eps0", "mu0"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be strictly positive and finite, got {value!r}")
         object.__setattr__(self, "hbar", self.h / (2.0 * math.pi))
         residual = abs(self.eps0 * self.mu0 * self.c**2 - 1.0)
         if residual > 1e-9:

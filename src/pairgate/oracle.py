@@ -38,6 +38,7 @@ from .model import (
 __all__ = ["OdeState", "IntegrationConfig", "integrate", "oracle_pair_flux"]
 
 MIN_STEPS = 16
+MAX_STEPS = 2**24  # ~10 s at ~0.6 us per RK4 step; 10**12 steps would run for a week
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,8 @@ class IntegrationConfig:
     def __post_init__(self) -> None:
         if self.steps < MIN_STEPS:
             raise ValueError(f"steps must be >= {MIN_STEPS}")
+        if self.steps > MAX_STEPS:
+            raise ValueError(f"steps must be <= MAX_STEPS = {MAX_STEPS}, got {self.steps}")
 
 
 def integrate(

@@ -7,10 +7,12 @@ bit, guaranteeing no physics is computed in the CLI layer.
 import contextlib
 import csv
 import io
+import math
 import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -196,11 +198,12 @@ def test_flux_physical_path_matches_classify(capsys):
     assert float(row["pairs_per_s"]) == model.pair_flux_reduced(beta_l, 1.0)
 
 
-def test_flux_beta_l_conflicts_with_pump(capsys):
-    code, _, err = run_cli(
-        ["flux", "--beta-l", "1", "--pump-intensity", "1MW/cm2", "--delta-nu", "1Hz"],
-        capsys,
-    )
+@pytest.mark.parametrize("extra", [
+    ["--pump-intensity", "1MW/cm2"],
+    ["--chi2", "0pm/V"],
+], ids=["pump_intensity", "chi2_zero"])
+def test_flux_beta_l_conflicts_with_pump(extra, capsys):
+    code, _, err = run_cli(["flux", "--beta-l", "1", "--delta-nu", "1Hz"] + extra, capsys)
     assert code == 2
     assert "--beta-l" in err
 
@@ -314,6 +317,26 @@ def test_sweep_deterministic_output(tmp_path, capsys):
     assert cli.main(["sweep", "--figure", "3", "--out", str(second)]) == 0
     capsys.readouterr()
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("start, stop, count", [
+    (0.0, 6.0, 121),        # figure 2
+    (0.0, 1.0, 2),
+    (1e2, 1e9, 100_000),
+    (0.0, 1e-320, 4),       # subnormal span: the step underflows to zero
+])
+def test_sweep_grid_is_numpy_linspace(start, stop, count):
+    assert cli.SweepSpec(start, stop, count).grid() == np.linspace(start, stop, count).tolist()
+
+
+@pytest.mark.parametrize("start, stop, count", [
+    (1e-3, 1.0, 61),        # figure 3
+    (1e-3, 1e3, 121),       # figure 4
+    (1e6, 1e14, 100_000),
+])
+def test_sweep_log_grid_is_ten_to_the_linear_grid(start, stop, count):
+    exponents = np.linspace(math.log10(start), math.log10(stop), count).tolist()
+    assert cli.SweepSpec(start, stop, count, log=True).grid() == [10.0 ** x for x in exponents]
 
 
 def test_sweep_explicit_beta_l(capsys):
@@ -442,6 +465,11 @@ def run_cli_catching_exit(argv):
     ["oracle", "--beta-l", "1", "--steps", "-3"],
     ["oracle", "--beta-l", "1", "--steps", "many"],
     ["criteria", "--format", "xml"],
+    # caps on the grid size and the RK4 step count, and a log grid whose top overflows
+    ["sweep", "--variable", "beta_l", "--min", "0", "--max", "1", "--count", "1000000000"],
+    ["sweep", "--variable", "length", "--min", "1m", "--max", "1.7976931348623157e308m",
+     "--scale", "log", "--chi2", "1pm/V"],
+    ["oracle", "--beta-l", "1", "--steps", "1000000000000"],
 ])
 def test_invalid_input_is_one_line_exit_2(argv):
     code, out, err = run_cli_catching_exit(argv)
@@ -616,6 +644,29 @@ def test_out_flag_writes_table(tmp_path, capsys):
     assert cli.main(["criteria", "--out", str(target)]) == 0
     capsys.readouterr()
     assert "0.369" in target.read_text()
+
+
+def test_every_subcommand_runs_without_numpy():
+    argvs = [
+        ["criteria"],
+        ["classify", "--material", "KTP_class", "--length", "1cm",
+         "--pump-intensity", "135MW/cm2"],
+        ["flux", "--beta-l", "1", "--delta-nu", "1GHz"],
+        ["limit", "--chi2", "1pm/V", "--length", "1mm"],
+        ["sweep", "--figure", "2"],
+        ["sweep", "--figure", "4"],
+        ["sweep", "--variable", "pump_intensity", "--min", "1MW/cm2", "--max", "10GW/cm2",
+         "--scale", "log", "--chi2", "1pm/V", "--length", "1cm"],
+        ["oracle", "--beta-l", "1"],
+    ]
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"  # any numpy import now raises ImportError
+        "from pairgate import cli\n"
+        f"sys.exit(max(cli.main(argv) for argv in {argvs!r}))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_module_entry_point_runs():

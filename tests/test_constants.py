@@ -27,6 +27,8 @@ def test_inconsistent_constants_rejected():
         PhysicalConstants(eps0=9e-12)
 
 
-def test_nonpositive_constants_rejected():
-    with pytest.raises(ValueError):
-        PhysicalConstants(c=-1.0)
+@pytest.mark.parametrize("name", ["c", "h", "eps0", "mu0"])
+@pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
+def test_nonpositive_constants_rejected(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be strictly positive and finite"):
+        PhysicalConstants(**{name: value})
