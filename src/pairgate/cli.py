@@ -3,6 +3,10 @@
 Every subcommand is a thin rendering over the library; no physics lives
 here. Unit-suffixed quantities (532nm, 40MW/cm2, 1pm/V, ...) are parsed at
 this boundary only. Exit codes: 0 success, 2 input validation, 3 I/O.
+
+Scalar reports state each output once, as a column list that `_report`
+prints as a table or as CSV; every renderer ends its text with a newline,
+so `_emit` writes it unchanged to stdout or --out.
 """
 
 from __future__ import annotations
@@ -209,15 +213,14 @@ def build_parser() -> argparse.ArgumentParser:
 # --------------------------------------------------------------------------
 
 def _build_medium(args) -> Medium:
-    sources = [s for s in ("--material" if args.material else None,
-                           "--chi2" if args.chi2 is not None else None,
-                           "--chi3" if args.chi3 is not None else None) if s]
+    flags = {"--material": args.material, "--chi2": args.chi2, "--chi3": args.chi3}
+    sources = [flag for flag, value in flags.items() if value is not None]
     if len(sources) != 1:
         raise ValueError(
             "specify exactly one medium source among --material, --chi2, --chi3"
             + (f" (got {', '.join(sources)})" if sources else "")
         )
-    if args.material:
+    if args.material is not None:
         medium = lookup(resolve_catalog(args.materials), args.material).to_medium()
     elif args.chi2 is not None:
         medium = Medium(process=Process.SPDC, chi_eff=args.chi2)
@@ -243,25 +246,29 @@ def _build_pump(args) -> PumpDrive:
 
 def _render_table(rows: list[tuple[str, str]]) -> str:
     width = max(len(key) for key, _ in rows)
-    return "\n".join(f"{key:<{width}}  {value}" for key, value in rows)
-
-
-def _csv_cell(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
+    return "".join(f"{key:<{width}}  {value}\n" for key, value in rows)
 
 
 def _render_csv(header: list[str], rows: list[list]) -> str:
     lines = [",".join(header)]
-    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
+    lines.extend(",".join(map(str, row)) for row in rows)  # str(float) is its shortest repr
     return "\n".join(lines) + "\n"
+
+
+def _report(args, columns: list[tuple]) -> str:
+    """One scalar report in --format; a column is (csv name, value, table text[, table label])."""
+    if args.format == "csv":
+        return _render_csv([column[0] for column in columns], [[column[1] for column in columns]])
+    return _render_table([(label[0] if label else name, text)
+                          for name, _, text, *label in columns])
 
 
 def _emit(text: str, args) -> None:
     if args.out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
         return
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text if text.endswith("\n") else text + "\n")
+        handle.write(text)
 
 
 # --------------------------------------------------------------------------
@@ -270,18 +277,11 @@ def _emit(text: str, args) -> None:
 
 def cmd_criteria(args) -> str:
     crit = model.limit_criteria()
+    names = ["pairs_per_bandwidth_limit", "photons_per_bandwidth_limit", "field_ratio_limit"]
     if args.format == "csv":
-        return _render_csv(
-            ["pairs_per_bandwidth_limit", "photons_per_bandwidth_limit", "field_ratio_limit"],
-            [[crit.pairs_limit, crit.photons_limit, crit.field_ratio_limit]],
-        )
-    rows = [
-        ("quantity", "value   exact"),
-        ("pairs_per_bandwidth_limit", f"{crit.pairs_limit:.3f}   {crit.pairs_limit!r}"),
-        ("photons_per_bandwidth_limit", f"{crit.photons_limit:.3f}   {crit.photons_limit!r}"),
-        ("field_ratio_limit", f"{crit.field_ratio_limit:.3f}   {crit.field_ratio_limit!r}"),
-    ]
-    return _render_table(rows)
+        return _render_csv(names, [list(crit)])
+    return _render_table([("quantity", "value   exact")]
+                         + [(name, f"{value:.3f}   {value!r}") for name, value in zip(names, crit)])
 
 
 def cmd_classify(args) -> str:
@@ -291,10 +291,12 @@ def cmd_classify(args) -> str:
     beta = model.gain_coefficient(medium, triplet, pump)
     report = model.classify_regime(beta * args.length, at_limit_band=args.band)
 
-    header = ["beta_l", "regime", "pairs_per_bandwidth", "field_ratio"]
-    values = [report.beta_l, report.regime.value, report.pairs_per_bandwidth, report.field_ratio]
-
-    extra_rows: list[tuple[str, str]] = []
+    columns = [
+        ("beta_l", report.beta_l, format_sig(report.beta_l)),
+        ("regime", report.regime.value, report.regime.value),
+        ("pairs_per_bandwidth", report.pairs_per_bandwidth, format_sig(report.pairs_per_bandwidth)),
+        ("field_ratio", report.field_ratio, format_sig(report.field_ratio)),
+    ]
     if args.section is not None and args.delta_nu is not None:
         geometry = Geometry(length=args.length, section=args.section)
         bandwidth = Bandwidth.from_delta_nu(args.delta_nu)
@@ -304,22 +306,11 @@ def cmd_classify(args) -> str:
         gen = model.generated_field(
             report.beta_l, triplet, medium, geometry, bandwidth, Arm.SIGNAL
         )
-        header += ["vacuum_field_V_per_m", "generated_field_V_per_m"]
-        values += [vac, gen]
-        extra_rows = [
-            ("vacuum_field", f"{format_sig(vac)} V/m"),
-            ("generated_field", f"{format_sig(gen)} V/m"),
+        columns += [
+            ("vacuum_field_V_per_m", vac, f"{format_sig(vac)} V/m", "vacuum_field"),
+            ("generated_field_V_per_m", gen, f"{format_sig(gen)} V/m", "generated_field"),
         ]
-
-    if args.format == "csv":
-        return _render_csv(header, [values])
-    rows = [
-        ("beta_l", format_sig(report.beta_l)),
-        ("regime", report.regime.value),
-        ("pairs_per_bandwidth", format_sig(report.pairs_per_bandwidth)),
-        ("field_ratio", format_sig(report.field_ratio)),
-    ] + extra_rows
-    return _render_table(rows)
+    return _report(args, columns)
 
 
 def cmd_flux(args) -> str:
@@ -338,12 +329,10 @@ def cmd_flux(args) -> str:
         beta_l = model.gain_coefficient(medium, triplet, pump) * args.length
 
     pairs = model.pair_flux_reduced(beta_l, args.delta_nu)
-    if args.format == "csv":
-        return _render_csv(["beta_l", "delta_nu_Hz", "pairs_per_s"], [[beta_l, args.delta_nu, pairs]])
-    return _render_table([
-        ("beta_l", format_sig(beta_l)),
-        ("delta_nu", f"{format_sig(args.delta_nu)} Hz"),
-        ("pairs_per_s", format_sig(pairs)),
+    return _report(args, [
+        ("beta_l", beta_l, format_sig(beta_l)),
+        ("delta_nu_Hz", args.delta_nu, f"{format_sig(args.delta_nu)} Hz", "delta_nu"),
+        ("pairs_per_s", pairs, format_sig(pairs)),
     ])
 
 
@@ -351,22 +340,17 @@ def cmd_limit(args) -> str:
     medium = _build_medium(args)
     i_lim = model.limit_pump_intensity(medium, args.lambda_s, args.lambda_i, args.length)
     gamma = model.effective_limit_intensity(medium, args.lambda_s, args.lambda_i, args.length)
-    if args.format == "csv":
-        return _render_csv(
-            ["process", "length_m", "lambda_s_m", "lambda_i_m", "chi_eff_si",
-             "limit_intensity_W_per_m2", "effective_limit_W_per_m2"],
-            [[medium.process.value, args.length, args.lambda_s, args.lambda_i,
-              medium.chi_eff, i_lim, gamma]],
-        )
-    return _render_table([
-        ("process", medium.process.value),
-        ("length", f"{format_sig(args.length)} m"),
-        ("lambda_s", f"{format_sig(args.lambda_s)} m"),
-        ("lambda_i", f"{format_sig(args.lambda_i)} m"),
-        ("chi_eff", format_sig(medium.chi_eff)
-         + (" m/V" if medium.process is Process.SPDC else " m2/V2")),
-        ("limit_pump_intensity", f"{format_intensity(i_lim)}   ({i_lim!r} W/m2)"),
-        ("effective_limit_gamma", f"{format_intensity(gamma)}   ({gamma!r} W/m2)"),
+    chi_unit = "m/V" if medium.process is Process.SPDC else "m2/V2"
+    return _report(args, [
+        ("process", medium.process.value, medium.process.value),
+        ("length_m", args.length, f"{format_sig(args.length)} m", "length"),
+        ("lambda_s_m", args.lambda_s, f"{format_sig(args.lambda_s)} m", "lambda_s"),
+        ("lambda_i_m", args.lambda_i, f"{format_sig(args.lambda_i)} m", "lambda_i"),
+        ("chi_eff_si", medium.chi_eff, f"{format_sig(medium.chi_eff)} {chi_unit}", "chi_eff"),
+        ("limit_intensity_W_per_m2", i_lim, f"{format_intensity(i_lim)}   ({i_lim!r} W/m2)",
+         "limit_pump_intensity"),
+        ("effective_limit_W_per_m2", gamma, f"{format_intensity(gamma)}   ({gamma!r} W/m2)",
+         "effective_limit_gamma"),
     ])
 
 
@@ -448,17 +432,12 @@ def cmd_oracle(args) -> str:
     numeric = oracle.oracle_pair_flux(medium, triplet, pump, geometry, bandwidth, config)
     error = abs(numeric - analytic) / analytic if analytic > 0 else abs(numeric - analytic)
 
-    if args.format == "csv":
-        return _render_csv(
-            ["beta_l", "steps", "analytic_pairs_per_s", "oracle_pairs_per_s", "relative_error"],
-            [[args.beta_l, args.steps, analytic, numeric, error]],
-        )
-    return _render_table([
-        ("beta_l", format_sig(args.beta_l)),
-        ("steps", str(args.steps)),
-        ("analytic_pairs_per_s", repr(analytic)),
-        ("oracle_pairs_per_s", repr(numeric)),
-        ("relative_error", format_sig(error)),
+    return _report(args, [
+        ("beta_l", args.beta_l, format_sig(args.beta_l)),
+        ("steps", args.steps, str(args.steps)),
+        ("analytic_pairs_per_s", analytic, repr(analytic)),
+        ("oracle_pairs_per_s", numeric, repr(numeric)),
+        ("relative_error", error, format_sig(error)),
     ])
 
 

@@ -388,6 +388,12 @@ def pump_for_gain(
 # pair flux
 # --------------------------------------------------------------------------
 
+def _photon_flux(field: float, omega: float, n: float, section: float) -> float:
+    """Photon flux (photons/s) of a field amplitude: eps0*n*c*S/(4*hbar*omega) * field^2."""
+    k = CODATA2018
+    return k.eps0 * n * k.c * section / (4.0 * k.hbar * omega) * field * field
+
+
 def pair_flux_general(
     beta_l: float,
     vac_s: float,
@@ -410,9 +416,7 @@ def pair_flux_general(
     cosh_m1 = 2.0 * math.sinh(0.5 * beta_l) ** 2
     weight = math.sqrt(triplet.omega_s * medium.n_i / (triplet.omega_i * medium.n_s))
     bracket = vac_s * cosh_m1 + weight * vac_i * math.sinh(beta_l)
-    k = CODATA2018
-    prefactor = k.eps0 * medium.n_s * k.c * geometry.section / (4.0 * k.hbar * triplet.omega_s)
-    return prefactor * bracket * bracket
+    return _photon_flux(bracket, triplet.omega_s, medium.n_s, geometry.section)
 
 
 def pair_flux_reduced(beta_l: float, delta_nu: float) -> float:
@@ -498,10 +502,7 @@ def photon_number_from_field(
     generated_field this inverts exactly to pair_flux_reduced.
     """
     _check("field amplitude", field, inclusive=True)
-    k = CODATA2018
-    omega = triplet.omega(arm)
-    prefactor = k.eps0 * medium.n(arm) * k.c * geometry.section / (4.0 * k.hbar * omega)
-    return prefactor * field * field
+    return _photon_flux(field, triplet.omega(arm), medium.n(arm), geometry.section)
 
 
 # --------------------------------------------------------------------------

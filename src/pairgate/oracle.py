@@ -21,9 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import CODATA2018
 from .model import (
-    Arm,
     Bandwidth,
     Geometry,
     Medium,
@@ -32,6 +30,7 @@ from .model import (
     _check,
     _couplings,
     _drive_coupling,
+    _photon_flux,
     vacuum_fluctuation,
 )
 
@@ -127,11 +126,6 @@ def oracle_pair_flux(
     final = integrate(
         medium, triplet, pump, geometry, OdeState(z=0.0, e_s=vac_s, e_i=vac_i), config
     )
-    generated = final.e_s - vac_s
-    k = CODATA2018
-    prefactor = k.eps0 * medium.n(Arm.SIGNAL) * k.c * geometry.section / (
-        4.0 * k.hbar * triplet.omega_s
-    )
-    flux = prefactor * generated * generated
+    flux = _photon_flux(final.e_s - vac_s, triplet.omega_s, medium.n_s, geometry.section)
     _check("oracle pair flux", flux, inclusive=True)
     return flux

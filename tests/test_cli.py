@@ -9,8 +9,10 @@ import csv
 import io
 import math
 import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -470,6 +472,9 @@ def run_cli_catching_exit(argv):
     ["sweep", "--variable", "length", "--min", "1m", "--max", "1.7976931348623157e308m",
      "--scale", "log", "--chi2", "1pm/V"],
     ["oracle", "--beta-l", "1", "--steps", "1000000000000"],
+    # an empty --material is a medium source like any other
+    ["limit", "--material", "", "--chi2", "1pm/V", "--length", "1mm"],
+    ["limit", "--material", "", "--length", "1mm"],
 ])
 def test_invalid_input_is_one_line_exit_2(argv):
     code, out, err = run_cli_catching_exit(argv)
@@ -633,6 +638,95 @@ def test_materials_parse_error_is_input_error(tmp_path, capsys):
     )
     assert code == 2
     assert ":3:" in err
+
+
+# --------------------------------------------------------------------------
+# exact report bytes, README examples
+# --------------------------------------------------------------------------
+
+REPORT_ARGV = {
+    "criteria": ["criteria"],
+    "classify": ["classify", "--chi2", "1pm/V", "--length", "1cm",
+                 "--pump-intensity", "135MW/cm2", "--section", "1mm2", "--delta-nu", "1GHz"],
+    "flux": ["flux", "--beta-l", "1", "--delta-nu", "1GHz"],
+    "limit": ["limit", "--chi3", "1e-22m2/V2", "--length", "1km",
+              "--n-p", "1.45", "--n-s", "1.44", "--n-i", "1.46"],
+    "oracle": ["oracle", "--beta-l", "0"],
+}
+
+
+@pytest.mark.parametrize("command, fmt, expected", [
+    ("criteria", "table",
+     "quantity                     value   exact\n"
+     "pairs_per_bandwidth_limit    0.369   0.3690615552515699\n"
+     "photons_per_bandwidth_limit  0.738   0.7381231105031398\n"
+     "field_ratio_limit            1.718   1.718281828459045\n"),
+    ("criteria", "csv",
+     "pairs_per_bandwidth_limit,photons_per_bandwidth_limit,field_ratio_limit\n"
+     "0.3690615552515699,0.7381231105031398,1.718281828459045\n"),
+    ("classify", "table",
+     "beta_l               1.00\n"
+     "regime               at-limit\n"
+     "pairs_per_bandwidth  0.371\n"
+     "field_ratio          1.72\n"
+     "vacuum_field         0.193 V/m\n"
+     "generated_field      0.333 V/m\n"),
+    ("classify", "csv",
+     "beta_l,regime,pairs_per_bandwidth,field_ratio,vacuum_field_V_per_m,generated_field_V_per_m\n"
+     "1.0019522811408441,at-limit,0.37134697531843075,1.723593862412908,"
+     "0.19343660083422298,0.3334061379638823\n"),
+    ("flux", "table",
+     "beta_l       1.00\n"
+     "delta_nu     1.00e+09 Hz\n"
+     "pairs_per_s  3.69e+08\n"),
+    ("flux", "csv",
+     "beta_l,delta_nu_Hz,pairs_per_s\n"
+     "1.0,1000000000.0,369061555.2515699\n"),
+    ("limit", "table",
+     "process                fwm\n"
+     "length                 1.00e+03 m\n"
+     "lambda_s               1.00e-06 m\n"
+     "lambda_i               1.00e-06 m\n"
+     "chi_eff                1.00e-22 m2/V2\n"
+     "limit_pump_intensity   1.78 MW/cm2   (17764182911.217876 W/m2)\n"
+     "effective_limit_gamma  845 kW/cm2   (8449277231.915789 W/m2)\n"),
+    ("limit", "csv",
+     "process,length_m,lambda_s_m,lambda_i_m,chi_eff_si,"
+     "limit_intensity_W_per_m2,effective_limit_W_per_m2\n"
+     "fwm,1000.0,1e-06,1e-06,1e-22,17764182911.217876,8449277231.915789\n"),
+    ("oracle", "table",
+     "beta_l                0.00\n"
+     "steps                 1024\n"
+     "analytic_pairs_per_s  0.0\n"
+     "oracle_pairs_per_s    0.0\n"
+     "relative_error        0.00\n"),
+    ("oracle", "csv",
+     "beta_l,steps,analytic_pairs_per_s,oracle_pairs_per_s,relative_error\n"
+     "0.0,1024,0.0,0.0,0.0\n"),
+])
+def test_scalar_report_bytes(command, fmt, expected, capsys):
+    code, out, err = run_cli(REPORT_ARGV[command] + ["--format", fmt], capsys)
+    assert (code, err) == (0, "")
+    assert out == expected
+
+
+def readme_cli_examples():
+    """Every `pairgate ...` line of the README's command-line block, continuations joined."""
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = next(b for b in text.split("```")[1::2] if "\npairgate criteria\n" in b)
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("pairgate ")]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the sweep examples write their --out files here
+    monkeypatch.delenv(MATERIALS_ENV_VAR, raising=False)
+    examples = readme_cli_examples()
+    assert len(examples) == 7
+    for argv in examples:
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+    assert (tmp_path / "fig3.csv").exists() and (tmp_path / "ramp.csv").exists()
 
 
 # --------------------------------------------------------------------------
