@@ -7,7 +7,7 @@ material-class catalog. See the CLI (`pairgate --help`) for the command
 surface.
 """
 
-from .constants import CODATA2018, PhysicalConstants
+from .constants import CODATA2018
 from .materials import (
     MaterialParseError,
     MaterialRecord,

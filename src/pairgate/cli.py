@@ -110,15 +110,17 @@ class SweepSpec:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--materials", metavar="PATH", default=None,
-                        help=f"material catalog file (overrides ${MATERIALS_ENV_VAR} and presets)")
+    out_flag = argparse.ArgumentParser(add_help=False)
+    out_flag.add_argument("--out", metavar="PATH", default=None,
+                          help="write output to PATH instead of stdout")
+    common = argparse.ArgumentParser(add_help=False, parents=[out_flag])
     common.add_argument("--format", choices=("table", "csv"), default="table",
                         help="output rendering for scalar reports")
-    common.add_argument("--out", metavar="PATH", default=None,
-                        help="write output to PATH instead of stdout")
 
     medium_flags = argparse.ArgumentParser(add_help=False)
+    medium_flags.add_argument("--materials", metavar="PATH", default=None,
+                              help=f"material catalog file for --material "
+                                   f"(overrides ${MATERIALS_ENV_VAR} and presets)")
     medium_flags.add_argument("--material", help="material name from the catalog")
     medium_flags.add_argument("--chi2", type=parse_chi2, metavar="CHI",
                               help="second-order susceptibility, e.g. 1pm/V (implies spdc)")
@@ -133,8 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
                             default=DEFAULT_WAVELENGTH, help="signal wavelength (default 1um)")
     wave_flags.add_argument("--lambda-i", type=parse_length, metavar="LEN",
                             default=DEFAULT_WAVELENGTH, help="idler wavelength (default 1um)")
-    wave_flags.add_argument("--lambda-p", type=parse_length, metavar="LEN",
-                            default=None, help="pump wavelength (derived when omitted)")
 
     pump_flags = argparse.ArgumentParser(add_help=False)
     pump_flags.add_argument("--pump-intensity", type=parse_intensity, metavar="I",
@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_limit.add_argument("--length", type=parse_length, metavar="LEN",
                          required=True, help="interaction length, e.g. 1mm")
 
-    p_sweep = sub.add_parser("sweep", parents=[common, medium_flags, wave_flags],
+    p_sweep = sub.add_parser("sweep", parents=[out_flag, medium_flags, wave_flags],
                              help="CSV parameter sweeps, including figure presets")
     p_sweep.add_argument("--figure", choices=("2", "3", "4"), default=None,
                          help="preset sweep reproducing one of the reference figures")
@@ -222,6 +222,8 @@ def _build_medium(args) -> Medium:
         )
     if args.material is not None:
         medium = lookup(resolve_catalog(args.materials), args.material).to_medium()
+    elif args.materials is not None:
+        raise ValueError("--materials applies only with --material")
     elif args.chi2 is not None:
         medium = Medium(process=Process.SPDC, chi_eff=args.chi2)
     else:
@@ -231,7 +233,7 @@ def _build_medium(args) -> Medium:
 
 
 def _build_triplet(args, process: Process) -> model.WaveTriplet:
-    return triplet_from_wavelengths(args.lambda_s, args.lambda_i, process, args.lambda_p)
+    return triplet_from_wavelengths(args.lambda_s, args.lambda_i, process)
 
 
 def _build_pump(args) -> PumpDrive:
@@ -297,7 +299,9 @@ def cmd_classify(args) -> str:
         ("pairs_per_bandwidth", report.pairs_per_bandwidth, format_sig(report.pairs_per_bandwidth)),
         ("field_ratio", report.field_ratio, format_sig(report.field_ratio)),
     ]
-    if args.section is not None and args.delta_nu is not None:
+    if (args.section is None) != (args.delta_nu is None):
+        raise ValueError("--section and --delta-nu go together")
+    if args.section is not None:
         geometry = Geometry(length=args.length, section=args.section)
         bandwidth = Bandwidth.from_delta_nu(args.delta_nu)
         vac = model.vacuum_fluctuation(
@@ -315,8 +319,8 @@ def cmd_classify(args) -> str:
 
 def cmd_flux(args) -> str:
     if args.beta_l is not None:
-        replaced = (args.pump_intensity, args.pump_field, args.length,
-                    args.material, args.chi2, args.chi3)
+        replaced = (args.pump_intensity, args.pump_field, args.length, args.material,
+                    args.materials, args.chi2, args.chi3, args.n_p, args.n_s, args.n_i)
         if any(v is not None for v in replaced):
             raise ValueError("--beta-l replaces the medium/pump/length flags; drop them")
         beta_l = args.beta_l

@@ -53,11 +53,6 @@ __all__ = [
     "triplet_from_wavelengths",
 ]
 
-# Relative tolerance on energy conservation when a full frequency triplet is
-# supplied; loose enough to absorb wavelength rounding, tight enough to catch
-# genuinely inconsistent inputs.
-ENERGY_CONSERVATION_RTOL = 1e-6
-
 # Largest beta*L at which both (exp(beta_l) - 1)^2/8 and exp(2*beta_l)/8 are
 # finite floats (~354.89); every kernel taking a raw beta*L rejects more.
 BETA_L_MAX = 0.5 * math.log(sys.float_info.max)
@@ -111,14 +106,14 @@ class AsymptoteBranch(Enum):
 
 @dataclass(frozen=True)
 class WaveTriplet:
-    """Pump, signal and idler angular frequencies (rad/s) of one process.
+    """Signal and idler angular frequencies (rad/s) of one process.
 
-    Energy conservation is enforced: omega_p = omega_s + omega_i for SPDC,
-    2*omega_p = omega_s + omega_i for FWM, within ENERGY_CONSERVATION_RTOL.
-    The degenerate case omega_s = omega_i is allowed.
+    The pump frequency follows from energy conservation, omega_p =
+    omega_s + omega_i for SPDC and 2*omega_p = omega_s + omega_i for FWM, so
+    it is derived, never given. The degenerate case omega_s = omega_i is
+    allowed.
     """
 
-    omega_p: float
     omega_s: float
     omega_i: float
     process: Process
@@ -126,48 +121,34 @@ class WaveTriplet:
     def __post_init__(self) -> None:
         for name in ("omega_s", "omega_i", "omega_p"):
             _check(name, getattr(self, name))
-        pump_total = self.omega_p if self.process is Process.SPDC else 2.0 * self.omega_p
-        residual = abs(pump_total - (self.omega_s + self.omega_i)) / pump_total
-        if not residual <= ENERGY_CONSERVATION_RTOL:
-            raise ValueError(
-                f"energy conservation violated for {self.process.value}: "
-                f"relative residual {residual:.3e} exceeds {ENERGY_CONSERVATION_RTOL:.0e}"
-            )
+
+    @property
+    def omega_p(self) -> float:
+        total = self.omega_s + self.omega_i
+        return total if self.process is Process.SPDC else 0.5 * total
 
     @classmethod
     def from_signal_idler(cls, omega_s: float, omega_i: float, process: Process) -> "WaveTriplet":
-        """Build a triplet with the pump frequency fixed by energy conservation."""
-        total = omega_s + omega_i
-        omega_p = total if process is Process.SPDC else 0.5 * total
-        return cls(omega_p, omega_s, omega_i, process)
+        """Same as WaveTriplet(omega_s, omega_i, process)."""
+        return cls(omega_s, omega_i, process)
 
     @classmethod
     def from_pump_signal(cls, omega_p: float, omega_s: float, process: Process) -> "WaveTriplet":
         """Build a triplet with the idler frequency fixed by energy conservation."""
+        _check("omega_p", omega_p)
         pump_total = omega_p if process is Process.SPDC else 2.0 * omega_p
-        omega_i = pump_total - omega_s
-        return cls(omega_p, omega_s, omega_i, process)
+        return cls(omega_s, pump_total - omega_s, process)
 
     def omega(self, arm: Arm) -> float:
         return self.omega_s if arm is Arm.SIGNAL else self.omega_i
 
 
-def triplet_from_wavelengths(
-    lambda_s: float,
-    lambda_i: float,
-    process: Process,
-    lambda_p: float | None = None,
-) -> WaveTriplet:
-    """Triplet from vacuum wavelengths (m); the pump is derived when omitted."""
+def triplet_from_wavelengths(lambda_s: float, lambda_i: float, process: Process) -> WaveTriplet:
+    """Triplet from the signal and idler vacuum wavelengths (m)."""
     _check("lambda_s", lambda_s)
     _check("lambda_i", lambda_i)
     two_pi_c = 2.0 * math.pi * CODATA2018.c
-    omega_s = two_pi_c / lambda_s
-    omega_i = two_pi_c / lambda_i
-    if lambda_p is None:
-        return WaveTriplet.from_signal_idler(omega_s, omega_i, process)
-    _check("lambda_p", lambda_p)
-    return WaveTriplet(two_pi_c / lambda_p, omega_s, omega_i, process)
+    return WaveTriplet(two_pi_c / lambda_s, two_pi_c / lambda_i, process)
 
 
 @dataclass(frozen=True)

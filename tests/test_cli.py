@@ -4,6 +4,7 @@ Golden tests assert that CSV output reproduces direct library calls bit for
 bit, guaranteeing no physics is computed in the CLI layer.
 """
 
+import argparse
 import contextlib
 import csv
 import io
@@ -475,6 +476,16 @@ def run_cli_catching_exit(argv):
     # an empty --material is a medium source like any other
     ["limit", "--material", "", "--chi2", "1pm/V", "--length", "1mm"],
     ["limit", "--material", "", "--length", "1mm"],
+    # a flag the command would not read
+    ["limit", "--chi2", "1pm/V", "--length", "1mm", "--materials", "/nonexistent/cat.toml"],
+    ["classify", "--chi2", "1pm/V", "--length", "1cm", "--pump-intensity", "135MW/cm2",
+     "--section", "1mm2"],
+    ["classify", "--chi2", "1pm/V", "--length", "1cm", "--pump-intensity", "135MW/cm2",
+     "--delta-nu", "1GHz"],
+    ["flux", "--beta-l", "1", "--delta-nu", "1GHz", "--n-p", "2"],
+    ["flux", "--beta-l", "1", "--delta-nu", "1GHz", "--n-s", "2"],
+    ["flux", "--beta-l", "1", "--delta-nu", "1GHz", "--n-i", "2"],
+    ["flux", "--beta-l", "1", "--delta-nu", "1GHz", "--materials", "/nonexistent/cat.toml"],
 ])
 def test_invalid_input_is_one_line_exit_2(argv):
     code, out, err = run_cli_catching_exit(argv)
@@ -482,6 +493,31 @@ def test_invalid_input_is_one_line_exit_2(argv):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith(f"pairgate {argv[0]}: ")
+
+
+_OUTPUT = ["--out", "-h", "--help"]
+_SCALAR = _OUTPUT + ["--format"]
+_MEDIUM = ["--materials", "--material", "--chi2", "--chi3", "--n-p", "--n-s", "--n-i"]
+_WAVE = ["--lambda-s", "--lambda-i"]
+_PUMP = ["--pump-intensity", "--pump-field"]
+ACCEPTED_OPTIONS = {
+    "criteria": _SCALAR,
+    "classify": _SCALAR + _MEDIUM + _WAVE + _PUMP + ["--length", "--section", "--delta-nu",
+                                                     "--band"],
+    "flux": _SCALAR + _MEDIUM + _WAVE + _PUMP + ["--beta-l", "--length", "--delta-nu"],
+    "limit": _SCALAR + _MEDIUM + _WAVE + ["--length"],
+    "sweep": _OUTPUT + _MEDIUM + _WAVE + ["--figure", "--variable", "--min", "--max", "--count",
+                                          "--scale", "--length", "--delta-nu"],
+    "oracle": _SCALAR + ["--beta-l", "--steps", "--delta-nu", "--section"],
+}
+
+
+def test_each_subcommand_accepts_only_the_flags_it_reads():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {name: sorted(option for action in sub._actions for option in action.option_strings)
+                for name, sub in subparsers.choices.items()}
+    assert accepted == {name: sorted(options) for name, options in ACCEPTED_OPTIONS.items()}
 
 
 def test_help_still_exits_zero():
@@ -541,7 +577,7 @@ def fuzzed_argv(draw):
             if kind != "num":
                 value += draw(st.sampled_from(_UNITS[kind]))
             argv.append(f"{flag}={value}")
-    if command != "oracle":
+    if command not in ("oracle", "sweep"):  # sweeps are always CSV and take no --format
         argv += ["--format", draw(st.sampled_from(["table", "csv"]))]
     return argv
 

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from pairgate.constants import CODATA2018, PhysicalConstants
+from pairgate.constants import CODATA2018
 
 
 def test_speed_of_light_is_exact():
@@ -21,14 +21,3 @@ def test_vacuum_consistency():
 def test_vacuum_impedance():
     assert CODATA2018.vacuum_impedance == pytest.approx(376.730313668, rel=1e-9)
 
-
-def test_inconsistent_constants_rejected():
-    with pytest.raises(ValueError, match="inconsistent"):
-        PhysicalConstants(eps0=9e-12)
-
-
-@pytest.mark.parametrize("name", ["c", "h", "eps0", "mu0"])
-@pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
-def test_nonpositive_constants_rejected(name, value):
-    with pytest.raises(ValueError, match=f"^{name} must be strictly positive and finite"):
-        PhysicalConstants(**{name: value})

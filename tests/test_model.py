@@ -4,6 +4,7 @@ Reference numbers were computed independently with 30-digit arithmetic from
 the closed-form definitions and CODATA 2018 constants, then frozen here.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -537,15 +538,19 @@ def test_pairs_per_bandwidth_strictly_increasing(x1, x2):
 
 class TestWaveTriplet:
     def test_energy_conservation_enforced(self):
-        with pytest.raises(ValueError, match="energy conservation"):
-            WaveTriplet(3e15, 1e15, 1e15, Process.SPDC)
-        with pytest.raises(ValueError, match="energy conservation"):
-            WaveTriplet(2e15, 1e15, 1e15, Process.FWM)
+        spdc = WaveTriplet(1.2e15, 0.8e15, Process.SPDC)
+        assert spdc.omega_p == 1.2e15 + 0.8e15
+        fwm = WaveTriplet(1.2e15, 0.8e15, Process.FWM)
+        assert fwm.omega_p == 0.5 * (1.2e15 + 0.8e15)
+        assert [f.name for f in dataclasses.fields(WaveTriplet)] == ["omega_s", "omega_i", "process"]
+        with pytest.raises(AttributeError):
+            spdc.omega_p = 3e15  # derived, never stored
 
-    def test_small_rounding_tolerated(self):
-        WaveTriplet(2e15 * (1.0 + 5e-7), 1e15, 1e15, Process.SPDC)
-        with pytest.raises(ValueError):
-            WaveTriplet(2e15 * (1.0 + 5e-6), 1e15, 1e15, Process.SPDC)
+    def test_overflowing_pump_frequency_rejected(self):
+        with pytest.raises(ValueError, match="omega_p"):
+            WaveTriplet(1e308, 1e308, Process.FWM)  # omega_s + omega_i overflows
+        with pytest.raises(ValueError, match="omega_p"):
+            WaveTriplet(1e308, 1e308, Process.SPDC)
 
     def test_constructors_close_the_triplet(self):
         spdc = WaveTriplet.from_signal_idler(1.2e15, 0.8e15, Process.SPDC)
@@ -557,13 +562,13 @@ class TestWaveTriplet:
 
     def test_positive_frequencies_required(self):
         with pytest.raises(ValueError):
-            WaveTriplet(2e15, -1e15, 3e15, Process.SPDC)
+            WaveTriplet(-1e15, 3e15, Process.SPDC)
         with pytest.raises(ValueError):
             WaveTriplet.from_pump_signal(1e15, 2e15, Process.SPDC)
+        with pytest.raises(ValueError, match="omega_p"):
+            WaveTriplet.from_pump_signal(math.nan, 1e15, Process.FWM)
         with pytest.raises(ValueError, match="omega_s"):
             WaveTriplet.from_signal_idler(math.nan, 1e15, Process.SPDC)
-        with pytest.raises(ValueError):
-            WaveTriplet(1e308, 1e308, 1e308, Process.FWM)  # 2*omega_p overflows
         with pytest.raises(ValueError, match="lambda_s"):
             triplet_from_wavelengths(0.0, 1e-6, Process.SPDC)
 
@@ -571,8 +576,6 @@ class TestWaveTriplet:
         triplet = triplet_from_wavelengths(1e-6, 1e-6, Process.SPDC)
         assert triplet.omega_s == triplet.omega_i
         assert triplet.omega_p == 2.0 * triplet.omega_s
-        explicit = triplet_from_wavelengths(1e-6, 1e-6, Process.SPDC, lambda_p=0.5e-6)
-        assert explicit.omega_p == pytest.approx(triplet.omega_p, rel=1e-12)
 
 
 class TestMedium:
