@@ -14,10 +14,8 @@ from .materials import (
     UnknownMaterialError,
     builtin_presets,
     load_catalog,
-    load_catalog_file,
     lookup,
     resolve_catalog,
-    serialize_catalog,
 )
 from .model import (
     Arm,
@@ -35,17 +33,14 @@ from .model import (
     coupling_factor,
     effective_limit_intensity,
     field_ratio,
-    field_to_intensity,
     flux_asymptote,
     gain_coefficient,
     generated_field,
-    intensity_to_field,
     limit_criteria,
     limit_pump_intensity,
     pair_flux_general,
     pair_flux_reduced,
     pairs_per_bandwidth,
-    photon_number_from_field,
     pump_for_gain,
     triplet_from_wavelengths,
     vacuum_fluctuation,

@@ -17,12 +17,7 @@ import math
 import sys
 
 from . import model, oracle
-from .materials import (
-    MATERIALS_ENV_VAR,
-    UnknownMaterialError,
-    lookup,
-    resolve_catalog,
-)
+from .materials import MATERIALS_ENV_VAR, lookup, resolve_catalog
 from .model import (
     Arm,
     Bandwidth,
@@ -53,6 +48,8 @@ EXIT_IO = 3
 
 DEFAULT_WAVELENGTH = 1e-6  # m, degenerate signal/idler default
 MAX_SWEEP_POINTS = 10**6  # the grid is built whole (~32 MB at the cap); 10x the largest bench sweep
+_MEDIUM_FLAGS = ("--material", "--materials", "--chi2", "--chi3", "--n-p", "--n-s", "--n-i")
+_WAVE_FLAGS = ("--lambda-s", "--lambda-i")
 ORACLE_REFERENCE = {
     "chi2": 1e-12,       # m/V
     "length": 1e-3,      # m
@@ -61,11 +58,19 @@ ORACLE_REFERENCE = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one stderr line, '<prog>: <message>', exit 2."""
+    """Reports a usage error as one stderr line, '<prog>: <message>', exit 2; a flag
+    the chosen subcommand does not accept is reported under that subcommand's prog."""
 
-    def error(self, message: str):
-        print(f"{self.prog}: {message}", file=sys.stderr)
+    def error(self, message: str, prog: str | None = None):
+        print(f"{prog or self.prog}: {message}", file=sys.stderr)
         raise SystemExit(EXIT_INPUT)
+
+    def parse_args(self, args=None, namespace=None):
+        namespace, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}",
+                       f"{self.prog} {namespace.command}")
+        return namespace
 
 
 @dataclasses.dataclass(frozen=True)
@@ -132,9 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     wave_flags = argparse.ArgumentParser(add_help=False)
     wave_flags.add_argument("--lambda-s", type=parse_length, metavar="LEN",
-                            default=DEFAULT_WAVELENGTH, help="signal wavelength (default 1um)")
+                            help="signal wavelength (default 1um)")
     wave_flags.add_argument("--lambda-i", type=parse_length, metavar="LEN",
-                            default=DEFAULT_WAVELENGTH, help="idler wavelength (default 1um)")
+                            help="idler wavelength (default 1um)")
 
     pump_flags = argparse.ArgumentParser(add_help=False)
     pump_flags.add_argument("--pump-intensity", type=parse_intensity, metavar="I",
@@ -183,12 +188,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="preset sweep reproducing one of the reference figures")
     p_sweep.add_argument("--variable", choices=("beta_l", "length", "pump_intensity"),
                          help="swept variable for an explicit sweep")
-    p_sweep.add_argument("--min", dest="sweep_min", default=None,
+    p_sweep.add_argument("--min", default=None,
                          help="sweep start (unit-suffixed for length/intensity)")
-    p_sweep.add_argument("--max", dest="sweep_max", default=None,
+    p_sweep.add_argument("--max", default=None,
                          help="sweep stop (unit-suffixed for length/intensity)")
-    p_sweep.add_argument("--count", type=int, default=101, help="number of points")
-    p_sweep.add_argument("--scale", choices=("linear", "log"), default="linear")
+    p_sweep.add_argument("--count", type=int, help="number of points (default 101)")
+    p_sweep.add_argument("--scale", choices=("linear", "log"), help="grid spacing (default linear)")
     p_sweep.add_argument("--length", type=parse_length, metavar="LEN", default=None,
                          help="fixed interaction length (pump_intensity sweeps)")
     p_sweep.add_argument("--delta-nu", type=parse_frequency, metavar="BW",
@@ -232,8 +237,20 @@ def _build_medium(args) -> Medium:
     return dataclasses.replace(medium, **{k: v for k, v in indices.items() if v is not None})
 
 
+def _wavelengths(args) -> tuple[float, float]:
+    """--lambda-s and --lambda-i, each DEFAULT_WAVELENGTH when not given."""
+    return tuple(DEFAULT_WAVELENGTH if x is None else x for x in (args.lambda_s, args.lambda_i))
+
+
 def _build_triplet(args, process: Process) -> model.WaveTriplet:
-    return triplet_from_wavelengths(args.lambda_s, args.lambda_i, process)
+    return triplet_from_wavelengths(*_wavelengths(args), process)
+
+
+def _reject_unread(args, flags: tuple[str, ...], message: str) -> None:
+    """Raises `message` for the first of `flags` given, a flag this path would not read."""
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise ValueError(message.format(flag=flag))
 
 
 def _build_pump(args) -> PumpDrive:
@@ -319,10 +336,9 @@ def cmd_classify(args) -> str:
 
 def cmd_flux(args) -> str:
     if args.beta_l is not None:
-        replaced = (args.pump_intensity, args.pump_field, args.length, args.material,
-                    args.materials, args.chi2, args.chi3, args.n_p, args.n_s, args.n_i)
-        if any(v is not None for v in replaced):
-            raise ValueError("--beta-l replaces the medium/pump/length flags; drop them")
+        _reject_unread(args, ("--pump-intensity", "--pump-field", "--length") + _MEDIUM_FLAGS,
+                       "--beta-l replaces the medium/pump/length flags; drop them")
+        _reject_unread(args, _WAVE_FLAGS, "{flag} does not apply to a flux from --beta-l")
         beta_l = args.beta_l
     else:
         if args.length is None:
@@ -342,14 +358,15 @@ def cmd_flux(args) -> str:
 
 def cmd_limit(args) -> str:
     medium = _build_medium(args)
-    i_lim = model.limit_pump_intensity(medium, args.lambda_s, args.lambda_i, args.length)
-    gamma = model.effective_limit_intensity(medium, args.lambda_s, args.lambda_i, args.length)
+    lambda_s, lambda_i = _wavelengths(args)
+    i_lim = model.limit_pump_intensity(medium, lambda_s, lambda_i, args.length)
+    gamma = model.effective_limit_intensity(medium, lambda_s, lambda_i, args.length)
     chi_unit = "m/V" if medium.process is Process.SPDC else "m2/V2"
     return _report(args, [
         ("process", medium.process.value, medium.process.value),
         ("length_m", args.length, f"{format_sig(args.length)} m", "length"),
-        ("lambda_s_m", args.lambda_s, f"{format_sig(args.lambda_s)} m", "lambda_s"),
-        ("lambda_i_m", args.lambda_i, f"{format_sig(args.lambda_i)} m", "lambda_i"),
+        ("lambda_s_m", lambda_s, f"{format_sig(lambda_s)} m", "lambda_s"),
+        ("lambda_i_m", lambda_i, f"{format_sig(lambda_i)} m", "lambda_i"),
         ("chi_eff_si", medium.chi_eff, f"{format_sig(medium.chi_eff)} {chi_unit}", "chi_eff"),
         ("limit_intensity_W_per_m2", i_lim, f"{format_intensity(i_lim)}   ({i_lim!r} W/m2)",
          "limit_pump_intensity"),
@@ -398,23 +415,28 @@ def cmd_sweep(args) -> str:
     if (args.figure is None) == (args.variable is None):
         raise ValueError("specify exactly one of --figure or --variable")
     if args.figure is not None:
+        _reject_unread(args, ("--min", "--max", "--count", "--scale", "--length", "--delta-nu")
+                       + _MEDIUM_FLAGS + _WAVE_FLAGS, "{flag} does not apply to a figure sweep")
         return _figure_sweep(args.figure)
-    if args.sweep_min is None or args.sweep_max is None:
+    if args.min is None or args.max is None:
         raise ValueError("explicit sweeps require --min and --max")
-    if args.variable == "length" and args.delta_nu is not None:
-        raise ValueError("--delta-nu does not apply to a length sweep")
+    if args.variable == "length":
+        _reject_unread(args, ("--delta-nu",), "{flag} does not apply to a length sweep")
     parse = {"beta_l": float, "length": parse_length,
              "pump_intensity": parse_intensity}[args.variable]
     try:
-        start, stop = parse(args.sweep_min), parse(args.sweep_max)
+        start, stop = parse(args.min), parse(args.max)
     except ValueError as exc:
         raise ValueError(f"--min/--max: {exc}") from exc
-    sweep = SweepSpec(start, stop, args.count, args.scale == "log")
+    sweep = SweepSpec(start, stop, 101 if args.count is None else args.count, args.scale == "log")
     if args.variable == "beta_l":
+        _reject_unread(args, _MEDIUM_FLAGS + _WAVE_FLAGS + ("--length",),
+                       "{flag} does not apply to a beta_l sweep")
         return _flux_csv(["beta_l"], [[x] for x in sweep.grid()], args.delta_nu)
     if args.variable == "length":
-        return _length_sweep(sweep, [_build_medium(args)], args.lambda_s, args.lambda_i,
-                             ["length_m", "gamma_W_per_m2"])
+        media = [_build_medium(args)]
+        _reject_unread(args, ("--length",), "{flag} does not apply to a length sweep")
+        return _length_sweep(sweep, media, *_wavelengths(args), ["length_m", "gamma_W_per_m2"])
     if args.length is None:
         raise ValueError("--length is required for a pump_intensity sweep")
     medium = _build_medium(args)
@@ -460,10 +482,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         output = _COMMANDS[args.command](args)
-    except (ValueError, UnknownMaterialError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         # OSError here is a failed catalog read, i.e. a bad --materials value
-        message = exc.args[0] if isinstance(exc, KeyError) else str(exc)
-        print(f"pairgate {args.command}: {message}", file=sys.stderr)
+        print(f"pairgate {args.command}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
         _emit(output, args)

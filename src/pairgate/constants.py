@@ -21,4 +21,3 @@ class CODATA2018:
     eps0 = 8.854_187_8128e-12    # vacuum permittivity (F/m)
     mu0 = 1.256_637_062_12e-6    # vacuum permeability (H/m)
     hbar = h / (2.0 * math.pi)   # reduced Planck constant (J s)
-    vacuum_impedance = mu0 * c   # Z0 (ohm), approximately 376.73

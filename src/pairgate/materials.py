@@ -16,9 +16,9 @@ m2/V2 for fwm), optional indices n_p/n_s/n_i (default 1.0) and an optional
 free-text note. The declared chi unit must match the process order. Every
 value except the note may carry a trailing '# comment'.
 
-When all three indices are left at the 1.0 default the record is flagged as
-effective-gamma mode: limit pump intensities computed from it coincide with
-the index-normalized effective values, which is how the shipped presets are
+With all three indices left at the 1.0 default (effective-gamma mode),
+limit pump intensities computed from a record coincide with the
+index-normalized effective values, which is how the shipped presets are
 meant to be read. Real refractive indices are user configuration; the
 presets deliberately do not invent any.
 
@@ -41,8 +41,6 @@ __all__ = [
     "MaterialParseError",
     "UnknownMaterialError",
     "load_catalog",
-    "load_catalog_file",
-    "serialize_catalog",
     "builtin_presets",
     "resolve_catalog",
     "lookup",
@@ -70,7 +68,7 @@ class MaterialParseError(ValueError):
         self.line = line
 
 
-class UnknownMaterialError(KeyError):
+class UnknownMaterialError(ValueError):
     """Lookup of a name not present in the catalog."""
 
     def __init__(self, name: str, suggestions: list[str]) -> None:
@@ -106,12 +104,6 @@ class MaterialRecord:
     def chi_eff_si(self) -> float:
         """Susceptibility in SI (m/V or m^2/V^2)."""
         return self.chi_eff * _CHI_UNITS[self.chi_unit][1]
-
-    @property
-    def effective_gamma_mode(self) -> bool:
-        """True when all indices are 1.0, so limit intensities are the
-        index-normalized effective values."""
-        return self.n_p == 1.0 and self.n_s == 1.0 and self.n_i == 1.0
 
     def to_medium(self) -> Medium:
         return Medium(
@@ -252,39 +244,16 @@ def load_catalog(text: str, origin: str = "<string>") -> list[MaterialRecord]:
     return records
 
 
-def load_catalog_file(path: str | Path) -> list[MaterialRecord]:
-    path = Path(path)
-    return load_catalog(path.read_text(encoding="utf-8"), origin=str(path))
-
-
-def serialize_catalog(records: list[MaterialRecord]) -> str:
-    """Emit catalog text that load_catalog parses back to an equal catalog."""
-    blocks = []
-    for rec in records:
-        lines = [f"[{rec.name}]", f"process = {rec.process.value}"]
-        lines.append(f"chi_eff = {rec.chi_eff!r} {rec.chi_unit}")
-        for key in _INDEX_KEYS:
-            value = getattr(rec, key)
-            if value != 1.0:
-                lines.append(f"{key} = {value!r}")
-        if rec.provenance_note:
-            lines.append(f"note = {rec.provenance_note}")
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"
-
-
 def builtin_presets() -> list[MaterialRecord]:
     return load_catalog(PRESETS_TEXT, origin="<builtin>")
 
 
 def resolve_catalog(explicit_path: str | Path | None = None) -> list[MaterialRecord]:
     """Load the catalog honoring the explicit-path > env var > presets order."""
-    if explicit_path is not None:
-        return load_catalog_file(explicit_path)
-    env_path = os.environ.get(MATERIALS_ENV_VAR)
-    if env_path:
-        return load_catalog_file(env_path)
-    return builtin_presets()
+    if explicit_path is None and not os.environ.get(MATERIALS_ENV_VAR):
+        return builtin_presets()
+    path = Path(os.environ[MATERIALS_ENV_VAR] if explicit_path is None else explicit_path)
+    return load_catalog(path.read_text(encoding="utf-8"), origin=str(path))
 
 
 def lookup(catalog: list[MaterialRecord], name: str) -> MaterialRecord:

@@ -35,8 +35,6 @@ __all__ = [
     "LimitCriteria",
     "coupling_factor",
     "vacuum_fluctuation",
-    "intensity_to_field",
-    "field_to_intensity",
     "gain_coefficient",
     "pump_for_gain",
     "pair_flux_general",
@@ -45,7 +43,6 @@ __all__ = [
     "flux_asymptote",
     "limit_criteria",
     "generated_field",
-    "photon_number_from_field",
     "field_ratio",
     "limit_pump_intensity",
     "effective_limit_intensity",
@@ -132,13 +129,6 @@ class WaveTriplet:
         """Same as WaveTriplet(omega_s, omega_i, process)."""
         return cls(omega_s, omega_i, process)
 
-    @classmethod
-    def from_pump_signal(cls, omega_p: float, omega_s: float, process: Process) -> "WaveTriplet":
-        """Build a triplet with the idler frequency fixed by energy conservation."""
-        _check("omega_p", omega_p)
-        pump_total = omega_p if process is Process.SPDC else 2.0 * omega_p
-        return cls(omega_s, pump_total - omega_s, process)
-
     def omega(self, arm: Arm) -> float:
         return self.omega_s if arm is Arm.SIGNAL else self.omega_i
 
@@ -215,8 +205,7 @@ class PumpDrive:
         return cls(field_amplitude=field_amplitude)
 
     def field(self, n_p: float) -> float:
-        """Pump field amplitude (V/m) at pump index n_p, a checked index such
-        as Medium.n_p; intensity_to_field checks a raw one."""
+        """Pump field amplitude (V/m) at a checked pump index n_p, such as Medium.n_p."""
         if self.field_amplitude is not None:
             return self.field_amplitude
         return math.sqrt(2.0 * self.intensity * CODATA2018.c * CODATA2018.mu0 / n_p)
@@ -298,21 +287,6 @@ def vacuum_fluctuation(omega: float, n: float, section: float, delta_omega: floa
     vac = math.sqrt(k.hbar * omega * delta_omega / denom) if denom else math.inf
     _check("vacuum field", vac, inclusive=True)
     return vac
-
-
-def intensity_to_field(intensity: float, n: float) -> float:
-    """Field amplitude (V/m) of a plane wave of given intensity (W/m^2).
-
-    Inverse of I = (1/2)*(n/(c*mu0))*E^2.
-    """
-    _check("refractive index", n, 1.0, inclusive=True)
-    return PumpDrive.from_intensity(intensity).field(n)
-
-
-def field_to_intensity(field: float, n: float) -> float:
-    """Intensity (W/m^2) of a plane wave of given field amplitude (V/m)."""
-    _check("refractive index", n, 1.0, inclusive=True)
-    return PumpDrive.from_field(field).as_intensity(n)
 
 
 # --------------------------------------------------------------------------
@@ -468,22 +442,6 @@ def generated_field(
     generated = vac * field_ratio(beta_l)
     _check("generated field", generated, inclusive=True)
     return generated
-
-
-def photon_number_from_field(
-    field: float,
-    arm: Arm,
-    triplet: WaveTriplet,
-    medium: Medium,
-    geometry: Geometry,
-) -> float:
-    """Photon flux (photons/s) carried by a field amplitude on one arm.
-
-    N = eps0*n*c*S/(4*hbar*omega) * field^2; with the field produced by
-    generated_field this inverts exactly to pair_flux_reduced.
-    """
-    _check("field amplitude", field, inclusive=True)
-    return _photon_flux(field, triplet.omega(arm), medium.n(arm), geometry.section)
 
 
 # --------------------------------------------------------------------------

@@ -486,6 +486,24 @@ def run_cli_catching_exit(argv):
     ["flux", "--beta-l", "1", "--delta-nu", "1GHz", "--n-s", "2"],
     ["flux", "--beta-l", "1", "--delta-nu", "1GHz", "--n-i", "2"],
     ["flux", "--beta-l", "1", "--delta-nu", "1GHz", "--materials", "/nonexistent/cat.toml"],
+    # an empty --materials is a path, not a fall-back to the presets
+    ["limit", "--material", "KTP_class", "--materials", "", "--length", "1mm"],
+    # more flags the chosen path would not read
+    *[["sweep", "--figure", "2", *extra] for extra in (
+        ["--min", "0"], ["--max", "1"], ["--count", "5"], ["--scale", "log"], ["--length", "1m"],
+        ["--delta-nu", "1GHz"], ["--chi2", "1pm/V"], ["--material", "KTP_class"],
+        ["--n-p", "2"], ["--lambda-s", "2um"], ["--lambda-i", "2um"])],
+    *[["sweep", "--variable", "beta_l", "--min", "0", "--max", "1", *extra] for extra in (
+        ["--chi3", "1e-22m2/V2"], ["--materials", "/nonexistent/cat.toml"], ["--n-i", "2"],
+        ["--lambda-s", "2um"], ["--lambda-i", "2um"], ["--length", "1m"])],
+    ["sweep", "--variable", "length", "--min", "1mm", "--max", "1m", "--chi2", "1pm/V",
+     "--length", "1m"],
+    ["flux", "--beta-l", "1", "--delta-nu", "1GHz", "--lambda-s", "2um"],
+    ["flux", "--beta-l", "1", "--delta-nu", "1GHz", "--lambda-i", "2um"],
+    # a flag the subcommand does not accept is reported under the subcommand
+    ["criteria", "--bogus"],
+    ["sweep", "--figure", "2", "--format", "csv"],
+    ["oracle", "--beta-l", "1", "--materials", "/nonexistent/cat.toml"],
 ])
 def test_invalid_input_is_one_line_exit_2(argv):
     code, out, err = run_cli_catching_exit(argv)

@@ -18,6 +18,3 @@ def test_vacuum_consistency():
     assert abs(k.eps0 * k.mu0 * k.c**2 - 1.0) < 1e-9
 
 
-def test_vacuum_impedance():
-    assert CODATA2018.vacuum_impedance == pytest.approx(376.730313668, rel=1e-9)
-
