@@ -226,7 +226,7 @@ def _build_medium(args) -> Medium:
             + (f" (got {', '.join(sources)})" if sources else "")
         )
     if args.material is not None:
-        medium = lookup(resolve_catalog(args.materials), args.material).to_medium()
+        medium = lookup(resolve_catalog(args.materials), args.material).medium
     elif args.materials is not None:
         raise ValueError("--materials applies only with --material")
     elif args.chi2 is not None:

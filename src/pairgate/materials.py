@@ -16,11 +16,12 @@ m2/V2 for fwm), optional indices n_p/n_s/n_i (default 1.0) and an optional
 free-text note. The declared chi unit must match the process order. Every
 value except the note may carry a trailing '# comment'.
 
-With all three indices left at the 1.0 default (effective-gamma mode),
-limit pump intensities computed from a record coincide with the
-index-normalized effective values, which is how the shipped presets are
-meant to be read. Real refractive indices are user configuration; the
-presets deliberately do not invent any.
+Each entry becomes a MaterialRecord (name, medium, note), checked once
+while it is built. The four built-in presets are such records written out
+in this module, with SI chi and the three indices at the 1.0 default
+(effective-gamma mode): limit pump intensities computed from them coincide
+with the index-normalized effective values. Real refractive indices are
+user configuration; the presets deliberately do not invent any.
 
 Catalog resolution order: explicit path > PAIRGATE_MATERIALS env var >
 built-in presets.
@@ -28,7 +29,6 @@ built-in presets.
 
 from __future__ import annotations
 
-import difflib
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -64,82 +64,33 @@ class MaterialParseError(ValueError):
 
     def __init__(self, message: str, origin: str, line: int) -> None:
         super().__init__(f"{origin}:{line}: {message}")
-        self.origin = origin
-        self.line = line
 
 
 class UnknownMaterialError(ValueError):
     """Lookup of a name not present in the catalog."""
 
-    def __init__(self, name: str, suggestions: list[str]) -> None:
-        hint = f"; closest names: {', '.join(suggestions)}" if suggestions else ""
-        super().__init__(f"unknown material {name!r}{hint}")
-        self.name = name
-        self.suggestions = suggestions
-
 
 @dataclass(frozen=True)
 class MaterialRecord:
-    """One named medium with its susceptibility in the declared unit."""
+    """One named medium of a catalog, with a free-text note on its provenance."""
 
     name: str
-    process: Process
-    chi_eff: float  # in chi_unit
-    chi_unit: str
-    n_p: float = 1.0
-    n_s: float = 1.0
-    n_i: float = 1.0
-    provenance_note: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("material name must be nonempty")
-        if _CHI_UNITS.get(self.chi_unit, (None,))[0] is not self.process:
-            raise ValueError(
-                f"chi_eff unit {self.chi_unit!r} does not match process {self.process.value!r}"
-            )
-        self.to_medium()  # Medium checks chi_eff and the indices
-
-    @property
-    def chi_eff_si(self) -> float:
-        """Susceptibility in SI (m/V or m^2/V^2)."""
-        return self.chi_eff * _CHI_UNITS[self.chi_unit][1]
-
-    def to_medium(self) -> Medium:
-        return Medium(
-            process=self.process,
-            chi_eff=self.chi_eff_si,
-            n_p=self.n_p,
-            n_s=self.n_s,
-            n_i=self.n_i,
-        )
+    medium: Medium
+    note: str
 
 
 # Nominal susceptibility classes; deliberately order-of-magnitude values
 # with unit indices (effective-gamma mode), flagged approximate in the note.
-PRESETS_TEXT = """\
-# pairgate built-in material classes (nominal values, indices not included)
-
-[KTP_class]
-process = spdc
-chi_eff = 1 pm/V
-note = approximate chi2 class of KTP and BBO
-
-[PPKTP_class]
-process = spdc
-chi_eff = 10 pm/V
-note = approximate chi2 class of PPKTP and PPLN
-
-[CSP_class]
-process = spdc
-chi_eff = 100 pm/V
-note = approximate chi2 class of CSP and GaAs
-
-[silica_fiber]
-process = fwm
-chi_eff = 1e-22 m2/V2
-note = approximate chi3 of fused-silica fiber
-"""
+_PRESETS = (
+    MaterialRecord("KTP_class", Medium(Process.SPDC, 1e-12),
+                   "approximate chi2 class of KTP and BBO"),
+    MaterialRecord("PPKTP_class", Medium(Process.SPDC, 1e-11),
+                   "approximate chi2 class of PPKTP and PPLN"),
+    MaterialRecord("CSP_class", Medium(Process.SPDC, 1e-10),
+                   "approximate chi2 class of CSP and GaAs"),
+    MaterialRecord("silica_fiber", Medium(Process.FWM, 1e-22),
+                   "approximate chi3 of fused-silica fiber"),
+)
 
 _INDEX_KEYS = ("n_p", "n_s", "n_i")
 
@@ -147,6 +98,7 @@ _INDEX_KEYS = ("n_p", "n_s", "n_i")
 def _build_record(
     name: str, fields: dict[str, tuple[str, int]], origin: str, header_line: int
 ) -> MaterialRecord:
+    """The one check of a catalog entry; an error names the line it is about."""
     for key in ("process", "chi_eff"):
         if key not in fields:
             raise MaterialParseError(f"material {name!r} lacks a {key} key", origin, header_line)
@@ -154,11 +106,8 @@ def _build_record(
     process_text, process_line = fields["process"]
     process = _PROCESS_NAMES.get(process_text.lower())
     if process is None:
-        raise MaterialParseError(
-            f"process must be one of {sorted(_PROCESS_NAMES)}, got {process_text!r}",
-            origin,
-            process_line,
-        )
+        raise MaterialParseError(f"process must be one of {sorted(_PROCESS_NAMES)}, "
+                                 f"got {process_text!r}", origin, process_line)
 
     chi_text, chi_line = fields["chi_eff"]
     try:
@@ -175,20 +124,20 @@ def _build_record(
             except ValueError:
                 raise MaterialParseError(f"{key} must be a number, got {text!r}", origin, line)
 
-    note = fields["note"][0] if "note" in fields else ""
+    if not name:
+        raise MaterialParseError("material name must be nonempty", origin, header_line)
+    unit_process, scale = _CHI_UNITS[chi_unit]
+    if unit_process is not process:
+        raise MaterialParseError(f"chi_eff unit {chi_unit!r} does not match process "
+                                 f"{process.value!r}", origin, chi_line)
     try:
-        return MaterialRecord(
-            name=name,
-            process=process,
-            chi_eff=chi_value,
-            chi_unit=chi_unit,
-            provenance_note=note,
-            **indices,
-        )
+        medium = Medium(process=process, chi_eff=chi_value * scale, **indices)
     except ValueError as exc:
-        # the constructor's messages start with the offending key
-        lines = [line for key, (_, line) in fields.items() if str(exc).startswith(key)]
-        raise MaterialParseError(str(exc), origin, lines[0] if lines else header_line) from exc
+        # Medium's messages start with the offending key
+        key = str(exc).partition(" ")[0]
+        raise MaterialParseError(str(exc), origin, fields[key][1]) from exc
+    note = fields["note"][0] if "note" in fields else ""
+    return MaterialRecord(name, medium, note)
 
 
 def load_catalog(text: str, origin: str = "<string>") -> list[MaterialRecord]:
@@ -245,7 +194,7 @@ def load_catalog(text: str, origin: str = "<string>") -> list[MaterialRecord]:
 
 
 def builtin_presets() -> list[MaterialRecord]:
-    return load_catalog(PRESETS_TEXT, origin="<builtin>")
+    return list(_PRESETS)
 
 
 def resolve_catalog(explicit_path: str | Path | None = None) -> list[MaterialRecord]:
@@ -261,5 +210,8 @@ def lookup(catalog: list[MaterialRecord], name: str) -> MaterialRecord:
     for rec in catalog:
         if rec.name == name:
             return rec
+    import difflib  # only a miss pays for it
+
     suggestions = difflib.get_close_matches(name, [r.name for r in catalog], n=3, cutoff=0.3)
-    raise UnknownMaterialError(name, suggestions)
+    hint = f"; closest names: {', '.join(suggestions)}" if suggestions else ""
+    raise UnknownMaterialError(f"unknown material {name!r}{hint}")

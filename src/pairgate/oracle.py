@@ -80,15 +80,26 @@ def integrate(
     """
     if initial.z != 0.0:
         raise ValueError("initial state must be at z = 0")
+    e_s, e_i = _rk4(medium, triplet, pump, geometry, config.steps, 0.0, 0.0,
+                    initial.e_s, initial.e_i)
+    return OdeState(z=geometry.length, e_s=e_s, e_i=e_i)
 
+
+def _rk4(medium, triplet, pump, geometry, steps, v_s, v_i, d_s, d_i) -> tuple[float, float]:
+    """The one RK4 loop: the fields are e = v + d with v constant, d is the state.
+
+    The stages read e, so d_s' = cs*e_i and d_i' = ci*e_s; v = (0, 0) is the
+    plain field system. Returns d at z = L.
+    """
     ks, ki = _couplings(medium, triplet)
     g = _drive_coupling(medium, pump)
     cs = ks * g  # growth of e_s fed by e_i (1/m)
     ci = ki * g
 
-    h = geometry.length / config.steps
-    e_s, e_i = initial.e_s, initial.e_i
-    for _ in range(config.steps):
+    h = geometry.length / steps
+    for _ in range(steps):
+        e_s = v_s + d_s
+        e_i = v_i + d_i
         k1s = cs * e_i
         k1i = ci * e_s
         k2s = cs * (e_i + 0.5 * h * k1i)
@@ -97,9 +108,9 @@ def integrate(
         k3i = ci * (e_s + 0.5 * h * k2s)
         k4s = cs * (e_i + h * k3i)
         k4i = ci * (e_s + h * k3s)
-        e_s += h * (k1s + 2.0 * k2s + 2.0 * k3s + k4s) / 6.0
-        e_i += h * (k1i + 2.0 * k2i + 2.0 * k3i + k4i) / 6.0
-    return OdeState(z=geometry.length, e_s=e_s, e_i=e_i)
+        d_s += h * (k1s + 2.0 * k2s + 2.0 * k3s + k4s) / 6.0
+        d_i += h * (k1i + 2.0 * k2i + 2.0 * k3i + k4i) / 6.0
+    return d_s, d_i
 
 
 def oracle_pair_flux(
@@ -112,10 +123,10 @@ def oracle_pair_flux(
 ) -> float:
     """Pair flux (pairs/s) obtained by integration instead of closed form.
 
-    Both arms are seeded with their vacuum amplitudes, the system is
-    integrated over the interaction length, the signal arm's initial vacuum
-    amplitude is subtracted from the output, and the remaining generated
-    field is converted to a photon flux.
+    Both arms are seeded with their vacuum amplitudes; the generated part of
+    the fields is the integrated state, so the signal arm's generated field
+    is converted to a photon flux without subtracting two nearly equal
+    numbers, and the check holds deep in the spontaneous regime.
     """
     vac_s = vacuum_fluctuation(
         triplet.omega_s, medium.n_s, geometry.section, bandwidth.delta_omega
@@ -123,9 +134,7 @@ def oracle_pair_flux(
     vac_i = vacuum_fluctuation(
         triplet.omega_i, medium.n_i, geometry.section, bandwidth.delta_omega
     )
-    final = integrate(
-        medium, triplet, pump, geometry, OdeState(z=0.0, e_s=vac_s, e_i=vac_i), config
-    )
-    flux = _photon_flux(final.e_s - vac_s, triplet.omega_s, medium.n_s, geometry.section)
+    d_s, _ = _rk4(medium, triplet, pump, geometry, config.steps, vac_s, vac_i, 0.0, 0.0)
+    flux = _photon_flux(d_s, triplet.omega_s, medium.n_s, geometry.section)
     _check("oracle pair flux", flux, inclusive=True)
     return flux

@@ -706,6 +706,7 @@ REPORT_ARGV = {
     "limit": ["limit", "--chi3", "1e-22m2/V2", "--length", "1km",
               "--n-p", "1.45", "--n-s", "1.44", "--n-i", "1.46"],
     "oracle": ["oracle", "--beta-l", "0"],
+    "limit_preset": ["limit", "--material", "silica_fiber", "--length", "1km"],
 }
 
 
@@ -757,8 +758,21 @@ REPORT_ARGV = {
     ("oracle", "csv",
      "beta_l,steps,analytic_pairs_per_s,oracle_pairs_per_s,relative_error\n"
      "0.0,1024,0.0,0.0,0.0\n"),
+    ("limit_preset", "table",
+     "process                fwm\n"
+     "length                 1.00e+03 m\n"
+     "lambda_s               1.00e-06 m\n"
+     "lambda_i               1.00e-06 m\n"
+     "chi_eff                1.00e-22 m2/V2\n"
+     "limit_pump_intensity   845 kW/cm2   (8449277231.915787 W/m2)\n"
+     "effective_limit_gamma  845 kW/cm2   (8449277231.915787 W/m2)\n"),
+    ("limit_preset", "csv",
+     "process,length_m,lambda_s_m,lambda_i_m,chi_eff_si,"
+     "limit_intensity_W_per_m2,effective_limit_W_per_m2\n"
+     "fwm,1000.0,1e-06,1e-06,1e-22,8449277231.915787,8449277231.915787\n"),
 ])
-def test_scalar_report_bytes(command, fmt, expected, capsys):
+def test_scalar_report_bytes(command, fmt, expected, capsys, monkeypatch):
+    monkeypatch.delenv(MATERIALS_ENV_VAR, raising=False)
     code, out, err = run_cli(REPORT_ARGV[command] + ["--format", fmt], capsys)
     assert (code, err) == (0, "")
     assert out == expected

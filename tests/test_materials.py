@@ -1,5 +1,6 @@
 """Material catalog: parsing, validation, presets, lookup, round trip."""
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from pairgate.materials import (
     lookup,
     resolve_catalog,
 )
-from pairgate.model import Process
+from pairgate.model import Medium, Process
 
 GOOD_DOC = """\
 # test catalog
@@ -42,41 +43,33 @@ def test_load_valid_document():
     records = load_catalog(GOOD_DOC)
     assert [r.name for r in records] == ["crystal_a", "fiber_b"]
     crystal = records[0]
-    assert crystal.process is Process.SPDC
-    assert crystal.chi_eff == 2.5
-    assert crystal.chi_unit == "pm/V"
-    assert crystal.chi_eff_si == pytest.approx(2.5e-12, rel=1e-15)
-    assert crystal.n_p == 1.8
-    assert crystal.provenance_note == "example record"
+    assert crystal.medium == Medium(Process.SPDC, 2.5 * 1e-12, n_p=1.8, n_s=1.75, n_i=1.7)
+    assert crystal.note == "example record"
 
     fiber = records[1]
-    assert fiber.process is Process.FWM
-    assert fiber.chi_eff_si == pytest.approx(3e-22, rel=1e-15)
-    assert (fiber.n_p, fiber.n_s, fiber.n_i) == (1.0, 1.0, 1.0)  # the index default
+    assert fiber.medium == Medium(Process.FWM, 3e-22)  # the indices default to 1.0
+    assert fiber.note == ""
 
 
 def test_presets_contain_the_four_classes():
     presets = builtin_presets()
-    by_name = {r.name: r for r in presets}
-    assert set(by_name) == {"KTP_class", "PPKTP_class", "CSP_class", "silica_fiber"}
-
-    assert by_name["KTP_class"].chi_eff == 1.0
-    assert by_name["KTP_class"].chi_unit == "pm/V"
-    assert by_name["PPKTP_class"].chi_eff_si == pytest.approx(1e-11, rel=1e-15)
-    assert by_name["CSP_class"].chi_eff_si == pytest.approx(1e-10, rel=1e-15)
-    assert by_name["silica_fiber"].process is Process.FWM
-    assert by_name["silica_fiber"].chi_eff_si == pytest.approx(1e-22, rel=1e-15)
-
-    for record in presets:
-        assert (record.n_p, record.n_s, record.n_i) == (1.0, 1.0, 1.0)
-        assert record.provenance_note  # approximate values are flagged
+    assert [r.name for r in presets] == ["KTP_class", "PPKTP_class", "CSP_class", "silica_fiber"]
+    # SI chi with unit indices, bit-equal to what the same catalog text gives
+    media = [(Medium(Process.SPDC, 1e-12), "spdc\nchi_eff = 1 pm/V"),
+             (Medium(Process.SPDC, 1e-11), "spdc\nchi_eff = 10 pm/V"),
+             (Medium(Process.SPDC, 1e-10), "spdc\nchi_eff = 100 pm/V"),
+             (Medium(Process.FWM, 1e-22), "fwm\nchi_eff = 1e-22 m2/V2")]
+    for record, (medium, text) in zip(presets, media):
+        assert record.medium == medium
+        assert record.note  # approximate values are flagged
+        assert load_catalog(f"[{record.name}]\nprocess = {text}\nnote = {record.note}\n") == [record]
 
 
-def test_presets_convert_to_valid_media():
-    for record in builtin_presets():
-        medium = record.to_medium()
-        assert medium.process is record.process
-        assert medium.chi_eff == record.chi_eff_si
+def test_record_is_name_medium_note():
+    assert [f.name for f in dataclasses.fields(MaterialRecord)] == ["name", "medium", "note"]
+    record = builtin_presets()[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.name = "other"
 
 
 def test_unit_process_mismatch_rejected_with_line():
@@ -125,16 +118,17 @@ def test_readme_catalog_example_parses_as_written():
     section = readme.split("## Material catalog", 1)[1]
     block = re.search(r"```\n(.*?)```", section, re.DOTALL).group(1)
     (record,) = load_catalog(block)
-    assert record.process is Process.SPDC
-    assert record.chi_unit == "pm/V"
-    assert (record.n_p, record.n_s, record.n_i) == (1.8, 1.75, 1.75)
+    medium = record.medium
+    assert medium.process is Process.SPDC
+    assert medium.chi_eff == 1e-11  # 10 pm/V
+    assert (medium.n_p, medium.n_s, medium.n_i) == (1.8, 1.75, 1.75)
 
 
 def test_trailing_comments_are_stripped_except_from_the_note():
     doc = "[x]  \nprocess = fwm # order\nchi_eff = 2e-22 m2/V2 # typical\nnote = a # b\n"
     (record,) = load_catalog(doc)
-    assert record.chi_eff == 2e-22
-    assert record.provenance_note == "a # b"
+    assert record.medium.chi_eff == 2e-22
+    assert record.note == "a # b"
 
 
 def test_lookup_hits_and_misses():
@@ -150,19 +144,9 @@ def test_lookup_hits_and_misses():
 
 def test_lookup_preset_examples():
     presets = builtin_presets()
-    assert lookup(presets, "KTP_class").chi_eff_si == pytest.approx(1e-12, rel=1e-15)
+    assert lookup(presets, "KTP_class").medium.chi_eff == 1e-12
     silica = lookup(presets, "silica_fiber")
-    assert silica.process is Process.FWM
-    assert silica.chi_eff_si == pytest.approx(1e-22, rel=1e-15)
-
-
-def test_record_constructor_validation():
-    with pytest.raises(ValueError, match="does not match"):
-        MaterialRecord(name="x", process=Process.FWM, chi_eff=1.0, chi_unit="pm/V")
-    with pytest.raises(ValueError, match="strictly positive"):
-        MaterialRecord(name="x", process=Process.SPDC, chi_eff=-1.0, chi_unit="pm/V")
-    with pytest.raises(ValueError, match="nonempty"):
-        MaterialRecord(name="", process=Process.SPDC, chi_eff=1.0, chi_unit="pm/V")
+    assert silica.medium == Medium(Process.FWM, 1e-22)
 
 
 def test_resolution_order(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Coupled-wave RK4 oracle vs the closed-form solution it must reproduce."""
 
 import math
+import sys
 
 import pytest
 
@@ -139,22 +140,37 @@ def test_oracle_flux_zero_gain():
     assert flux == 0.0
 
 
-@pytest.mark.parametrize("beta_l", [0.01, 0.1, 1.0, 2.0, 5.0])
-def test_oracle_agrees_with_analytic_flux_spdc(beta_l):
-    medium, triplet, geometry, pump = spdc_scenario(beta_l)
-    bandwidth = Bandwidth.from_delta_nu(1e6)
-    numeric = oracle_pair_flux(medium, triplet, pump, geometry, bandwidth)
-    analytic = pair_flux_reduced(beta_l, bandwidth.delta_nu)
-    assert numeric == pytest.approx(analytic, rel=1e-6)
+# the spontaneous regime at the default and at many steps, and the top of the range
+EDGE_CASES = [(b, s) for b in (1e-12, 1e-9, 1e-6) for s in (1024, 65536)] + [(350.0, 65536)]
 
 
-@pytest.mark.parametrize("beta_l", [0.1, 1.0, 3.0])
-def test_oracle_agrees_with_analytic_flux_fwm(beta_l):
-    medium, triplet, geometry, pump = fwm_scenario(beta_l)
-    bandwidth = Bandwidth.from_delta_nu(1e9)
-    numeric = oracle_pair_flux(medium, triplet, pump, geometry, bandwidth)
+def oracle_cases(beta_ls):
+    """Cases (beta_l, steps): the given beta_ls at the default 1024 steps, then EDGE_CASES."""
+    return ([pytest.param(b, 1024, id=str(b)) for b in beta_ls]
+            + [pytest.param(b, s, id=f"{b}-{s}") for b, s in EDGE_CASES])
+
+
+def assert_oracle_matches_closed_form(scenario, beta_l, steps, delta_nu):
+    medium, triplet, geometry, pump = scenario
+    if beta_l > 300:
+        delta_nu = 1.0  # a wider linewidth overflows the flux near BETA_L_MAX
+    bandwidth = Bandwidth.from_delta_nu(delta_nu)
+    numeric = oracle_pair_flux(medium, triplet, pump, geometry, bandwidth,
+                               IntegrationConfig(steps=steps))
     analytic = pair_flux_reduced(beta_l, bandwidth.delta_nu)
-    assert numeric == pytest.approx(analytic, rel=1e-6)
+    # RK4 scheme bound plus a rounding floor that grows with the step count
+    tolerance = beta_l**5 / steps**4 + steps * sys.float_info.epsilon
+    assert abs(numeric - analytic) <= tolerance * analytic
+
+
+@pytest.mark.parametrize("beta_l, steps", oracle_cases([0.01, 0.1, 1.0, 2.0, 5.0]))
+def test_oracle_agrees_with_analytic_flux_spdc(beta_l, steps):
+    assert_oracle_matches_closed_form(spdc_scenario(beta_l), beta_l, steps, 1e6)
+
+
+@pytest.mark.parametrize("beta_l, steps", oracle_cases([0.1, 1.0, 3.0]))
+def test_oracle_agrees_with_analytic_flux_fwm(beta_l, steps):
+    assert_oracle_matches_closed_form(fwm_scenario(beta_l), beta_l, steps, 1e9)
 
 
 def test_oracle_independent_of_constants_identity():
