@@ -12,7 +12,6 @@ so `_emit` writes it unchanged to stdout or --out.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 
@@ -73,16 +72,13 @@ class _Parser(argparse.ArgumentParser):
         return namespace
 
 
-@dataclasses.dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(model._named_tuple("SweepSpec", "start stop count log", (False,))):
     """Axis of a parameter sweep; fixed parameters ride along via flags."""
 
-    start: float
-    stop: float
-    count: int
-    log: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # every swept quantity (beta*L, length, pump intensity) is nonnegative
         if self.log and self.start <= 0:
             raise ValueError("log scale requires min > 0")
@@ -95,6 +91,7 @@ class SweepSpec:
         if self.count > MAX_SWEEP_POINTS:
             raise ValueError(
                 f"--count must be <= MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}, got {self.count}")
+        return self
 
     def grid(self) -> list[float]:
         """numpy.linspace's points, i*step + start with the last one exactly stop;
@@ -234,7 +231,7 @@ def _build_medium(args) -> Medium:
     else:
         medium = Medium(process=Process.FWM, chi_eff=args.chi3)
     indices = {key: getattr(args, key) for key in ("n_p", "n_s", "n_i")}
-    return dataclasses.replace(medium, **{k: v for k, v in indices.items() if v is not None})
+    return medium._replace(**{k: v for k, v in indices.items() if v is not None})
 
 
 def _wavelengths(args) -> tuple[float, float]:

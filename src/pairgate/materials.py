@@ -30,10 +30,9 @@ built-in presets.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
-from .model import Medium, Process
+from .model import Medium, Process, _named_tuple
 from .units import CHI2_UNITS, CHI3_UNITS, UnitParseError, split_quantity
 
 __all__ = [
@@ -70,13 +69,10 @@ class UnknownMaterialError(ValueError):
     """Lookup of a name not present in the catalog."""
 
 
-@dataclass(frozen=True)
-class MaterialRecord:
+class MaterialRecord(_named_tuple("MaterialRecord", "name medium note")):
     """One named medium of a catalog, with a free-text note on its provenance."""
 
-    name: str
-    medium: Medium
-    note: str
+    __slots__ = ()
 
 
 # Nominal susceptibility classes; deliberately order-of-magnitude values

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
 from .constants import CODATA2018
 
@@ -72,6 +71,13 @@ def _check_beta_l(beta_l: float) -> None:
         raise ValueError(f"beta_l must be <= BETA_L_MAX = {BETA_L_MAX:.2f}, got {beta_l!r}")
 
 
+def _named_tuple(name: str, fields: str, defaults: tuple = ()) -> type:
+    """A collections.namedtuple whose _make, and so _replace, runs the class constructor."""
+    base = namedtuple(name, fields, defaults=defaults)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
 class Process(Enum):
     """Pair-generation process: one pump photon (SPDC) or two (FWM) per pair."""
 
@@ -101,8 +107,7 @@ class AsymptoteBranch(Enum):
     HIGH = "high"
 
 
-@dataclass(frozen=True)
-class WaveTriplet:
+class WaveTriplet(_named_tuple("WaveTriplet", "omega_s omega_i process")):
     """Signal and idler angular frequencies (rad/s) of one process.
 
     The pump frequency follows from energy conservation, omega_p =
@@ -111,13 +116,13 @@ class WaveTriplet:
     allowed.
     """
 
-    omega_s: float
-    omega_i: float
-    process: Process
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("omega_s", "omega_i", "omega_p"):
             _check(name, getattr(self, name))
+        return self
 
     @property
     def omega_p(self) -> float:
@@ -141,8 +146,7 @@ def triplet_from_wavelengths(lambda_s: float, lambda_i: float, process: Process)
     return WaveTriplet(two_pi_c / lambda_s, two_pi_c / lambda_i, process)
 
 
-@dataclass(frozen=True)
-class Medium:
+class Medium(_named_tuple("Medium", "process chi_eff n_p n_s n_i", (1.0, 1.0, 1.0))):
     """Nonlinear medium: process order, effective susceptibility, indices.
 
     chi_eff is in m/V for SPDC (second order) and m^2/V^2 for FWM (third
@@ -151,35 +155,32 @@ class Medium:
     intensity coincides with the index-normalized effective value.
     """
 
-    process: Process
-    chi_eff: float
-    n_p: float = 1.0
-    n_s: float = 1.0
-    n_i: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _check("chi_eff", self.chi_eff)
         for name in ("n_p", "n_s", "n_i"):
             _check(name, getattr(self, name), 1.0, inclusive=True)
+        return self
 
     def n(self, arm: Arm) -> float:
         return self.n_s if arm is Arm.SIGNAL else self.n_i
 
 
-@dataclass(frozen=True)
-class Geometry:
+class Geometry(_named_tuple("Geometry", "length section")):
     """Interaction length (m) and beam-overlap section (m^2)."""
 
-    length: float
-    section: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _check("length", self.length)
         _check("section", self.section)
+        return self
 
 
-@dataclass(frozen=True)
-class PumpDrive:
+class PumpDrive(_named_tuple("PumpDrive", "intensity field_amplitude", (None, None))):
     """Pump drive, given either as intensity (W/m^2) or field amplitude (V/m).
 
     For FWM this is the TOTAL of the two pump waves, not the per-wave value;
@@ -187,8 +188,12 @@ class PumpDrive:
     The two representations are an exact bijection given the pump index.
     """
 
-    intensity: float | None = None
-    field_amplitude: float | None = None
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self.__post_init__()  # kept apart: bench/tracer.py wraps it to count drives
+        return self
 
     def __post_init__(self) -> None:
         if (self.intensity is None) == (self.field_amplitude is None):
@@ -218,17 +223,18 @@ class PumpDrive:
         return 0.5 * n_p * e_p * e_p / (k.c * k.mu0)
 
 
-@dataclass(frozen=True)
-class Bandwidth:
+class Bandwidth(_named_tuple("Bandwidth", "delta_omega")):
     """Spectral linewidth of the generated pairs (monochromatic pump assumed).
 
     Stored as delta_omega (rad/s); delta_nu (Hz) is delta_omega/(2*pi).
     """
 
-    delta_omega: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _check("bandwidth delta_omega", self.delta_omega)
+        return self
 
     @classmethod
     def from_delta_nu(cls, delta_nu: float) -> "Bandwidth":
@@ -239,22 +245,18 @@ class Bandwidth:
         return self.delta_omega / (2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class RegimeReport:
+class RegimeReport(_named_tuple("RegimeReport", "beta_l pairs_per_bandwidth field_ratio regime")):
     """Outcome of a regime classification at a given gain product beta*L."""
 
-    beta_l: float
-    pairs_per_bandwidth: float
-    field_ratio: float
-    regime: Regime
+    __slots__ = ()
 
 
-class LimitCriteria(NamedTuple):
-    """Universal dimensionless criteria at the beta*L = 1 limit."""
+class LimitCriteria(_named_tuple("LimitCriteria", "pairs_limit photons_limit field_ratio_limit")):
+    """Universal dimensionless criteria at the beta*L = 1 limit: pairs_limit is
+    (e-1)^2/8 pairs per s per Hz, photons_limit (e-1)^2/4 signal+idler photons
+    per s per Hz, and field_ratio_limit e-1, the generated over the vacuum field."""
 
-    pairs_limit: float        # (e-1)^2/8, pairs per s per Hz
-    photons_limit: float      # (e-1)^2/4, signal+idler photons per s per Hz
-    field_ratio_limit: float  # e-1, generated field over vacuum field
+    __slots__ = ()
 
 
 # --------------------------------------------------------------------------

@@ -18,9 +18,6 @@ system is linear and smooth, so no adaptivity is needed.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 from .model import (
     Bandwidth,
     Geometry,
@@ -30,6 +27,7 @@ from .model import (
     _check,
     _couplings,
     _drive_coupling,
+    _named_tuple,
     _photon_flux,
     vacuum_fluctuation,
 )
@@ -40,28 +38,30 @@ MIN_STEPS = 16
 MAX_STEPS = 2**24  # ~10 s at ~0.6 us per RK4 step; 10**12 steps would run for a week
 
 
-@dataclass(frozen=True)
-class OdeState:
+class OdeState(_named_tuple("OdeState", "z e_s e_i")):
     """Signal/idler field moduli (V/m) at position z (m) along the path."""
 
-    z: float
-    e_s: float
-    e_i: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _check("e_s", self.e_s, inclusive=True)
         _check("e_i", self.e_i, inclusive=True)
+        return self
 
 
-@dataclass(frozen=True)
-class IntegrationConfig:
-    steps: int = 1024
+class IntegrationConfig(_named_tuple("IntegrationConfig", "steps", (1024,))):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if not isinstance(self.steps, int):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < MIN_STEPS:
             raise ValueError(f"steps must be >= {MIN_STEPS}")
         if self.steps > MAX_STEPS:
             raise ValueError(f"steps must be <= MAX_STEPS = {MAX_STEPS}, got {self.steps}")
+        return self
 
 
 def integrate(

@@ -504,6 +504,10 @@ def run_cli_catching_exit(argv):
     ["criteria", "--bogus"],
     ["sweep", "--figure", "2", "--format", "csv"],
     ["oracle", "--beta-l", "1", "--materials", "/nonexistent/cat.toml"],
+    # index overrides are checked like any other medium
+    ["limit", "--chi2", "1pm/V", "--length", "1mm", "--n-p", "0.5"],
+    ["classify", "--chi2", "1pm/V", "--pump-intensity", "1GW/cm2", "--length", "1cm",
+     "--n-s", "nan"],
 ])
 def test_invalid_input_is_one_line_exit_2(argv):
     code, out, err = run_cli_catching_exit(argv)
@@ -511,6 +515,12 @@ def test_invalid_input_is_one_line_exit_2(argv):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith(f"pairgate {argv[0]}: ")
+
+
+def test_index_override_is_checked():
+    code, _, err = run_cli_catching_exit(["limit", "--chi2", "1pm/V", "--length", "1mm",
+                                          "--n-p", "0.5"])
+    assert (code, err) == (2, "pairgate limit: n_p must be >= 1 and finite, got 0.5\n")
 
 
 _OUTPUT = ["--out", "-h", "--help"]
@@ -829,6 +839,19 @@ def test_every_subcommand_runs_without_numpy():
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_cli_import_loads_no_dataclass_or_typing_machinery():
+    src = Path(__file__).parent.parent / "src"
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import pairgate.cli\n"
+        "print(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))\n"
+    )
+    result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_module_entry_point_runs():

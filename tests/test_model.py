@@ -4,7 +4,6 @@ Reference numbers were computed independently with 30-digit arithmetic from
 the closed-form definitions and CODATA 2018 constants, then frozen here.
 """
 
-import dataclasses
 import math
 
 import pytest
@@ -22,6 +21,7 @@ from conftest import (
     sections,
     wavelengths,
 )
+from pairgate.cli import SweepSpec
 from pairgate.constants import CODATA2018
 from pairgate.model import (
     BETA_L_MAX,
@@ -51,6 +51,7 @@ from pairgate.model import (
     vacuum_fluctuation,
     _photon_flux,
 )
+from pairgate.oracle import IntegrationConfig, OdeState
 
 C = CODATA2018.c
 
@@ -536,7 +537,7 @@ class TestWaveTriplet:
         assert spdc.omega_p == 1.2e15 + 0.8e15
         fwm = WaveTriplet(1.2e15, 0.8e15, Process.FWM)
         assert fwm.omega_p == 0.5 * (1.2e15 + 0.8e15)
-        assert [f.name for f in dataclasses.fields(WaveTriplet)] == ["omega_s", "omega_i", "process"]
+        assert WaveTriplet._fields == ("omega_s", "omega_i", "process")
         with pytest.raises(AttributeError):
             spdc.omega_p = 3e15  # derived, never stored
 
@@ -624,3 +625,40 @@ class TestBandwidth:
             Bandwidth(math.nan)
         with pytest.raises(ValueError, match="finite"):
             Bandwidth.from_delta_nu(1e308)  # 2*pi*delta_nu overflows
+
+
+# (class, valid arguments, field, a value its check rejects)
+CHECKED_VALUES = [
+    (WaveTriplet, (1e15, 1e15, Process.SPDC), "omega_s", -1e15),
+    (Medium, (Process.SPDC, 1e-12), "n_p", 0.5),
+    (Geometry, (1e-3, 1e-6), "section", 0.0),
+    (PumpDrive, (1e13,), "intensity", -1.0),
+    (Bandwidth, (1e9,), "delta_omega", math.nan),
+    (OdeState, (0.0, 1.0, 0.0), "e_i", -1.0),
+    (IntegrationConfig, (1024,), "steps", 8),
+    (SweepSpec, (0.0, 1.0, 5), "count", 1),
+]
+
+
+@pytest.mark.parametrize("cls, args, field, bad", CHECKED_VALUES,
+                         ids=[case[0].__name__ for case in CHECKED_VALUES])
+def test_construction_make_and_replace_run_the_same_check(cls, args, field, bad):
+    good = cls(*args)
+    assert cls._make(args) == good
+    values = dict(zip(cls._fields, good), **{field: bad})
+    with pytest.raises(ValueError) as built:
+        cls(**values)
+    with pytest.raises(ValueError) as made:
+        cls._make(values.values())
+    with pytest.raises(ValueError) as replaced:
+        good._replace(**{field: bad})
+    assert str(built.value) == str(made.value) == str(replaced.value) != ""
+
+
+def test_replace_with_valid_values_returns_an_equal_value():
+    replaced = Medium(Process.SPDC, 1e-12)._replace(n_p=2.0)
+    assert type(replaced) is Medium and replaced == Medium(Process.SPDC, 1e-12, n_p=2.0)
+    # a value is a named tuple: equal to the plain tuple of its fields, and it unpacks
+    assert replaced == (Process.SPDC, 1e-12, 2.0, 1.0, 1.0)
+    length, section = Geometry(1e-3, 1e-6)
+    assert (length, section) == (1e-3, 1e-6)

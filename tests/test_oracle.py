@@ -127,6 +127,12 @@ def test_contract_errors():
         integrate(fwm_medium, triplet, pump, geometry, OdeState(0.0, 0.1, 0.0))
 
 
+@pytest.mark.parametrize("steps", [2048.0, math.nan, "2048"])
+def test_steps_must_be_an_integer(steps):
+    with pytest.raises(ValueError, match=r"^steps must be an integer, got "):
+        IntegrationConfig(steps=steps)
+
+
 def test_oracle_flux_at_limit():
     medium, triplet, geometry, pump = spdc_scenario(1.0)
     flux = oracle_pair_flux(medium, triplet, pump, geometry, Bandwidth.from_delta_nu(1.0))
