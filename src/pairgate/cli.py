@@ -304,6 +304,7 @@ def cmd_classify(args) -> str:
     medium = _build_medium(args)
     triplet = _build_triplet(args, medium.process)
     pump = _build_pump(args)
+    _check("length", args.length)
     beta = model.gain_coefficient(medium, triplet, pump)
     report = model.classify_regime(beta * args.length, at_limit_band=args.band)
 
@@ -343,6 +344,7 @@ def cmd_flux(args) -> str:
         medium = _build_medium(args)
         triplet = _build_triplet(args, medium.process)
         pump = _build_pump(args)
+        _check("length", args.length)
         beta_l = model.gain_coefficient(medium, triplet, pump) * args.length
 
     pairs = model.pair_flux_reduced(beta_l, args.delta_nu)
@@ -372,31 +374,62 @@ def cmd_limit(args) -> str:
     ])
 
 
-def _flux_csv(header: list[str], rows: list[list[float]], delta_nu: float | None) -> str:
-    """Renders rows ending in beta*L with pairs/Hz (and pairs/s given delta_nu) appended."""
-    header = header + ["pairs_per_bandwidth"] + (["pairs_per_s"] if delta_nu is not None else [])
-    for row in rows:
-        beta_l = row[-1]
-        row.append(model.pairs_per_bandwidth(beta_l))
-        if delta_nu is not None:
-            row.append(model.pair_flux_reduced(beta_l, delta_nu))
-    return _render_csv(header, rows)
+# Each sweep is one pass over its grid: the factors that do not change along the
+# sweep are computed once, and each point is rendered to its CSV line as soon as
+# it is computed. Errors come from the model's checks at the first offending point
+# in grid order, before any output is written.
+
+def _flux_cells(beta_l: float, delta_nu: float | None) -> str:
+    """The CSV cells beta_l, pairs_per_bandwidth and, given delta_nu, pairs_per_s."""
+    growth = model.field_ratio(beta_l)
+    pairs = model._pairs_per_bandwidth(growth)
+    if delta_nu is None:
+        return f"{beta_l!r},{pairs!r}\n"
+    return f"{beta_l!r},{pairs!r},{model._pair_flux(growth, delta_nu)!r}\n"
 
 
-def _length_sweep(sweep: SweepSpec, media: list[Medium], lambda_s: float, lambda_i: float,
+def _flux_header(columns: list[str], delta_nu: float | None) -> str:
+    return ",".join(columns + ["beta_l", "pairs_per_bandwidth"]
+                    + (["pairs_per_s"] if delta_nu is not None else [])) + "\n"
+
+
+def _beta_l_sweep(grid: list[float], delta_nu: float | None) -> str:
+    lines = [_flux_header([], delta_nu)]
+    for beta_l in grid:
+        lines.append(_flux_cells(beta_l, delta_nu))
+    return "".join(lines)
+
+
+def _pump_sweep(grid: list[float], medium: Medium, triplet: model.WaveTriplet, length: float,
+                delta_nu: float | None) -> str:
+    """beta*L and the pair fluxes against pump intensity. No PumpDrive is built per
+    point: SweepSpec's checks keep every grid point nonnegative and finite."""
+    chi, root = model._gain_factors(medium, triplet)
+    n_p, process = medium.n_p, medium.process
+    lines = [_flux_header(["pump_intensity_W_per_m2"], delta_nu)]
+    for i in grid:
+        beta_l = model._gain(chi, root, model._intensity_to_field(i, n_p), process) * length
+        lines.append(f"{i!r},{_flux_cells(beta_l, delta_nu)}")
+    return "".join(lines)
+
+
+def _length_sweep(grid: list[float], media: list[Medium], lambda_s: float, lambda_i: float,
                   header: list[str]) -> str:
     """Effective limit intensity against length, one column per medium."""
-    rows = [
-        [length] + [model.effective_limit_intensity(m, lambda_s, lambda_i, length) for m in media]
-        for length in sweep.grid()
-    ]
-    return _render_csv(header, rows)
+    factors = [(*model._limit_factors(m, lambda_s, lambda_i), m.chi_eff, m.process) for m in media]
+    lines = [",".join(header) + "\n"]
+    for length in grid:
+        line = repr(length)
+        for numer, norm, chi, process in factors:
+            line += f",{model._limit_intensity(length, numer, chi, process, norm)!r}"
+        lines.append(line + "\n")
+    return "".join(lines)
 
 
 def _figure_sweep(figure: str) -> str:
     # reference-figure presets: degenerate 1 um pair, unit indices
     if figure == "2":
-        return _flux_csv(["beta_l"], [[x] for x in SweepSpec(0.0, 6.0, 121).grid()], None)
+        return _beta_l_sweep(SweepSpec(0.0, 6.0, 121).grid(), None)
     if figure == "3":
         sweep, process, tag = SweepSpec(1e-3, 1.0, 61, log=True), Process.SPDC, "chi2"
         chis = [(1e-12, "1pm_V"), (1e-11, "10pm_V"), (1e-10, "100pm_V")]
@@ -405,7 +438,7 @@ def _figure_sweep(figure: str) -> str:
         chis = [(1e-22, "1e-22m2_V2"), (1e-20, "1e-20m2_V2"), (1e-18, "1e-18m2_V2")]
     media = [Medium(process=process, chi_eff=chi) for chi, _ in chis]
     header = ["length_m"] + [f"gamma_W_per_m2_{tag}_{label}" for _, label in chis]
-    return _length_sweep(sweep, media, DEFAULT_WAVELENGTH, DEFAULT_WAVELENGTH, header)
+    return _length_sweep(sweep.grid(), media, DEFAULT_WAVELENGTH, DEFAULT_WAVELENGTH, header)
 
 
 def cmd_sweep(args) -> str:
@@ -429,18 +462,18 @@ def cmd_sweep(args) -> str:
     if args.variable == "beta_l":
         _reject_unread(args, _MEDIUM_FLAGS + _WAVE_FLAGS + ("--length",),
                        "{flag} does not apply to a beta_l sweep")
-        return _flux_csv(["beta_l"], [[x] for x in sweep.grid()], args.delta_nu)
+        return _beta_l_sweep(sweep.grid(), args.delta_nu)
     if args.variable == "length":
         media = [_build_medium(args)]
         _reject_unread(args, ("--length",), "{flag} does not apply to a length sweep")
-        return _length_sweep(sweep, media, *_wavelengths(args), ["length_m", "gamma_W_per_m2"])
+        return _length_sweep(sweep.grid(), media, *_wavelengths(args),
+                             ["length_m", "gamma_W_per_m2"])
     if args.length is None:
         raise ValueError("--length is required for a pump_intensity sweep")
     medium = _build_medium(args)
     triplet = _build_triplet(args, medium.process)
-    rows = [[i, model.gain_coefficient(medium, triplet, PumpDrive.from_intensity(i)) * args.length]
-            for i in sweep.grid()]
-    return _flux_csv(["pump_intensity_W_per_m2", "beta_l"], rows, args.delta_nu)
+    _check("length", args.length)
+    return _pump_sweep(sweep.grid(), medium, triplet, args.length, args.delta_nu)
 
 
 def cmd_oracle(args) -> str:

@@ -8,6 +8,10 @@ the stimulated (high-signal) regime at beta*L = 1.
 All quantities are strict SI: angular frequencies in rad/s, fields in V/m,
 intensities in W/m^2, lengths in m. Collinear, exactly phase-matched
 interaction is assumed throughout.
+
+Kernels that sweeps evaluate point by point are split into the factors
+constant along a sweep (_gain_factors, _limit_factors) and a per-point body;
+the public kernels and the CLI sweeps share both, so each formula has one home.
 """
 
 from __future__ import annotations
@@ -213,7 +217,7 @@ class PumpDrive(_named_tuple("PumpDrive", "intensity field_amplitude", (None, No
         """Pump field amplitude (V/m) at a checked pump index n_p, such as Medium.n_p."""
         if self.field_amplitude is not None:
             return self.field_amplitude
-        return math.sqrt(2.0 * self.intensity * CODATA2018.c * CODATA2018.mu0 / n_p)
+        return _intensity_to_field(self.intensity, n_p)
 
     def as_intensity(self, n_p: float) -> float:
         """Pump intensity (W/m^2) at a checked pump index n_p."""
@@ -221,6 +225,11 @@ class PumpDrive(_named_tuple("PumpDrive", "intensity field_amplitude", (None, No
             return self.intensity
         e_p, k = self.field_amplitude, CODATA2018
         return 0.5 * n_p * e_p * e_p / (k.c * k.mu0)
+
+
+def _intensity_to_field(intensity: float, n_p: float) -> float:
+    """Pump field amplitude (V/m) of an intensity (W/m^2) at a checked pump index n_p."""
+    return math.sqrt(2.0 * intensity * CODATA2018.c * CODATA2018.mu0 / n_p)
 
 
 class Bandwidth(_named_tuple("Bandwidth", "delta_omega")):
@@ -306,16 +315,26 @@ def _couplings(medium: Medium, triplet: WaveTriplet) -> tuple[float, float]:
     return triplet.omega_s / (2.0 * medium.n_s * c), triplet.omega_i / (2.0 * medium.n_i * c)
 
 
-def _drive_coupling(medium: Medium, pump: PumpDrive) -> float:
+def _gain_factors(medium: Medium, triplet: WaveTriplet) -> tuple[float, float]:
+    """The pump-independent factors of the gain, (chi, sqrt(ks*ki)): chi is chi2
+    for SPDC and (1/2)*chi3 for FWM, as _drive_coupling and _gain take it."""
+    ks, ki = _couplings(medium, triplet)
+    chi = medium.chi_eff if medium.process is Process.SPDC else 0.5 * medium.chi_eff
+    return chi, math.sqrt(ks * ki)
+
+
+def _drive_coupling(chi: float, e_p: float, process: Process) -> float:
     """Dimensionless chi*pump product whose units cancel against 1/m couplings.
 
     chi2*E_p for SPDC, (1/2)*chi3*E_p^2 for FWM (E_p the total two-wave
-    amplitude).
+    amplitude), with chi from _gain_factors.
     """
-    e_p = pump.field(medium.n_p)
-    if medium.process is Process.SPDC:
-        return medium.chi_eff * e_p
-    return 0.5 * medium.chi_eff * e_p * e_p
+    return chi * e_p if process is Process.SPDC else chi * e_p * e_p
+
+
+def _gain(chi: float, root: float, e_p: float, process: Process) -> float:
+    """beta (1/m) at pump field e_p, from the _gain_factors (chi, root) of a medium and triplet."""
+    return _drive_coupling(chi, e_p, process) * root
 
 
 def gain_coefficient(medium: Medium, triplet: WaveTriplet, pump: PumpDrive) -> float:
@@ -324,8 +343,8 @@ def gain_coefficient(medium: Medium, triplet: WaveTriplet, pump: PumpDrive) -> f
     beta = chi2*E_p*sqrt(ks*ki) for SPDC and (1/2)*chi3*E_p^2*sqrt(ks*ki)
     for FWM, with ks, ki the signal/idler coupling factors.
     """
-    ks, ki = _couplings(medium, triplet)
-    return _drive_coupling(medium, pump) * math.sqrt(ks * ki)
+    chi, root = _gain_factors(medium, triplet)
+    return _gain(chi, root, pump.field(medium.n_p), medium.process)
 
 
 def pump_for_gain(
@@ -334,8 +353,8 @@ def pump_for_gain(
     """Pump drive that realizes a target gain product beta*L (inverse of
     gain_coefficient at fixed medium and geometry)."""
     _check_beta_l(beta_l)
-    ks, ki = _couplings(medium, triplet)
-    drive = beta_l / (geometry.length * math.sqrt(ks * ki))
+    _, root = _gain_factors(medium, triplet)
+    drive = beta_l / (geometry.length * root)
     if medium.process is Process.SPDC:
         return PumpDrive.from_field(drive / medium.chi_eff)
     return PumpDrive.from_field(math.sqrt(2.0 * drive / medium.chi_eff))
@@ -381,9 +400,12 @@ def pair_flux_reduced(beta_l: float, delta_nu: float) -> float:
 
     (delta_nu/8)*(exp(beta_l)-1)^2, via expm1 for small-gain stability.
     """
-    _check_beta_l(beta_l)
+    return _pair_flux(field_ratio(beta_l), delta_nu)
+
+
+def _pair_flux(growth: float, delta_nu: float) -> float:
+    """pair_flux_reduced from growth = field_ratio(beta_l)."""
     _check("delta_nu", delta_nu)
-    growth = math.expm1(beta_l)
     pairs = 0.125 * delta_nu * growth * growth
     if pairs == math.inf:
         raise ValueError(f"pair flux overflows a float at delta_nu={delta_nu!r}")
@@ -392,8 +414,11 @@ def pair_flux_reduced(beta_l: float, delta_nu: float) -> float:
 
 def pairs_per_bandwidth(beta_l: float) -> float:
     """Dimensionless pair flux per frequency unit, (1/8)*(exp(beta_l)-1)^2."""
-    _check_beta_l(beta_l)
-    growth = math.expm1(beta_l)
+    return _pairs_per_bandwidth(field_ratio(beta_l))
+
+
+def _pairs_per_bandwidth(growth: float) -> float:
+    """pairs_per_bandwidth from growth = field_ratio(beta_l)."""
     return 0.125 * growth * growth
 
 
@@ -416,7 +441,7 @@ def limit_criteria() -> LimitCriteria:
     per s per Hz, and a generated/vacuum field ratio of 1.718.
     """
     growth = math.e - 1.0
-    pairs = 0.125 * growth * growth
+    pairs = _pairs_per_bandwidth(growth)
     return LimitCriteria(pairs_limit=pairs, photons_limit=2.0 * pairs, field_ratio_limit=growth)
 
 
@@ -461,21 +486,8 @@ def limit_pump_intensity(
     Wavelengths are vacuum values in m. For FWM the result is the total
     two-wave pump intensity.
     """
-    _check("lambda_s", lambda_s)
-    _check("lambda_i", lambda_i)
-    _check("length", length)
-    k = CODATA2018
-    try:
-        if medium.process is Process.SPDC:
-            numer = medium.n_p * medium.n_s * medium.n_i * lambda_s * lambda_i
-            i_lim = numer / (2.0 * math.pi**2 * k.mu0 * k.c * (length * medium.chi_eff) ** 2)
-        else:
-            numer = medium.n_p * math.sqrt(medium.n_s * medium.n_i * lambda_s * lambda_i)
-            i_lim = numer * math.sqrt(k.eps0 / k.mu0) / (math.pi * length * medium.chi_eff)
-    except ArithmeticError as exc:  # an intermediate left the float range
-        raise ValueError(f"limit pump intensity out of the float range: {exc}") from exc
-    _check("limit pump intensity", i_lim, inclusive=True)
-    return i_lim
+    numer, _ = _limit_factors(medium, lambda_s, lambda_i)
+    return _limit_intensity(length, numer, medium.chi_eff, medium.process)
 
 
 def effective_limit_intensity(
@@ -486,10 +498,41 @@ def effective_limit_intensity(
     Gamma = I_lim/(n_p*n_s*n_i) for SPDC and I_lim/(n_p*sqrt(n_s*n_i)) for
     FWM; with unit indices Gamma equals the limit intensity itself.
     """
-    i_lim = limit_pump_intensity(medium, lambda_s, lambda_i, length)
+    numer, norm = _limit_factors(medium, lambda_s, lambda_i)
+    return _limit_intensity(length, numer, medium.chi_eff, medium.process, norm)
+
+
+# 2*pi^2*mu0*c, the constant of the SPDC limit intensity's denominator
+_SPDC_LIMIT_SCALE = 2.0 * math.pi**2 * CODATA2018.mu0 * CODATA2018.c
+
+
+def _limit_factors(medium: Medium, lambda_s: float, lambda_i: float) -> tuple[float, float]:
+    """The length-independent parts of the limit intensity, (numerator, index norm):
+    the numerator over _limit_intensity's denominator is I_lim, and I_lim/norm is Gamma."""
+    _check("lambda_s", lambda_s)
+    _check("lambda_i", lambda_i)
+    n_p, n_s, n_i = medium.n_p, medium.n_s, medium.n_i
     if medium.process is Process.SPDC:
-        return i_lim / (medium.n_p * medium.n_s * medium.n_i)
-    return i_lim / (medium.n_p * math.sqrt(medium.n_s * medium.n_i))
+        return n_p * n_s * n_i * lambda_s * lambda_i, n_p * n_s * n_i
+    k = CODATA2018
+    numer = n_p * math.sqrt(n_s * n_i * lambda_s * lambda_i) * math.sqrt(k.eps0 / k.mu0)
+    return numer, n_p * math.sqrt(n_s * n_i)
+
+
+def _limit_intensity(length: float, numer: float, chi: float, process: Process,
+                     norm: float = 1.0) -> float:
+    """The limit intensity over norm at one length, from a _limit_factors numerator:
+    numer/(2*pi^2*mu0*c*(L*chi2)^2) for SPDC, numer/(pi*L*chi3) for FWM."""
+    _check("length", length)
+    try:
+        if process is Process.SPDC:
+            i_lim = numer / (_SPDC_LIMIT_SCALE * (length * chi) ** 2)
+        else:
+            i_lim = numer / (math.pi * length * chi)
+    except ArithmeticError as exc:  # an intermediate left the float range
+        raise ValueError(f"limit pump intensity out of the float range: {exc}") from exc
+    _check("limit pump intensity", i_lim, inclusive=True)
+    return i_lim / norm
 
 
 def classify_regime(beta_l: float, at_limit_band: float = 0.01) -> RegimeReport:

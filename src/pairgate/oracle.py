@@ -27,6 +27,7 @@ from .model import (
     _check,
     _couplings,
     _drive_coupling,
+    _gain_factors,
     _named_tuple,
     _photon_flux,
     vacuum_fluctuation,
@@ -92,7 +93,8 @@ def _rk4(medium, triplet, pump, geometry, steps, v_s, v_i, d_s, d_i) -> tuple[fl
     plain field system. Returns d at z = L.
     """
     ks, ki = _couplings(medium, triplet)
-    g = _drive_coupling(medium, pump)
+    chi, _ = _gain_factors(medium, triplet)
+    g = _drive_coupling(chi, pump.field(medium.n_p), medium.process)
     cs = ks * g  # growth of e_s fed by e_i (1/m)
     ci = ki * g
 

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from pairgate import cli, model
 from pairgate.materials import MATERIALS_ENV_VAR
 from pairgate.model import Medium, Process, PumpDrive, triplet_from_wavelengths
+from pairgate.units import parse_length
 
 
 def run_cli(argv, capsys):
@@ -398,6 +399,82 @@ def test_sweep_beta_l_with_bandwidth_adds_flux_column(capsys):
     assert float(rows[2]["pairs_per_s"]) == model.pair_flux_reduced(1.0, 1e9)
 
 
+_SWEEP_MEDIA = {
+    "chi2": (["--chi2", "1pm/V"], Medium(Process.SPDC, 1e-12), (1e-6, 1e-6)),
+    "chi3": (["--chi3", "1e-20m2/V2"], Medium(Process.FWM, 1e-20), (1e-6, 1e-6)),
+    "KTP": (["--material", "KTP_class", "--n-p", "1.8", "--n-s", "1.75", "--n-i", "1.7",
+             "--lambda-s", "810nm", "--lambda-i", "1.55um"],
+            Medium(Process.SPDC, 1e-12, 1.8, 1.75, 1.7), (parse_length("810nm"), 1.55e-6)),
+    "silica": (["--material", "silica_fiber", "--n-p", "1.45", "--n-s", "1.44", "--n-i", "1.46",
+                "--lambda-s", "1.5um", "--lambda-i", "1.6um"],
+               Medium(Process.FWM, 1e-22, 1.45, 1.44, 1.46), (1.5e-6, 1.6e-6)),
+}
+
+
+@pytest.mark.parametrize("variable, scale, medium, delta_nu", [
+    ("pump_intensity", "linear", "chi2", None),
+    ("pump_intensity", "log", "chi3", "1GHz"),
+    ("pump_intensity", "log", "KTP", "1GHz"),
+    ("pump_intensity", "linear", "silica", None),
+    ("length", "linear", "chi2", None),
+    ("length", "log", "chi3", None),
+    ("length", "log", "KTP", None),
+    ("length", "linear", "silica", None),
+    ("beta_l", "linear", None, "1GHz"),
+    ("beta_l", "log", None, None),
+])
+def test_sweep_rows_equal_the_scalar_kernels(variable, scale, medium, delta_nu, capsys):
+    """Every row of a ~10^4-point sweep is the scalar kernels' value at its point, bit for bit."""
+    count = 10_001
+    bounds = {"pump_intensity": ("1MW/cm2", "10GW/cm2"), "length": ("1mm", "1km"),
+              "beta_l": ("1e-6" if scale == "log" else "0", "40")}[variable]
+    argv = ["sweep", "--variable", variable, "--min", bounds[0], "--max", bounds[1],
+            "--count", str(count), "--scale", scale]
+    if medium is not None:
+        flags, medium, (lambda_s, lambda_i) = _SWEEP_MEDIA[medium]
+        argv += flags
+    if variable == "pump_intensity":
+        argv += ["--length", "1cm"]
+        triplet = triplet_from_wavelengths(lambda_s, lambda_i, medium.process)
+    if delta_nu is not None:
+        argv += ["--delta-nu", delta_nu]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    rows = [[float(cell) for cell in line.split(",")] for line in out.splitlines()[1:]]
+    assert len(rows) == count
+    for x, *cells in rows:
+        if variable == "length":
+            assert cells == [model.effective_limit_intensity(medium, lambda_s, lambda_i, x)]
+            continue
+        if variable == "pump_intensity":
+            beta_l = model.gain_coefficient(medium, triplet, PumpDrive.from_intensity(x)) * 1e-2
+            assert cells[0] == beta_l
+            cells = cells[1:]
+        else:
+            beta_l = x
+        want = [model.pairs_per_bandwidth(beta_l)]
+        if delta_nu is not None:
+            want.append(model.pair_flux_reduced(beta_l, 1e9))
+        assert cells == want
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--variable", "pump_intensity", "--min", "1W/m2", "--max", "1e300W/m2",
+      "--chi2", "1pm/V", "--length", "1m", "--count", "3"],
+     "beta_l must be nonnegative and finite, got inf"),
+    (["sweep", "--variable", "beta_l", "--min", "0", "--max", "300", "--delta-nu", "1e200Hz"],
+     "pair flux overflows a float at delta_nu=1e+200"),
+])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_sweep_error_comes_before_any_output(argv, message, to_file, tmp_path, capsys):
+    target = tmp_path / "out.csv"
+    code, out, err = run_cli(argv + (["--out", str(target)] if to_file else []), capsys)
+    assert code == 2
+    assert err == f"pairgate sweep: {message}\n"
+    assert out == ""
+    assert not target.exists()
+
+
 def test_sweep_length_rejects_bandwidth(capsys):
     code, _, err = run_cli(
         ["sweep", "--variable", "length", "--min", "1mm", "--max", "1m",
@@ -508,6 +585,12 @@ def run_cli_catching_exit(argv):
     ["limit", "--chi2", "1pm/V", "--length", "1mm", "--n-p", "0.5"],
     ["classify", "--chi2", "1pm/V", "--pump-intensity", "1GW/cm2", "--length", "1cm",
      "--n-s", "nan"],
+    # a zero length is rejected wherever the gain is computed, as by limit and length sweeps
+    ["classify", "--chi2", "1pm/V", "--length", "0m", "--pump-intensity", "1MW/cm2"],
+    ["flux", "--chi2", "1pm/V", "--length", "0m", "--pump-intensity", "1MW/cm2",
+     "--delta-nu", "1GHz"],
+    ["sweep", "--variable", "pump_intensity", "--chi2", "1pm/V", "--length", "0m",
+     "--min", "0W/m2", "--max", "1W/m2"],
 ])
 def test_invalid_input_is_one_line_exit_2(argv):
     code, out, err = run_cli_catching_exit(argv)
@@ -515,6 +598,21 @@ def test_invalid_input_is_one_line_exit_2(argv):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith(f"pairgate {argv[0]}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["limit", "--chi2", "1pm/V", "--length", "0m"],
+    ["sweep", "--variable", "length", "--chi2", "1pm/V", "--min", "0m", "--max", "1m"],
+    ["classify", "--chi2", "1pm/V", "--length", "0m", "--pump-intensity", "1MW/cm2"],
+    ["flux", "--chi2", "1pm/V", "--length", "0m", "--pump-intensity", "1MW/cm2",
+     "--delta-nu", "1GHz"],
+    ["sweep", "--variable", "pump_intensity", "--chi2", "1pm/V", "--length", "0m",
+     "--min", "0W/m2", "--max", "1W/m2"],
+])
+def test_zero_length_has_one_message_everywhere(argv):
+    code, _, err = run_cli_catching_exit(argv)
+    assert (code, err) == (2, f"pairgate {argv[0]}: length must be strictly positive and finite, "
+                              "got 0.0\n")
 
 
 def test_index_override_is_checked():
