@@ -77,8 +77,7 @@ class SweepSpec(model._named_tuple("SweepSpec", "start stop count log", (False,)
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def __post_init__(self) -> None:
         # every swept quantity (beta*L, length, pump intensity) is nonnegative
         if self.log and self.start <= 0:
             raise ValueError("log scale requires min > 0")
@@ -91,7 +90,6 @@ class SweepSpec(model._named_tuple("SweepSpec", "start stop count log", (False,)
         if self.count > MAX_SWEEP_POINTS:
             raise ValueError(
                 f"--count must be <= MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}, got {self.count}")
-        return self
 
     def grid(self) -> list[float]:
         """numpy.linspace's points, i*step + start with the last one exactly stop;
@@ -203,9 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="fixed RK4 step count (default 1024)")
     p_oracle.add_argument("--delta-nu", type=parse_frequency, metavar="BW",
                           default=1.0, help="pair linewidth (default 1Hz)")
-    p_oracle.add_argument("--section", type=parse_area, metavar="AREA",
-                          default=ORACLE_REFERENCE["section"],
-                          help="overlap section of the reference scenario (default 1mm2)")
 
     return parser
 
@@ -479,7 +474,7 @@ def cmd_sweep(args) -> str:
 def cmd_oracle(args) -> str:
     medium = Medium(process=Process.SPDC, chi_eff=ORACLE_REFERENCE["chi2"])
     triplet = triplet_from_wavelengths(DEFAULT_WAVELENGTH, DEFAULT_WAVELENGTH, Process.SPDC)
-    geometry = Geometry(length=ORACLE_REFERENCE["length"], section=args.section)
+    geometry = Geometry(length=ORACLE_REFERENCE["length"], section=ORACLE_REFERENCE["section"])
     bandwidth = Bandwidth.from_delta_nu(args.delta_nu)
     pump = model.pump_for_gain(medium, triplet, geometry, args.beta_l)
     config = oracle.IntegrationConfig(steps=args.steps)

@@ -76,10 +76,25 @@ def _check_beta_l(beta_l: float) -> None:
 
 
 def _named_tuple(name: str, fields: str, defaults: tuple = ()) -> type:
-    """A collections.namedtuple whose _make, and so _replace, runs the class constructor."""
-    base = namedtuple(name, fields, defaults=defaults)
-    base._make = classmethod(lambda cls, iterable: cls(*iterable))
-    return base
+    """The base of a value type: a frozen collections.namedtuple whose constructor runs
+    the type's __post_init__ checks; _make, and so _replace, goes through the constructor."""
+
+    class Value(namedtuple(name, fields, defaults=defaults)):
+        __slots__ = ()
+
+        def __new__(cls, *args, **kwargs):
+            self = super().__new__(cls, *args, **kwargs)
+            self.__post_init__()
+            return self
+
+        def __post_init__(self) -> None:
+            """A value type with invariants checks them here; this one has none."""
+
+        @classmethod
+        def _make(cls, iterable):
+            return cls(*iterable)
+
+    return Value
 
 
 class Process(Enum):
@@ -122,11 +137,9 @@ class WaveTriplet(_named_tuple("WaveTriplet", "omega_s omega_i process")):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def __post_init__(self) -> None:
         for name in ("omega_s", "omega_i", "omega_p"):
             _check(name, getattr(self, name))
-        return self
 
     @property
     def omega_p(self) -> float:
@@ -161,12 +174,10 @@ class Medium(_named_tuple("Medium", "process chi_eff n_p n_s n_i", (1.0, 1.0, 1.
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def __post_init__(self) -> None:
         _check("chi_eff", self.chi_eff)
         for name in ("n_p", "n_s", "n_i"):
             _check(name, getattr(self, name), 1.0, inclusive=True)
-        return self
 
     def n(self, arm: Arm) -> float:
         return self.n_s if arm is Arm.SIGNAL else self.n_i
@@ -177,11 +188,9 @@ class Geometry(_named_tuple("Geometry", "length section")):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def __post_init__(self) -> None:
         _check("length", self.length)
         _check("section", self.section)
-        return self
 
 
 class PumpDrive(_named_tuple("PumpDrive", "intensity field_amplitude", (None, None))):
@@ -193,11 +202,6 @@ class PumpDrive(_named_tuple("PumpDrive", "intensity field_amplitude", (None, No
     """
 
     __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        self.__post_init__()  # kept apart: bench/tracer.py wraps it to count drives
-        return self
 
     def __post_init__(self) -> None:
         if (self.intensity is None) == (self.field_amplitude is None):
@@ -240,10 +244,8 @@ class Bandwidth(_named_tuple("Bandwidth", "delta_omega")):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def __post_init__(self) -> None:
         _check("bandwidth delta_omega", self.delta_omega)
-        return self
 
     @classmethod
     def from_delta_nu(cls, delta_nu: float) -> "Bandwidth":
@@ -529,8 +531,9 @@ def _limit_intensity(length: float, numer: float, chi: float, process: Process,
             i_lim = numer / (_SPDC_LIMIT_SCALE * (length * chi) ** 2)
         else:
             i_lim = numer / (math.pi * length * chi)
-    except ArithmeticError as exc:  # an intermediate left the float range
-        raise ValueError(f"limit pump intensity out of the float range: {exc}") from exc
+    except ArithmeticError:  # an intermediate left the float range
+        raise ValueError("limit pump intensity out of the float range: "
+                         f"length={length!r}, chi_eff={chi!r}") from None
     _check("limit pump intensity", i_lim, inclusive=True)
     return i_lim / norm
 

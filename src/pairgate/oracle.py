@@ -44,25 +44,21 @@ class OdeState(_named_tuple("OdeState", "z e_s e_i")):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def __post_init__(self) -> None:
         _check("e_s", self.e_s, inclusive=True)
         _check("e_i", self.e_i, inclusive=True)
-        return self
 
 
 class IntegrationConfig(_named_tuple("IntegrationConfig", "steps", (1024,))):
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def __post_init__(self) -> None:
         if not isinstance(self.steps, int):
             raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < MIN_STEPS:
             raise ValueError(f"steps must be >= {MIN_STEPS}")
         if self.steps > MAX_STEPS:
             raise ValueError(f"steps must be <= MAX_STEPS = {MAX_STEPS}, got {self.steps}")
-        return self
 
 
 def integrate(

@@ -155,9 +155,9 @@ def parse_chi3(text: str) -> float:
     return _parse(text, CHI3_UNITS, "third-order susceptibility")
 
 
-def format_sig(value: float, digits: int = 3) -> str:
-    """Round to significant digits for table display, keeping trailing zeros."""
-    text = f"{value:#.{digits}g}"
+def format_sig(value: float) -> str:
+    """Round to 3 significant digits for table display, keeping trailing zeros."""
+    text = f"{value:#.3g}"
     return text[:-1] if text.endswith(".") else text
 
 
@@ -170,7 +170,7 @@ _INTENSITY_PREFIXES = [
 ]
 
 
-def format_intensity(w_per_m2: float, digits: int = 3) -> str:
+def format_intensity(w_per_m2: float) -> str:
     """Auto-scaled intensity per cm^2, e.g. 1.345e14 W/m^2 -> '13.4 GW/cm2'."""
     if w_per_m2 < 0:
         raise ValueError("intensity must be nonnegative")
@@ -179,5 +179,5 @@ def format_intensity(w_per_m2: float, digits: int = 3) -> str:
         return f"{per_cm2:g} W/cm2"
     for scale, prefix in _INTENSITY_PREFIXES:
         if per_cm2 >= scale:
-            return f"{format_sig(per_cm2 / scale, digits)} {prefix}W/cm2"
-    return f"{format_sig(per_cm2, digits)} W/cm2"
+            return f"{format_sig(per_cm2 / scale)} {prefix}W/cm2"
+    return f"{format_sig(per_cm2)} W/cm2"

@@ -581,6 +581,7 @@ def run_cli_catching_exit(argv):
     ["criteria", "--bogus"],
     ["sweep", "--figure", "2", "--format", "csv"],
     ["oracle", "--beta-l", "1", "--materials", "/nonexistent/cat.toml"],
+    ["oracle", "--beta-l", "1", "--section", "1mm2"],
     # index overrides are checked like any other medium
     ["limit", "--chi2", "1pm/V", "--length", "1mm", "--n-p", "0.5"],
     ["classify", "--chi2", "1pm/V", "--pump-intensity", "1GW/cm2", "--length", "1cm",
@@ -615,6 +616,17 @@ def test_zero_length_has_one_message_everywhere(argv):
                               "got 0.0\n")
 
 
+@pytest.mark.parametrize("argv, inputs", [
+    (["limit", "--chi2", "1e300pm/V", "--length", "1mm"], "length=0.001, chi_eff=1e+288"),
+    (["sweep", "--variable", "length", "--min", "1m", "--max", "1e300m", "--count", "2",
+      "--chi2", "1pm/V"], "length=1e+300, chi_eff=1e-12"),
+    (["limit", "--chi2", "1pm/V", "--length", "1e-150m"], "length=1e-150, chi_eff=1e-12"),
+])
+def test_limit_intensity_range_error_names_its_inputs(argv, inputs):
+    assert run_cli_catching_exit(argv) == (
+        2, "", f"pairgate {argv[0]}: limit pump intensity out of the float range: {inputs}\n")
+
+
 def test_index_override_is_checked():
     code, _, err = run_cli_catching_exit(["limit", "--chi2", "1pm/V", "--length", "1mm",
                                           "--n-p", "0.5"])
@@ -634,7 +646,7 @@ ACCEPTED_OPTIONS = {
     "limit": _SCALAR + _MEDIUM + _WAVE + ["--length"],
     "sweep": _OUTPUT + _MEDIUM + _WAVE + ["--figure", "--variable", "--min", "--max", "--count",
                                           "--scale", "--length", "--delta-nu"],
-    "oracle": _SCALAR + ["--beta-l", "--steps", "--delta-nu", "--section"],
+    "oracle": _SCALAR + ["--beta-l", "--steps", "--delta-nu"],
 }
 
 

@@ -51,6 +51,7 @@ from pairgate.model import (
     vacuum_fluctuation,
     _photon_flux,
 )
+from pairgate.materials import MaterialRecord
 from pairgate.oracle import IntegrationConfig, OdeState
 
 C = CODATA2018.c
@@ -653,6 +654,49 @@ def test_construction_make_and_replace_run_the_same_check(cls, args, field, bad)
     with pytest.raises(ValueError) as replaced:
         good._replace(**{field: bad})
     assert str(built.value) == str(made.value) == str(replaced.value) != ""
+
+
+def _counted_hook(monkeypatch, cls) -> list:
+    """Wraps cls.__post_init__, as the bench tracer does for PumpDrive; returns the
+    list of values the hook ran on."""
+    calls = []
+    check = cls.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        check(self)
+
+    monkeypatch.setattr(cls, "__post_init__", counted)
+    return calls
+
+
+@pytest.mark.parametrize("cls, args, field, bad", CHECKED_VALUES,
+                         ids=[case[0].__name__ for case in CHECKED_VALUES])
+def test_post_init_is_the_one_construction_hook(cls, args, field, bad, monkeypatch):
+    calls = _counted_hook(monkeypatch, cls)
+    good = cls(*args)
+    made = cls._make(args)
+    replaced = good._replace(**{field: getattr(good, field)})
+    assert list(map(id, calls)) == list(map(id, (good, made, replaced)))
+
+
+def test_every_pump_drive_constructor_runs_the_hook_once(monkeypatch):
+    calls = _counted_hook(monkeypatch, PumpDrive)
+    triplet = WaveTriplet(1e15, 1e15, Process.SPDC)
+    drives = [PumpDrive.from_intensity(1e13), PumpDrive.from_field(1e6),
+              pump_for_gain(Medium(Process.SPDC, 1e-12), triplet, Geometry(1e-3, 1e-6), 1.0)]
+    assert list(map(id, calls)) == list(map(id, drives))
+
+
+VALUES = [cls(*args) for cls, args, _, _ in CHECKED_VALUES] + [
+    classify_regime(1.0), limit_criteria(), MaterialRecord("x", Medium(Process.SPDC, 1e-12), "")]
+
+
+@pytest.mark.parametrize("value", VALUES, ids=[type(value).__name__ for value in VALUES])
+def test_values_are_frozen(value):
+    assert not hasattr(value, "__dict__")
+    with pytest.raises(AttributeError):
+        value.unknown = 1
 
 
 def test_replace_with_valid_values_returns_an_equal_value():
