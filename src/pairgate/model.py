@@ -296,8 +296,12 @@ def vacuum_fluctuation(omega: float, n: float, section: float, delta_omega: floa
     _check("section", section)
     _check("delta_omega", delta_omega)
     k = CODATA2018
+    energy = k.hbar * omega * delta_omega
+    if energy < sys.float_info.min:  # zero or subnormal: the seed would print as 0 V/m
+        raise ValueError("vacuum field out of the float range: "
+                         f"omega={omega!r}, delta_omega={delta_omega!r}")
     denom = 4.0 * math.pi * k.c * k.eps0 * n * section  # zero only for a subnormal section
-    vac = math.sqrt(k.hbar * omega * delta_omega / denom) if denom else math.inf
+    vac = math.sqrt(energy / denom) if denom else math.inf
     _check("vacuum field", vac, inclusive=True)
     return vac
 
@@ -514,10 +518,15 @@ def _limit_factors(medium: Medium, lambda_s: float, lambda_i: float) -> tuple[fl
     _check("lambda_s", lambda_s)
     _check("lambda_i", lambda_i)
     n_p, n_s, n_i = medium.n_p, medium.n_s, medium.n_i
-    if medium.process is Process.SPDC:
-        return n_p * n_s * n_i * lambda_s * lambda_i, n_p * n_s * n_i
+    spdc = medium.process is Process.SPDC
+    product = (n_p * n_s * n_i if spdc else n_s * n_i) * lambda_s * lambda_i
+    if product < sys.float_info.min:  # zero or subnormal: the limit would print as 0 W/m2
+        raise ValueError("limit pump intensity out of the float range: "
+                         f"lambda_s={lambda_s!r}, lambda_i={lambda_i!r}")
+    if spdc:
+        return product, n_p * n_s * n_i
     k = CODATA2018
-    numer = n_p * math.sqrt(n_s * n_i * lambda_s * lambda_i) * math.sqrt(k.eps0 / k.mu0)
+    numer = n_p * math.sqrt(product) * math.sqrt(k.eps0 / k.mu0)
     return numer, n_p * math.sqrt(n_s * n_i)
 
 

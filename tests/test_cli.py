@@ -592,6 +592,12 @@ def run_cli_catching_exit(argv):
      "--delta-nu", "1GHz"],
     ["sweep", "--variable", "pump_intensity", "--chi2", "1pm/V", "--length", "0m",
      "--min", "0W/m2", "--max", "1W/m2"],
+    # positive inputs whose vacuum seed or limit intensity underflows the float range
+    ["classify", "--chi2", "1pm/V", "--length", "1cm", "--pump-intensity", "1MW/cm2",
+     "--section", "1mm2", "--delta-nu", "1e-310Hz"],
+    ["oracle", "--beta-l", "1", "--delta-nu", "1e-310Hz"],
+    ["limit", "--chi3", "1e-22m2/V2", "--length", "1mm", "--lambda-s", "1e-200m",
+     "--lambda-i", "1e-200m"],
 ])
 def test_invalid_input_is_one_line_exit_2(argv):
     code, out, err = run_cli_catching_exit(argv)
@@ -621,10 +627,28 @@ def test_zero_length_has_one_message_everywhere(argv):
     (["sweep", "--variable", "length", "--min", "1m", "--max", "1e300m", "--count", "2",
       "--chi2", "1pm/V"], "length=1e+300, chi_eff=1e-12"),
     (["limit", "--chi2", "1pm/V", "--length", "1e-150m"], "length=1e-150, chi_eff=1e-12"),
+    (["limit", "--chi3", "1e-22m2/V2", "--length", "1mm", "--lambda-s", "1e-200m",
+      "--lambda-i", "1e-200m"], "lambda_s=1e-200, lambda_i=1e-200"),
+    (["limit", "--chi2", "1pm/V", "--length", "1mm", "--lambda-s", "1e-160m",
+      "--lambda-i", "1e-160m"], "lambda_s=1e-160, lambda_i=1e-160"),
 ])
 def test_limit_intensity_range_error_names_its_inputs(argv, inputs):
     assert run_cli_catching_exit(argv) == (
         2, "", f"pairgate {argv[0]}: limit pump intensity out of the float range: {inputs}\n")
+
+
+def test_vacuum_seed_underflow_names_its_inputs():
+    code, out, err = run_cli_catching_exit(["oracle", "--beta-l", "1", "--delta-nu", "1e-310Hz"])
+    assert (code, out) == (2, "")
+    assert err.startswith("pairgate oracle: vacuum field out of the float range: omega=")
+    assert err.endswith(", delta_omega=6.28318530717956e-310\n")
+
+
+def test_oracle_steps_cap_is_max_steps():
+    code, out, _ = run_cli_catching_exit(["oracle", "--beta-l", "1", "--steps", "16777216"])
+    assert code == 0 and out
+    assert run_cli_catching_exit(["oracle", "--beta-l", "1", "--steps", "16777217"]) == (
+        2, "", "pairgate oracle: steps must be <= MAX_STEPS = 16777216, got 16777217\n")
 
 
 def test_index_override_is_checked():

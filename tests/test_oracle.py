@@ -1,7 +1,9 @@
 """Coupled-wave RK4 oracle vs the closed-form solution it must reproduce."""
 
+import functools
 import math
 import sys
+from decimal import Context, Decimal, localcontext
 
 import pytest
 
@@ -17,7 +19,11 @@ from pairgate.model import (
     triplet_from_wavelengths,
     vacuum_fluctuation,
 )
-from pairgate.oracle import IntegrationConfig, OdeState, integrate, oracle_pair_flux
+from pairgate.model import _couplings, _drive_coupling, _gain_factors, _photon_flux
+from pairgate.oracle import MAX_STEPS, IntegrationConfig, OdeState, integrate, oracle_pair_flux
+
+EPS = sys.float_info.epsilon
+REFERENCE_DIGITS = Context(prec=34)  # the Decimal reference loop's own rounding is ~1e-34 a step
 
 
 def spdc_scenario(beta_l, length=1e-3, lambda_s=1e-6, lambda_i=1.2e-6):
@@ -146,8 +152,10 @@ def test_oracle_flux_zero_gain():
     assert flux == 0.0
 
 
-# the spontaneous regime at the default and at many steps, and the top of the range
-EDGE_CASES = [(b, s) for b in (1e-12, 1e-9, 1e-6) for s in (1024, 65536)] + [(350.0, 65536)]
+# the spontaneous regime at the default and at many steps, the top of the range, and
+# both ends of it at the step cap
+EDGE_CASES = ([(b, s) for b in (1e-12, 1e-9, 1e-6) for s in (1024, 65536)]
+              + [(350.0, 65536), (1e-12, MAX_STEPS), (350.0, MAX_STEPS)])
 
 
 def oracle_cases(beta_ls):
@@ -164,8 +172,9 @@ def assert_oracle_matches_closed_form(scenario, beta_l, steps, delta_nu):
     numeric = oracle_pair_flux(medium, triplet, pump, geometry, bandwidth,
                                IntegrationConfig(steps=steps))
     analytic = pair_flux_reduced(beta_l, bandwidth.delta_nu)
-    # RK4 scheme bound plus a rounding floor that grows with the step count
-    tolerance = beta_l**5 / steps**4 + steps * sys.float_info.epsilon
+    # RK4 scheme bound plus a rounding floor: the propagator's rounding grows with
+    # log2(steps), and the closed form and the pump round trip are ~beta_l-conditioned
+    tolerance = beta_l**5 / steps**4 + 8 * (math.log2(steps) + beta_l) * EPS
     assert abs(numeric - analytic) <= tolerance * analytic
 
 
@@ -190,3 +199,87 @@ def test_oracle_independent_of_constants_identity():
     exact_s, exact_i = closed_form(initial, 1.5, ks, ki)
     assert final.e_s == pytest.approx(exact_s, rel=1e-9)
     assert final.e_i == pytest.approx(exact_i, rel=1e-9)
+
+
+def reference_rk4(cs, ci, h, steps, v_s, v_i, d_s, d_i):
+    """Classical four-stage RK4, one step at a time, on e = v + d with v constant.
+
+    The step-matrix powering in the oracle must reproduce this loop. Run on
+    Decimal at REFERENCE_DIGITS, its own rounding is far below a double's ulp.
+    """
+    for _ in range(steps):
+        e_s = v_s + d_s
+        e_i = v_i + d_i
+        k1s = cs * e_i
+        k1i = ci * e_s
+        k2s = cs * (e_i + h * k1i / 2)
+        k2i = ci * (e_s + h * k1s / 2)
+        k3s = cs * (e_i + h * k2i / 2)
+        k3i = ci * (e_s + h * k2s / 2)
+        k4s = cs * (e_i + h * k3i)
+        k4i = ci * (e_s + h * k3s)
+        d_s += h * (k1s + 2 * k2s + 2 * k3s + k4s) / 6
+        d_i += h * (k1i + 2 * k2i + 2 * k3i + k4i) / 6
+    return d_s, d_i
+
+
+SCENARIOS = {"spdc": spdc_scenario, "fwm": fwm_scenario}
+
+
+@functools.lru_cache(maxsize=None)
+def reference_columns(process, beta_l, steps):
+    """The scenario and the columns of the N-step propagator, R^N e_s and R^N e_i, from
+    the reference loop in Decimal on the oracle's own double inputs cs, ci and h."""
+    scenario = SCENARIOS[process](beta_l)
+    medium, triplet, geometry, pump = scenario
+    g = _drive_coupling(_gain_factors(medium, triplet)[0], pump.field(medium.n_p),
+                        medium.process)
+    ks, ki = _couplings(medium, triplet)
+    with localcontext(REFERENCE_DIGITS):
+        args = [Decimal(x) for x in (ks * g, ki * g, geometry.length / steps)]
+        zero, one = Decimal(0), Decimal(1)
+        columns = (reference_rk4(*args, steps, zero, zero, one, zero),
+                   reference_rk4(*args, steps, zero, zero, zero, one))
+    return scenario, columns
+
+
+def reference_generated(columns, v, d0):
+    """d at z = L from the reference columns: R^N (v + d0) - v."""
+    with localcontext(REFERENCE_DIGITS):
+        e_s, e_i = (Decimal(a) + Decimal(b) for a, b in zip(v, d0))
+        return tuple(e_s * col_s + e_i * col_i - Decimal(w)
+                     for col_s, col_i, w in zip(*columns, v))
+
+
+def assert_within_ulps(got, want, bound):
+    assert abs(Decimal(got) - want) <= Decimal(bound) * abs(want), (got, want)
+
+
+# every beta*L band; step counts at and off powers of two; at 65536 steps the
+# Decimal reference loop costs ~0.5 s a run, so that row keeps three beta*L
+PROPAGATOR_CASES = [(b, s) for b in (1e-12, 1e-6, 1e-3, 1.0, 5.0, 100.0, 350.0)
+                    for s in (16, 17, 1000, 1024, 4097)] + [(b, 65536) for b in (1e-12, 1.0, 350.0)]
+
+
+@pytest.mark.parametrize("process", ["spdc", "fwm"])
+@pytest.mark.parametrize("beta_l, steps", PROPAGATOR_CASES)
+def test_propagator_matches_reference_loop(process, beta_l, steps):
+    # a few ulp per doubling, plus ~beta_l for the doublings past R^m ~ e, whose
+    # relative error squaring doubles each time (x -> x^2 has condition 2)
+    bound = 2 * (math.log2(steps) + beta_l) * EPS
+    (medium, triplet, geometry, pump), columns = reference_columns(process, beta_l, steps)
+    config = IntegrationConfig(steps=steps)
+    for seed in ((0.3, 0.0), (0.0, 0.3), (0.2, 0.7)):
+        final = integrate(medium, triplet, pump, geometry, OdeState(0.0, *seed), config)
+        want = reference_generated(columns, (0.0, 0.0), seed)
+        assert_within_ulps(final.e_s, want[0], bound)
+        assert_within_ulps(final.e_i, want[1], bound)
+
+    bandwidth = Bandwidth.from_delta_nu(1.0)
+    vacuum = tuple(vacuum_fluctuation(omega, n, geometry.section, bandwidth.delta_omega)
+                   for omega, n in ((triplet.omega_s, medium.n_s), (triplet.omega_i, medium.n_i)))
+    flux = oracle_pair_flux(medium, triplet, pump, geometry, bandwidth, config)
+    d_s, _ = reference_generated(columns, vacuum, (0.0, 0.0))
+    want = _photon_flux(float(d_s), triplet.omega_s, medium.n_s, geometry.section)
+    # the flux is quadratic in the generated field: twice its error, plus a few ulp
+    assert abs(flux - want) <= (2 * bound + 4 * EPS) * want
