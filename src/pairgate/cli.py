@@ -369,30 +369,36 @@ def cmd_limit(args) -> str:
     ])
 
 
-# Each sweep is one pass over its grid: the factors that do not change along the
-# sweep are computed once, and each point is rendered to its CSV line as soon as
-# it is computed. Errors come from the model's checks at the first offending point
-# in grid order, before any output is written.
+# Each sweep is evaluated SWEEP_BLOCK grid points at a time. The model's column
+# bodies compute each column of a block in one pass and check it once; a block
+# that fails a check is walked with the scalar checks, so the error is the one
+# at the first offending point in grid order. A block is rendered as one string,
+# and nothing is written before the whole text is built.
 
-def _flux_cells(beta_l: float, delta_nu: float | None) -> str:
-    """The CSV cells beta_l, pairs_per_bandwidth and, given delta_nu, pairs_per_s."""
-    growth = model.field_ratio(beta_l)
-    pairs = model._pairs_per_bandwidth(growth)
-    if delta_nu is None:
-        return f"{beta_l!r},{pairs!r}\n"
-    return f"{beta_l!r},{pairs!r},{model._pair_flux(growth, delta_nu)!r}\n"
+SWEEP_BLOCK = 4096  # grid points per block: the extra columns stay small at any count
 
 
-def _flux_header(columns: list[str], delta_nu: float | None) -> str:
-    return ",".join(columns + ["beta_l", "pairs_per_bandwidth"]
-                    + (["pairs_per_s"] if delta_nu is not None else [])) + "\n"
+def _sweep(header: list[str], grid: list[float], columns) -> str:
+    """The CSV text of a sweep: a row per grid point, the point then the values of
+    columns(block) at it, for each block of the grid. Each column is rendered by one
+    C-level repr pass (str(float) is its shortest repr) and each row by one join."""
+    blocks = [",".join(header)]
+    for start in range(0, len(grid), SWEEP_BLOCK):
+        block = grid[start:start + SWEEP_BLOCK]
+        cells = [list(map(repr, column)) for column in (block, *columns(block))]
+        blocks.append("\n".join(map(",".join, zip(*cells))))
+    blocks.append("")  # the text ends with a newline
+    return "\n".join(blocks)
+
+
+def _flux_header(columns: list[str], delta_nu: float | None) -> list[str]:
+    return (columns + ["beta_l", "pairs_per_bandwidth"]
+            + (["pairs_per_s"] if delta_nu is not None else []))
 
 
 def _beta_l_sweep(grid: list[float], delta_nu: float | None) -> str:
-    lines = [_flux_header([], delta_nu)]
-    for beta_l in grid:
-        lines.append(_flux_cells(beta_l, delta_nu))
-    return "".join(lines)
+    return _sweep(_flux_header([], delta_nu), grid,
+                  lambda block: model._flux_columns(block, delta_nu))
 
 
 def _pump_sweep(grid: list[float], medium: Medium, triplet: model.WaveTriplet, length: float,
@@ -400,25 +406,23 @@ def _pump_sweep(grid: list[float], medium: Medium, triplet: model.WaveTriplet, l
     """beta*L and the pair fluxes against pump intensity. No PumpDrive is built per
     point: SweepSpec's checks keep every grid point nonnegative and finite."""
     chi, root = model._gain_factors(medium, triplet)
-    n_p, process = medium.n_p, medium.process
-    lines = [_flux_header(["pump_intensity_W_per_m2"], delta_nu)]
-    for i in grid:
-        beta_l = model._gain(chi, root, model._intensity_to_field(i, n_p), process) * length
-        lines.append(f"{i!r},{_flux_cells(beta_l, delta_nu)}")
-    return "".join(lines)
+
+    def columns(block):
+        fields = model._pump_fields(block, medium.n_p)
+        beta_ls = model._beta_ls(fields, chi, root, length, medium.process)
+        return [beta_ls, *model._flux_columns(beta_ls, delta_nu)]
+
+    return _sweep(_flux_header(["pump_intensity_W_per_m2"], delta_nu), grid, columns)
 
 
 def _length_sweep(grid: list[float], media: list[Medium], lambda_s: float, lambda_i: float,
                   header: list[str]) -> str:
     """Effective limit intensity against length, one column per medium."""
-    factors = [(*model._limit_factors(m, lambda_s, lambda_i), m.chi_eff, m.process) for m in media]
-    lines = [",".join(header) + "\n"]
-    for length in grid:
-        line = repr(length)
-        for numer, norm, chi, process in factors:
-            line += f",{model._limit_intensity(length, numer, chi, process, norm)!r}"
-        lines.append(line + "\n")
-    return "".join(lines)
+    factors = []
+    for m in media:
+        numer, norm = model._limit_factors(m, lambda_s, lambda_i)
+        factors.append((numer, m.chi_eff, m.process, norm))
+    return _sweep(header, grid, lambda block: model._gamma_columns(block, factors))
 
 
 def _figure_sweep(figure: str) -> str:

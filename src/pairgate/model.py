@@ -9,9 +9,15 @@ All quantities are strict SI: angular frequencies in rad/s, fields in V/m,
 intensities in W/m^2, lengths in m. Collinear, exactly phase-matched
 interaction is assumed throughout.
 
-Kernels that sweeps evaluate point by point are split into the factors
-constant along a sweep (_gain_factors, _limit_factors) and a per-point body;
-the public kernels and the CLI sweeps share both, so each formula has one home.
+Kernels that sweeps evaluate are split into the factors constant along a
+sweep (_gain_factors, _limit_factors) and a column body, which evaluates the
+formula over a whole column of points in one pass (_pump_fields, _beta_ls,
+_pair_fluxes, _limit_quotients). The scalar kernels call the column bodies on
+a one-point column, so each formula has one home; only the oracle's
+_drive_coupling stays scalar, and a test pins _beta_ls to it. The sweep columns
+(_flux_columns, _gamma_columns) check each column once and, when a check
+fails, walk it with the scalar kernels, which raise the scalar message at the
+first offending point.
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ __all__ = [
 # Largest beta*L at which both (exp(beta_l) - 1)^2/8 and exp(2*beta_l)/8 are
 # finite floats (~354.89); every kernel taking a raw beta*L rejects more.
 BETA_L_MAX = 0.5 * math.log(sys.float_info.max)
+_FLOAT_MAX = sys.float_info.max
 
 
 def _check(name: str, value: float, low: float = 0.0, inclusive: bool = False) -> None:
@@ -67,6 +74,13 @@ def _check(name: str, value: float, low: float = 0.0, inclusive: bool = False) -
     else:
         need = f"{'>=' if inclusive else '>'} {low:g}"
     raise ValueError(f"{name} must be {need} and finite, got {value!r}")
+
+
+def _all_within(column: list[float], low: float, high: float) -> bool:
+    """True if low <= x <= high for every x of a column: one C-level min, max and sum.
+    min and max may step over a NaN; the sum of a column holding one is NaN."""
+    total = sum(column)
+    return total == total and low <= min(column) and max(column) <= high
 
 
 def _check_beta_l(beta_l: float) -> None:
@@ -221,7 +235,7 @@ class PumpDrive(_named_tuple("PumpDrive", "intensity field_amplitude", (None, No
         """Pump field amplitude (V/m) at a checked pump index n_p, such as Medium.n_p."""
         if self.field_amplitude is not None:
             return self.field_amplitude
-        return _intensity_to_field(self.intensity, n_p)
+        return _pump_fields((self.intensity,), n_p)[0]
 
     def as_intensity(self, n_p: float) -> float:
         """Pump intensity (W/m^2) at a checked pump index n_p."""
@@ -231,9 +245,11 @@ class PumpDrive(_named_tuple("PumpDrive", "intensity field_amplitude", (None, No
         return 0.5 * n_p * e_p * e_p / (k.c * k.mu0)
 
 
-def _intensity_to_field(intensity: float, n_p: float) -> float:
-    """Pump field amplitude (V/m) of an intensity (W/m^2) at a checked pump index n_p."""
-    return math.sqrt(2.0 * intensity * CODATA2018.c * CODATA2018.mu0 / n_p)
+def _pump_fields(intensities, n_p: float) -> list[float]:
+    """Pump field amplitude (V/m) at each nonnegative intensity (W/m^2) of a column,
+    at a checked pump index n_p."""
+    c, mu0, sqrt = CODATA2018.c, CODATA2018.mu0, math.sqrt
+    return [sqrt(2.0 * i * c * mu0 / n_p) for i in intensities]
 
 
 class Bandwidth(_named_tuple("Bandwidth", "delta_omega")):
@@ -297,11 +313,13 @@ def vacuum_fluctuation(omega: float, n: float, section: float, delta_omega: floa
     _check("delta_omega", delta_omega)
     k = CODATA2018
     energy = k.hbar * omega * delta_omega
-    if energy < sys.float_info.min:  # zero or subnormal: the seed would print as 0 V/m
-        raise ValueError("vacuum field out of the float range: "
-                         f"omega={omega!r}, delta_omega={delta_omega!r}")
     denom = 4.0 * math.pi * k.c * k.eps0 * n * section  # zero only for a subnormal section
-    vac = math.sqrt(energy / denom) if denom else math.inf
+    quotient = energy / denom if denom else math.inf
+    if energy < sys.float_info.min or quotient < sys.float_info.min:
+        # zero or subnormal: the seed would print as 0 V/m or with a few digits
+        raise ValueError("vacuum field out of the float range: omega="
+                         f"{omega!r}, n={n!r}, section={section!r}, delta_omega={delta_omega!r}")
+    vac = math.sqrt(quotient)
     _check("vacuum field", vac, inclusive=True)
     return vac
 
@@ -321,26 +339,33 @@ def _couplings(medium: Medium, triplet: WaveTriplet) -> tuple[float, float]:
     return triplet.omega_s / (2.0 * medium.n_s * c), triplet.omega_i / (2.0 * medium.n_i * c)
 
 
+def _chi(medium: Medium) -> float:
+    """The susceptibility as _drive_coupling takes it: chi2 for SPDC, (1/2)*chi3 for FWM."""
+    return medium.chi_eff if medium.process is Process.SPDC else 0.5 * medium.chi_eff
+
+
 def _gain_factors(medium: Medium, triplet: WaveTriplet) -> tuple[float, float]:
-    """The pump-independent factors of the gain, (chi, sqrt(ks*ki)): chi is chi2
-    for SPDC and (1/2)*chi3 for FWM, as _drive_coupling and _gain take it."""
+    """The pump-independent factors of the gain, (_chi(medium), sqrt(ks*ki))."""
     ks, ki = _couplings(medium, triplet)
-    chi = medium.chi_eff if medium.process is Process.SPDC else 0.5 * medium.chi_eff
-    return chi, math.sqrt(ks * ki)
+    return _chi(medium), math.sqrt(ks * ki)
+
+
+def _beta_ls(fields, chi: float, root: float, length: float, process: Process) -> list[float]:
+    """beta*L at each pump field of a column, from the _gain_factors (chi, root) of a
+    medium and triplet: _drive_coupling times root times length, in that order."""
+    if process is Process.SPDC:
+        return [chi * e * root * length for e in fields]
+    return [chi * e * e * root * length for e in fields]
 
 
 def _drive_coupling(chi: float, e_p: float, process: Process) -> float:
     """Dimensionless chi*pump product whose units cancel against 1/m couplings.
 
     chi2*E_p for SPDC, (1/2)*chi3*E_p^2 for FWM (E_p the total two-wave
-    amplitude), with chi from _gain_factors.
+    amplitude), with chi = _chi(medium). The oracle's one use; _beta_ls repeats
+    the product per point, as a one-point column costs the oracle ~20% of a call.
     """
     return chi * e_p if process is Process.SPDC else chi * e_p * e_p
-
-
-def _gain(chi: float, root: float, e_p: float, process: Process) -> float:
-    """beta (1/m) at pump field e_p, from the _gain_factors (chi, root) of a medium and triplet."""
-    return _drive_coupling(chi, e_p, process) * root
 
 
 def gain_coefficient(medium: Medium, triplet: WaveTriplet, pump: PumpDrive) -> float:
@@ -350,7 +375,7 @@ def gain_coefficient(medium: Medium, triplet: WaveTriplet, pump: PumpDrive) -> f
     for FWM, with ks, ki the signal/idler coupling factors.
     """
     chi, root = _gain_factors(medium, triplet)
-    return _gain(chi, root, pump.field(medium.n_p), medium.process)
+    return _beta_ls((pump.field(medium.n_p),), chi, root, 1.0, medium.process)[0]
 
 
 def pump_for_gain(
@@ -406,13 +431,9 @@ def pair_flux_reduced(beta_l: float, delta_nu: float) -> float:
 
     (delta_nu/8)*(exp(beta_l)-1)^2, via expm1 for small-gain stability.
     """
-    return _pair_flux(field_ratio(beta_l), delta_nu)
-
-
-def _pair_flux(growth: float, delta_nu: float) -> float:
-    """pair_flux_reduced from growth = field_ratio(beta_l)."""
+    growth = field_ratio(beta_l)
     _check("delta_nu", delta_nu)
-    pairs = 0.125 * delta_nu * growth * growth
+    pairs = _pair_fluxes((growth,), 0.125 * delta_nu)[0]
     if pairs == math.inf:
         raise ValueError(f"pair flux overflows a float at delta_nu={delta_nu!r}")
     return pairs
@@ -420,12 +441,33 @@ def _pair_flux(growth: float, delta_nu: float) -> float:
 
 def pairs_per_bandwidth(beta_l: float) -> float:
     """Dimensionless pair flux per frequency unit, (1/8)*(exp(beta_l)-1)^2."""
-    return _pairs_per_bandwidth(field_ratio(beta_l))
+    return _pair_fluxes((field_ratio(beta_l),), 0.125)[0]
 
 
-def _pairs_per_bandwidth(growth: float) -> float:
-    """pairs_per_bandwidth from growth = field_ratio(beta_l)."""
-    return 0.125 * growth * growth
+def _pair_fluxes(growths, per_hz: float) -> list[float]:
+    """per_hz*growth^2 at each growth = field_ratio(beta_l) of a column: the pairs per
+    bandwidth at per_hz = 1/8 and the pair flux at per_hz = delta_nu/8."""
+    return [per_hz * g * g for g in growths]
+
+
+def _flux_columns(beta_ls: list[float], delta_nu: float | None) -> list[list[float]]:
+    """The columns pairs_per_bandwidth and, given delta_nu, pair_flux_reduced at the
+    beta*L of a column, each column checked once; if a check fails, the column is
+    walked with the scalar kernels in their order, which raise at the first
+    offending point."""
+    if _all_within(beta_ls, 0.0, BETA_L_MAX):
+        growths = list(map(math.expm1, beta_ls))
+        columns = [_pair_fluxes(growths, 0.125)]
+        if delta_nu is None:
+            return columns
+        if 0.0 < delta_nu < math.inf:
+            columns.append(_pair_fluxes(growths, 0.125 * delta_nu))
+            if _all_within(columns[1], 0.0, _FLOAT_MAX):
+                return columns
+    if delta_nu is None:
+        return [[pairs_per_bandwidth(beta_l) for beta_l in beta_ls]]
+    return [list(column) for column in zip(*[
+        (pairs_per_bandwidth(beta_l), pair_flux_reduced(beta_l, delta_nu)) for beta_l in beta_ls])]
 
 
 def flux_asymptote(beta_l: float, branch: AsymptoteBranch) -> float:
@@ -447,7 +489,7 @@ def limit_criteria() -> LimitCriteria:
     per s per Hz, and a generated/vacuum field ratio of 1.718.
     """
     growth = math.e - 1.0
-    pairs = _pairs_per_bandwidth(growth)
+    pairs = _pair_fluxes((growth,), 0.125)[0]
     return LimitCriteria(pairs_limit=pairs, photons_limit=2.0 * pairs, field_ratio_limit=growth)
 
 
@@ -532,19 +574,45 @@ def _limit_factors(medium: Medium, lambda_s: float, lambda_i: float) -> tuple[fl
 
 def _limit_intensity(length: float, numer: float, chi: float, process: Process,
                      norm: float = 1.0) -> float:
-    """The limit intensity over norm at one length, from a _limit_factors numerator:
-    numer/(2*pi^2*mu0*c*(L*chi2)^2) for SPDC, numer/(pi*L*chi3) for FWM."""
+    """The limit intensity over norm at one length, from a _limit_factors numerator,
+    checked: _limit_quotients on a one-point column."""
     _check("length", length)
     try:
-        if process is Process.SPDC:
-            i_lim = numer / (_SPDC_LIMIT_SCALE * (length * chi) ** 2)
-        else:
-            i_lim = numer / (math.pi * length * chi)
+        i_lim = _limit_quotients((length,), numer, chi, process, 1.0)[0]  # x/1.0 is exact
     except ArithmeticError:  # an intermediate left the float range
         raise ValueError("limit pump intensity out of the float range: "
                          f"length={length!r}, chi_eff={chi!r}") from None
     _check("limit pump intensity", i_lim, inclusive=True)
     return i_lim / norm
+
+
+def _limit_quotients(lengths, numer: float, chi: float, process: Process,
+                     norm: float) -> list[float]:
+    """The limit intensity over norm at each length of a column, from a _limit_factors
+    numerator: numer/(2*pi^2*mu0*c*(L*chi2)^2) for SPDC, numer/(pi*L*chi3) for FWM.
+    Raises ArithmeticError where an intermediate leaves the float range."""
+    if process is Process.SPDC:
+        scale = _SPDC_LIMIT_SCALE
+        return [numer / (scale * (length * chi) ** 2) / norm for length in lengths]
+    pi = math.pi
+    return [numer / (pi * length * chi) / norm for length in lengths]
+
+
+def _gamma_columns(lengths: list[float], factors: list[tuple]) -> list[list[float]]:
+    """_limit_intensity at the lengths of a column, one column per factors entry
+    (numer, chi, process, norm), each column checked once; if a check fails, the
+    lengths are walked with _limit_intensity in its order, which raises at the first
+    offending point."""
+    try:
+        # math.ulp(0.0) is the smallest positive float
+        if _all_within(lengths, math.ulp(0.0), _FLOAT_MAX):
+            columns = [_limit_quotients(lengths, *entry) for entry in factors]
+            if all(_all_within(column, 0.0, _FLOAT_MAX) for column in columns):
+                return columns
+    except ArithmeticError:
+        pass
+    return [list(column) for column in zip(*[
+        [_limit_intensity(length, *entry) for entry in factors] for length in lengths])]
 
 
 def classify_regime(beta_l: float, at_limit_band: float = 0.01) -> RegimeReport:

@@ -32,9 +32,9 @@ from .model import (
     PumpDrive,
     WaveTriplet,
     _check,
+    _chi,
     _couplings,
     _drive_coupling,
-    _gain_factors,
     _named_tuple,
     _photon_flux,
     vacuum_fluctuation,
@@ -107,8 +107,7 @@ def _rk4(medium, triplet, pump, geometry, steps, v_s, v_i, d_s, d_i) -> tuple[fl
     exceeds the final field.
     """
     ks, ki = _couplings(medium, triplet)
-    chi, _ = _gain_factors(medium, triplet)
-    g = _drive_coupling(chi, pump.field(medium.n_p), medium.process)
+    g = _drive_coupling(_chi(medium), pump.field(medium.n_p), medium.process)
     h = geometry.length / steps
     hs = h * (ks * g)  # step times the growth of e_s fed by e_i
     hi = h * (ki * g)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pairgate import cli, model
@@ -464,6 +464,23 @@ def test_sweep_rows_equal_the_scalar_kernels(variable, scale, medium, delta_nu, 
      "beta_l must be nonnegative and finite, got inf"),
     (["sweep", "--variable", "beta_l", "--min", "0", "--max", "300", "--delta-nu", "1e200Hz"],
      "pair flux overflows a float at delta_nu=1e+200"),
+    # point 0's beta_l is checked before delta_nu, at every point
+    (["sweep", "--variable", "beta_l", "--min", "400", "--max", "1000", "--delta-nu", "0Hz"],
+     "beta_l must be <= BETA_L_MAX = 354.89, got 400.0"),
+    (["sweep", "--variable", "beta_l", "--min", "0", "--max", "1000", "--delta-nu", "0Hz"],
+     "delta_nu must be strictly positive and finite, got 0.0"),
+    # fails at both ends; the first point is reported
+    (["sweep", "--variable", "length", "--min", "1e-300m", "--max", "1e300m", "--count", "5",
+      "--scale", "log", "--chi2", "1pm/V"],
+     "limit pump intensity out of the float range: length=1e-300, chi_eff=1e-12"),
+    # an infinite pump field over a coupling root that underflows to 0: point 1's beta_l is NaN
+    (["sweep", "--variable", "pump_intensity", "--min", "1W/m2", "--max", "1e308W/m2",
+      "--chi2", "1pm/V", "--length", "1m", "--lambda-s", "1e170m", "--lambda-i", "1e170m",
+      "--count", "3"],
+     "beta_l must be nonnegative and finite, got nan"),
+    # fails first in the third block of points
+    (["sweep", "--variable", "beta_l", "--min", "0", "--max", "400", "--count", "10000"],
+     "beta_l must be <= BETA_L_MAX = 354.89, got 354.9154915491549"),
 ])
 @pytest.mark.parametrize("to_file", [False, True])
 def test_sweep_error_comes_before_any_output(argv, message, to_file, tmp_path, capsys):
@@ -473,6 +490,83 @@ def test_sweep_error_comes_before_any_output(argv, message, to_file, tmp_path, c
     assert err == f"pairgate sweep: {message}\n"
     assert out == ""
     assert not target.exists()
+
+
+def _scalar_sweep(variable, grid, medium, lambdas, length, delta_nu):
+    """A sweep's CSV rows walked point by point with the public scalar kernels, or the
+    message of the first ValueError they raise."""
+    triplet = triplet_from_wavelengths(*lambdas, medium.process)
+    rows = []
+    try:
+        for x in grid:
+            if variable == "length":
+                rows.append([x, model.effective_limit_intensity(medium, *lambdas, x)])
+                continue
+            row = [x]
+            beta_l = x
+            if variable == "pump_intensity":
+                pump = PumpDrive.from_intensity(x)
+                beta_l = model.gain_coefficient(medium, triplet, pump) * length
+                row.append(beta_l)
+            row.append(model.pairs_per_bandwidth(beta_l))
+            if delta_nu is not None:
+                row.append(model.pair_flux_reduced(beta_l, delta_nu))
+            rows.append(row)
+    except ValueError as exc:
+        return str(exc)
+    return "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+_BLOCK = cli.SWEEP_BLOCK
+
+
+@st.composite
+def _block_sweeps(draw):
+    """Sweeps of one to three blocks and a point, on every path of cmd_sweep, over
+    ranges that stay finite or overflow or leave the beta*L range somewhere."""
+    variable = draw(st.sampled_from(["beta_l", "length", "pump_intensity"]))
+    count = draw(st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]))
+    log = draw(st.booleans())
+    exponents = {"beta_l": (-12.0, 2.5), "length": (-310.0, 300.0),
+                 "pump_intensity": (0.0, 16.0)}[variable]
+    low, high = sorted(draw(st.floats(*exponents)) for _ in range(2))
+    start = 10.0 ** low if log or draw(st.booleans()) else 0.0
+    if variable == "beta_l":  # a span of 10**2.56 crosses BETA_L_MAX
+        high = draw(st.one_of(st.floats(-3.0, 2.5), st.floats(2.56, 3.0)))
+    stop = start + 10.0 ** high if variable == "beta_l" else 10.0 ** high
+    assume(start < stop)
+    process = draw(st.sampled_from([Process.SPDC, Process.FWM]))
+    chi = 10.0 ** draw(st.floats(-24.0, -10.0))
+    indices = draw(st.sampled_from([(1.0, 1.0, 1.0), (1.8, 1.75, 1.7)]))
+    lambdas = (10.0 ** draw(st.floats(-6.5, -5.5)), 1.55e-6)
+    length = 10.0 ** draw(st.floats(-3.0, 2.0))
+    delta_nu = None
+    if variable != "length":
+        delta_nu = draw(st.sampled_from([None, None, 0.0, 1e9, 1e9]
+                                        + [10.0 ** draw(st.floats(-5.0, 300.0))] * 3))
+    return (variable, cli.SweepSpec(start, stop, count, log).grid(),
+            Medium(process, chi, *indices), lambdas, length, delta_nu)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_block_sweeps())
+def test_sweep_blocks_equal_the_scalar_walk(sweep):
+    """Around and across block boundaries, a sweep is the scalar kernels' walk bit for bit,
+    or fails with the message of its first offending point."""
+    variable, grid, medium, lambdas, length, delta_nu = sweep
+    try:
+        if variable == "beta_l":
+            text = cli._beta_l_sweep(grid, delta_nu)
+        elif variable == "length":
+            text = cli._length_sweep(grid, [medium], *lambdas, ["length_m", "gamma"])
+        else:
+            triplet = triplet_from_wavelengths(*lambdas, medium.process)
+            text = cli._pump_sweep(grid, medium, triplet, length, delta_nu)
+    except ValueError as exc:
+        text = str(exc)
+    else:
+        text = text.split("\n", 1)[1]  # the rows under the header
+    assert text == _scalar_sweep(variable, grid, medium, lambdas, length, delta_nu)
 
 
 def test_sweep_length_rejects_bandwidth(capsys):
@@ -596,6 +690,10 @@ def run_cli_catching_exit(argv):
     ["classify", "--chi2", "1pm/V", "--length", "1cm", "--pump-intensity", "1MW/cm2",
      "--section", "1mm2", "--delta-nu", "1e-310Hz"],
     ["oracle", "--beta-l", "1", "--delta-nu", "1e-310Hz"],
+    ["classify", "--chi2", "1pm/V", "--length", "1cm", "--pump-intensity", "1MW/cm2",
+     "--section", "1e306m2", "--delta-nu", "1e-5Hz", "--format", "csv"],
+    ["classify", "--chi2", "1pm/V", "--length", "1cm", "--pump-intensity", "1MW/cm2",
+     "--section", "1e300m2", "--delta-nu", "1Hz", "--format", "csv"],
     ["limit", "--chi3", "1e-22m2/V2", "--length", "1mm", "--lambda-s", "1e-200m",
      "--lambda-i", "1e-200m"],
 ])

@@ -21,6 +21,7 @@ from conftest import (
     sections,
     wavelengths,
 )
+from pairgate import model
 from pairgate.cli import SweepSpec
 from pairgate.constants import CODATA2018
 from pairgate.model import (
@@ -435,6 +436,62 @@ def test_limit_intensity_rejects_bad_geometry():
     ):
         with pytest.raises(ValueError):
             limit_pump_intensity(spdc, lambda_s, 1e-6, length)
+
+
+@given(chi=st.floats(1e-25, 1e-8), field=st.floats(0.0, 1e12), root=st.floats(1e3, 1e9),
+       length=st.floats(1e-4, 1e3), process=st.sampled_from(list(Process)))
+def test_beta_l_column_is_the_drive_coupling_times_root_times_length(chi, field, root, length,
+                                                                     process):
+    """The oracle's scalar _drive_coupling and the sweeps' _beta_ls agree bit for bit."""
+    assert (model._beta_ls((field,), chi, root, length, process)
+            == [model._drive_coupling(chi, field, process) * root * length])
+
+
+def _walk(kernel, column):
+    """kernel at each point of a column in order, or the first ValueError's message."""
+    try:
+        return [kernel(x) for x in column]
+    except ValueError as exc:
+        return str(exc)
+
+
+def _columns_or_message(columns, column):
+    try:
+        return [list(row) for row in zip(*columns(column))]
+    except ValueError as exc:
+        return str(exc)
+
+
+# columns no grid produces: NaN, infinite, negative or zero points, anywhere in the column
+_ODD_COLUMNS = [[1.0, math.nan, 2.0], [1.0, 2.0, math.nan], [1.0, math.inf], [2.0, -1.0, 1.0],
+                [3.0, 0.0, 1.0], [1.0, -math.inf], [1.0, 400.0, math.nan]]
+
+
+@pytest.mark.parametrize("column", _ODD_COLUMNS)
+@pytest.mark.parametrize("delta_nu", [None, 1e9, 0.0])
+def test_flux_columns_stop_where_the_scalar_kernels_do(column, delta_nu):
+    def kernel(beta_l):
+        row = [pairs_per_bandwidth(beta_l)]
+        return row + ([] if delta_nu is None else [pair_flux_reduced(beta_l, delta_nu)])
+
+    assert (_columns_or_message(lambda c: model._flux_columns(c, delta_nu), column)
+            == _walk(kernel, column))
+
+
+@pytest.mark.parametrize("column", _ODD_COLUMNS)
+@pytest.mark.parametrize("process", [Process.SPDC, Process.FWM])
+def test_gamma_columns_stop_where_the_scalar_kernel_does(column, process):
+    pair = [Medium(process, 1e-12), Medium(process, 1e-20, 1.5, 1.4, 1.6)]
+    factors = []
+    for m in pair:
+        numer, norm = model._limit_factors(m, 1e-6, 1.2e-6)
+        factors.append((numer, m.chi_eff, m.process, norm))
+
+    def kernel(length):
+        return [effective_limit_intensity(m, 1e-6, 1.2e-6, length) for m in pair]
+
+    assert (_columns_or_message(lambda c: model._gamma_columns(c, factors), column)
+            == _walk(kernel, column))
 
 
 @given(medium=media(), lambda_s=wavelengths, lambda_i=wavelengths, length=lengths)
