@@ -506,9 +506,16 @@ _COMMANDS = {
 }
 
 
+# main's parser, built on its first call and reused by every later one: parse_args
+# keeps no state between calls, and a library user who never calls main never builds it
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         output = _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:

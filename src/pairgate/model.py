@@ -578,12 +578,14 @@ def _limit_intensity(length: float, numer: float, chi: float, process: Process,
     checked: _limit_quotients on a one-point column."""
     _check("length", length)
     try:
-        i_lim = _limit_quotients((length,), numer, chi, process, 1.0)[0]  # x/1.0 is exact
+        i_lim = _limit_quotients((length,), numer, chi, process, norm)[0]
     except ArithmeticError:  # an intermediate left the float range
-        raise ValueError("limit pump intensity out of the float range: "
-                         f"length={length!r}, chi_eff={chi!r}") from None
+        i_lim = 0.0
     _check("limit pump intensity", i_lim, inclusive=True)
-    return i_lim / norm
+    if i_lim < sys.float_info.min:  # zero or subnormal too, as numer/inf when L*chi overflows
+        raise ValueError("limit pump intensity out of the float range: "
+                         f"length={length!r}, chi_eff={chi!r}")
+    return i_lim
 
 
 def _limit_quotients(lengths, numer: float, chi: float, process: Process,
@@ -607,7 +609,7 @@ def _gamma_columns(lengths: list[float], factors: list[tuple]) -> list[list[floa
         # math.ulp(0.0) is the smallest positive float
         if _all_within(lengths, math.ulp(0.0), _FLOAT_MAX):
             columns = [_limit_quotients(lengths, *entry) for entry in factors]
-            if all(_all_within(column, 0.0, _FLOAT_MAX) for column in columns):
+            if all(_all_within(column, sys.float_info.min, _FLOAT_MAX) for column in columns):
                 return columns
     except ArithmeticError:
         pass

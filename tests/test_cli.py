@@ -729,6 +729,12 @@ def test_zero_length_has_one_message_everywhere(argv):
       "--lambda-i", "1e-200m"], "lambda_s=1e-200, lambda_i=1e-200"),
     (["limit", "--chi2", "1pm/V", "--length", "1mm", "--lambda-s", "1e-160m",
       "--lambda-i", "1e-160m"], "lambda_s=1e-160, lambda_i=1e-160"),
+    # a limit intensity that underflows to 0 (numer/inf once L*chi overflows) or to a subnormal
+    (["limit", "--chi2", "1e300pm/V", "--length", "1e30m", "--format", "csv"],
+     "length=1e+30, chi_eff=1e+288"),
+    (["limit", "--chi2", "1pm/V", "--length", "1e160m"], "length=1e+160, chi_eff=1e-12"),
+    (["sweep", "--variable", "length", "--chi2", "1pm/V", "--min", "1e150m", "--max", "1e162m",
+      "--count", "3"], "length=5.000000000004999e+161, chi_eff=1e-12"),
 ])
 def test_limit_intensity_range_error_names_its_inputs(argv, inputs):
     assert run_cli_catching_exit(argv) == (
@@ -784,6 +790,38 @@ def test_help_still_exits_zero():
     code, out, _ = run_cli_catching_exit(["flux", "--help"])
     assert code == 0
     assert "--beta-l" in out
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    monkeypatch.setattr(cli, "_parser", None)
+    built = []
+    build_parser = cli.build_parser
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    for argv in (["criteria"], ["limit", "--chi2", "1pm/V", "--length", "1mm"],
+                 ["flux", "--beta-l", "1", "--delta-nu", "1GHz"],
+                 ["sweep", "--figure", "2"], ["oracle", "--beta-l", "1", "--steps", "16"]):
+        assert run_cli_catching_exit(argv)[0] == 0
+    assert len(built) == 1
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_no_call_state_leaks_into_the_next_call():
+    """A rejection, --help, other flags and a ValueError in between leave the same bytes."""
+    argv = ["limit", "--chi2", "1pm/V", "--length", "1mm", "--format", "csv"]
+    first = run_cli_catching_exit(argv)
+    assert run_cli_catching_exit(["limit", "--bogus"])[0] == 2
+    assert run_cli_catching_exit(["flux", "--help"])[0] == 0
+    assert run_cli_catching_exit(argv + ["--n-p", "2", "--lambda-s", "2um"])[0] == 0
+    assert run_cli_catching_exit(["flux", "--beta-l", "400", "--delta-nu", "1GHz"])[0] == 2
+    assert run_cli_catching_exit(argv) == first
+    child = subprocess.run([sys.executable, "-m", "pairgate.cli", *argv],
+                           capture_output=True, text=True)
+    assert (child.returncode, child.stdout, child.stderr) == first
 
 
 # --------------------------------------------------------------------------
