@@ -579,7 +579,7 @@ def _limit_intensity(length: float, numer: float, chi: float, process: Process,
     _check("length", length)
     try:
         i_lim = _limit_quotients((length,), numer, chi, process, norm)[0]
-    except ArithmeticError:  # an intermediate left the float range
+    except ArithmeticError:  # an intermediate left the float range: rejected below
         i_lim = 0.0
     _check("limit pump intensity", i_lim, inclusive=True)
     if i_lim < sys.float_info.min:  # zero or subnormal too, as numer/inf when L*chi overflows

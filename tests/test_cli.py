@@ -807,7 +807,7 @@ def test_main_builds_its_parser_once(monkeypatch):
                  ["sweep", "--figure", "2"], ["oracle", "--beta-l", "1", "--steps", "16"]):
         assert run_cli_catching_exit(argv)[0] == 0
     assert len(built) == 1
-    assert cli.build_parser() is not cli.build_parser()
+    assert build_parser() is not build_parser()
 
 
 def test_no_call_state_leaks_into_the_next_call():
