@@ -403,26 +403,16 @@ def _beta_l_sweep(grid: list[float], delta_nu: float | None) -> str:
 
 def _pump_sweep(grid: list[float], medium: Medium, triplet: model.WaveTriplet, length: float,
                 delta_nu: float | None) -> str:
-    """beta*L and the pair fluxes against pump intensity. No PumpDrive is built per
-    point: SweepSpec's checks keep every grid point nonnegative and finite."""
-    chi, root = model._gain_factors(medium, triplet)
-
-    def columns(block):
-        fields = model._pump_fields(block, medium.n_p)
-        beta_ls = model._beta_ls(fields, chi, root, length, medium.process)
-        return [beta_ls, *model._flux_columns(beta_ls, delta_nu)]
-
-    return _sweep(_flux_header(["pump_intensity_W_per_m2"], delta_nu), grid, columns)
+    """beta*L and the pair fluxes against pump intensity, at a checked length."""
+    return _sweep(_flux_header(["pump_intensity_W_per_m2"], delta_nu), grid,
+                  lambda block: model._pump_columns(block, medium, triplet, length, delta_nu))
 
 
 def _length_sweep(grid: list[float], media: list[Medium], lambda_s: float, lambda_i: float,
                   header: list[str]) -> str:
     """Effective limit intensity against length, one column per medium."""
-    factors = []
-    for m in media:
-        numer, norm = model._limit_factors(m, lambda_s, lambda_i)
-        factors.append((numer, m.chi_eff, m.process, norm))
-    return _sweep(header, grid, lambda block: model._gamma_columns(block, factors))
+    return _sweep(header, grid,
+                  lambda block: model._gamma_columns(block, media, lambda_s, lambda_i))
 
 
 def _figure_sweep(figure: str) -> str:

@@ -10,14 +10,16 @@ intensities in W/m^2, lengths in m. Collinear, exactly phase-matched
 interaction is assumed throughout.
 
 Kernels that sweeps evaluate are split into the factors constant along a
-sweep (_gain_factors, _limit_factors) and a column body, which evaluates the
+sweep (_gain_factors; _limit_factors, which returns the whole factor
+(numer, chi_eff, process, norm)) and a column body, which evaluates the
 formula over a whole column of points in one pass (_pump_fields, _beta_ls,
 _pair_fluxes, _limit_quotients). The scalar kernels call the column bodies on
 a one-point column, so each formula has one home; only the oracle's
-_drive_coupling stays scalar, and a test pins _beta_ls to it. The sweep columns
-(_flux_columns, _gamma_columns) check each column once and, when a check
-fails, walk it with the scalar kernels, which raise the scalar message at the
-first offending point.
+_drive_coupling stays scalar, and a test pins _beta_ls to it. A sweep asks for
+one column function per swept quantity: _flux_columns (beta*L), _pump_columns
+(pump intensity) and _gamma_columns (length). Each builds its own factors,
+checks each column once and, when a check fails, walks it with the scalar
+kernels, which raise the scalar message at the first offending point.
 """
 
 from __future__ import annotations
@@ -347,6 +349,9 @@ def _chi(medium: Medium) -> float:
 def _gain_factors(medium: Medium, triplet: WaveTriplet) -> tuple[float, float]:
     """The pump-independent factors of the gain, (_chi(medium), sqrt(ks*ki))."""
     ks, ki = _couplings(medium, triplet)
+    if min(ks, ki, ks * ki) < sys.float_info.min:  # zero or subnormal: beta would print as 0
+        raise ValueError(f"gain out of the float range: omega_s={triplet.omega_s!r}, "
+                         f"omega_i={triplet.omega_i!r}, n_s={medium.n_s!r}, n_i={medium.n_i!r}")
     return _chi(medium), math.sqrt(ks * ki)
 
 
@@ -470,6 +475,17 @@ def _flux_columns(beta_ls: list[float], delta_nu: float | None) -> list[list[flo
         (pairs_per_bandwidth(beta_l), pair_flux_reduced(beta_l, delta_nu)) for beta_l in beta_ls])]
 
 
+def _pump_columns(intensities: list[float], medium: Medium, triplet: WaveTriplet,
+                  length: float, delta_nu: float | None) -> list[list[float]]:
+    """The columns beta*L and _flux_columns at the pump intensities of a column, for a
+    checked length. No PumpDrive is built per point: a sweep grid is nonnegative and
+    finite, and _flux_columns checks the beta*L column."""
+    chi, root = _gain_factors(medium, triplet)
+    fields = _pump_fields(intensities, medium.n_p)
+    beta_ls = _beta_ls(fields, chi, root, length, medium.process)
+    return [beta_ls, *_flux_columns(beta_ls, delta_nu)]
+
+
 def flux_asymptote(beta_l: float, branch: AsymptoteBranch) -> float:
     """Limiting branches of pairs_per_bandwidth.
 
@@ -534,8 +550,8 @@ def limit_pump_intensity(
     Wavelengths are vacuum values in m. For FWM the result is the total
     two-wave pump intensity.
     """
-    numer, _ = _limit_factors(medium, lambda_s, lambda_i)
-    return _limit_intensity(length, numer, medium.chi_eff, medium.process)
+    numer, chi, process, _ = _limit_factors(medium, lambda_s, lambda_i)
+    return _limit_intensity(length, numer, chi, process)
 
 
 def effective_limit_intensity(
@@ -546,17 +562,16 @@ def effective_limit_intensity(
     Gamma = I_lim/(n_p*n_s*n_i) for SPDC and I_lim/(n_p*sqrt(n_s*n_i)) for
     FWM; with unit indices Gamma equals the limit intensity itself.
     """
-    numer, norm = _limit_factors(medium, lambda_s, lambda_i)
-    return _limit_intensity(length, numer, medium.chi_eff, medium.process, norm)
+    return _limit_intensity(length, *_limit_factors(medium, lambda_s, lambda_i))
 
 
 # 2*pi^2*mu0*c, the constant of the SPDC limit intensity's denominator
 _SPDC_LIMIT_SCALE = 2.0 * math.pi**2 * CODATA2018.mu0 * CODATA2018.c
 
 
-def _limit_factors(medium: Medium, lambda_s: float, lambda_i: float) -> tuple[float, float]:
-    """The length-independent parts of the limit intensity, (numerator, index norm):
-    the numerator over _limit_intensity's denominator is I_lim, and I_lim/norm is Gamma."""
+def _limit_factors(medium: Medium, lambda_s: float, lambda_i: float) -> tuple:
+    """The length-independent factor of the limit intensity, (numer, chi_eff, process,
+    norm): numer over _limit_quotients' denominator is I_lim, and I_lim/norm is Gamma."""
     _check("lambda_s", lambda_s)
     _check("lambda_i", lambda_i)
     n_p, n_s, n_i = medium.n_p, medium.n_s, medium.n_i
@@ -566,15 +581,15 @@ def _limit_factors(medium: Medium, lambda_s: float, lambda_i: float) -> tuple[fl
         raise ValueError("limit pump intensity out of the float range: "
                          f"lambda_s={lambda_s!r}, lambda_i={lambda_i!r}")
     if spdc:
-        return product, n_p * n_s * n_i
+        return product, medium.chi_eff, medium.process, n_p * n_s * n_i
     k = CODATA2018
     numer = n_p * math.sqrt(product) * math.sqrt(k.eps0 / k.mu0)
-    return numer, n_p * math.sqrt(n_s * n_i)
+    return numer, medium.chi_eff, medium.process, n_p * math.sqrt(n_s * n_i)
 
 
 def _limit_intensity(length: float, numer: float, chi: float, process: Process,
                      norm: float = 1.0) -> float:
-    """The limit intensity over norm at one length, from a _limit_factors numerator,
+    """The limit intensity over norm at one length, from the _limit_factors of a medium,
     checked: _limit_quotients on a one-point column."""
     _check("length", length)
     try:
@@ -590,8 +605,8 @@ def _limit_intensity(length: float, numer: float, chi: float, process: Process,
 
 def _limit_quotients(lengths, numer: float, chi: float, process: Process,
                      norm: float) -> list[float]:
-    """The limit intensity over norm at each length of a column, from a _limit_factors
-    numerator: numer/(2*pi^2*mu0*c*(L*chi2)^2) for SPDC, numer/(pi*L*chi3) for FWM.
+    """The limit intensity over norm at each length of a column, from the _limit_factors
+    of a medium: numer/(2*pi^2*mu0*c*(L*chi2)^2) for SPDC, numer/(pi*L*chi3) for FWM.
     Raises ArithmeticError where an intermediate leaves the float range."""
     if process is Process.SPDC:
         scale = _SPDC_LIMIT_SCALE
@@ -600,11 +615,12 @@ def _limit_quotients(lengths, numer: float, chi: float, process: Process,
     return [numer / (pi * length * chi) / norm for length in lengths]
 
 
-def _gamma_columns(lengths: list[float], factors: list[tuple]) -> list[list[float]]:
-    """_limit_intensity at the lengths of a column, one column per factors entry
-    (numer, chi, process, norm), each column checked once; if a check fails, the
-    lengths are walked with _limit_intensity in its order, which raises at the first
-    offending point."""
+def _gamma_columns(lengths: list[float], media: list[Medium], lambda_s: float,
+                   lambda_i: float) -> list[list[float]]:
+    """effective_limit_intensity at the lengths of a column, one column per medium, each
+    column checked once; if a check fails, the lengths are walked with _limit_intensity
+    in its order, which raises at the first offending point."""
+    factors = [_limit_factors(m, lambda_s, lambda_i) for m in media]
     try:
         # math.ulp(0.0) is the smallest positive float
         if _all_within(lengths, math.ulp(0.0), _FLOAT_MAX):

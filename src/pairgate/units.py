@@ -161,15 +161,6 @@ def format_sig(value: float) -> str:
     return text[:-1] if text.endswith(".") else text
 
 
-_INTENSITY_PREFIXES = [
-    (1e12, "T"),
-    (1e9, "G"),
-    (1e6, "M"),
-    (1e3, "k"),
-    (1.0, ""),
-]
-
-
 def format_intensity(w_per_m2: float) -> str:
     """Auto-scaled intensity per cm^2, e.g. 1.345e14 W/m^2 -> '13.4 GW/cm2'."""
     if w_per_m2 < 0:
@@ -177,7 +168,8 @@ def format_intensity(w_per_m2: float) -> str:
     per_cm2 = w_per_m2 * 1e-4
     if per_cm2 == 0.0 or not math.isfinite(per_cm2):
         return f"{per_cm2:g} W/cm2"
-    for scale, prefix in _INTENSITY_PREFIXES:
-        if per_cm2 >= scale:
-            return f"{format_sig(per_cm2 / scale)} {prefix}W/cm2"
+    for unit in reversed(INTENSITY_UNITS):  # the per-cm2 units, largest first
+        scale = INTENSITY_UNITS[unit] / INTENSITY_UNITS["W/cm2"]  # an exact power of ten
+        if unit.endswith("/cm2") and per_cm2 >= scale:
+            return f"{format_sig(per_cm2 / scale)} {unit}"
     return f"{format_sig(per_cm2)} W/cm2"

@@ -327,7 +327,8 @@ def test_sweep_deterministic_output(tmp_path, capsys):
     (0.0, 6.0, 121),        # figure 2
     (0.0, 1.0, 2),
     (1e2, 1e9, 100_000),
-    (0.0, 1e-320, 4),       # subnormal span: the step underflows to zero
+    (0.0, 1e-320, 4),       # subnormal span: the step is subnormal, not zero
+    (0.0, 5e-324, 4),       # the step underflows to zero: numpy scales i/div
 ])
 def test_sweep_grid_is_numpy_linspace(start, stop, count):
     assert cli.SweepSpec(start, stop, count).grid() == np.linspace(start, stop, count).tolist()
@@ -473,14 +474,20 @@ def test_sweep_rows_equal_the_scalar_kernels(variable, scale, medium, delta_nu, 
     (["sweep", "--variable", "length", "--min", "1e-300m", "--max", "1e300m", "--count", "5",
       "--scale", "log", "--chi2", "1pm/V"],
      "limit pump intensity out of the float range: length=1e-300, chi_eff=1e-12"),
-    # an infinite pump field over a coupling root that underflows to 0: point 1's beta_l is NaN
-    (["sweep", "--variable", "pump_intensity", "--min", "1W/m2", "--max", "1e308W/m2",
-      "--chi2", "1pm/V", "--length", "1m", "--lambda-s", "1e170m", "--lambda-i", "1e170m",
-      "--count", "3"],
+    # a zero pump field over a coupling root that overflows to inf: point 0's beta_l is NaN
+    (["sweep", "--variable", "pump_intensity", "--min", "0W/m2", "--max", "1W/m2",
+      "--count", "3", "--chi2", "1pm/V", "--length", "1m", "--lambda-s", "1e-290m",
+      "--lambda-i", "1e-290m"],
      "beta_l must be nonnegative and finite, got nan"),
     # fails first in the third block of points
     (["sweep", "--variable", "beta_l", "--min", "0", "--max", "400", "--count", "10000"],
      "beta_l must be <= BETA_L_MAX = 354.89, got 354.9154915491549"),
+    # a coupling product that underflows to 0 is rejected before any point
+    (["sweep", "--variable", "pump_intensity", "--min", "1W/m2", "--max", "1e308W/m2",
+      "--chi2", "1pm/V", "--length", "1m", "--lambda-s", "1e170m", "--lambda-i", "1e170m",
+      "--count", "3"],
+     "gain out of the float range: omega_s=1.883651567308853e-161, "
+     "omega_i=1.883651567308853e-161, n_s=1.0, n_i=1.0"),
 ])
 @pytest.mark.parametrize("to_file", [False, True])
 def test_sweep_error_comes_before_any_output(argv, message, to_file, tmp_path, capsys):
@@ -607,6 +614,9 @@ def test_sweep_validation_errors(capsys):
     )
     assert code == 2
     assert "log" in err
+    assert run_cli(["sweep", "--variable", "pump_intensity", "--min", "0W/m2", "--max", "1W/m2",
+                    "--chi2", "1pm/V"], capsys) == (
+        2, "", "pairgate sweep: --length is required for a pump_intensity sweep\n")
 
 
 def run_cli_catching_exit(argv):
@@ -696,6 +706,11 @@ def run_cli_catching_exit(argv):
      "--section", "1e300m2", "--delta-nu", "1Hz", "--format", "csv"],
     ["limit", "--chi3", "1e-22m2/V2", "--length", "1mm", "--lambda-s", "1e-200m",
      "--lambda-i", "1e-200m"],
+    # positive inputs whose gain coupling product ks*ki underflows the float range
+    ["classify", "--chi2", "1pm/V", "--length", "1cm", "--pump-intensity", "1MW/cm2",
+     "--lambda-s", "1e170m", "--lambda-i", "1e170m"],
+    ["flux", "--chi2", "1pm/V", "--length", "1cm", "--pump-intensity", "1MW/cm2",
+     "--n-s", "1e300", "--n-i", "1e300", "--delta-nu", "1GHz"],
 ])
 def test_invalid_input_is_one_line_exit_2(argv):
     code, out, err = run_cli_catching_exit(argv)

@@ -110,6 +110,12 @@ def test_malformed_lines_rejected():
         load_catalog("[x]\nprocess = spdc\nchi_eff = 1e400 pm/V\n")
     with pytest.raises(MaterialParseError, match=r":1: .*nonempty"):
         load_catalog("[]\nprocess = spdc\nchi_eff = 1 pm/V\n")
+    with pytest.raises(MaterialParseError) as exc:
+        load_catalog("[x]\nprocess = shg\nchi_eff = 1 pm/V\n")
+    assert str(exc.value) == "<string>:2: process must be one of ['fwm', 'spdc'], got 'shg'"
+    with pytest.raises(MaterialParseError) as exc:
+        load_catalog("[x]\nprocess = spdc\nchi_eff = 1 pm/V\nn_p = abc\n")
+    assert str(exc.value) == "<string>:4: n_p must be a number, got 'abc'"
 
 
 def test_readme_catalog_example_parses_as_written():

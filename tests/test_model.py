@@ -199,6 +199,14 @@ def test_pump_for_gain_inverts_gain_coefficient(scenario, beta_l):
     )
 
 
+def test_pump_for_gain_rejects_a_coupling_product_that_underflows():
+    # ks*ki ~ 1e-587: the gain is not a float, and the pump would divide by zero
+    medium = Medium(Process.SPDC, 1e-12, 1.0, 1e300, 1e300)
+    triplet = triplet_from_wavelengths(1e-6, 1e-6, Process.SPDC)
+    with pytest.raises(ValueError, match="^gain out of the float range: omega_s="):
+        pump_for_gain(medium, triplet, Geometry(1e-3, 1e-6), 1.0)
+
+
 # --------------------------------------------------------------------------
 # pair flux
 # --------------------------------------------------------------------------
@@ -482,15 +490,11 @@ def test_flux_columns_stop_where_the_scalar_kernels_do(column, delta_nu):
 @pytest.mark.parametrize("process", [Process.SPDC, Process.FWM])
 def test_gamma_columns_stop_where_the_scalar_kernel_does(column, process):
     pair = [Medium(process, 1e-12), Medium(process, 1e-20, 1.5, 1.4, 1.6)]
-    factors = []
-    for m in pair:
-        numer, norm = model._limit_factors(m, 1e-6, 1.2e-6)
-        factors.append((numer, m.chi_eff, m.process, norm))
 
     def kernel(length):
         return [effective_limit_intensity(m, 1e-6, 1.2e-6, length) for m in pair]
 
-    assert (_columns_or_message(lambda c: model._gamma_columns(c, factors), column)
+    assert (_columns_or_message(lambda c: model._gamma_columns(c, pair, 1e-6, 1.2e-6), column)
             == _walk(kernel, column))
 
 
