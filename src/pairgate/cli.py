@@ -299,9 +299,8 @@ def cmd_classify(args) -> str:
     medium = _build_medium(args)
     triplet = _build_triplet(args, medium.process)
     pump = _build_pump(args)
-    _check("length", args.length)
-    beta = model.gain_coefficient(medium, triplet, pump)
-    report = model.classify_regime(beta * args.length, at_limit_band=args.band)
+    report = model.classify_regime(model._gain_product(medium, triplet, pump, args.length),
+                                   at_limit_band=args.band)
 
     columns = [
         ("beta_l", report.beta_l, format_sig(report.beta_l)),
@@ -339,8 +338,7 @@ def cmd_flux(args) -> str:
         medium = _build_medium(args)
         triplet = _build_triplet(args, medium.process)
         pump = _build_pump(args)
-        _check("length", args.length)
-        beta_l = model.gain_coefficient(medium, triplet, pump) * args.length
+        beta_l = model._gain_product(medium, triplet, pump, args.length)
 
     pairs = model.pair_flux_reduced(beta_l, args.delta_nu)
     return _report(args, [
@@ -473,8 +471,8 @@ def cmd_oracle(args) -> str:
     pump = model.pump_for_gain(medium, triplet, geometry, args.beta_l)
     config = oracle.IntegrationConfig(steps=args.steps)
 
-    analytic = model.pair_flux_reduced(args.beta_l, args.delta_nu)
     numeric = oracle.oracle_pair_flux(medium, triplet, pump, geometry, bandwidth, config)
+    analytic = model.pair_flux_reduced(args.beta_l, args.delta_nu)
     error = abs(numeric - analytic) / analytic if analytic > 0 else abs(numeric - analytic)
 
     return _report(args, [

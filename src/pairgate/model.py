@@ -20,6 +20,13 @@ one column function per swept quantity: _flux_columns (beta*L), _pump_columns
 (pump intensity) and _gamma_columns (length). Each builds its own factors,
 checks each column once and, when a check fails, walks it with the scalar
 kernels, which raise the scalar message at the first offending point.
+
+One range rule holds for every derived value: it is a normal float,
+_FLOAT_MIN <= x <= _FLOAT_MAX, and so is each partial product it is computed
+through, or it is an exact 0 where the input driving it is 0 (beta*L = 0, a
+zero pump). Anything else (a zero, subnormal, infinite or NaN result of
+nonzero inputs) raises _out_of_float_range's "<what> out of the float range:
+k=v, ..." instead of printing 0.0, a few-digit number or inf.
 """
 
 from __future__ import annotations
@@ -64,7 +71,13 @@ __all__ = [
 # Largest beta*L at which both (exp(beta_l) - 1)^2/8 and exp(2*beta_l)/8 are
 # finite floats (~354.89); every kernel taking a raw beta*L rejects more.
 BETA_L_MAX = 0.5 * math.log(sys.float_info.max)
-_FLOAT_MAX = sys.float_info.max
+_FLOAT_MIN, _FLOAT_MAX = sys.float_info.min, sys.float_info.max  # the normal floats
+
+
+def _out_of_float_range(what: str, **inputs) -> ValueError:
+    """The range rule's error, built only where an inline `_FLOAT_MIN <= x <= _FLOAT_MAX` fails."""
+    return ValueError(f"{what} out of the float range: "
+                      + ", ".join(f"{name}={value!r}" for name, value in inputs.items()))
 
 
 def _check(name: str, value: float, low: float = 0.0, inclusive: bool = False) -> None:
@@ -78,11 +91,15 @@ def _check(name: str, value: float, low: float = 0.0, inclusive: bool = False) -
     raise ValueError(f"{name} must be {need} and finite, got {value!r}")
 
 
-def _all_within(column: list[float], low: float, high: float) -> bool:
-    """True if low <= x <= high for every x of a column: one C-level min, max and sum.
+def _all_within(column: list[float], low: float, high: float, drivers=None) -> bool:
+    """True if low <= x <= high, or x = 0 where the column of its driving inputs is 0,
+    for every x of a column: C-level sum, min and max, and counts of zeros if min is 0.
     min and max may step over a NaN; the sum of a column holding one is NaN."""
     total = sum(column)
-    return total == total and low <= min(column) and max(column) <= high
+    if not (total == total and max(column) <= high):
+        return False
+    return low <= min(column) or (drivers is not None and column.count(0.0) == drivers.count(0.0)
+                                  and low <= min(filter(None, column), default=low))
 
 
 def _check_beta_l(beta_l: float) -> None:
@@ -313,17 +330,20 @@ def vacuum_fluctuation(omega: float, n: float, section: float, delta_omega: floa
     _check("refractive index", n, 1.0, inclusive=True)
     _check("section", section)
     _check("delta_omega", delta_omega)
+    return _vacuum_field(omega, n, section, delta_omega)
+
+
+def _vacuum_field(omega: float, n: float, section: float, delta_omega: float) -> float:
+    """vacuum_fluctuation at inputs a value type has checked: the range rule only."""
     k = CODATA2018
-    energy = k.hbar * omega * delta_omega
-    denom = 4.0 * math.pi * k.c * k.eps0 * n * section  # zero only for a subnormal section
+    photon = k.hbar * omega
+    energy = photon * delta_omega
+    denom = 4.0 * math.pi * k.c * k.eps0 * n * section
     quotient = energy / denom if denom else math.inf
-    if energy < sys.float_info.min or quotient < sys.float_info.min:
-        # zero or subnormal: the seed would print as 0 V/m or with a few digits
-        raise ValueError("vacuum field out of the float range: omega="
-                         f"{omega!r}, n={n!r}, section={section!r}, delta_omega={delta_omega!r}")
-    vac = math.sqrt(quotient)
-    _check("vacuum field", vac, inclusive=True)
-    return vac
+    if not (_FLOAT_MIN <= min(photon, energy, denom, quotient) and quotient <= _FLOAT_MAX):
+        raise _out_of_float_range("vacuum field", omega=omega, n=n, section=section,
+                                  delta_omega=delta_omega)
+    return math.sqrt(quotient)
 
 
 # --------------------------------------------------------------------------
@@ -349,9 +369,9 @@ def _chi(medium: Medium) -> float:
 def _gain_factors(medium: Medium, triplet: WaveTriplet) -> tuple[float, float]:
     """The pump-independent factors of the gain, (_chi(medium), sqrt(ks*ki))."""
     ks, ki = _couplings(medium, triplet)
-    if min(ks, ki, ks * ki) < sys.float_info.min:  # zero or subnormal: beta would print as 0
-        raise ValueError(f"gain out of the float range: omega_s={triplet.omega_s!r}, "
-                         f"omega_i={triplet.omega_i!r}, n_s={medium.n_s!r}, n_i={medium.n_i!r}")
+    if not (_FLOAT_MIN <= min(ks, ki, ks * ki) and ks * ki <= _FLOAT_MAX):
+        raise _out_of_float_range("gain", omega_s=triplet.omega_s, omega_i=triplet.omega_i,
+                                  n_s=medium.n_s, n_i=medium.n_i)
     return _chi(medium), math.sqrt(ks * ki)
 
 
@@ -380,7 +400,26 @@ def gain_coefficient(medium: Medium, triplet: WaveTriplet, pump: PumpDrive) -> f
     for FWM, with ks, ki the signal/idler coupling factors.
     """
     chi, root = _gain_factors(medium, triplet)
-    return _beta_ls((pump.field(medium.n_p),), chi, root, 1.0, medium.process)[0]
+    field = pump.field(medium.n_p)
+    beta = _beta_ls((field,), chi, root, 1.0, medium.process)[0]
+    # the chain's partial products: chi (chi3/2 for FWM), the drive coupling (chi*E_p is at
+    # least the smaller of the two) and beta, and E_p^2 if E_p is its root, from an intensity
+    partials = (chi, _drive_coupling(chi, field, medium.process), beta,
+                field * field if pump.intensity else beta)
+    if any(pump) and not (_FLOAT_MIN <= min(partials) and beta <= _FLOAT_MAX):  # a nonzero pump
+        raise _out_of_float_range("gain", chi_eff=medium.chi_eff, pump_field=field)
+    return beta
+
+
+def _gain_product(medium: Medium, triplet: WaveTriplet, pump: PumpDrive, length: float) -> float:
+    """beta*L of a pump drive over a length: gain_coefficient times the length, which the
+    _beta_ls chain of a sweep repeats bit for bit. Only a zero pump gives beta*L = 0."""
+    _check("length", length)
+    beta = gain_coefficient(medium, triplet, pump)
+    beta_l = beta * length
+    if beta and not _FLOAT_MIN <= beta_l <= _FLOAT_MAX:
+        raise _out_of_float_range("beta_l", beta=beta, length=length)
+    return beta_l
 
 
 def pump_for_gain(
@@ -402,8 +441,16 @@ def pump_for_gain(
 
 def _photon_flux(field: float, omega: float, n: float, section: float) -> float:
     """Photon flux (photons/s) of a field amplitude: eps0*n*c*S/(4*hbar*omega) * field^2."""
+    return _photon_partials(field, omega, n, section)[-1]
+
+
+def _photon_partials(field: float, omega: float, n: float, section: float) -> tuple:
+    """The partial products of _photon_flux in evaluation order, the flux last:
+    eps0*n*c*S, 4*hbar*omega, their quotient, that times field, that times field."""
     k = CODATA2018
-    return k.eps0 * n * k.c * section / (4.0 * k.hbar * omega) * field * field
+    area, quantum = k.eps0 * n * k.c * section, 4.0 * k.hbar * omega
+    scale = area / quantum if quantum else 0.0  # the caller's check sees the zero quantum
+    return area, quantum, scale, scale * field, scale * field * field
 
 
 def pair_flux_general(
@@ -419,16 +466,27 @@ def pair_flux_general(
     N = eps0*n_s*c*S/(4*hbar*omega_s) *
         [vac_s*(cosh(bL)-1) + sqrt(omega_s*n_i/(omega_i*n_s))*vac_i*sinh(bL)]^2
 
-    cosh(x)-1 is evaluated as 2*sinh(x/2)^2 so the small-signal regime keeps
-    full precision.
+    As cosh(x)-1 = sinh(x)*tanh(x/2), the bracket is evaluated as
+    sinh(bL)*(vac_s*tanh(bL/2) + weight*vac_i): the small-signal regime keeps full
+    precision, and a seed term too small to matter may be subnormal.
     """
     _check_beta_l(beta_l)
     _check("vac_s", vac_s, inclusive=True)
     _check("vac_i", vac_i, inclusive=True)
-    cosh_m1 = 2.0 * math.sinh(0.5 * beta_l) ** 2
-    weight = math.sqrt(triplet.omega_s * medium.n_i / (triplet.omega_i * medium.n_s))
-    bracket = vac_s * cosh_m1 + weight * vac_i * math.sinh(beta_l)
-    return _photon_flux(bracket, triplet.omega_s, medium.n_s, geometry.section)
+    if not (beta_l and (vac_s or vac_i)):
+        return 0.0  # no gain or no seed
+    cross = (triplet.omega_s * medium.n_i, triplet.omega_i * medium.n_s)
+    weight_squared = cross[0] / cross[1]
+    weighted = math.sqrt(weight_squared) * vac_i if vac_i else 0.0
+    seeds = vac_s * math.tanh(0.5 * beta_l) + weighted
+    bracket = math.sinh(beta_l) * seeds
+    photon = _photon_partials(bracket, triplet.omega_s, medium.n_s, geometry.section)
+    # the partial products of the idler weight, the bracket and the photon flux; a seed
+    # term is one rounding (tanh(bL/2) is subnormal only below ~2 ulp of its term)
+    partials = (*cross, weight_squared) if vac_i else ()
+    if not (_FLOAT_MIN <= min(*partials, seeds, bracket, *photon) and photon[-1] <= _FLOAT_MAX):
+        raise _out_of_float_range("pair flux", beta_l=beta_l, vac_s=vac_s, vac_i=vac_i)
+    return photon[-1]
 
 
 def pair_flux_reduced(beta_l: float, delta_nu: float) -> float:
@@ -438,15 +496,19 @@ def pair_flux_reduced(beta_l: float, delta_nu: float) -> float:
     """
     growth = field_ratio(beta_l)
     _check("delta_nu", delta_nu)
-    pairs = _pair_fluxes((growth,), 0.125 * delta_nu)[0]
-    if pairs == math.inf:
-        raise ValueError(f"pair flux overflows a float at delta_nu={delta_nu!r}")
+    per_hz = 0.125 * delta_nu  # the one partial product that the result does not bound
+    pairs = _pair_fluxes((growth,), per_hz)[0]
+    if beta_l and not (_FLOAT_MIN <= min(per_hz, pairs) and pairs <= _FLOAT_MAX):
+        raise _out_of_float_range("pair flux", beta_l=beta_l, delta_nu=delta_nu)
     return pairs
 
 
 def pairs_per_bandwidth(beta_l: float) -> float:
     """Dimensionless pair flux per frequency unit, (1/8)*(exp(beta_l)-1)^2."""
-    return _pair_fluxes((field_ratio(beta_l),), 0.125)[0]
+    pairs = _pair_fluxes((field_ratio(beta_l),), 0.125)[0]
+    if beta_l and not _FLOAT_MIN <= pairs <= _FLOAT_MAX:
+        raise _out_of_float_range("pairs per bandwidth", beta_l=beta_l)
+    return pairs
 
 
 def _pair_fluxes(growths, per_hz: float) -> list[float]:
@@ -462,12 +524,10 @@ def _flux_columns(beta_ls: list[float], delta_nu: float | None) -> list[list[flo
     offending point."""
     if _all_within(beta_ls, 0.0, BETA_L_MAX):
         growths = list(map(math.expm1, beta_ls))
-        columns = [_pair_fluxes(growths, 0.125)]
-        if delta_nu is None:
-            return columns
-        if 0.0 < delta_nu < math.inf:
-            columns.append(_pair_fluxes(growths, 0.125 * delta_nu))
-            if _all_within(columns[1], 0.0, _FLOAT_MAX):
+        per_hz = [0.125] if delta_nu is None else [0.125, 0.125 * delta_nu]
+        if _FLOAT_MIN <= per_hz[-1] <= _FLOAT_MAX:  # else delta_nu is 0, NaN, inf or tiny
+            columns = [_pair_fluxes(growths, factor) for factor in per_hz]
+            if all(_all_within(column, _FLOAT_MIN, _FLOAT_MAX, beta_ls) for column in columns):
                 return columns
     if delta_nu is None:
         return [[pairs_per_bandwidth(beta_l) for beta_l in beta_ls]]
@@ -478,11 +538,21 @@ def _flux_columns(beta_ls: list[float], delta_nu: float | None) -> list[list[flo
 def _pump_columns(intensities: list[float], medium: Medium, triplet: WaveTriplet,
                   length: float, delta_nu: float | None) -> list[list[float]]:
     """The columns beta*L and _flux_columns at the pump intensities of a column, for a
-    checked length. No PumpDrive is built per point: a sweep grid is nonnegative and
-    finite, and _flux_columns checks the beta*L column."""
+    checked length. Every partial product of the beta*L chain grows with the intensity,
+    so _gain_product at the smallest nonzero one checks them all against underflow; an
+    overflow leaves beta*L inf, which _flux_columns rejects. If that check fails, the
+    column is walked with _gain_product and the flux kernels, point by point."""
     chi, root = _gain_factors(medium, triplet)
-    fields = _pump_fields(intensities, medium.n_p)
-    beta_ls = _beta_ls(fields, chi, root, length, medium.process)
+    beta_ls = _beta_ls(_pump_fields(intensities, medium.n_p), chi, root, length, medium.process)
+    low = min(filter(None, intensities), default=0.0)
+    try:
+        if low and beta_ls[intensities.index(low)] < math.inf:
+            _gain_product(medium, triplet, PumpDrive(intensity=low), length)
+    except ValueError:
+        def row(intensity: float) -> list[float]:
+            beta_l = _gain_product(medium, triplet, PumpDrive(intensity=intensity), length)
+            return [beta_l, *(column[0] for column in _flux_columns([beta_l], delta_nu))]
+        return [list(column) for column in zip(*map(row, intensities))]
     return [beta_ls, *_flux_columns(beta_ls, delta_nu)]
 
 
@@ -493,9 +563,11 @@ def flux_asymptote(beta_l: float, branch: AsymptoteBranch) -> float:
     High signal: (1/8)*exp(2*beta_l) (stimulated, exponential).
     """
     _check_beta_l(beta_l)
-    if branch is AsymptoteBranch.SMALL:
-        return 0.125 * beta_l * beta_l
-    return 0.125 * math.exp(2.0 * beta_l)
+    small = branch is AsymptoteBranch.SMALL
+    value = 0.125 * beta_l * beta_l if small else 0.125 * math.exp(2.0 * beta_l)
+    if beta_l and not _FLOAT_MIN <= value <= _FLOAT_MAX:
+        raise _out_of_float_range("flux asymptote", beta_l=beta_l)
+    return value
 
 
 def limit_criteria() -> LimitCriteria:
@@ -527,11 +599,11 @@ def generated_field(
 
     vacuum_fluctuation(arm) * (exp(beta_l) - 1).
     """
-    vac = vacuum_fluctuation(
-        triplet.omega(arm), medium.n(arm), geometry.section, bandwidth.delta_omega
-    )
+    vac = _vacuum_field(triplet.omega(arm), medium.n(arm), geometry.section,
+                        bandwidth.delta_omega)
     generated = vac * field_ratio(beta_l)
-    _check("generated field", generated, inclusive=True)
+    if beta_l and not _FLOAT_MIN <= generated <= _FLOAT_MAX:
+        raise _out_of_float_range("generated field", beta_l=beta_l, vacuum_field=vac)
     return generated
 
 
@@ -576,10 +648,10 @@ def _limit_factors(medium: Medium, lambda_s: float, lambda_i: float) -> tuple:
     _check("lambda_i", lambda_i)
     n_p, n_s, n_i = medium.n_p, medium.n_s, medium.n_i
     spdc = medium.process is Process.SPDC
-    product = (n_p * n_s * n_i if spdc else n_s * n_i) * lambda_s * lambda_i
-    if product < sys.float_info.min:  # zero or subnormal: the limit would print as 0 W/m2
-        raise ValueError("limit pump intensity out of the float range: "
-                         f"lambda_s={lambda_s!r}, lambda_i={lambda_i!r}")
+    indices = n_p * n_s * n_i if spdc else n_s * n_i
+    product = indices * lambda_s * lambda_i
+    if not (_FLOAT_MIN <= min(indices * lambda_s, product) and product <= _FLOAT_MAX):
+        raise _out_of_float_range("limit pump intensity", lambda_s=lambda_s, lambda_i=lambda_i)
     if spdc:
         return product, medium.chi_eff, medium.process, n_p * n_s * n_i
     k = CODATA2018
@@ -590,16 +662,18 @@ def _limit_factors(medium: Medium, lambda_s: float, lambda_i: float) -> tuple:
 def _limit_intensity(length: float, numer: float, chi: float, process: Process,
                      norm: float = 1.0) -> float:
     """The limit intensity over norm at one length, from the _limit_factors of a medium,
-    checked: _limit_quotients on a one-point column."""
+    checked: _limit_quotients on a one-point column, and the first partial products of
+    its denominator, L*chi2 and its square or pi*L and pi*L*chi3, which can underflow
+    while the quotient stays normal."""
     _check("length", length)
     try:
         i_lim = _limit_quotients((length,), numer, chi, process, norm)[0]
     except ArithmeticError:  # an intermediate left the float range: rejected below
         i_lim = 0.0
-    _check("limit pump intensity", i_lim, inclusive=True)
-    if i_lim < sys.float_info.min:  # zero or subnormal too, as numer/inf when L*chi overflows
-        raise ValueError("limit pump intensity out of the float range: "
-                         f"length={length!r}, chi_eff={chi!r}")
+    span = length * chi if process is Process.SPDC else math.pi * length
+    partial = span * span if process is Process.SPDC else span * chi
+    if not (_FLOAT_MIN <= min(span, partial, i_lim) and i_lim <= _FLOAT_MAX):
+        raise _out_of_float_range("limit pump intensity", length=length, chi_eff=chi)
     return i_lim
 
 
@@ -618,16 +692,19 @@ def _limit_quotients(lengths, numer: float, chi: float, process: Process,
 def _gamma_columns(lengths: list[float], media: list[Medium], lambda_s: float,
                    lambda_i: float) -> list[list[float]]:
     """effective_limit_intensity at the lengths of a column, one column per medium, each
-    column checked once; if a check fails, the lengths are walked with _limit_intensity
-    in its order, which raises at the first offending point."""
+    column checked once, and the partial products of each denominator, which grow with
+    the length, checked at the shortest one; if a check fails, the lengths are walked
+    with _limit_intensity in its order, which raises at the first offending point."""
     factors = [_limit_factors(m, lambda_s, lambda_i) for m in media]
     try:
         # math.ulp(0.0) is the smallest positive float
         if _all_within(lengths, math.ulp(0.0), _FLOAT_MAX):
+            for entry in factors:
+                _limit_intensity(min(lengths), *entry)
             columns = [_limit_quotients(lengths, *entry) for entry in factors]
-            if all(_all_within(column, sys.float_info.min, _FLOAT_MAX) for column in columns):
+            if all(_all_within(column, _FLOAT_MIN, _FLOAT_MAX) for column in columns):
                 return columns
-    except ArithmeticError:
+    except (ArithmeticError, ValueError):
         pass
     return [list(column) for column in zip(*[
         [_limit_intensity(length, *entry) for entry in factors] for length in lengths])]

@@ -1,4 +1,6 @@
-"""Shared hypothesis strategies and the acceptance-summary hook."""
+"""Shared hypothesis strategies, 50-digit reference helpers and the acceptance-summary hook."""
+
+from decimal import Context, Decimal, localcontext
 
 from hypothesis import strategies as st
 
@@ -64,3 +66,28 @@ def matched_scenarios(draw, process=None):
     """(medium, triplet, geometry) with consistent process."""
     proc = draw(processes) if process is None else process
     return draw(media(process=proc)), draw(triplets(process=proc)), draw(geometries())
+
+
+# 50-digit references: the closed forms evaluated in decimal on the same double inputs
+# and constants, so that a kernel's error against them is its own rounding
+REFERENCE = Context(prec=50, Emin=-99999, Emax=99999)
+
+
+def decimal_expm1(x: float) -> Decimal:
+    """exp(x) - 1 at REFERENCE precision for a float x >= 0; by its series below 1e-3,
+    where exp(x) - 1 in decimal would cancel."""
+    with localcontext(REFERENCE):
+        d = Decimal(x)
+        if x >= 1e-3:
+            return d.exp() - 1
+        term = total = d
+        for k in range(2, 30):  # the tail is below (1e-3)^30/30!
+            term = term * d / k
+            total += term
+        return total
+
+
+def exact_pair_flux(beta_l: float, delta_nu: float) -> Decimal:
+    """(delta_nu/8)*(exp(beta_l) - 1)^2 at REFERENCE precision."""
+    with localcontext(REFERENCE):
+        return Decimal(delta_nu) / 8 * decimal_expm1(beta_l) ** 2

@@ -464,7 +464,7 @@ def test_sweep_rows_equal_the_scalar_kernels(variable, scale, medium, delta_nu, 
       "--chi2", "1pm/V", "--length", "1m", "--count", "3"],
      "beta_l must be nonnegative and finite, got inf"),
     (["sweep", "--variable", "beta_l", "--min", "0", "--max", "300", "--delta-nu", "1e200Hz"],
-     "pair flux overflows a float at delta_nu=1e+200"),
+     "pair flux out of the float range: beta_l=126.0, delta_nu=1e+200"),
     # point 0's beta_l is checked before delta_nu, at every point
     (["sweep", "--variable", "beta_l", "--min", "400", "--max", "1000", "--delta-nu", "0Hz"],
      "beta_l must be <= BETA_L_MAX = 354.89, got 400.0"),
@@ -474,11 +474,12 @@ def test_sweep_rows_equal_the_scalar_kernels(variable, scale, medium, delta_nu, 
     (["sweep", "--variable", "length", "--min", "1e-300m", "--max", "1e300m", "--count", "5",
       "--scale", "log", "--chi2", "1pm/V"],
      "limit pump intensity out of the float range: length=1e-300, chi_eff=1e-12"),
-    # a zero pump field over a coupling root that overflows to inf: point 0's beta_l is NaN
+    # a coupling product ks*ki that overflows to inf is rejected before any point
     (["sweep", "--variable", "pump_intensity", "--min", "0W/m2", "--max", "1W/m2",
       "--count", "3", "--chi2", "1pm/V", "--length", "1m", "--lambda-s", "1e-290m",
       "--lambda-i", "1e-290m"],
-     "beta_l must be nonnegative and finite, got nan"),
+     "gain out of the float range: omega_s=1.883651567308853e+299, "
+     "omega_i=1.883651567308853e+299, n_s=1.0, n_i=1.0"),
     # fails first in the third block of points
     (["sweep", "--variable", "beta_l", "--min", "0", "--max", "400", "--count", "10000"],
      "beta_l must be <= BETA_L_MAX = 354.89, got 354.9154915491549"),
@@ -619,6 +620,40 @@ def test_sweep_validation_errors(capsys):
         2, "", "pairgate sweep: --length is required for a pump_intensity sweep\n")
 
 
+# each nonzero input whose result underflowed to 0 or a subnormal, or overflowed, and the
+# inputs its one-line message names
+_RANGE_MESSAGES = {
+    "flux --beta-l 1e-170 --delta-nu 1Hz":
+        "pair flux out of the float range: beta_l=1e-170, delta_nu=1.0",
+    "flux --beta-l 126 --delta-nu 1e200Hz":
+        "pair flux out of the float range: beta_l=126.0, delta_nu=1e+200",
+    "classify --chi2 1pm/V --length 1cm --pump-intensity 1e-300W/m2 --section 1mm2 "
+    "--delta-nu 1GHz":
+        "pairs per bandwidth out of the float range: beta_l=8.623432219006712e-157",
+    "sweep --variable beta_l --min 0 --max 1e-160 --count 3 --delta-nu 1Hz":
+        "pairs per bandwidth out of the float range: beta_l=5e-161",
+    "oracle --beta-l 1e-160":
+        "oracle pair flux out of the float range: pump_field=3.183098861837907e-152, "
+        "length=0.001, delta_omega=6.283185307179586",
+    "classify --chi2 1pm/V --length 1cm --pump-field 1e-320V/m":
+        "gain out of the float range: chi_eff=1e-12, pump_field=1e-320",
+    "classify --chi2 1pm/V --length 1e-300m --pump-field 1e-10V/m":
+        "beta_l out of the float range: beta=3.1415926535897933e-16, length=1e-300",
+    "classify --chi2 1pm/V --length 1cm --pump-field 0V/m --lambda-s 1e-290m "
+    "--lambda-i 1e-290m":
+        "gain out of the float range: omega_s=1.883651567308853e+299, "
+        "omega_i=1.883651567308853e+299, n_s=1.0, n_i=1.0",
+    "sweep --variable pump_intensity --min 0W/m2 --max 1e-300W/m2 --chi3 1e-22m2/V2 "
+    "--length 1m --count 3":
+        "gain out of the float range: chi_eff=1e-22, pump_field=1.9409541820116555e-149",
+    "limit --chi2 1pm/V --length 1e-143m":
+        "limit pump intensity out of the float range: length=1e-143, chi_eff=1e-12",
+    "limit --chi2 1pm/V --length 1mm --lambda-s 1e200m --lambda-i 1e200m":
+        "limit pump intensity out of the float range: lambda_s=1e+200, lambda_i=1e+200",
+}
+_RANGE_ERRORS = [shlex.split(argv) for argv in _RANGE_MESSAGES]
+
+
 def run_cli_catching_exit(argv):
     """cli.main with argparse's SystemExit folded into the exit code."""
     out, err = io.StringIO(), io.StringIO()
@@ -711,6 +746,8 @@ def run_cli_catching_exit(argv):
      "--lambda-s", "1e170m", "--lambda-i", "1e170m"],
     ["flux", "--chi2", "1pm/V", "--length", "1cm", "--pump-intensity", "1MW/cm2",
      "--n-s", "1e300", "--n-i", "1e300", "--delta-nu", "1GHz"],
+    # positive inputs whose pair flux, gain or beta*L leaves the float range
+    *_RANGE_ERRORS,
 ])
 def test_invalid_input_is_one_line_exit_2(argv):
     code, out, err = run_cli_catching_exit(argv)
@@ -754,6 +791,36 @@ def test_zero_length_has_one_message_everywhere(argv):
 def test_limit_intensity_range_error_names_its_inputs(argv, inputs):
     assert run_cli_catching_exit(argv) == (
         2, "", f"pairgate {argv[0]}: limit pump intensity out of the float range: {inputs}\n")
+
+
+@pytest.mark.parametrize("argv, message", _RANGE_MESSAGES.items())
+def test_range_error_names_its_inputs(argv, message):
+    argv = shlex.split(argv)
+    assert run_cli_catching_exit(argv) == (2, "", f"pairgate {argv[0]}: {message}\n")
+
+
+@pytest.mark.parametrize("argv, columns", [
+    (["flux", "--beta-l", "0", "--delta-nu", "1Hz"], ["0.0", "1.0", "0.0"]),
+    (["classify", "--chi2", "1pm/V", "--length", "1cm", "--pump-field", "0V/m"],
+     ["0.0", "small-signal", "0.0", "0.0"]),
+    (["oracle", "--beta-l", "0"], ["0.0", "1024", "0.0", "0.0", "0.0"]),
+])
+def test_a_zero_drive_still_gives_exact_zeros(argv, columns):
+    """beta*L = 0 and a zero pump are the inputs whose zero results are exact. The oracle's
+    is the one that reaches cmd_oracle's analytic > 0 fallback."""
+    code, out, err = run_cli_catching_exit(argv + ["--format", "csv"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].split(",") == columns
+
+
+def test_sweep_from_zero_beta_l_keeps_its_bytes():
+    argv = ["sweep", "--variable", "beta_l", "--min", "0", "--max", "1e-3", "--count", "3",
+            "--delta-nu", "1Hz"]
+    expected = ("beta_l,pairs_per_bandwidth,pairs_per_s\n"
+                "0.0,0.0,0.0\n"
+                "0.0005,3.1265629558268405e-08,3.1265629558268405e-08\n"
+                "0.001,1.2512507294792744e-07,1.2512507294792744e-07\n")
+    assert run_cli_catching_exit(argv) == (0, expected, "")
 
 
 def test_vacuum_seed_underflow_names_its_inputs():

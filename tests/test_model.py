@@ -5,6 +5,7 @@ the closed-form definitions and CODATA 2018 constants, then frozen here.
 """
 
 import math
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     delta_omegas,
+    exact_pair_flux,
     gain_products,
     indices,
     lengths,
@@ -261,14 +263,29 @@ def test_pair_flux_general_at_limit_matches_quoted_value():
     assert flux == pytest.approx(0.369, rel=0.005)
 
 
+def flux_or_underflow(kernel, *args, exact):
+    """kernel(*args), or None where it raises the range error, which it may only where
+    the exact flux is below the smallest normal float."""
+    try:
+        return kernel(*args)
+    except ValueError as exc:
+        assert "out of the float range" in str(exc)
+        assert exact < sys.float_info.min, (args, exact)
+        return None
+
+
 @given(scenario=matched_scenarios(), beta_l=gain_products, d_omega=delta_omegas)
 def test_pair_flux_general_reduces_for_vacuum_seeds(scenario, beta_l, d_omega):
     medium, triplet, geometry = scenario
     vac_s = vacuum_fluctuation(triplet.omega_s, medium.n_s, geometry.section, d_omega)
     vac_i = vacuum_fluctuation(triplet.omega_i, medium.n_i, geometry.section, d_omega)
-    general = pair_flux_general(beta_l, vac_s, vac_i, triplet, medium, geometry)
-    reduced = pair_flux_reduced(beta_l, d_omega / (2.0 * math.pi))
-    assert general == pytest.approx(reduced, rel=1e-12, abs=0.0)
+    delta_nu = d_omega / (2.0 * math.pi)
+    exact = exact_pair_flux(beta_l, delta_nu)
+    general = flux_or_underflow(pair_flux_general, beta_l, vac_s, vac_i, triplet, medium,
+                                geometry, exact=exact)
+    reduced = flux_or_underflow(pair_flux_reduced, beta_l, delta_nu, exact=exact)
+    if exact >= sys.float_info.min:
+        assert general == pytest.approx(reduced, rel=1e-12, abs=0.0)
 
 
 def test_pair_flux_general_rejects_negative_gain():
@@ -389,11 +406,13 @@ def test_generated_field_at_limit_is_ratio_times_vacuum():
 def test_photon_number_round_trip(scenario, beta_l, d_omega, arm):
     medium, triplet, geometry = scenario
     bandwidth = Bandwidth(delta_omega=d_omega)
+    exact = exact_pair_flux(beta_l, bandwidth.delta_nu)
+    reduced = flux_or_underflow(pair_flux_reduced, beta_l, bandwidth.delta_nu, exact=exact)
+    if reduced is None:
+        return
     field = generated_field(beta_l, triplet, medium, geometry, bandwidth, arm)
     photons = _photon_flux(field, triplet.omega(arm), medium.n(arm), geometry.section)
-    assert photons == pytest.approx(
-        pair_flux_reduced(beta_l, bandwidth.delta_nu), rel=1e-9, abs=1e-300
-    )
+    assert photons == pytest.approx(reduced, rel=1e-9)
 
 
 # --------------------------------------------------------------------------
@@ -496,6 +515,30 @@ def test_gamma_columns_stop_where_the_scalar_kernel_does(column, process):
 
     assert (_columns_or_message(lambda c: model._gamma_columns(c, pair, 1e-6, 1.2e-6), column)
             == _walk(kernel, column))
+
+
+@pytest.mark.parametrize("column", [[0.0, 5e-301, 1e-300], [0.0, 0.0, 1e-300], [1e-300, 1e300],
+                                    [0.0, 1.0, 1e300], [1e-320, 1e-310, 1e-300, 1.0]])
+@pytest.mark.parametrize("delta_nu", [None, 1e9, 0.0])
+@pytest.mark.parametrize("process", [Process.SPDC, Process.FWM])
+def test_pump_columns_stop_where_the_scalar_kernels_do(column, delta_nu, process):
+    """Intensities whose gain underflows are walked with _gain_product and the flux
+    kernels point by point, and raise where that walk does; an overflowing beta*L is
+    left to the flux kernels, which reject it as out of their domain."""
+    medium = Medium(process, 1e-12 if process is Process.SPDC else 1e-22)
+    triplet = triplet_from_wavelengths(1e-6, 1e-6, process)
+
+    def kernel(intensity):
+        chi, root = model._gain_factors(medium, triplet)
+        fields = model._pump_fields([intensity], medium.n_p)
+        beta_l = model._beta_ls(fields, chi, root, 1.0, process)[0]
+        if beta_l < math.inf:
+            beta_l = model._gain_product(medium, triplet, PumpDrive.from_intensity(intensity), 1.0)
+        row = [beta_l, pairs_per_bandwidth(beta_l)]
+        return row + ([] if delta_nu is None else [pair_flux_reduced(beta_l, delta_nu)])
+
+    columns = lambda c: model._pump_columns(c, medium, triplet, 1.0, delta_nu)
+    assert _columns_or_message(columns, column) == _walk(kernel, column)
 
 
 @given(medium=media(), lambda_s=wavelengths, lambda_i=wavelengths, length=lengths)

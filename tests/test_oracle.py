@@ -188,6 +188,22 @@ def test_oracle_agrees_with_analytic_flux_fwm(beta_l, steps):
     assert_oracle_matches_closed_form(fwm_scenario(beta_l), beta_l, steps, 1e9)
 
 
+@pytest.mark.parametrize("steps", [1024, MAX_STEPS])
+@pytest.mark.parametrize("process", ["spdc", "fwm"])
+@pytest.mark.parametrize("beta_l", [1e-150, 4.3e-154])
+def test_oracle_agrees_at_the_bottom_of_the_accepted_range(beta_l, process, steps):
+    """At 1 Hz the flux (beta*L)^2/8 is a normal float down to beta*L ~ 4.22e-154, and
+    there the oracle still matches it within the floor; below, both sides raise."""
+    scenario = SCENARIOS[process](beta_l)
+    assert pair_flux_reduced(beta_l, 1.0) >= sys.float_info.min
+    assert_oracle_matches_closed_form(scenario, beta_l, steps, 1.0)
+    medium, triplet, geometry, pump = SCENARIOS[process](4.2e-154)
+    with pytest.raises(ValueError, match="^oracle pair flux out of the float range: "):
+        oracle_pair_flux(medium, triplet, pump, geometry, Bandwidth.from_delta_nu(1.0))
+    with pytest.raises(ValueError, match="^pair flux out of the float range: beta_l=4.2e-154"):
+        pair_flux_reduced(4.2e-154, 1.0)
+
+
 def test_oracle_independent_of_constants_identity():
     # growing/decaying mode mix: seeding only the idler still reproduces
     # the closed-form signal output
