@@ -368,10 +368,11 @@ def cmd_limit(args) -> str:
 
 
 # Each sweep is evaluated SWEEP_BLOCK grid points at a time. The model's column
-# bodies compute each column of a block in one pass and check it once; a block
-# that fails a check is walked with the scalar checks, so the error is the one
-# at the first offending point in grid order. A block is rendered as one string,
-# and nothing is written before the whole text is built.
+# bodies compute each column of a block in one pass, once the scalar kernels pass
+# at the block's extreme points (model._sweep_block); a block they reject is
+# walked with the scalar kernels, so the error is the one at the first offending
+# point in grid order. A block is rendered as one string, and nothing is written
+# before the whole text is built.
 
 SWEEP_BLOCK = 4096  # grid points per block: the extra columns stay small at any count
 

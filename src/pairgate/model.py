@@ -17,8 +17,10 @@ _pair_fluxes, _limit_quotients). The scalar kernels call the column bodies on
 a one-point column, so each formula has one home; only the oracle's
 _drive_coupling stays scalar, and a test pins _beta_ls to it. A sweep asks for
 one column function per swept quantity: _flux_columns (beta*L), _pump_columns
-(pump intensity) and _gamma_columns (length). Each builds its own factors,
-checks each column once and, when a check fails, walks it with the scalar
+(pump intensity) and _gamma_columns (length). Each hands its column bodies and
+its scalar row to _sweep_block, the one place a sweep block is checked: the
+scalar kernels at the block's extremes vouch for every point, as each value is
+monotone in the swept point, and a block they reject is walked with the scalar
 kernels, which raise the scalar message at the first offending point.
 
 One range rule holds for every derived value: it is a normal float,
@@ -26,7 +28,9 @@ _FLOAT_MIN <= x <= _FLOAT_MAX, and so is each partial product it is computed
 through, or it is an exact 0 where the input driving it is 0 (beta*L = 0, a
 zero pump). Anything else (a zero, subnormal, infinite or NaN result of
 nonzero inputs) raises _out_of_float_range's "<what> out of the float range:
-k=v, ..." instead of printing 0.0, a few-digit number or inf.
+k=v, ..." instead of printing 0.0, a few-digit number or inf. The one
+exception is PumpDrive.as_intensity, whose subnormal result is the exact
+round trip of a subnormal intensity.
 """
 
 from __future__ import annotations
@@ -89,17 +93,6 @@ def _check(name: str, value: float, low: float = 0.0, inclusive: bool = False) -
     else:
         need = f"{'>=' if inclusive else '>'} {low:g}"
     raise ValueError(f"{name} must be {need} and finite, got {value!r}")
-
-
-def _all_within(column: list[float], low: float, high: float, drivers=None) -> bool:
-    """True if low <= x <= high, or x = 0 where the column of its driving inputs is 0,
-    for every x of a column: C-level sum, min and max, and counts of zeros if min is 0.
-    min and max may step over a NaN; the sum of a column holding one is NaN."""
-    total = sum(column)
-    if not (total == total and max(column) <= high):
-        return False
-    return low <= min(column) or (drivers is not None and column.count(0.0) == drivers.count(0.0)
-                                  and low <= min(filter(None, column), default=low))
 
 
 def _check_beta_l(beta_l: float) -> None:
@@ -261,7 +254,11 @@ class PumpDrive(_named_tuple("PumpDrive", "intensity field_amplitude", (None, No
         if self.intensity is not None:
             return self.intensity
         e_p, k = self.field_amplitude, CODATA2018
-        return 0.5 * n_p * e_p * e_p / (k.c * k.mu0)
+        intensity = 0.5 * n_p * e_p * e_p / (k.c * k.mu0)
+        # a subnormal result stays: it is the exact round trip of a subnormal from_intensity
+        if e_p and not 0.0 < intensity <= _FLOAT_MAX:
+            raise _out_of_float_range("pump intensity", pump_field=e_p, n_p=n_p)
+        return intensity
 
 
 def _pump_fields(intensities, n_p: float) -> list[float]:
@@ -429,10 +426,14 @@ def pump_for_gain(
     gain_coefficient at fixed medium and geometry)."""
     _check_beta_l(beta_l)
     _, root = _gain_factors(medium, triplet)
-    drive = beta_l / (geometry.length * root)
-    if medium.process is Process.SPDC:
-        return PumpDrive.from_field(drive / medium.chi_eff)
-    return PumpDrive.from_field(math.sqrt(2.0 * drive / medium.chi_eff))
+    span = geometry.length * root
+    drive = beta_l / span
+    spdc = medium.process is Process.SPDC
+    field = (drive if spdc else 2.0 * drive) / medium.chi_eff  # E_p^2 for FWM
+    if beta_l and not (_FLOAT_MIN <= min(span, drive, field) and field <= _FLOAT_MAX):
+        raise _out_of_float_range("pump field", beta_l=beta_l, length=geometry.length,
+                                  chi_eff=medium.chi_eff)
+    return PumpDrive.from_field(field if spdc else math.sqrt(field))
 
 
 # --------------------------------------------------------------------------
@@ -517,43 +518,60 @@ def _pair_fluxes(growths, per_hz: float) -> list[float]:
     return [per_hz * g * g for g in growths]
 
 
+def _sweep_block(points: list[float], columns, row) -> list[list[float]]:
+    """columns(points), unchecked, if row (the scalar kernels) passes at the block's smallest,
+    smallest nonzero and largest points; else row walked over the points in order, which
+    raises the scalar message at the first offending one. Each derived value and partial
+    product of a sweep is a rounded chain of products, quotients, sqrt and expm1 of the point,
+    so it is monotone in it: on finite, nonnegative points the range rule holds at every
+    point once it holds at those three. columns and row share their column bodies, so a
+    block that passes is the walk's result bit for bit."""
+    total, low, high = sum(points), min(points), max(points)
+    if total == total and 0.0 <= low and high < math.inf:  # no NaN, negative or inf point
+        try:
+            for point in (low, low or min(filter(None, points), default=low), high):
+                row(point)
+        except ValueError:
+            pass
+        else:
+            return columns(points)
+    return [list(column) for column in zip(*map(row, points))]
+
+
+def _flux_row(beta_l: float, delta_nu: float | None) -> list[float]:
+    """pairs_per_bandwidth and, given delta_nu, pair_flux_reduced at one beta*L."""
+    row = [pairs_per_bandwidth(beta_l)]
+    return row if delta_nu is None else row + [pair_flux_reduced(beta_l, delta_nu)]
+
+
+def _flux_values(beta_ls: list[float], delta_nu: float | None) -> list[list[float]]:
+    """The _flux_row columns at the beta*L of a column, unchecked."""
+    growths = list(map(math.expm1, beta_ls))
+    per_hz = [0.125] if delta_nu is None else [0.125, 0.125 * delta_nu]
+    return [_pair_fluxes(growths, factor) for factor in per_hz]
+
+
 def _flux_columns(beta_ls: list[float], delta_nu: float | None) -> list[list[float]]:
-    """The columns pairs_per_bandwidth and, given delta_nu, pair_flux_reduced at the
-    beta*L of a column, each column checked once; if a check fails, the column is
-    walked with the scalar kernels in their order, which raise at the first
-    offending point."""
-    if _all_within(beta_ls, 0.0, BETA_L_MAX):
-        growths = list(map(math.expm1, beta_ls))
-        per_hz = [0.125] if delta_nu is None else [0.125, 0.125 * delta_nu]
-        if _FLOAT_MIN <= per_hz[-1] <= _FLOAT_MAX:  # else delta_nu is 0, NaN, inf or tiny
-            columns = [_pair_fluxes(growths, factor) for factor in per_hz]
-            if all(_all_within(column, _FLOAT_MIN, _FLOAT_MAX, beta_ls) for column in columns):
-                return columns
-    if delta_nu is None:
-        return [[pairs_per_bandwidth(beta_l) for beta_l in beta_ls]]
-    return [list(column) for column in zip(*[
-        (pairs_per_bandwidth(beta_l), pair_flux_reduced(beta_l, delta_nu)) for beta_l in beta_ls])]
+    """The _flux_row columns at the beta*L of a sweep block."""
+    return _sweep_block(beta_ls, lambda block: _flux_values(block, delta_nu),
+                        lambda beta_l: _flux_row(beta_l, delta_nu))
 
 
 def _pump_columns(intensities: list[float], medium: Medium, triplet: WaveTriplet,
                   length: float, delta_nu: float | None) -> list[list[float]]:
-    """The columns beta*L and _flux_columns at the pump intensities of a column, for a
-    checked length. Every partial product of the beta*L chain grows with the intensity,
-    so _gain_product at the smallest nonzero one checks them all against underflow; an
-    overflow leaves beta*L inf, which _flux_columns rejects. If that check fails, the
-    column is walked with _gain_product and the flux kernels, point by point."""
+    """beta*L and the _flux_row columns at the pump intensities of a sweep block, for a
+    checked length; the row is _gain_product and the flux kernels, as classify and flux run."""
     chi, root = _gain_factors(medium, triplet)
-    beta_ls = _beta_ls(_pump_fields(intensities, medium.n_p), chi, root, length, medium.process)
-    low = min(filter(None, intensities), default=0.0)
-    try:
-        if low and beta_ls[intensities.index(low)] < math.inf:
-            _gain_product(medium, triplet, PumpDrive(intensity=low), length)
-    except ValueError:
-        def row(intensity: float) -> list[float]:
-            beta_l = _gain_product(medium, triplet, PumpDrive(intensity=intensity), length)
-            return [beta_l, *(column[0] for column in _flux_columns([beta_l], delta_nu))]
-        return [list(column) for column in zip(*map(row, intensities))]
-    return [beta_ls, *_flux_columns(beta_ls, delta_nu)]
+
+    def columns(block: list[float]) -> list[list[float]]:
+        beta_ls = _beta_ls(_pump_fields(block, medium.n_p), chi, root, length, medium.process)
+        return [beta_ls, *_flux_values(beta_ls, delta_nu)]
+
+    def row(intensity: float) -> list[float]:
+        beta_l = _gain_product(medium, triplet, PumpDrive(intensity=intensity), length)
+        return [beta_l, *_flux_row(beta_l, delta_nu)]
+
+    return _sweep_block(intensities, columns, row)
 
 
 def flux_asymptote(beta_l: float, branch: AsymptoteBranch) -> float:
@@ -651,7 +669,8 @@ def _limit_factors(medium: Medium, lambda_s: float, lambda_i: float) -> tuple:
     indices = n_p * n_s * n_i if spdc else n_s * n_i
     product = indices * lambda_s * lambda_i
     if not (_FLOAT_MIN <= min(indices * lambda_s, product) and product <= _FLOAT_MAX):
-        raise _out_of_float_range("limit pump intensity", lambda_s=lambda_s, lambda_i=lambda_i)
+        raise _out_of_float_range("limit pump intensity", lambda_s=lambda_s, lambda_i=lambda_i,
+                                  n_p=n_p, n_s=n_s, n_i=n_i)
     if spdc:
         return product, medium.chi_eff, medium.process, n_p * n_s * n_i
     k = CODATA2018
@@ -691,23 +710,10 @@ def _limit_quotients(lengths, numer: float, chi: float, process: Process,
 
 def _gamma_columns(lengths: list[float], media: list[Medium], lambda_s: float,
                    lambda_i: float) -> list[list[float]]:
-    """effective_limit_intensity at the lengths of a column, one column per medium, each
-    column checked once, and the partial products of each denominator, which grow with
-    the length, checked at the shortest one; if a check fails, the lengths are walked
-    with _limit_intensity in its order, which raises at the first offending point."""
+    """effective_limit_intensity at the lengths of a sweep block, one column per medium."""
     factors = [_limit_factors(m, lambda_s, lambda_i) for m in media]
-    try:
-        # math.ulp(0.0) is the smallest positive float
-        if _all_within(lengths, math.ulp(0.0), _FLOAT_MAX):
-            for entry in factors:
-                _limit_intensity(min(lengths), *entry)
-            columns = [_limit_quotients(lengths, *entry) for entry in factors]
-            if all(_all_within(column, _FLOAT_MIN, _FLOAT_MAX) for column in columns):
-                return columns
-    except (ArithmeticError, ValueError):
-        pass
-    return [list(column) for column in zip(*[
-        [_limit_intensity(length, *entry) for entry in factors] for length in lengths])]
+    return _sweep_block(lengths, lambda block: [_limit_quotients(block, *f) for f in factors],
+                        lambda length: [_limit_intensity(length, *f) for f in factors])
 
 
 def classify_regime(beta_l: float, at_limit_band: float = 0.01) -> RegimeReport:

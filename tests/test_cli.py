@@ -462,7 +462,7 @@ def test_sweep_rows_equal_the_scalar_kernels(variable, scale, medium, delta_nu, 
 @pytest.mark.parametrize("argv, message", [
     (["sweep", "--variable", "pump_intensity", "--min", "1W/m2", "--max", "1e300W/m2",
       "--chi2", "1pm/V", "--length", "1m", "--count", "3"],
-     "beta_l must be nonnegative and finite, got inf"),
+     "gain out of the float range: chi_eff=1e-12, pump_field=inf"),
     (["sweep", "--variable", "beta_l", "--min", "0", "--max", "300", "--delta-nu", "1e200Hz"],
      "pair flux out of the float range: beta_l=126.0, delta_nu=1e+200"),
     # point 0's beta_l is checked before delta_nu, at every point
@@ -649,7 +649,13 @@ _RANGE_MESSAGES = {
     "limit --chi2 1pm/V --length 1e-143m":
         "limit pump intensity out of the float range: length=1e-143, chi_eff=1e-12",
     "limit --chi2 1pm/V --length 1mm --lambda-s 1e200m --lambda-i 1e200m":
-        "limit pump intensity out of the float range: lambda_s=1e+200, lambda_i=1e+200",
+        "limit pump intensity out of the float range: lambda_s=1e+200, lambda_i=1e+200, "
+        "n_p=1.0, n_s=1.0, n_i=1.0",
+    "limit --chi2 1pm/V --length 1mm --n-p 1e200 --n-s 1e200 --n-i 1e200":
+        "limit pump intensity out of the float range: lambda_s=1e-06, lambda_i=1e-06, "
+        "n_p=1e+200, n_s=1e+200, n_i=1e+200",
+    "oracle --beta-l 1e-306":
+        "pump field out of the float range: beta_l=1e-306, length=0.001, chi_eff=1e-12",
 }
 _RANGE_ERRORS = [shlex.split(argv) for argv in _RANGE_MESSAGES]
 
@@ -778,9 +784,9 @@ def test_zero_length_has_one_message_everywhere(argv):
       "--chi2", "1pm/V"], "length=1e+300, chi_eff=1e-12"),
     (["limit", "--chi2", "1pm/V", "--length", "1e-150m"], "length=1e-150, chi_eff=1e-12"),
     (["limit", "--chi3", "1e-22m2/V2", "--length", "1mm", "--lambda-s", "1e-200m",
-      "--lambda-i", "1e-200m"], "lambda_s=1e-200, lambda_i=1e-200"),
+      "--lambda-i", "1e-200m"], "lambda_s=1e-200, lambda_i=1e-200, n_p=1.0, n_s=1.0, n_i=1.0"),
     (["limit", "--chi2", "1pm/V", "--length", "1mm", "--lambda-s", "1e-160m",
-      "--lambda-i", "1e-160m"], "lambda_s=1e-160, lambda_i=1e-160"),
+      "--lambda-i", "1e-160m"], "lambda_s=1e-160, lambda_i=1e-160, n_p=1.0, n_s=1.0, n_i=1.0"),
     # a limit intensity that underflows to 0 (numer/inf once L*chi overflows) or to a subnormal
     (["limit", "--chi2", "1e300pm/V", "--length", "1e30m", "--format", "csv"],
      "length=1e+30, chi_eff=1e+288"),

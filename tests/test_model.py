@@ -5,6 +5,7 @@ the closed-form definitions and CODATA 2018 constants, then frozen here.
 """
 
 import math
+import struct
 import sys
 
 import pytest
@@ -207,6 +208,35 @@ def test_pump_for_gain_rejects_a_coupling_product_that_underflows():
     triplet = triplet_from_wavelengths(1e-6, 1e-6, Process.SPDC)
     with pytest.raises(ValueError, match="^gain out of the float range: omega_s="):
         pump_for_gain(medium, triplet, Geometry(1e-3, 1e-6), 1.0)
+
+
+_SPDC = (Medium(Process.SPDC, 1e-12), triplet_from_wavelengths(1e-6, 1e-6, Process.SPDC))
+
+
+@pytest.mark.parametrize("convert, message", [
+    (lambda: pump_for_gain(*_SPDC, Geometry(1e-3, 1e-6), 1e-320),  # a subnormal field
+     "pump field out of the float range: beta_l=1e-320, length=0.001, chi_eff=1e-12"),
+    (lambda: pump_for_gain(*_SPDC, Geometry(1e-318, 1e-6), 1e-300),  # a subnormal L*root
+     "pump field out of the float range: beta_l=1e-300, length=1e-318, chi_eff=1e-12"),
+    (lambda: pump_for_gain(Medium(Process.SPDC, 1e-310), _SPDC[1], Geometry(1e-3, 1e-6), 300.0),
+     "pump field out of the float range: beta_l=300.0, length=0.001, chi_eff=1e-310"),
+    (lambda: pump_for_gain(Medium(Process.FWM, 1e-22), triplet_from_wavelengths(
+        1e-6, 1e-6, Process.FWM), Geometry(1e-3, 1e-6), 1e-305),  # beta_l/(L*root) is subnormal
+     "pump field out of the float range: beta_l=1e-305, length=0.001, chi_eff=1e-22"),
+    (lambda: PumpDrive.from_field(1e-170).as_intensity(1.0),
+     "pump intensity out of the float range: pump_field=1e-170, n_p=1.0"),
+    (lambda: PumpDrive.from_field(1e200).as_intensity(1.0),
+     "pump intensity out of the float range: pump_field=1e+200, n_p=1.0"),
+])
+def test_pump_conversions_obey_the_range_rule(convert, message):
+    with pytest.raises(ValueError) as excinfo:
+        convert()
+    assert str(excinfo.value) == message
+
+
+def test_pump_conversions_keep_exact_zeros():
+    assert pump_for_gain(*_SPDC, Geometry(1e-3, 1e-6), 0.0) == PumpDrive.from_field(0.0)
+    assert PumpDrive.from_field(0.0).as_intensity(1.0) == 0.0
 
 
 # --------------------------------------------------------------------------
@@ -522,23 +552,90 @@ def test_gamma_columns_stop_where_the_scalar_kernel_does(column, process):
 @pytest.mark.parametrize("delta_nu", [None, 1e9, 0.0])
 @pytest.mark.parametrize("process", [Process.SPDC, Process.FWM])
 def test_pump_columns_stop_where_the_scalar_kernels_do(column, delta_nu, process):
-    """Intensities whose gain underflows are walked with _gain_product and the flux
-    kernels point by point, and raise where that walk does; an overflowing beta*L is
-    left to the flux kernels, which reject it as out of their domain."""
+    """Intensities whose gain under- or overflows are walked with _gain_product and the
+    flux kernels point by point, and raise where that walk does."""
     medium = Medium(process, 1e-12 if process is Process.SPDC else 1e-22)
     triplet = triplet_from_wavelengths(1e-6, 1e-6, process)
 
     def kernel(intensity):
-        chi, root = model._gain_factors(medium, triplet)
-        fields = model._pump_fields([intensity], medium.n_p)
-        beta_l = model._beta_ls(fields, chi, root, 1.0, process)[0]
-        if beta_l < math.inf:
-            beta_l = model._gain_product(medium, triplet, PumpDrive.from_intensity(intensity), 1.0)
+        beta_l = model._gain_product(medium, triplet, PumpDrive.from_intensity(intensity), 1.0)
         row = [beta_l, pairs_per_bandwidth(beta_l)]
         return row + ([] if delta_nu is None else [pair_flux_reduced(beta_l, delta_nu)])
 
     columns = lambda c: model._pump_columns(c, medium, triplet, 1.0, delta_nu)
     assert _columns_or_message(columns, column) == _walk(kernel, column)
+
+
+def _bits(x: float) -> int:
+    """The bit pattern of a float; positive floats and their patterns share one order."""
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _first_failing(kernel, passing: float, failing: float) -> float:
+    """The float next to the last one at which kernel passes, between a passing and a
+    failing point, by bisection over the bit patterns."""
+    good, bad = _bits(passing), _bits(failing)
+    while abs(bad - good) > 1:
+        mid = (good + bad) // 2
+        if isinstance(_walk(kernel, [_float(mid)]), str):
+            bad = mid
+        else:
+            good = mid
+    return _float(bad)
+
+
+def _sweep_edges():
+    """(columns, kernel, passing, failing) per range edge of each swept quantity."""
+    def flux(delta_nu):
+        return (lambda c: model._flux_columns(c, delta_nu),
+                lambda b: [pairs_per_bandwidth(b), pair_flux_reduced(b, delta_nu)])
+
+    def pump(medium, delta_nu):
+        triplet = triplet_from_wavelengths(1e-6, 1e-6, medium.process)
+
+        def kernel(intensity):
+            beta_l = model._gain_product(medium, triplet, PumpDrive.from_intensity(intensity), 1.0)
+            return [beta_l, pairs_per_bandwidth(beta_l), pair_flux_reduced(beta_l, delta_nu)]
+        return lambda c: model._pump_columns(c, medium, triplet, 1.0, delta_nu), kernel
+
+    def gamma(medium, lambda_s):
+        return (lambda c: model._gamma_columns(c, [medium], lambda_s, lambda_s),
+                lambda length: [effective_limit_intensity(medium, lambda_s, lambda_s, length)])
+
+    spdc, strong, weak = (Medium(Process.SPDC, chi) for chi in (1e-12, 1e88, 1e-290))
+    edges = {
+        "beta_l-pair-flux-overflow": (*flux(1e200), 100.0, 300.0),
+        "beta_l-pair-flux-underflow-near-4.2e-154": (*flux(1.0), 1.0, 1e-160),
+        "intensity-gain-E_p^2-underflow": (*pump(strong, 1e9), 1e-200, 1e-320),
+        "intensity-pairs-per-bandwidth-underflow": (*pump(spdc, 1e9), 1.0, 1e-305),
+        "intensity-pair-flux-overflow": (*pump(spdc, 1e9), 1.0, 1e300),
+        "intensity-pump-field-overflow": (*pump(weak, 1e9), 1e280, 1e308),
+        "length-(L*chi)^2-underflow": (*gamma(spdc, 1e-6), 1.0, 1e-150),
+        "length-quotient-overflow": (*gamma(spdc, 1e100), 1.0, 1e-60),
+        "length-quotient-underflow": (*gamma(spdc, 1e-6), 1.0, 1e200),
+    }
+    return [pytest.param(*edge, id=name) for name, edge in edges.items()]
+
+
+@pytest.mark.parametrize("columns, kernel, passing, failing", _sweep_edges())
+def test_sweep_blocks_at_the_range_edges_equal_the_scalar_walk(columns, kernel, passing,
+                                                                failing):
+    """The block check trusts each column to be monotone in the swept point: blocks that
+    end or start 0 to 3 ulp either side of the point where the scalar kernels start to
+    raise are the scalar walk bit for bit, or raise its first message."""
+    edge = _first_failing(kernel, passing, failing)
+    inward = -1 if edge > passing else 1  # one bit pattern toward the passing point
+    assert isinstance(_walk(kernel, [edge]), str)
+    assert not isinstance(_walk(kernel, [_float(_bits(edge) + inward)]), str)
+    for steps in range(-4, 4):
+        point = _float(_bits(edge) + steps)
+        run = [_float(_bits(point) + k) for k in range(4)]
+        for block in (sorted([passing, point]), [0.0, *sorted([passing, point])], run):
+            assert _columns_or_message(columns, block) == _walk(kernel, block)
 
 
 @given(medium=media(), lambda_s=wavelengths, lambda_i=wavelengths, length=lengths)
