@@ -367,22 +367,25 @@ def cmd_limit(args) -> str:
     ])
 
 
-# Each sweep is evaluated SWEEP_BLOCK grid points at a time. The model's column
-# bodies compute each column of a block in one pass, once the scalar kernels pass
-# at the block's extreme points (model._sweep_block); a block they reject is
-# walked with the scalar kernels, so the error is the one at the first offending
-# point in grid order. A block is rendered as one string, and nothing is written
-# before the whole text is built.
+# A sweep is checked, then computed, SWEEP_BLOCK grid points at a time. Every block is
+# checked (model._check_block) before the first one is computed, so a failing sweep
+# raises the scalar kernels' message at its first offending point in grid order and
+# computes and writes nothing. A block is rendered as one string.
 
 SWEEP_BLOCK = 4096  # grid points per block: the extra columns stay small at any count
 
 
-def _sweep(header: list[str], grid: list[float], columns) -> str:
-    """The CSV text of a sweep: a row per grid point, the point then the values of
-    columns(block) at it, for each block of the grid. Each column is rendered by one
-    C-level repr pass (str(float) is its shortest repr) and each row by one join."""
+def _sweep(header: list[str], grid: list[float], sweep) -> str:
+    """The CSV text of a sweep, given the (columns, row) of a model sweep: a row per grid
+    point, the point then the values of columns(block) at it, for each block of the grid.
+    Each column is rendered by one C-level repr pass (str(float) is its shortest repr) and
+    each row by one join."""
+    columns, row = sweep
+    starts = range(0, len(grid), SWEEP_BLOCK)
+    for start in starts:
+        model._check_block(grid[start:start + SWEEP_BLOCK], row)
     blocks = [",".join(header)]
-    for start in range(0, len(grid), SWEEP_BLOCK):
+    for start in starts:
         block = grid[start:start + SWEEP_BLOCK]
         cells = [list(map(repr, column)) for column in (block, *columns(block))]
         blocks.append("\n".join(map(",".join, zip(*cells))))
@@ -395,29 +398,11 @@ def _flux_header(columns: list[str], delta_nu: float | None) -> list[str]:
             + (["pairs_per_s"] if delta_nu is not None else []))
 
 
-def _beta_l_sweep(grid: list[float], delta_nu: float | None) -> str:
-    return _sweep(_flux_header([], delta_nu), grid,
-                  lambda block: model._flux_columns(block, delta_nu))
-
-
-def _pump_sweep(grid: list[float], medium: Medium, triplet: model.WaveTriplet, length: float,
-                delta_nu: float | None) -> str:
-    """beta*L and the pair fluxes against pump intensity, at a checked length."""
-    return _sweep(_flux_header(["pump_intensity_W_per_m2"], delta_nu), grid,
-                  lambda block: model._pump_columns(block, medium, triplet, length, delta_nu))
-
-
-def _length_sweep(grid: list[float], media: list[Medium], lambda_s: float, lambda_i: float,
-                  header: list[str]) -> str:
-    """Effective limit intensity against length, one column per medium."""
-    return _sweep(header, grid,
-                  lambda block: model._gamma_columns(block, media, lambda_s, lambda_i))
-
-
 def _figure_sweep(figure: str) -> str:
     # reference-figure presets: degenerate 1 um pair, unit indices
     if figure == "2":
-        return _beta_l_sweep(SweepSpec(0.0, 6.0, 121).grid(), None)
+        return _sweep(_flux_header([], None), SweepSpec(0.0, 6.0, 121).grid(),
+                      model._flux_sweep(None))
     if figure == "3":
         sweep, process, tag = SweepSpec(1e-3, 1.0, 61, log=True), Process.SPDC, "chi2"
         chis = [(1e-12, "1pm_V"), (1e-11, "10pm_V"), (1e-10, "100pm_V")]
@@ -426,7 +411,8 @@ def _figure_sweep(figure: str) -> str:
         chis = [(1e-22, "1e-22m2_V2"), (1e-20, "1e-20m2_V2"), (1e-18, "1e-18m2_V2")]
     media = [Medium(process=process, chi_eff=chi) for chi, _ in chis]
     header = ["length_m"] + [f"gamma_W_per_m2_{tag}_{label}" for _, label in chis]
-    return _length_sweep(sweep.grid(), media, DEFAULT_WAVELENGTH, DEFAULT_WAVELENGTH, header)
+    return _sweep(header, sweep.grid(),
+                  model._gamma_sweep(media, DEFAULT_WAVELENGTH, DEFAULT_WAVELENGTH))
 
 
 def cmd_sweep(args) -> str:
@@ -450,18 +436,20 @@ def cmd_sweep(args) -> str:
     if args.variable == "beta_l":
         _reject_unread(args, _MEDIUM_FLAGS + _WAVE_FLAGS + ("--length",),
                        "{flag} does not apply to a beta_l sweep")
-        return _beta_l_sweep(sweep.grid(), args.delta_nu)
+        return _sweep(_flux_header([], args.delta_nu), sweep.grid(),
+                      model._flux_sweep(args.delta_nu))
     if args.variable == "length":
         media = [_build_medium(args)]
         _reject_unread(args, ("--length",), "{flag} does not apply to a length sweep")
-        return _length_sweep(sweep.grid(), media, *_wavelengths(args),
-                             ["length_m", "gamma_W_per_m2"])
+        return _sweep(["length_m", "gamma_W_per_m2"], sweep.grid(),
+                      model._gamma_sweep(media, *_wavelengths(args)))
     if args.length is None:
         raise ValueError("--length is required for a pump_intensity sweep")
     medium = _build_medium(args)
     triplet = _build_triplet(args, medium.process)
     _check("length", args.length)
-    return _pump_sweep(sweep.grid(), medium, triplet, args.length, args.delta_nu)
+    return _sweep(_flux_header(["pump_intensity_W_per_m2"], args.delta_nu), sweep.grid(),
+                  model._pump_sweep(medium, triplet, args.length, args.delta_nu))
 
 
 def cmd_oracle(args) -> str:

@@ -15,13 +15,15 @@ sweep (_gain_factors; _limit_factors, which returns the whole factor
 formula over a whole column of points in one pass (_pump_fields, _beta_ls,
 _pair_fluxes, _limit_quotients). The scalar kernels call the column bodies on
 a one-point column, so each formula has one home; only the oracle's
-_drive_coupling stays scalar, and a test pins _beta_ls to it. A sweep asks for
-one column function per swept quantity: _flux_columns (beta*L), _pump_columns
-(pump intensity) and _gamma_columns (length). Each hands its column bodies and
-its scalar row to _sweep_block, the one place a sweep block is checked: the
-scalar kernels at the block's extremes vouch for every point, as each value is
-monotone in the swept point, and a block they reject is walked with the scalar
-kernels, which raise the scalar message at the first offending point.
+_drive_coupling stays scalar, and a test pins _beta_ls to it. Each swept
+quantity has one sweep function, _flux_sweep (beta*L), _pump_sweep (pump
+intensity) and _gamma_sweep (length), which computes the per-sweep factors once
+and returns a (columns, row) pair: columns evaluates a block with the column
+bodies, unchecked, and row is the scalar kernels at one point. _check_block is
+the one place a block is checked: the row at the block's extremes vouches for
+every point, as each value is monotone in the swept point, and a block it
+rejects is walked with the row, which raises the scalar message at the first
+offending point.
 
 One range rule holds for every derived value: it is a normal float,
 _FLOAT_MIN <= x <= _FLOAT_MAX, and so is each partial product it is computed
@@ -518,60 +520,57 @@ def _pair_fluxes(growths, per_hz: float) -> list[float]:
     return [per_hz * g * g for g in growths]
 
 
-def _sweep_block(points: list[float], columns, row) -> list[list[float]]:
-    """columns(points), unchecked, if row (the scalar kernels) passes at the block's smallest,
-    smallest nonzero and largest points; else row walked over the points in order, which
-    raises the scalar message at the first offending one. Each derived value and partial
+def _check_block(points: list[float], row) -> None:
+    """Raises what row, the scalar kernels of a sweep, raises at the first offending point of
+    a block, or nothing. row runs at the block's smallest, smallest nonzero and largest points,
+    and walks every point in order if one of them fails. Each derived value and partial
     product of a sweep is a rounded chain of products, quotients, sqrt and expm1 of the point,
-    so it is monotone in it: on finite, nonnegative points the range rule holds at every
-    point once it holds at those three. columns and row share their column bodies, so a
-    block that passes is the walk's result bit for bit."""
+    so it is monotone in it: on finite, nonnegative points the range rule holds at every point
+    once it holds at those three. A sweep's columns and row share their column bodies, so the
+    columns of a block that passes are the walk's result bit for bit."""
     total, low, high = sum(points), min(points), max(points)
     if total == total and 0.0 <= low and high < math.inf:  # no NaN, negative or inf point
         try:
             for point in (low, low or min(filter(None, points), default=low), high):
                 row(point)
+            return
         except ValueError:
             pass
-        else:
-            return columns(points)
-    return [list(column) for column in zip(*map(row, points))]
+    for point in points:
+        row(point)
 
 
-def _flux_row(beta_l: float, delta_nu: float | None) -> list[float]:
-    """pairs_per_bandwidth and, given delta_nu, pair_flux_reduced at one beta*L."""
-    row = [pairs_per_bandwidth(beta_l)]
-    return row if delta_nu is None else row + [pair_flux_reduced(beta_l, delta_nu)]
-
-
-def _flux_values(beta_ls: list[float], delta_nu: float | None) -> list[list[float]]:
-    """The _flux_row columns at the beta*L of a column, unchecked."""
-    growths = list(map(math.expm1, beta_ls))
+def _flux_sweep(delta_nu: float | None):
+    """(columns, row) of a beta*L sweep: pairs_per_bandwidth and, given delta_nu,
+    pair_flux_reduced; columns evaluates a block of beta*L unchecked, row one beta*L."""
     per_hz = [0.125] if delta_nu is None else [0.125, 0.125 * delta_nu]
-    return [_pair_fluxes(growths, factor) for factor in per_hz]
+
+    def columns(beta_ls: list[float]) -> list[list[float]]:
+        growths = list(map(math.expm1, beta_ls))
+        return [_pair_fluxes(growths, factor) for factor in per_hz]
+
+    def row(beta_l: float) -> list[float]:
+        pairs = pairs_per_bandwidth(beta_l)
+        return [pairs] if delta_nu is None else [pairs, pair_flux_reduced(beta_l, delta_nu)]
+
+    return columns, row
 
 
-def _flux_columns(beta_ls: list[float], delta_nu: float | None) -> list[list[float]]:
-    """The _flux_row columns at the beta*L of a sweep block."""
-    return _sweep_block(beta_ls, lambda block: _flux_values(block, delta_nu),
-                        lambda beta_l: _flux_row(beta_l, delta_nu))
-
-
-def _pump_columns(intensities: list[float], medium: Medium, triplet: WaveTriplet,
-                  length: float, delta_nu: float | None) -> list[list[float]]:
-    """beta*L and the _flux_row columns at the pump intensities of a sweep block, for a
-    checked length; the row is _gain_product and the flux kernels, as classify and flux run."""
+def _pump_sweep(medium: Medium, triplet: WaveTriplet, length: float, delta_nu: float | None):
+    """(columns, row) of a pump-intensity sweep at a checked length: beta*L, then the
+    _flux_sweep columns; the row is _gain_product and the flux kernels, as classify and flux run."""
     chi, root = _gain_factors(medium, triplet)
+    flux_columns, flux_row = _flux_sweep(delta_nu)
 
-    def columns(block: list[float]) -> list[list[float]]:
-        beta_ls = _beta_ls(_pump_fields(block, medium.n_p), chi, root, length, medium.process)
-        return [beta_ls, *_flux_values(beta_ls, delta_nu)]
+    def columns(intensities: list[float]) -> list[list[float]]:
+        beta_ls = _beta_ls(_pump_fields(intensities, medium.n_p), chi, root, length, medium.process)
+        return [beta_ls, *flux_columns(beta_ls)]
 
     def row(intensity: float) -> list[float]:
         beta_l = _gain_product(medium, triplet, PumpDrive(intensity=intensity), length)
-        return [beta_l, *_flux_row(beta_l, delta_nu)]
+        return [beta_l, *flux_row(beta_l)]
 
-    return _sweep_block(intensities, columns, row)
+    return columns, row
 
 
 def flux_asymptote(beta_l: float, branch: AsymptoteBranch) -> float:
@@ -668,14 +667,13 @@ def _limit_factors(medium: Medium, lambda_s: float, lambda_i: float) -> tuple:
     spdc = medium.process is Process.SPDC
     indices = n_p * n_s * n_i if spdc else n_s * n_i
     product = indices * lambda_s * lambda_i
-    if not (_FLOAT_MIN <= min(indices * lambda_s, product) and product <= _FLOAT_MAX):
+    k = CODATA2018
+    numer = product if spdc else n_p * math.sqrt(product) * math.sqrt(k.eps0 / k.mu0)
+    if not (_FLOAT_MIN <= min(indices * lambda_s, product) and max(product, numer) <= _FLOAT_MAX):
         raise _out_of_float_range("limit pump intensity", lambda_s=lambda_s, lambda_i=lambda_i,
                                   n_p=n_p, n_s=n_s, n_i=n_i)
-    if spdc:
-        return product, medium.chi_eff, medium.process, n_p * n_s * n_i
-    k = CODATA2018
-    numer = n_p * math.sqrt(product) * math.sqrt(k.eps0 / k.mu0)
-    return numer, medium.chi_eff, medium.process, n_p * math.sqrt(n_s * n_i)
+    norm = indices if spdc else n_p * math.sqrt(n_s * n_i)
+    return numer, medium.chi_eff, medium.process, norm
 
 
 def _limit_intensity(length: float, numer: float, chi: float, process: Process,
@@ -708,12 +706,11 @@ def _limit_quotients(lengths, numer: float, chi: float, process: Process,
     return [numer / (pi * length * chi) / norm for length in lengths]
 
 
-def _gamma_columns(lengths: list[float], media: list[Medium], lambda_s: float,
-                   lambda_i: float) -> list[list[float]]:
-    """effective_limit_intensity at the lengths of a sweep block, one column per medium."""
+def _gamma_sweep(media: list[Medium], lambda_s: float, lambda_i: float):
+    """(columns, row) of a length sweep: effective_limit_intensity, one column per medium."""
     factors = [_limit_factors(m, lambda_s, lambda_i) for m in media]
-    return _sweep_block(lengths, lambda block: [_limit_quotients(block, *f) for f in factors],
-                        lambda length: [_limit_intensity(length, *f) for f in factors])
+    return (lambda lengths: [_limit_quotients(lengths, *f) for f in factors],
+            lambda length: [_limit_intensity(length, *f) for f in factors])
 
 
 def classify_regime(beta_l: float, at_limit_band: float = 0.01) -> RegimeReport:

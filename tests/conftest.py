@@ -1,9 +1,11 @@
-"""Shared hypothesis strategies, 50-digit reference helpers and the acceptance-summary hook."""
+"""Shared hypothesis strategies, 50-digit reference helpers, the checked-sweep helper and
+the acceptance-summary hook."""
 
 from decimal import Context, Decimal, localcontext
 
 from hypothesis import strategies as st
 
+from pairgate import cli, model
 from pairgate.model import Geometry, Medium, Process, WaveTriplet
 
 _acceptance_outcomes: dict[str, str] = {}
@@ -21,6 +23,21 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for nodeid in sorted(_acceptance_outcomes):
         verdict = "PASS" if _acceptance_outcomes[nodeid] == "passed" else "FAIL"
         terminalreporter.write_line(f"{nodeid.split('::')[-1]}: {verdict}")
+
+
+def sweep_rows(sweep, points):
+    """The rows of a model sweep, its (columns, row), over points in cli.SWEEP_BLOCK blocks:
+    model._check_block passes every block before columns computes any, as in cli._sweep.
+    Else the message of the ValueError that the check raises."""
+    columns, row = sweep
+    blocks = [points[i:i + cli.SWEEP_BLOCK] for i in range(0, len(points), cli.SWEEP_BLOCK)]
+    try:
+        for block in blocks:
+            model._check_block(block, row)
+    except ValueError as exc:
+        return str(exc)
+    return [list(values) for block in blocks for values in zip(*columns(block))]
+
 
 # optical angular frequencies from mid-IR to near-UV (rad/s)
 omegas = st.floats(min_value=1e14, max_value=1e16)

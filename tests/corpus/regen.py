@@ -23,14 +23,17 @@ import sys
 import tempfile
 from pathlib import Path
 
+from pairgate import cli
+from pairgate.materials import MATERIALS_ENV_VAR
+
 HERE = Path(__file__).resolve().parent
 ARGV = HERE / "argv.txt"
 EXPECTED = HERE / "expected.txt"
 
 
-def argv_lines(path: Path = ARGV) -> list[str]:
+def argv_lines() -> list[str]:
     """The argv lines of the corpus, comments and blank lines dropped."""
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = ARGV.read_text(encoding="utf-8").splitlines()
     return [line for line in lines if line.strip() and not line.startswith("#")]
 
 
@@ -40,10 +43,11 @@ def _digest(data: bytes) -> str:
 
 def record(line: str, tmp: Path) -> str:
     """One case: its argv run through cli.main, rendered as the lines of its record."""
-    from pairgate import cli
-
     for entry in tmp.iterdir():
-        shutil.rmtree(entry) if entry.is_dir() else entry.unlink()
+        if entry.is_dir():
+            shutil.rmtree(entry)
+        else:
+            entry.unlink()
     argv = shlex.split(line.replace("{tmp}", str(tmp)))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -55,7 +59,8 @@ def record(line: str, tmp: Path) -> str:
     lines += [f"stderr: {text}" for text in err.getvalue().replace(str(tmp), "{tmp}").splitlines()]
     stdout = out.getvalue()
     if argv[0] == "sweep" and stdout:
-        lines.append(f"stdout-sha256: {_digest(stdout.encode())} lines={stdout.count(chr(10))}")
+        rows = stdout.count("\n")
+        lines.append(f"stdout-sha256: {_digest(stdout.encode())} lines={rows}")
     else:
         lines += [f"stdout: {text}" for text in stdout.splitlines()]
     if "{tmp}" in line:
@@ -67,21 +72,20 @@ def record(line: str, tmp: Path) -> str:
 
 def records(lines: list[str]) -> list[str]:
     """The record of each argv line, all run in this process, in order."""
-    saved = os.environ.pop("PAIRGATE_MATERIALS", None)
+    saved = os.environ.pop(MATERIALS_ENV_VAR, None)
     try:
         with tempfile.TemporaryDirectory() as tmp:
             return [record(line, Path(tmp)) for line in lines]
     finally:
         if saved is not None:
-            os.environ["PAIRGATE_MATERIALS"] = saved
+            os.environ[MATERIALS_ENV_VAR] = saved
 
 
 def parse_expected(text: str) -> list[str]:
     """expected.txt split back into its records; each starts at a line "== <argv>"."""
-    starts = [line.startswith("== ") for line in text.splitlines(keepends=True)]
     chunks: list[str] = []
-    for start, line in zip(starts, text.splitlines(keepends=True)):
-        if start:
+    for line in text.splitlines(keepends=True):
+        if line.startswith("== "):
             chunks.append("")
         chunks[-1] += line
     return chunks

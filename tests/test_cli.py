@@ -20,6 +20,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import sweep_rows
 from pairgate import cli, model
 from pairgate.materials import MATERIALS_ENV_VAR
 from pairgate.model import Medium, Process, PumpDrive, triplet_from_wavelengths
@@ -564,17 +565,39 @@ def test_sweep_blocks_equal_the_scalar_walk(sweep):
     variable, grid, medium, lambdas, length, delta_nu = sweep
     try:
         if variable == "beta_l":
-            text = cli._beta_l_sweep(grid, delta_nu)
+            model_sweep = model._flux_sweep(delta_nu)
         elif variable == "length":
-            text = cli._length_sweep(grid, [medium], *lambdas, ["length_m", "gamma"])
+            model_sweep = model._gamma_sweep([medium], *lambdas)
         else:
             triplet = triplet_from_wavelengths(*lambdas, medium.process)
-            text = cli._pump_sweep(grid, medium, triplet, length, delta_nu)
+            model_sweep = model._pump_sweep(medium, triplet, length, delta_nu)
     except ValueError as exc:
         text = str(exc)
     else:
-        text = text.split("\n", 1)[1]  # the rows under the header
+        rows = sweep_rows(model_sweep, grid)
+        text = rows if isinstance(rows, str) else "".join(
+            ",".join(map(repr, [x, *values])) + "\n" for x, values in zip(grid, rows))
     assert text == _scalar_sweep(variable, grid, medium, lambdas, length, delta_nu)
+
+
+def test_a_failing_sweep_computes_no_block(monkeypatch):
+    """Every block is checked before the first one is computed: the block columns never run
+    on a sweep whose second block fails, and each pair flux is one scalar kernel's point."""
+    sizes = []
+    pair_fluxes = model._pair_fluxes
+
+    def counted(growths, per_hz):
+        growths = list(growths)
+        sizes.append(len(growths))
+        return pair_fluxes(growths, per_hz)
+
+    monkeypatch.setattr(model, "_pair_fluxes", counted)
+    argv = ["sweep", "--variable", "beta_l", "--min", "0", "--max", "400", "--count", "8193",
+            "--delta-nu", "1GHz"]
+    assert run_cli_catching_exit(argv) == (
+        2, "", "pairgate sweep: pair flux out of the float range: beta_l=345.60546875, "
+               "delta_nu=1000000000.0\n")
+    assert sizes and max(sizes) == 1
 
 
 def test_sweep_length_rejects_bandwidth(capsys):
@@ -656,6 +679,13 @@ _RANGE_MESSAGES = {
         "n_p=1e+200, n_s=1e+200, n_i=1e+200",
     "oracle --beta-l 1e-306":
         "pump field out of the float range: beta_l=1e-306, length=0.001, chi_eff=1e-12",
+    "limit --chi3 1e-22m2/V2 --length 1mm --n-p 1e308 --lambda-s 1e6m --lambda-i 1e6m":
+        "limit pump intensity out of the float range: lambda_s=1000000.0, lambda_i=1000000.0, "
+        "n_p=1e+308, n_s=1.0, n_i=1.0",
+    "sweep --variable length --chi3 1e-22m2/V2 --n-p 1e308 --lambda-s 1e6m --lambda-i 1e6m "
+    "--min 1mm --max 1m --count 3":
+        "limit pump intensity out of the float range: lambda_s=1000000.0, lambda_i=1000000.0, "
+        "n_p=1e+308, n_s=1.0, n_i=1.0",
 }
 _RANGE_ERRORS = [shlex.split(argv) for argv in _RANGE_MESSAGES]
 

@@ -22,6 +22,7 @@ from conftest import (
     media,
     omegas,
     sections,
+    sweep_rows,
     wavelengths,
 )
 from pairgate import model
@@ -512,13 +513,6 @@ def _walk(kernel, column):
         return str(exc)
 
 
-def _columns_or_message(columns, column):
-    try:
-        return [list(row) for row in zip(*columns(column))]
-    except ValueError as exc:
-        return str(exc)
-
-
 # columns no grid produces: NaN, infinite, negative or zero points, anywhere in the column
 _ODD_COLUMNS = [[1.0, math.nan, 2.0], [1.0, 2.0, math.nan], [1.0, math.inf], [2.0, -1.0, 1.0],
                 [3.0, 0.0, 1.0], [1.0, -math.inf], [1.0, 400.0, math.nan]]
@@ -531,8 +525,7 @@ def test_flux_columns_stop_where_the_scalar_kernels_do(column, delta_nu):
         row = [pairs_per_bandwidth(beta_l)]
         return row + ([] if delta_nu is None else [pair_flux_reduced(beta_l, delta_nu)])
 
-    assert (_columns_or_message(lambda c: model._flux_columns(c, delta_nu), column)
-            == _walk(kernel, column))
+    assert sweep_rows(model._flux_sweep(delta_nu), column) == _walk(kernel, column)
 
 
 @pytest.mark.parametrize("column", _ODD_COLUMNS)
@@ -543,8 +536,7 @@ def test_gamma_columns_stop_where_the_scalar_kernel_does(column, process):
     def kernel(length):
         return [effective_limit_intensity(m, 1e-6, 1.2e-6, length) for m in pair]
 
-    assert (_columns_or_message(lambda c: model._gamma_columns(c, pair, 1e-6, 1.2e-6), column)
-            == _walk(kernel, column))
+    assert sweep_rows(model._gamma_sweep(pair, 1e-6, 1.2e-6), column) == _walk(kernel, column)
 
 
 @pytest.mark.parametrize("column", [[0.0, 5e-301, 1e-300], [0.0, 0.0, 1e-300], [1e-300, 1e300],
@@ -562,8 +554,8 @@ def test_pump_columns_stop_where_the_scalar_kernels_do(column, delta_nu, process
         row = [beta_l, pairs_per_bandwidth(beta_l)]
         return row + ([] if delta_nu is None else [pair_flux_reduced(beta_l, delta_nu)])
 
-    columns = lambda c: model._pump_columns(c, medium, triplet, 1.0, delta_nu)
-    assert _columns_or_message(columns, column) == _walk(kernel, column)
+    sweep = model._pump_sweep(medium, triplet, 1.0, delta_nu)
+    assert sweep_rows(sweep, column) == _walk(kernel, column)
 
 
 def _bits(x: float) -> int:
@@ -589,9 +581,9 @@ def _first_failing(kernel, passing: float, failing: float) -> float:
 
 
 def _sweep_edges():
-    """(columns, kernel, passing, failing) per range edge of each swept quantity."""
+    """(sweep, kernel, passing, failing) per range edge of each swept quantity."""
     def flux(delta_nu):
-        return (lambda c: model._flux_columns(c, delta_nu),
+        return (model._flux_sweep(delta_nu),
                 lambda b: [pairs_per_bandwidth(b), pair_flux_reduced(b, delta_nu)])
 
     def pump(medium, delta_nu):
@@ -600,10 +592,10 @@ def _sweep_edges():
         def kernel(intensity):
             beta_l = model._gain_product(medium, triplet, PumpDrive.from_intensity(intensity), 1.0)
             return [beta_l, pairs_per_bandwidth(beta_l), pair_flux_reduced(beta_l, delta_nu)]
-        return lambda c: model._pump_columns(c, medium, triplet, 1.0, delta_nu), kernel
+        return model._pump_sweep(medium, triplet, 1.0, delta_nu), kernel
 
     def gamma(medium, lambda_s):
-        return (lambda c: model._gamma_columns(c, [medium], lambda_s, lambda_s),
+        return (model._gamma_sweep([medium], lambda_s, lambda_s),
                 lambda length: [effective_limit_intensity(medium, lambda_s, lambda_s, length)])
 
     spdc, strong, weak = (Medium(Process.SPDC, chi) for chi in (1e-12, 1e88, 1e-290))
@@ -621,8 +613,8 @@ def _sweep_edges():
     return [pytest.param(*edge, id=name) for name, edge in edges.items()]
 
 
-@pytest.mark.parametrize("columns, kernel, passing, failing", _sweep_edges())
-def test_sweep_blocks_at_the_range_edges_equal_the_scalar_walk(columns, kernel, passing,
+@pytest.mark.parametrize("sweep, kernel, passing, failing", _sweep_edges())
+def test_sweep_blocks_at_the_range_edges_equal_the_scalar_walk(sweep, kernel, passing,
                                                                 failing):
     """The block check trusts each column to be monotone in the swept point: blocks that
     end or start 0 to 3 ulp either side of the point where the scalar kernels start to
@@ -635,7 +627,7 @@ def test_sweep_blocks_at_the_range_edges_equal_the_scalar_walk(columns, kernel, 
         point = _float(_bits(edge) + steps)
         run = [_float(_bits(point) + k) for k in range(4)]
         for block in (sorted([passing, point]), [0.0, *sorted([passing, point])], run):
-            assert _columns_or_message(columns, block) == _walk(kernel, block)
+            assert sweep_rows(sweep, block) == _walk(kernel, block)
 
 
 @given(medium=media(), lambda_s=wavelengths, lambda_i=wavelengths, length=lengths)
