@@ -425,7 +425,8 @@ def cmd_sweep(args) -> str:
     if args.min is None or args.max is None:
         raise ValueError("explicit sweeps require --min and --max")
     if args.variable == "length":
-        _reject_unread(args, ("--delta-nu",), "{flag} does not apply to a length sweep")
+        _reject_unread(args, ("--length", "--delta-nu", "--n-p", "--n-s", "--n-i"),
+                       "{flag} does not apply to a length sweep")
     parse = {"beta_l": float, "length": parse_length,
              "pump_intensity": parse_intensity}[args.variable]
     try:
@@ -439,10 +440,8 @@ def cmd_sweep(args) -> str:
         return _sweep(_flux_header([], args.delta_nu), sweep.grid(),
                       model._flux_sweep(args.delta_nu))
     if args.variable == "length":
-        media = [_build_medium(args)]
-        _reject_unread(args, ("--length",), "{flag} does not apply to a length sweep")
         return _sweep(["length_m", "gamma_W_per_m2"], sweep.grid(),
-                      model._gamma_sweep(media, *_wavelengths(args)))
+                      model._gamma_sweep([_build_medium(args)], *_wavelengths(args)))
     if args.length is None:
         raise ValueError("--length is required for a pump_intensity sweep")
     medium = _build_medium(args)

@@ -9,21 +9,20 @@ All quantities are strict SI: angular frequencies in rad/s, fields in V/m,
 intensities in W/m^2, lengths in m. Collinear, exactly phase-matched
 interaction is assumed throughout.
 
-Kernels that sweeps evaluate are split into the factors constant along a
-sweep (_gain_factors; _limit_factors, which returns the whole factor
-(numer, chi_eff, process, norm)) and a column body, which evaluates the
+Kernels that sweeps evaluate are split into the factors constant along a sweep
+(_gain_factors; _limit_factors, the whole factor (numer, chi_eff, process),
+which Gamma takes at unit indices) and a column body, which evaluates the
 formula over a whole column of points in one pass (_pump_fields, _beta_ls,
-_pair_fluxes, _limit_quotients). The scalar kernels call the column bodies on
-a one-point column, so each formula has one home; only the oracle's
-_drive_coupling stays scalar, and a test pins _beta_ls to it. Each swept
-quantity has one sweep function, _flux_sweep (beta*L), _pump_sweep (pump
-intensity) and _gamma_sweep (length), which computes the per-sweep factors once
-and returns a (columns, row) pair: columns evaluates a block with the column
-bodies, unchecked, and row is the scalar kernels at one point. _check_block is
-the one place a block is checked: the row at the block's extremes vouches for
-every point, as each value is monotone in the swept point, and a block it
-rejects is walked with the row, which raises the scalar message at the first
-offending point.
+_pair_fluxes, _limit_quotients). The scalar kernels call them on a one-point
+column, so each formula has one home; only the oracle's _drive_coupling stays
+scalar, and a test pins _beta_ls to it. Each swept quantity has one sweep
+function, _flux_sweep (beta*L), _pump_sweep (pump intensity) and _gamma_sweep
+(length), which computes the per-sweep factors once and returns a (columns,
+row) pair: columns evaluates a block with the column bodies, unchecked, and
+row is the scalar kernels at one point. _check_block is the one place a block
+is checked: the row at the block's extremes vouches for every point, as each
+value is monotone in the swept point, and a block it rejects is walked with
+the row, which raises the scalar message at the first offending point.
 
 One range rule holds for every derived value: it is a normal float,
 _FLOAT_MIN <= x <= _FLOAT_MAX, and so is each partial product it is computed
@@ -639,19 +638,19 @@ def limit_pump_intensity(
     Wavelengths are vacuum values in m. For FWM the result is the total
     two-wave pump intensity.
     """
-    numer, chi, process, _ = _limit_factors(medium, lambda_s, lambda_i)
-    return _limit_intensity(length, numer, chi, process)
+    return _limit_intensity(length, *_limit_factors(medium, lambda_s, lambda_i))
 
 
 def effective_limit_intensity(
     medium: Medium, lambda_s: float, lambda_i: float, length: float
 ) -> float:
-    """Index-normalized limit pump intensity Gamma (W/m^2).
+    """Index-normalized limit pump intensity Gamma (W/m^2), which reads no index, so it
+    is computed as limit_pump_intensity at unit indices:
 
-    Gamma = I_lim/(n_p*n_s*n_i) for SPDC and I_lim/(n_p*sqrt(n_s*n_i)) for
-    FWM; with unit indices Gamma equals the limit intensity itself.
+    SPDC: I_lim/(n_p*n_s*n_i) = lambda_s*lambda_i / (2*pi^2*mu0*c*(L*chi2)^2)
+    FWM:  I_lim/(n_p*sqrt(n_s*n_i)) = sqrt(eps0/mu0)*sqrt(lambda_s*lambda_i) / (pi*L*chi3)
     """
-    return _limit_intensity(length, *_limit_factors(medium, lambda_s, lambda_i))
+    return limit_pump_intensity(Medium(medium.process, medium.chi_eff), lambda_s, lambda_i, length)
 
 
 # 2*pi^2*mu0*c, the constant of the SPDC limit intensity's denominator
@@ -659,32 +658,33 @@ _SPDC_LIMIT_SCALE = 2.0 * math.pi**2 * CODATA2018.mu0 * CODATA2018.c
 
 
 def _limit_factors(medium: Medium, lambda_s: float, lambda_i: float) -> tuple:
-    """The length-independent factor of the limit intensity, (numer, chi_eff, process,
-    norm): numer over _limit_quotients' denominator is I_lim, and I_lim/norm is Gamma."""
+    """The length-independent factor of the limit intensity, (numer, chi_eff, process):
+    numer over _limit_quotients' denominator is I_lim. Checks the partial products of
+    numer: the index-wavelength products and, for FWM, n_p times their root."""
     _check("lambda_s", lambda_s)
     _check("lambda_i", lambda_i)
     n_p, n_s, n_i = medium.n_p, medium.n_s, medium.n_i
     spdc = medium.process is Process.SPDC
     indices = n_p * n_s * n_i if spdc else n_s * n_i
-    product = indices * lambda_s * lambda_i
+    scaled = indices * lambda_s  # a partial product only where it rounds: indices != 1
+    product = scaled * lambda_i
     k = CODATA2018
     numer = product if spdc else n_p * math.sqrt(product) * math.sqrt(k.eps0 / k.mu0)
-    if not (_FLOAT_MIN <= min(indices * lambda_s, product) and max(product, numer) <= _FLOAT_MAX):
+    if not (_FLOAT_MIN <= min(product, scaled if indices != 1.0 else product)
+            and max(product, numer) <= _FLOAT_MAX):
         raise _out_of_float_range("limit pump intensity", lambda_s=lambda_s, lambda_i=lambda_i,
                                   n_p=n_p, n_s=n_s, n_i=n_i)
-    norm = indices if spdc else n_p * math.sqrt(n_s * n_i)
-    return numer, medium.chi_eff, medium.process, norm
+    return numer, medium.chi_eff, medium.process
 
 
-def _limit_intensity(length: float, numer: float, chi: float, process: Process,
-                     norm: float = 1.0) -> float:
-    """The limit intensity over norm at one length, from the _limit_factors of a medium,
-    checked: _limit_quotients on a one-point column, and the first partial products of
-    its denominator, L*chi2 and its square or pi*L and pi*L*chi3, which can underflow
-    while the quotient stays normal."""
+def _limit_intensity(length: float, numer: float, chi: float, process: Process) -> float:
+    """The limit intensity at one length, from the _limit_factors of a medium, checked:
+    _limit_quotients on a one-point column, and the first partial products of its
+    denominator, L*chi2 and its square or pi*L and pi*L*chi3, which can underflow while
+    the quotient stays normal."""
     _check("length", length)
     try:
-        i_lim = _limit_quotients((length,), numer, chi, process, norm)[0]
+        i_lim = _limit_quotients((length,), numer, chi, process)[0]
     except ArithmeticError:  # an intermediate left the float range: rejected below
         i_lim = 0.0
     span = length * chi if process is Process.SPDC else math.pi * length
@@ -694,21 +694,20 @@ def _limit_intensity(length: float, numer: float, chi: float, process: Process,
     return i_lim
 
 
-def _limit_quotients(lengths, numer: float, chi: float, process: Process,
-                     norm: float) -> list[float]:
-    """The limit intensity over norm at each length of a column, from the _limit_factors
-    of a medium: numer/(2*pi^2*mu0*c*(L*chi2)^2) for SPDC, numer/(pi*L*chi3) for FWM.
+def _limit_quotients(lengths, numer: float, chi: float, process: Process) -> list[float]:
+    """The limit intensity at each length of a column, from the _limit_factors of a
+    medium: numer/(2*pi^2*mu0*c*(L*chi2)^2) for SPDC, numer/(pi*L*chi3) for FWM.
     Raises ArithmeticError where an intermediate leaves the float range."""
     if process is Process.SPDC:
         scale = _SPDC_LIMIT_SCALE
-        return [numer / (scale * (length * chi) ** 2) / norm for length in lengths]
+        return [numer / (scale * (length * chi) ** 2) for length in lengths]
     pi = math.pi
-    return [numer / (pi * length * chi) / norm for length in lengths]
+    return [numer / (pi * length * chi) for length in lengths]
 
 
 def _gamma_sweep(media: list[Medium], lambda_s: float, lambda_i: float):
     """(columns, row) of a length sweep: effective_limit_intensity, one column per medium."""
-    factors = [_limit_factors(m, lambda_s, lambda_i) for m in media]
+    factors = [_limit_factors(Medium(m.process, m.chi_eff), lambda_s, lambda_i) for m in media]
     return (lambda lengths: [_limit_quotients(lengths, *f) for f in factors],
             lambda length: [_limit_intensity(length, *f) for f in factors])
 

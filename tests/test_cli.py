@@ -401,14 +401,15 @@ def test_sweep_beta_l_with_bandwidth_adds_flux_column(capsys):
     assert float(rows[2]["pairs_per_s"]) == model.pair_flux_reduced(1.0, 1e9)
 
 
+# (medium flags, index flags, the medium they give, the wavelengths)
 _SWEEP_MEDIA = {
-    "chi2": (["--chi2", "1pm/V"], Medium(Process.SPDC, 1e-12), (1e-6, 1e-6)),
-    "chi3": (["--chi3", "1e-20m2/V2"], Medium(Process.FWM, 1e-20), (1e-6, 1e-6)),
-    "KTP": (["--material", "KTP_class", "--n-p", "1.8", "--n-s", "1.75", "--n-i", "1.7",
-             "--lambda-s", "810nm", "--lambda-i", "1.55um"],
+    "chi2": (["--chi2", "1pm/V"], [], Medium(Process.SPDC, 1e-12), (1e-6, 1e-6)),
+    "chi3": (["--chi3", "1e-20m2/V2"], [], Medium(Process.FWM, 1e-20), (1e-6, 1e-6)),
+    "KTP": (["--material", "KTP_class", "--lambda-s", "810nm", "--lambda-i", "1.55um"],
+            ["--n-p", "1.8", "--n-s", "1.75", "--n-i", "1.7"],
             Medium(Process.SPDC, 1e-12, 1.8, 1.75, 1.7), (parse_length("810nm"), 1.55e-6)),
-    "silica": (["--material", "silica_fiber", "--n-p", "1.45", "--n-s", "1.44", "--n-i", "1.46",
-                "--lambda-s", "1.5um", "--lambda-i", "1.6um"],
+    "silica": (["--material", "silica_fiber", "--lambda-s", "1.5um", "--lambda-i", "1.6um"],
+               ["--n-p", "1.45", "--n-s", "1.44", "--n-i", "1.46"],
                Medium(Process.FWM, 1e-22, 1.45, 1.44, 1.46), (1.5e-6, 1.6e-6)),
 }
 
@@ -433,8 +434,8 @@ def test_sweep_rows_equal_the_scalar_kernels(variable, scale, medium, delta_nu, 
     argv = ["sweep", "--variable", variable, "--min", bounds[0], "--max", bounds[1],
             "--count", str(count), "--scale", scale]
     if medium is not None:
-        flags, medium, (lambda_s, lambda_i) = _SWEEP_MEDIA[medium]
-        argv += flags
+        flags, index_flags, medium, (lambda_s, lambda_i) = _SWEEP_MEDIA[medium]
+        argv += flags if variable == "length" else flags + index_flags  # Gamma reads no index
     if variable == "pump_intensity":
         argv += ["--length", "1cm"]
         triplet = triplet_from_wavelengths(lambda_s, lambda_i, medium.process)
@@ -682,10 +683,10 @@ _RANGE_MESSAGES = {
     "limit --chi3 1e-22m2/V2 --length 1mm --n-p 1e308 --lambda-s 1e6m --lambda-i 1e6m":
         "limit pump intensity out of the float range: lambda_s=1000000.0, lambda_i=1000000.0, "
         "n_p=1e+308, n_s=1.0, n_i=1.0",
-    "sweep --variable length --chi3 1e-22m2/V2 --n-p 1e308 --lambda-s 1e6m --lambda-i 1e6m "
+    "sweep --variable length --chi3 1e-22m2/V2 --lambda-s 1e200m --lambda-i 1e200m "
     "--min 1mm --max 1m --count 3":
-        "limit pump intensity out of the float range: lambda_s=1000000.0, lambda_i=1000000.0, "
-        "n_p=1e+308, n_s=1.0, n_i=1.0",
+        "limit pump intensity out of the float range: lambda_s=1e+200, lambda_i=1e+200, "
+        "n_p=1.0, n_s=1.0, n_i=1.0",
 }
 _RANGE_ERRORS = [shlex.split(argv) for argv in _RANGE_MESSAGES]
 
@@ -784,6 +785,9 @@ def run_cli_catching_exit(argv):
      "--n-s", "1e300", "--n-i", "1e300", "--delta-nu", "1GHz"],
     # positive inputs whose pair flux, gain or beta*L leaves the float range
     *_RANGE_ERRORS,
+    # Gamma reads no index, so a length sweep takes no index flag
+    ["sweep", "--variable", "length", "--chi2", "1pm/V", "--n-p", "2", "--min", "1mm",
+     "--max", "1m"],
 ])
 def test_invalid_input_is_one_line_exit_2(argv):
     code, out, err = run_cli_catching_exit(argv)
@@ -1142,11 +1146,11 @@ REPORT_ARGV = {
      "lambda_i               1.00e-06 m\n"
      "chi_eff                1.00e-22 m2/V2\n"
      "limit_pump_intensity   1.78 MW/cm2   (17764182911.217876 W/m2)\n"
-     "effective_limit_gamma  845 kW/cm2   (8449277231.915789 W/m2)\n"),
+     "effective_limit_gamma  845 kW/cm2   (8449277231.915787 W/m2)\n"),
     ("limit", "csv",
      "process,length_m,lambda_s_m,lambda_i_m,chi_eff_si,"
      "limit_intensity_W_per_m2,effective_limit_W_per_m2\n"
-     "fwm,1000.0,1e-06,1e-06,1e-22,17764182911.217876,8449277231.915789\n"),
+     "fwm,1000.0,1e-06,1e-06,1e-22,17764182911.217876,8449277231.915787\n"),
     ("oracle", "table",
      "beta_l                0.00\n"
      "steps                 1024\n"

@@ -12,10 +12,11 @@ Algorithms, ch. 2-3.)
 """
 
 import math
+import sys
 from decimal import Decimal, localcontext
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import REFERENCE, decimal_expm1, exact_pair_flux
@@ -43,6 +44,7 @@ from pairgate.model import (
 )
 
 U = 2.0**-53
+FLOAT_MIN, FLOAT_MAX = sys.float_info.min, sys.float_info.max  # the normal floats
 EXAMPLES = settings(max_examples=50, deadline=None)
 K = {name: Decimal(getattr(CODATA2018, name)) for name in ("c", "hbar", "eps0", "mu0")}
 PI = Decimal(math.pi)
@@ -138,17 +140,31 @@ def exact_asymptote(beta, branch):
     return d * d / 8 if branch is AsymptoteBranch.SMALL else (2 * d).exp() / 8
 
 
-def exact_limit(medium, lambda_s, lambda_i, length, effective=False):
+def exact_limit(medium, lambda_s, lambda_i, length):
     n_p, n_s, n_i, chi, ls, li, L = (Decimal(x) for x in (
         medium.n_p, medium.n_s, medium.n_i, medium.chi_eff, lambda_s, lambda_i, length))
     if medium.process is Process.SPDC:
-        i_lim = n_p * n_s * n_i * ls * li / (Decimal(model._SPDC_LIMIT_SCALE) * (L * chi) ** 2)
-        norm = n_p * n_s * n_i
-    else:
-        impedance = Decimal(math.sqrt(CODATA2018.eps0 / CODATA2018.mu0))  # the code's constant
-        i_lim = n_p * (n_s * n_i * ls * li).sqrt() * impedance / (PI * L * chi)
-        norm = n_p * (n_s * n_i).sqrt()
-    return i_lim / norm if effective else i_lim
+        return n_p * n_s * n_i * ls * li / (Decimal(model._SPDC_LIMIT_SCALE) * (L * chi) ** 2)
+    impedance = Decimal(math.sqrt(CODATA2018.eps0 / CODATA2018.mu0))  # the code's constant
+    return n_p * (n_s * n_i * ls * li).sqrt() * impedance / (PI * L * chi)
+
+
+def exact_gamma(medium, lambda_s, lambda_i, length):
+    """Gamma by its definition, I_lim/(n_p*n_s*n_i) for SPDC and I_lim/(n_p*sqrt(n_s*n_i))
+    for FWM, in which the indices cancel."""
+    n_p, n_s, n_i = (Decimal(x) for x in (medium.n_p, medium.n_s, medium.n_i))
+    norm = n_p * n_s * n_i if medium.process is Process.SPDC else n_p * (n_s * n_i).sqrt()
+    return exact_limit(medium, lambda_s, lambda_i, length) / norm
+
+
+def gamma_partials(medium, lambda_s, lambda_i, length):
+    """The partial products of Gamma's index-free closed form, in float: lambda_s*lambda_i,
+    then L*chi2, its square and 2*pi^2*mu0*c times that for SPDC, or pi*L and pi*L*chi3."""
+    chi = medium.chi_eff
+    if medium.process is Process.SPDC:
+        span = length * chi
+        return lambda_s * lambda_i, span, span * span, model._SPDC_LIMIT_SCALE * (span * span)
+    return lambda_s * lambda_i, math.pi * length, math.pi * length * chi
 
 
 # ---------------------------------------------------------------------------
@@ -207,15 +223,30 @@ def test_pairs_per_bandwidth_and_flux_asymptote(beta, branch):
 
 
 @EXAMPLES
+# an index norm n_p*sqrt(n_s*n_i) that overflows, while I_lim = 1.69e291 W/m^2 and Gamma =
+# 8.45e-18 W/m^2 are normal floats
+@example(media=(Medium(Process.FWM, 1e-22, 1e308, 4.0, 1.0), WaveTriplet(1.0, 1.0, Process.FWM)),
+         lambda_s=1e-6, lambda_i=1e-6, length=1e30)
+# a subnormal wavelength whose product with the other is a normal float
+@example(media=(Medium(Process.SPDC, 1e-12), WaveTriplet(1.0, 1.0, Process.SPDC)),
+         lambda_s=1e-310, lambda_i=1e10, length=1e-140)
 @given(media=scenario(), lambda_s=positive, lambda_i=positive, length=positive)
 def test_limit_intensities(media, lambda_s, lambda_i, length):
-    # the index-wavelength product 4u, the denominator 5u, the quotient and the norm 4u
+    # I_lim: the index-wavelength product 4u, the denominator 5u, the quotient u; Gamma, at
+    # unit indices: the wavelength product u (halved, plus a root and a product, for FWM),
+    # the denominator 4u, the quotient u
     medium, _ = media
-    assert_in_range_or_rejected(limit_pump_intensity, exact_limit, 16, medium, lambda_s,
-                                lambda_i, length)
-    assert_in_range_or_rejected(effective_limit_intensity,
-                                lambda *args: exact_limit(*args, effective=True), 16,
-                                medium, lambda_s, lambda_i, length)
+    args = (medium, lambda_s, lambda_i, length)
+    assert_in_range_or_rejected(limit_pump_intensity, exact_limit, 16, *args)
+    assert_in_range_or_rejected(effective_limit_intensity, exact_gamma, 8, *args)
+    # Gamma reads no index: it is computed wherever it and its index-free partial products
+    # are normal floats, with a margin for its 8u
+    with localcontext(REFERENCE):
+        gamma = exact_gamma(*args)
+        margin = Decimal(1) + Decimal(16 * U)
+        representable = Decimal(FLOAT_MIN) * margin <= gamma <= Decimal(FLOAT_MAX) / margin
+    if representable and all(FLOAT_MIN <= x <= FLOAT_MAX for x in gamma_partials(*args)):
+        effective_limit_intensity(*args)
 
 
 @pytest.mark.parametrize("kernel, args", [
