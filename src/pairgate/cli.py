@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
+import threading
 
 from . import model, oracle
 from .materials import MATERIALS_ENV_VAR, lookup, resolve_catalog
@@ -46,7 +48,7 @@ EXIT_INPUT = 2
 EXIT_IO = 3
 
 DEFAULT_WAVELENGTH = 1e-6  # m, degenerate signal/idler default
-MAX_SWEEP_POINTS = 10**6  # the grid is built whole (~32 MB at the cap); 10x the largest bench sweep
+MAX_SWEEP_POINTS = 10**6  # the grid and the CSV text are held whole; 10x the largest bench sweep
 _MEDIUM_FLAGS = ("--material", "--materials", "--chi2", "--chi3", "--n-p", "--n-s", "--n-i")
 _WAVE_FLAGS = ("--lambda-s", "--lambda-i")
 ORACLE_REFERENCE = {
@@ -370,27 +372,89 @@ def cmd_limit(args) -> str:
 # A sweep is checked, then computed, SWEEP_BLOCK grid points at a time. Every block is
 # checked (model._check_block) before the first one is computed, so a failing sweep
 # raises the scalar kernels' message at its first offending point in grid order and
-# computes and writes nothing. A block is rendered as one string.
+# computes, forks and writes nothing. A block is rendered as one string. The blocks of a
+# checked sweep are cut into one contiguous range per CPU the process may run on; an
+# os.fork child renders each range after the first into a pipe while the parent renders
+# the first, and the parent joins the ranges in grid order. Where a pipe, fork or child
+# fails, the parent renders that range itself, so the text never depends on the path.
 
 SWEEP_BLOCK = 4096  # grid points per block: the extra columns stay small at any count
 
 
-def _sweep(header: list[str], grid: list[float], sweep) -> str:
-    """The CSV text of a sweep, given the (columns, row) of a model sweep: a row per grid
-    point, the point then the values of columns(block) at it, for each block of the grid.
-    Each column is rendered by one C-level repr pass (str(float) is its shortest repr) and
-    each row by one join."""
-    columns, row = sweep
-    starts = range(0, len(grid), SWEEP_BLOCK)
-    for start in starts:
-        model._check_block(grid[start:start + SWEEP_BLOCK], row)
-    blocks = [",".join(header)]
+def _rows(grid: list[float], columns, starts: range) -> str:
+    """The CSV rows of the blocks of grid at starts, a row per point: the point, then the
+    values of columns(block) at it. Each column is rendered by one C-level repr pass
+    (str(float) is its shortest repr) and each row by one join."""
+    blocks = []
     for start in starts:
         block = grid[start:start + SWEEP_BLOCK]
         cells = [list(map(repr, column)) for column in (block, *columns(block))]
         blocks.append("\n".join(map(",".join, zip(*cells))))
-    blocks.append("")  # the text ends with a newline
     return "\n".join(blocks)
+
+
+def _spawn(grid: list[float], columns, starts: range):
+    """(pid, pipe) of an os.fork child that writes _rows(grid, columns, starts) as ASCII to
+    pipe and leaves by os._exit, so no exit handler or stdio flush runs; None where pipe
+    or fork fails."""
+    try:
+        read, write = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            data = memoryview(_rows(grid, columns, starts).encode("ascii"))
+            while data:
+                data = data[os.write(write, data):]
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, open(read, "rb")
+
+
+def _sweep(header: list[str], grid: list[float], sweep) -> str:
+    """The CSV text of a sweep, given the (columns, row) of a model sweep: the header, then
+    the _rows of every block of the grid, rendered on up to one CPU per block."""
+    columns, row = sweep
+    starts = range(0, len(grid), SWEEP_BLOCK)
+    for start in starts:
+        model._check_block(grid[start:start + SWEEP_BLOCK], row)
+    cpus = 1  # one process where threads are alive: a fork copies only the calling thread
+    if len(starts) > 1 and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
+        cpus = min(len(starts), len(os.sched_getaffinity(0)))
+    parts = [starts[k * len(starts) // cpus:(k + 1) * len(starts) // cpus] for k in range(cpus)]
+    children = []
+    try:
+        for part in parts[1:]:
+            children.append(_spawn(grid, columns, part))
+        texts = [_rows(grid, columns, parts[0])]
+        for k, part in enumerate(parts[1:]):
+            if children[k] is not None:
+                pid, pipe = children[k]
+                with pipe:
+                    text = pipe.read().decode("ascii")  # a child writes only encoded text
+                status = os.waitpid(pid, 0)[1]
+                children[k] = None
+                if status == 0:
+                    texts.append(text)
+                    continue
+            texts.append(_rows(grid, columns, part))
+    finally:  # a child still listed here was left by an exception: kill it, then reap it
+        for pid, pipe in filter(None, children):
+            import signal  # here, not at start-up, where it would cost every call ~1 ms
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return "\n".join([",".join(header), *texts, ""])  # the text ends with a newline
 
 
 def _flux_header(columns: list[str], delta_nu: float | None) -> list[str]:

@@ -645,25 +645,30 @@ def effective_limit_intensity(
     medium: Medium, lambda_s: float, lambda_i: float, length: float
 ) -> float:
     """Index-normalized limit pump intensity Gamma (W/m^2), which reads no index, so it
-    is computed as limit_pump_intensity at unit indices:
+    is computed as limit_pump_intensity at unit indices, and a range error names only
+    the wavelengths, or the length and chi_eff:
 
     SPDC: I_lim/(n_p*n_s*n_i) = lambda_s*lambda_i / (2*pi^2*mu0*c*(L*chi2)^2)
     FWM:  I_lim/(n_p*sqrt(n_s*n_i)) = sqrt(eps0/mu0)*sqrt(lambda_s*lambda_i) / (pi*L*chi3)
     """
-    return limit_pump_intensity(Medium(medium.process, medium.chi_eff), lambda_s, lambda_i, length)
+    return _limit_intensity(length, *_limit_factors(medium, lambda_s, lambda_i, gamma=True),
+                            gamma=True)
 
 
 # 2*pi^2*mu0*c, the constant of the SPDC limit intensity's denominator
 _SPDC_LIMIT_SCALE = 2.0 * math.pi**2 * CODATA2018.mu0 * CODATA2018.c
+# what a range error of I_lim, and of Gamma (gamma=True), names
+_LIMIT_NAMES = ("limit pump intensity", "effective limit intensity")
 
 
-def _limit_factors(medium: Medium, lambda_s: float, lambda_i: float) -> tuple:
+def _limit_factors(medium: Medium, lambda_s: float, lambda_i: float, gamma: bool = False) -> tuple:
     """The length-independent factor of the limit intensity, (numer, chi_eff, process):
-    numer over _limit_quotients' denominator is I_lim. Checks the partial products of
-    numer: the index-wavelength products and, for FWM, n_p times their root."""
+    numer over _limit_quotients' denominator is I_lim, or Gamma at unit indices if gamma.
+    Checks the partial products of numer: the index-wavelength products and, for FWM,
+    n_p times their root."""
     _check("lambda_s", lambda_s)
     _check("lambda_i", lambda_i)
-    n_p, n_s, n_i = medium.n_p, medium.n_s, medium.n_i
+    n_p, n_s, n_i = (1.0, 1.0, 1.0) if gamma else (medium.n_p, medium.n_s, medium.n_i)
     spdc = medium.process is Process.SPDC
     indices = n_p * n_s * n_i if spdc else n_s * n_i
     scaled = indices * lambda_s  # a partial product only where it rounds: indices != 1
@@ -672,13 +677,16 @@ def _limit_factors(medium: Medium, lambda_s: float, lambda_i: float) -> tuple:
     numer = product if spdc else n_p * math.sqrt(product) * math.sqrt(k.eps0 / k.mu0)
     if not (_FLOAT_MIN <= min(product, scaled if indices != 1.0 else product)
             and max(product, numer) <= _FLOAT_MAX):
-        raise _out_of_float_range("limit pump intensity", lambda_s=lambda_s, lambda_i=lambda_i,
-                                  n_p=n_p, n_s=n_s, n_i=n_i)
+        read = {} if gamma else {"n_p": n_p, "n_s": n_s, "n_i": n_i}
+        raise _out_of_float_range(_LIMIT_NAMES[gamma], lambda_s=lambda_s, lambda_i=lambda_i,
+                                  **read)
     return numer, medium.chi_eff, medium.process
 
 
-def _limit_intensity(length: float, numer: float, chi: float, process: Process) -> float:
-    """The limit intensity at one length, from the _limit_factors of a medium, checked:
+def _limit_intensity(length: float, numer: float, chi: float, process: Process,
+                     gamma: bool = False) -> float:
+    """The limit intensity at one length, I_lim or Gamma as gamma, from the _limit_factors
+    of a medium, checked:
     _limit_quotients on a one-point column, and the first partial products of its
     denominator, L*chi2 and its square or pi*L and pi*L*chi3, which can underflow while
     the quotient stays normal."""
@@ -690,7 +698,7 @@ def _limit_intensity(length: float, numer: float, chi: float, process: Process) 
     span = length * chi if process is Process.SPDC else math.pi * length
     partial = span * span if process is Process.SPDC else span * chi
     if not (_FLOAT_MIN <= min(span, partial, i_lim) and i_lim <= _FLOAT_MAX):
-        raise _out_of_float_range("limit pump intensity", length=length, chi_eff=chi)
+        raise _out_of_float_range(_LIMIT_NAMES[gamma], length=length, chi_eff=chi)
     return i_lim
 
 
@@ -707,9 +715,9 @@ def _limit_quotients(lengths, numer: float, chi: float, process: Process) -> lis
 
 def _gamma_sweep(media: list[Medium], lambda_s: float, lambda_i: float):
     """(columns, row) of a length sweep: effective_limit_intensity, one column per medium."""
-    factors = [_limit_factors(Medium(m.process, m.chi_eff), lambda_s, lambda_i) for m in media]
+    factors = [_limit_factors(medium, lambda_s, lambda_i, gamma=True) for medium in media]
     return (lambda lengths: [_limit_quotients(lengths, *f) for f in factors],
-            lambda length: [_limit_intensity(length, *f) for f in factors])
+            lambda length: [_limit_intensity(length, *f, gamma=True) for f in factors])
 
 
 def classify_regime(beta_l: float, at_limit_band: float = 0.01) -> RegimeReport:

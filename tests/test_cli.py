@@ -9,10 +9,12 @@ import contextlib
 import csv
 import io
 import math
+import os
 import re
 import shlex
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -475,7 +477,7 @@ def test_sweep_rows_equal_the_scalar_kernels(variable, scale, medium, delta_nu, 
     # fails at both ends; the first point is reported
     (["sweep", "--variable", "length", "--min", "1e-300m", "--max", "1e300m", "--count", "5",
       "--scale", "log", "--chi2", "1pm/V"],
-     "limit pump intensity out of the float range: length=1e-300, chi_eff=1e-12"),
+     "effective limit intensity out of the float range: length=1e-300, chi_eff=1e-12"),
     # a coupling product ks*ki that overflows to inf is rejected before any point
     (["sweep", "--variable", "pump_intensity", "--min", "0W/m2", "--max", "1W/m2",
       "--count", "3", "--chi2", "1pm/V", "--length", "1m", "--lambda-s", "1e-290m",
@@ -601,6 +603,138 @@ def test_a_failing_sweep_computes_no_block(monkeypatch):
     assert sizes and max(sizes) == 1
 
 
+_forking = pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+    reason="a sweep renders on one CPU without os.fork and os.sched_getaffinity")
+
+# a beta_l sweep with --delta-nu, a log pump_intensity sweep and a length sweep
+_PARALLEL_SWEEPS = {
+    "beta_l": ["sweep", "--variable", "beta_l", "--min", "0", "--max", "5", "--delta-nu", "1GHz"],
+    "pump_intensity": ["sweep", "--variable", "pump_intensity", "--chi2", "1pm/V", "--length",
+                       "1cm", "--min", "1MW/cm2", "--max", "10GW/cm2", "--scale", "log"],
+    "length": ["sweep", "--variable", "length", "--chi3", "1e-22m2/V2", "--min", "1mm",
+               "--max", "1km"],
+}
+
+
+def _count_forks(monkeypatch) -> list:
+    """The calls to os.fork from now on; each still forks."""
+    calls, fork = [], os.fork
+
+    def counted():
+        calls.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def _set_cpus(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def _sweep_leaving_no_child(argv):
+    """cli.main's (exit code, stdout, stderr) on argv, after asserting that no child of this
+    process is left unreaped."""
+    result = run_cli_catching_exit(argv)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return result
+
+
+@_forking
+@pytest.mark.parametrize("count", [4097, 8193, 3 * 4096 + 5, 25119])
+@pytest.mark.parametrize("variable", _PARALLEL_SWEEPS)
+def test_a_sweep_on_any_cpu_count_has_the_one_cpu_bytes(variable, count, monkeypatch):
+    """The blocks are cut into one range per CPU, capped at the block count, and a forked
+    child renders every range but the first: the text is the one-CPU text byte for byte."""
+    argv = _PARALLEL_SWEEPS[variable] + ["--count", str(count)]
+    forks = _count_forks(monkeypatch)
+    outputs = []
+    for cpus in (1, 2, 3, 5):
+        _set_cpus(monkeypatch, cpus)
+        forks.clear()
+        code, out, err = _sweep_leaving_no_child(argv)
+        assert (code, err) == (0, "")
+        assert len(forks) == min(cpus, -(-count // cli.SWEEP_BLOCK)) - 1
+        outputs.append(out)
+    assert out.count("\n") == count + 1
+    assert outputs == outputs[:1] * 4
+
+
+def _refused():
+    raise OSError("refused")
+
+
+def _failing_pipe(monkeypatch):
+    monkeypatch.setattr(os, "pipe", _refused)
+
+
+def _failing_fork(monkeypatch):
+    monkeypatch.setattr(os, "fork", _refused)
+
+
+def _failing_child(monkeypatch):
+    parent, rows = os.getpid(), cli._rows
+    monkeypatch.setattr(cli, "_rows", lambda *args: rows(*args) if os.getpid() == parent else 1 / 0)
+
+
+def _child_reported_failed(monkeypatch):
+    waitpid = os.waitpid
+    monkeypatch.setattr(os, "waitpid", lambda pid, options: (waitpid(pid, options)[0], 256))
+
+
+@_forking
+@pytest.mark.parametrize("fail", [_failing_pipe, _failing_fork, _failing_child,
+                                  _child_reported_failed])
+def test_a_failed_pipe_fork_or_child_leaves_the_bytes(fail, monkeypatch):
+    """The parent renders a range whose pipe or fork fails, or whose child exits nonzero."""
+    argv = _PARALLEL_SWEEPS["beta_l"] + ["--count", "25119"]
+    _set_cpus(monkeypatch, 1)
+    expected = _sweep_leaving_no_child(argv)
+    _set_cpus(monkeypatch, 3)
+    fail(monkeypatch)
+    assert _sweep_leaving_no_child(argv) == expected
+
+
+@_forking
+def test_an_exception_kills_and_reaps_every_child(monkeypatch):
+    parent, rows = os.getpid(), cli._rows
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return rows(*args)
+
+    monkeypatch.setattr(cli, "_rows", interrupted)
+    _set_cpus(monkeypatch, 3)
+    forks = _count_forks(monkeypatch)
+    with pytest.raises(KeyboardInterrupt):
+        _sweep_leaving_no_child(_PARALLEL_SWEEPS["beta_l"] + ["--count", "25119"])
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@_forking
+def test_no_fork_for_a_failing_sweep_or_beside_a_live_thread(monkeypatch):
+    _set_cpus(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
+    failing = ["sweep", "--variable", "beta_l", "--min", "0", "--max", "1000", "--count", "8193"]
+    assert _sweep_leaving_no_child(failing) == (
+        2, "", "pairgate sweep: beta_l must be <= BETA_L_MAX = 354.89, got 354.98046875\n")
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        code, out, _ = _sweep_leaving_no_child(_PARALLEL_SWEEPS["beta_l"] + ["--count", "8193"])
+    finally:
+        release.set()
+        thread.join()
+    assert code == 0 and out.count("\n") == 8194
+    assert forks == []
+
+
 def test_sweep_length_rejects_bandwidth(capsys):
     code, _, err = run_cli(
         ["sweep", "--variable", "length", "--min", "1mm", "--max", "1m",
@@ -685,8 +819,10 @@ _RANGE_MESSAGES = {
         "n_p=1e+308, n_s=1.0, n_i=1.0",
     "sweep --variable length --chi3 1e-22m2/V2 --lambda-s 1e200m --lambda-i 1e200m "
     "--min 1mm --max 1m --count 3":
-        "limit pump intensity out of the float range: lambda_s=1e+200, lambda_i=1e+200, "
-        "n_p=1.0, n_s=1.0, n_i=1.0",
+        "effective limit intensity out of the float range: lambda_s=1e+200, lambda_i=1e+200",
+    # I_lim passes, Gamma's lambda_s*lambda_i does not: only the wavelengths are named
+    "limit --chi2 1pm/V --length 1mm --lambda-s 1e-160m --lambda-i 1e-160m --n-p 1e100":
+        "effective limit intensity out of the float range: lambda_s=1e-160, lambda_i=1e-160",
 }
 _RANGE_ERRORS = [shlex.split(argv) for argv in _RANGE_MESSAGES]
 
@@ -829,8 +965,10 @@ def test_zero_length_has_one_message_everywhere(argv):
       "--count", "3"], "length=5.000000000004999e+161, chi_eff=1e-12"),
 ])
 def test_limit_intensity_range_error_names_its_inputs(argv, inputs):
+    """limit checks I_lim before Gamma; a length sweep computes Gamma alone."""
+    what = "effective limit intensity" if argv[0] == "sweep" else "limit pump intensity"
     assert run_cli_catching_exit(argv) == (
-        2, "", f"pairgate {argv[0]}: limit pump intensity out of the float range: {inputs}\n")
+        2, "", f"pairgate {argv[0]}: {what} out of the float range: {inputs}\n")
 
 
 @pytest.mark.parametrize("argv, message", _RANGE_MESSAGES.items())
