@@ -5,18 +5,14 @@ fluctuations, the universal beta*L = 1 limit criteria, limit pump
 intensities, a coupled-wave RK4 oracle validating the closed forms, and a
 material-class catalog. See the CLI (`pairgate --help`) for the command
 surface.
+
+The catalog and oracle names, and the `materials` and `oracle` modules, are
+imported on first use: most CLI calls need neither.
 """
 
+import importlib
+
 from .constants import CODATA2018
-from .materials import (
-    MaterialParseError,
-    MaterialRecord,
-    UnknownMaterialError,
-    builtin_presets,
-    load_catalog,
-    lookup,
-    resolve_catalog,
-)
 from .model import (
     Arm,
     AsymptoteBranch,
@@ -45,6 +41,24 @@ from .model import (
     triplet_from_wavelengths,
     vacuum_fluctuation,
 )
-from .oracle import IntegrationConfig, OdeState, integrate, oracle_pair_flux
 
 __version__ = "0.1.0"
+
+# name -> the module it is imported from on first use
+_LAZY = {
+    **dict.fromkeys(("MaterialParseError", "MaterialRecord", "UnknownMaterialError",
+                     "builtin_presets", "load_catalog", "lookup", "resolve_catalog"), "materials"),
+    **dict.fromkeys(("IntegrationConfig", "OdeState", "integrate", "oracle_pair_flux"), "oracle"),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name, name)
+    if module not in ("materials", "oracle"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(f"{__name__}.{module}")
+    return value if name == module else getattr(value, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, "materials", "oracle"})

@@ -7,6 +7,10 @@ this boundary only. Exit codes: 0 success, 2 input validation, 3 I/O.
 Scalar reports state each output once, as a column list that `_report`
 prints as a table or as CSV; every renderer ends its text with a newline,
 so `_emit` writes it unchanged to stdout or --out.
+
+A call imports and builds only what its subcommand runs: the material catalog
+on the first --material lookup, the oracle in `oracle`, and a subcommand's
+flags the first time that subcommand parses.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ import os
 import sys
 import threading
 
-from . import model, oracle
-from .materials import MATERIALS_ENV_VAR, lookup, resolve_catalog
+from . import model
+from .constants import MATERIALS_ENV_VAR
 from .model import (
     Arm,
     Bandwidth,
@@ -60,7 +64,25 @@ ORACLE_REFERENCE = {
 
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one stderr line, '<prog>: <message>', exit 2; a flag
-    the chosen subcommand does not accept is reported under that subcommand's prog."""
+    the chosen subcommand does not accept is reported under that subcommand's prog.
+    A subcommand's parser adds its flags the first time it parses, so a call builds
+    only the flags of the subcommand it runs."""
+
+    _flags_lock = threading.Lock()  # one thread adds a parser's flags; another waits for them
+
+    def __init__(self, *args, flags=(), **kwargs):
+        super().__init__(*args, **kwargs)
+        self.flags = flags  # functions that each add some of its flags, in usage order
+
+    def add_flags(self) -> None:
+        with self._flags_lock:
+            flags, self.flags = self.flags, ()
+            for function in flags:
+                function(self.add_argument)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.add_flags()
+        return super().parse_known_args(args, namespace)
 
     def error(self, message: str, prog: str | None = None):
         print(f"{prog or self.prog}: {message}", file=sys.stderr)
@@ -112,37 +134,38 @@ class SweepSpec(model._named_tuple("SweepSpec", "start stop count log", (False,)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    out_flag = argparse.ArgumentParser(add_help=False)
-    out_flag.add_argument("--out", metavar="PATH", default=None,
-                          help="write output to PATH instead of stdout")
-    common = argparse.ArgumentParser(add_help=False, parents=[out_flag])
-    common.add_argument("--format", choices=("table", "csv"), default="table",
-                        help="output rendering for scalar reports")
+    """main's parser. Each subcommand's flags are added by a tuple of functions, in its usage
+    order, the first time that subcommand parses; each function takes add_argument."""
+    def out_flag(add):
+        add("--out", metavar="PATH", default=None, help="write output to PATH instead of stdout")
 
-    medium_flags = argparse.ArgumentParser(add_help=False)
-    medium_flags.add_argument("--materials", metavar="PATH", default=None,
-                              help=f"material catalog file for --material "
-                                   f"(overrides ${MATERIALS_ENV_VAR} and presets)")
-    medium_flags.add_argument("--material", help="material name from the catalog")
-    medium_flags.add_argument("--chi2", type=parse_chi2, metavar="CHI",
-                              help="second-order susceptibility, e.g. 1pm/V (implies spdc)")
-    medium_flags.add_argument("--chi3", type=parse_chi3, metavar="CHI",
-                              help="third-order susceptibility, e.g. 1e-22m2/V2 (implies fwm)")
-    medium_flags.add_argument("--n-p", type=float, default=None, help="pump refractive index")
-    medium_flags.add_argument("--n-s", type=float, default=None, help="signal refractive index")
-    medium_flags.add_argument("--n-i", type=float, default=None, help="idler refractive index")
+    def common(add):
+        out_flag(add)
+        add("--format", choices=("table", "csv"), default="table",
+            help="output rendering for scalar reports")
 
-    wave_flags = argparse.ArgumentParser(add_help=False)
-    wave_flags.add_argument("--lambda-s", type=parse_length, metavar="LEN",
-                            help="signal wavelength (default 1um)")
-    wave_flags.add_argument("--lambda-i", type=parse_length, metavar="LEN",
-                            help="idler wavelength (default 1um)")
+    def medium_flags(add):
+        add("--materials", metavar="PATH", default=None,
+            help=f"material catalog file for --material "
+                 f"(overrides ${MATERIALS_ENV_VAR} and presets)")
+        add("--material", help="material name from the catalog")
+        add("--chi2", type=parse_chi2, metavar="CHI",
+            help="second-order susceptibility, e.g. 1pm/V (implies spdc)")
+        add("--chi3", type=parse_chi3, metavar="CHI",
+            help="third-order susceptibility, e.g. 1e-22m2/V2 (implies fwm)")
+        add("--n-p", type=float, default=None, help="pump refractive index")
+        add("--n-s", type=float, default=None, help="signal refractive index")
+        add("--n-i", type=float, default=None, help="idler refractive index")
 
-    pump_flags = argparse.ArgumentParser(add_help=False)
-    pump_flags.add_argument("--pump-intensity", type=parse_intensity, metavar="I",
-                            help="pump intensity, e.g. 40MW/cm2 (FWM: total of both pump waves)")
-    pump_flags.add_argument("--pump-field", type=parse_field, metavar="E",
-                            help="pump field amplitude, e.g. 5MV/m (alternative to intensity)")
+    def wave_flags(add):
+        add("--lambda-s", type=parse_length, metavar="LEN", help="signal wavelength (default 1um)")
+        add("--lambda-i", type=parse_length, metavar="LEN", help="idler wavelength (default 1um)")
+
+    def pump_flags(add):
+        add("--pump-intensity", type=parse_intensity, metavar="I",
+            help="pump intensity, e.g. 40MW/cm2 (FWM: total of both pump waves)")
+        add("--pump-field", type=parse_field, metavar="E",
+            help="pump field amplitude, e.g. 5MV/m (alternative to intensity)")
 
     parser = _Parser(
         prog="pairgate",
@@ -151,58 +174,60 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("criteria", parents=[common],
+    sub.add_parser("criteria", flags=(common,),
                    help="print the universal limit criteria at beta*L = 1")
 
-    p_classify = sub.add_parser("classify", parents=[common, medium_flags, wave_flags, pump_flags],
-                                help="classify the operating regime of a configuration")
-    p_classify.add_argument("--length", type=parse_length, metavar="LEN",
-                            required=True, help="interaction length, e.g. 1cm")
-    p_classify.add_argument("--section", type=parse_area, metavar="AREA",
-                            default=None, help="overlap section, e.g. 1mm2 (enables field report)")
-    p_classify.add_argument("--delta-nu", type=parse_frequency, metavar="BW",
-                            default=None, help="pair linewidth, e.g. 1GHz (enables field report)")
-    p_classify.add_argument("--band", type=float, default=0.01,
-                            help="relative at-limit band on beta*L (default 0.01)")
+    def classify_flags(add):
+        add("--length", type=parse_length, metavar="LEN", required=True,
+            help="interaction length, e.g. 1cm")
+        add("--section", type=parse_area, metavar="AREA", default=None,
+            help="overlap section, e.g. 1mm2 (enables field report)")
+        add("--delta-nu", type=parse_frequency, metavar="BW", default=None,
+            help="pair linewidth, e.g. 1GHz (enables field report)")
+        add("--band", type=float, default=0.01,
+            help="relative at-limit band on beta*L (default 0.01)")
+    sub.add_parser("classify", flags=(common, medium_flags, wave_flags, pump_flags, classify_flags),
+                   help="classify the operating regime of a configuration")
 
-    p_flux = sub.add_parser("flux", parents=[common, medium_flags, wave_flags, pump_flags],
-                            help="absolute pair flux for a configuration or a given beta*L")
-    p_flux.add_argument("--beta-l", type=float, default=None,
-                        help="gain product beta*L (bypasses the medium/pump flags)")
-    p_flux.add_argument("--length", type=parse_length, metavar="LEN", default=None,
-                        help="interaction length (required without --beta-l)")
-    p_flux.add_argument("--delta-nu", type=parse_frequency, metavar="BW",
-                        required=True, help="pair linewidth, e.g. 1GHz")
+    def flux_flags(add):
+        add("--beta-l", type=float, default=None,
+            help="gain product beta*L (bypasses the medium/pump flags)")
+        add("--length", type=parse_length, metavar="LEN", default=None,
+            help="interaction length (required without --beta-l)")
+        add("--delta-nu", type=parse_frequency, metavar="BW", required=True,
+            help="pair linewidth, e.g. 1GHz")
+    sub.add_parser("flux", flags=(common, medium_flags, wave_flags, pump_flags, flux_flags),
+                   help="absolute pair flux for a configuration or a given beta*L")
 
-    p_limit = sub.add_parser("limit", parents=[common, medium_flags, wave_flags],
-                             help="limit pump intensity at which beta*L = 1")
-    p_limit.add_argument("--length", type=parse_length, metavar="LEN",
-                         required=True, help="interaction length, e.g. 1mm")
+    def limit_flags(add):
+        add("--length", type=parse_length, metavar="LEN", required=True,
+            help="interaction length, e.g. 1mm")
+    sub.add_parser("limit", flags=(common, medium_flags, wave_flags, limit_flags),
+                   help="limit pump intensity at which beta*L = 1")
 
-    p_sweep = sub.add_parser("sweep", parents=[out_flag, medium_flags, wave_flags],
-                             help="CSV parameter sweeps, including figure presets")
-    p_sweep.add_argument("--figure", choices=("2", "3", "4"), default=None,
-                         help="preset sweep reproducing one of the reference figures")
-    p_sweep.add_argument("--variable", choices=("beta_l", "length", "pump_intensity"),
-                         help="swept variable for an explicit sweep")
-    p_sweep.add_argument("--min", default=None,
-                         help="sweep start (unit-suffixed for length/intensity)")
-    p_sweep.add_argument("--max", default=None,
-                         help="sweep stop (unit-suffixed for length/intensity)")
-    p_sweep.add_argument("--count", type=int, help="number of points (default 101)")
-    p_sweep.add_argument("--scale", choices=("linear", "log"), help="grid spacing (default linear)")
-    p_sweep.add_argument("--length", type=parse_length, metavar="LEN", default=None,
-                         help="fixed interaction length (pump_intensity sweeps)")
-    p_sweep.add_argument("--delta-nu", type=parse_frequency, metavar="BW",
-                         default=None, help="pair linewidth for flux columns")
+    def sweep_flags(add):
+        add("--figure", choices=("2", "3", "4"), default=None,
+            help="preset sweep reproducing one of the reference figures")
+        add("--variable", choices=("beta_l", "length", "pump_intensity"),
+            help="swept variable for an explicit sweep")
+        add("--min", default=None, help="sweep start (unit-suffixed for length/intensity)")
+        add("--max", default=None, help="sweep stop (unit-suffixed for length/intensity)")
+        add("--count", type=int, help="number of points (default 101)")
+        add("--scale", choices=("linear", "log"), help="grid spacing (default linear)")
+        add("--length", type=parse_length, metavar="LEN", default=None,
+            help="fixed interaction length (pump_intensity sweeps)")
+        add("--delta-nu", type=parse_frequency, metavar="BW", default=None,
+            help="pair linewidth for flux columns")
+    sub.add_parser("sweep", flags=(out_flag, medium_flags, wave_flags, sweep_flags),
+                   help="CSV parameter sweeps, including figure presets")
 
-    p_oracle = sub.add_parser("oracle", parents=[common],
-                              help="compare the RK4 coupled-wave oracle against the closed form")
-    p_oracle.add_argument("--beta-l", type=float, required=True, help="gain product beta*L")
-    p_oracle.add_argument("--steps", type=int, default=1024,
-                          help="fixed RK4 step count (default 1024)")
-    p_oracle.add_argument("--delta-nu", type=parse_frequency, metavar="BW",
-                          default=1.0, help="pair linewidth (default 1Hz)")
+    def oracle_flags(add):
+        add("--beta-l", type=float, required=True, help="gain product beta*L")
+        add("--steps", type=int, default=1024, help="fixed RK4 step count (default 1024)")
+        add("--delta-nu", type=parse_frequency, metavar="BW", default=1.0,
+            help="pair linewidth (default 1Hz)")
+    sub.add_parser("oracle", flags=(common, oracle_flags),
+                   help="compare the RK4 coupled-wave oracle against the closed form")
 
     return parser
 
@@ -210,6 +235,18 @@ def build_parser() -> argparse.ArgumentParser:
 # --------------------------------------------------------------------------
 # assembly helpers (flags -> domain objects)
 # --------------------------------------------------------------------------
+
+def resolve_catalog(explicit_path):
+    """materials.resolve_catalog; the catalog module is imported on the first call."""
+    from . import materials
+    return materials.resolve_catalog(explicit_path)
+
+
+def lookup(catalog, name):
+    """materials.lookup, imported like resolve_catalog."""
+    from . import materials
+    return materials.lookup(catalog, name)
+
 
 def _build_medium(args) -> Medium:
     flags = {"--material": args.material, "--chi2": args.chi2, "--chi3": args.chi3}
@@ -516,6 +553,8 @@ def cmd_sweep(args) -> str:
 
 
 def cmd_oracle(args) -> str:
+    from . import oracle
+
     medium = Medium(process=Process.SPDC, chi_eff=ORACLE_REFERENCE["chi2"])
     triplet = triplet_from_wavelengths(DEFAULT_WAVELENGTH, DEFAULT_WAVELENGTH, Process.SPDC)
     geometry = Geometry(length=ORACLE_REFERENCE["length"], section=ORACLE_REFERENCE["section"])

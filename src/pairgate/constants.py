@@ -1,4 +1,5 @@
-"""Fundamental physical constants, CODATA 2018, strict SI.
+"""Fundamental physical constants, CODATA 2018, strict SI, and the name of the
+environment variable that points at a material catalog.
 
 Everything downstream computes in SI (m, s, rad/s, V/m, W/m^2); unit
 conveniences live at the CLI boundary only.
@@ -21,3 +22,8 @@ class CODATA2018:
     eps0 = 8.854_187_8128e-12    # vacuum permittivity (F/m)
     mu0 = 1.256_637_062_12e-6    # vacuum permeability (H/m)
     hbar = h / (2.0 * math.pi)   # reduced Planck constant (J s)
+
+
+# read by materials.resolve_catalog; here so that the CLI's help names it
+# without importing the catalog
+MATERIALS_ENV_VAR = "PAIRGATE_MATERIALS"

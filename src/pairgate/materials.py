@@ -32,6 +32,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
+from .constants import MATERIALS_ENV_VAR
 from .model import Medium, Process, _named_tuple
 from .units import CHI2_UNITS, CHI3_UNITS, UnitParseError, split_quantity
 
@@ -45,8 +46,6 @@ __all__ = [
     "lookup",
     "MATERIALS_ENV_VAR",
 ]
-
-MATERIALS_ENV_VAR = "PAIRGATE_MATERIALS"
 
 # chi unit -> (process whose order it fits, scale to SI)
 _CHI_UNITS = {

@@ -282,7 +282,11 @@ class Bandwidth(_named_tuple("Bandwidth", "delta_omega")):
 
     @classmethod
     def from_delta_nu(cls, delta_nu: float) -> "Bandwidth":
-        return cls(delta_omega=2.0 * math.pi * delta_nu)
+        _check("delta_nu", delta_nu)
+        delta_omega = 2.0 * math.pi * delta_nu
+        if delta_omega > _FLOAT_MAX:
+            raise _out_of_float_range("bandwidth", delta_nu=delta_nu)
+        return cls(delta_omega=delta_omega)
 
     @property
     def delta_nu(self) -> float:

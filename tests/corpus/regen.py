@@ -5,10 +5,11 @@ Run from the repository root, on the commit whose behaviour is the reference:
     PYTHONPATH=src python tests/corpus/regen.py
 
 Each argv runs in this one process through `pairgate.cli.main`, in order, with
-$PAIRGATE_MATERIALS unset and "{tmp}" replaced by a fresh empty directory. Its
-record holds the exit code and stderr verbatim; stdout verbatim, or for a sweep
-its sha256 and line count; and, for an argv that names {tmp}, each file left
-there with its sha256 and size. tests/test_corpus.py replays the same records.
+$PAIRGATE_MATERIALS unset, $COLUMNS at 80 (argparse wraps --help to it) and "{tmp}"
+replaced by a fresh empty directory. Its record holds the exit code and stderr
+verbatim; stdout verbatim, or for a sweep other than --help its sha256 and line
+count; and, for an argv that names {tmp}, each file left there with its sha256
+and size. tests/test_corpus.py replays the same records.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def record(line: str, tmp: Path) -> str:
     lines = [f"== {line}", f"exit: {code}"]
     lines += [f"stderr: {text}" for text in err.getvalue().replace(str(tmp), "{tmp}").splitlines()]
     stdout = out.getvalue()
-    if argv[0] == "sweep" and stdout:
+    if argv[0] == "sweep" and "--help" not in argv and stdout:
         rows = stdout.count("\n")
         lines.append(f"stdout-sha256: {_digest(stdout.encode())} lines={rows}")
     else:
@@ -72,13 +73,14 @@ def record(line: str, tmp: Path) -> str:
 
 def records(lines: list[str]) -> list[str]:
     """The record of each argv line, all run in this process, in order."""
-    saved = os.environ.pop(MATERIALS_ENV_VAR, None)
+    saved = {name: os.environ.pop(name, None) for name in (MATERIALS_ENV_VAR, "COLUMNS")}
+    os.environ["COLUMNS"] = "80"
     try:
         with tempfile.TemporaryDirectory() as tmp:
             return [record(line, Path(tmp)) for line in lines]
     finally:
-        if saved is not None:
-            os.environ[MATERIALS_ENV_VAR] = saved
+        os.environ.pop("COLUMNS")
+        os.environ.update({name: value for name, value in saved.items() if value is not None})
 
 
 def parse_expected(text: str) -> list[str]:

@@ -1041,9 +1041,40 @@ ACCEPTED_OPTIONS = {
 def test_each_subcommand_accepts_only_the_flags_it_reads():
     parser = cli.build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for sub in subparsers.choices.values():
+        sub.add_flags()  # otherwise added on the subcommand's first parse
     accepted = {name: sorted(option for action in sub._actions for option in action.option_strings)
                 for name, sub in subparsers.choices.items()}
     assert accepted == {name: sorted(options) for name, options in ACCEPTED_OPTIONS.items()}
+
+
+def test_threads_parsing_a_subcommand_first_all_get_its_flags():
+    """A subcommand's first parse adds its flags; concurrent first parses wait for them."""
+    parser = cli.build_parser()
+    argv = ["limit", "--chi2", "1pm/V", "--length", "1mm", "--lambda-s", "2um", "--n-i", "2"]
+    barrier = threading.Barrier(8)
+    lengths, errors = [], []
+
+    def parse():
+        barrier.wait()
+        try:
+            lengths.append(parser.parse_args(argv).length)
+        except BaseException as exc:  # SystemExit from a flag not yet added, or ArgumentError
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=parse) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert lengths == [1e-3] * 8
 
 
 def test_help_still_exits_zero():
@@ -1382,6 +1413,37 @@ def test_cli_import_loads_no_dataclass_or_typing_machinery():
     result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv, lazy", [
+    ([], []),  # a bare `import pairgate`
+    (["criteria"], []),
+    (["classify", "--chi2", "1pm/V", "--length", "1cm", "--pump-intensity", "1MW/cm2"], []),
+    (["flux", "--chi3", "1e-22m2/V2", "--length", "1m", "--pump-intensity", "1GW/cm2",
+      "--delta-nu", "1GHz"], []),
+    (["limit", "--chi2", "1pm/V", "--length", "1mm"], []),
+    (["sweep", "--figure", "3"], []),
+    (["limit", "--material", "KTP_class", "--length", "1mm"], ["pairgate.materials"]),
+    (["sweep", "--variable", "length", "--material", "silica_fiber", "--min", "1m", "--max", "1km"],
+     ["pairgate.materials"]),
+    (["oracle", "--beta-l", "1"], ["pairgate.oracle"]),
+], ids=lambda value: " ".join(value) or "none")
+def test_a_call_imports_the_catalog_and_oracle_only_where_it_runs_them(argv, lazy):
+    src = Path(__file__).parent.parent / "src"
+    script = (
+        "import contextlib, io, sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import pairgate\n"
+        "if sys.argv[1:]:\n"
+        "    from pairgate import cli\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(sys.argv[1:]) == 0\n"
+        "print(*sorted({'pairgate.materials', 'pairgate.oracle'} & set(sys.modules)))\n"
+    )
+    result = subprocess.run([sys.executable, "-S", "-c", script, *argv], capture_output=True,
+                            text=True, env={**os.environ, MATERIALS_ENV_VAR: ""})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == lazy
 
 
 def test_module_entry_point_runs():

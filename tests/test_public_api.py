@@ -20,8 +20,8 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    exported = sorted(name for name, value in vars(pairgate).items()
-                      if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    exported = sorted(name for name in dir(pairgate) if not name.startswith("_")
+                      and not isinstance(getattr(pairgate, name), types.ModuleType))
     assert exported == sorted(PUBLIC_NAMES)
     for module in (model, materials, oracle, units):
         assert [name for name in module.__all__ if not hasattr(module, name)] == []
