@@ -173,11 +173,6 @@ class WaveTriplet(_named_tuple("WaveTriplet", "omega_s omega_i process")):
         total = self.omega_s + self.omega_i
         return total if self.process is Process.SPDC else 0.5 * total
 
-    @classmethod
-    def from_signal_idler(cls, omega_s: float, omega_i: float, process: Process) -> "WaveTriplet":
-        """Same as WaveTriplet(omega_s, omega_i, process)."""
-        return cls(omega_s, omega_i, process)
-
     def omega(self, arm: Arm) -> float:
         return self.omega_s if arm is Arm.SIGNAL else self.omega_i
 
@@ -284,7 +279,7 @@ class Bandwidth(_named_tuple("Bandwidth", "delta_omega")):
     def from_delta_nu(cls, delta_nu: float) -> "Bandwidth":
         _check("delta_nu", delta_nu)
         delta_omega = 2.0 * math.pi * delta_nu
-        if delta_omega > _FLOAT_MAX:
+        if not _FLOAT_MIN <= delta_omega <= _FLOAT_MAX:
             raise _out_of_float_range("bandwidth", delta_nu=delta_nu)
         return cls(delta_omega=delta_omega)
 
@@ -445,13 +440,9 @@ def pump_for_gain(
 # pair flux
 # --------------------------------------------------------------------------
 
-def _photon_flux(field: float, omega: float, n: float, section: float) -> float:
-    """Photon flux (photons/s) of a field amplitude: eps0*n*c*S/(4*hbar*omega) * field^2."""
-    return _photon_partials(field, omega, n, section)[-1]
-
-
 def _photon_partials(field: float, omega: float, n: float, section: float) -> tuple:
-    """The partial products of _photon_flux in evaluation order, the flux last:
+    """The partial products of the photon flux (photons/s) of a field amplitude,
+    eps0*n*c*S/(4*hbar*omega) * field^2, in evaluation order, the flux last:
     eps0*n*c*S, 4*hbar*omega, their quotient, that times field, that times field."""
     k = CODATA2018
     area, quantum = k.eps0 * n * k.c * section, 4.0 * k.hbar * omega

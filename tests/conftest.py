@@ -1,12 +1,20 @@
-"""Shared hypothesis strategies, 50-digit reference helpers, the checked-sweep helper and
-the acceptance-summary hook."""
+"""Shared hypothesis strategies, 50-digit reference helpers, the checked-sweep helper, the
+behaviour corpus's regen module and the acceptance-summary hook."""
 
+import importlib.util
 from decimal import Context, Decimal, localcontext
+from pathlib import Path
 
 from hypothesis import strategies as st
 
 from pairgate import cli, model
 from pairgate.model import Geometry, Medium, Process, WaveTriplet
+
+# tests/corpus/regen.py, which the corpus tests and the tag-driven CLI tests share
+_spec = importlib.util.spec_from_file_location("corpus_regen",
+                                               Path(__file__).parent / "corpus" / "regen.py")
+regen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regen)
 
 _acceptance_outcomes: dict[str, str] = {}
 
@@ -57,7 +65,7 @@ def triplets(draw, process=None):
     proc = draw(processes) if process is None else process
     omega_s = draw(omegas)
     omega_i = draw(omegas)
-    return WaveTriplet.from_signal_idler(omega_s, omega_i, proc)
+    return WaveTriplet(omega_s, omega_i, proc)
 
 
 @st.composite

@@ -163,7 +163,7 @@ def test_criterion_7_equivalence_of_forms():
         process = Process.SPDC if rng.random() < 0.5 else Process.FWM
         omega_s = rng.uniform(1e14, 1e16)
         omega_i = rng.uniform(1e14, 1e16)
-        triplet = WaveTriplet.from_signal_idler(omega_s, omega_i, process)
+        triplet = WaveTriplet(omega_s, omega_i, process)
         chi = 1e-12 if process is Process.SPDC else 1e-22
         medium = Medium(
             process=process,

@@ -1,11 +1,13 @@
 """CLI behaviour: renderings, exit codes, figure sweeps, golden projections.
 
 Golden tests assert that CSV output reproduces direct library calls bit for
-bit, guaranteeing no physics is computed in the CLI layer.
+bit, guaranteeing no physics is computed in the CLI layer. The property tests
+over CLI cases (one-line errors, range messages, sweep errors, --help, imports,
+runs without numpy) take their argv from tests/corpus/argv.txt by tag, so each case
+is written once there, next to its recorded bytes in expected.txt.
 """
 
 import argparse
-import contextlib
 import csv
 import io
 import math
@@ -22,17 +24,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import sweep_rows
+from conftest import regen, sweep_rows
 from pairgate import cli, model
 from pairgate.materials import MATERIALS_ENV_VAR
 from pairgate.model import Medium, Process, PumpDrive, triplet_from_wavelengths
 from pairgate.units import parse_length
-
-
-def run_cli(argv, capsys):
-    code = cli.main(argv)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def parse_csv(text):
@@ -40,12 +36,26 @@ def parse_csv(text):
     return rows
 
 
+_EXPECTED = regen.expected()
+
+
+def _argv(tag):
+    """The argv of each corpus line that carries tag."""
+    return [shlex.split(line) for line in regen.tagged(tag)]
+
+
+def _message(line):
+    """The stderr line of a corpus record, after its "pairgate <command>: "."""
+    stderr = [text for text in _EXPECTED[line].splitlines() if text.startswith("stderr: ")]
+    return stderr[0].split(": ", 2)[2]
+
+
 # --------------------------------------------------------------------------
 # criteria
 # --------------------------------------------------------------------------
 
-def test_criteria_prints_quoted_constants(capsys):
-    code, out, _ = run_cli(["criteria"], capsys)
+def test_criteria_prints_quoted_constants():
+    code, out, _ = regen.run(["criteria"])
     assert code == 0
     for token in ("0.369", "0.738", "1.718"):
         assert token in out
@@ -53,8 +63,8 @@ def test_criteria_prints_quoted_constants(capsys):
     assert repr(model.limit_criteria().pairs_limit) in out
 
 
-def test_criteria_csv_golden(capsys):
-    code, out, _ = run_cli(["criteria", "--format", "csv"], capsys)
+def test_criteria_csv_golden():
+    code, out, _ = regen.run(["criteria", "--format", "csv"])
     assert code == 0
     row = parse_csv(out)[0]
     crit = model.limit_criteria()
@@ -67,44 +77,36 @@ def test_criteria_csv_golden(capsys):
 # classify
 # --------------------------------------------------------------------------
 
-def test_classify_at_limit_example(capsys):
-    code, out, _ = run_cli(
+def test_classify_at_limit_example():
+    code, out, _ = regen.run(
         ["classify", "--material", "KTP_class", "--length", "1cm",
          "--lambda-s", "1um", "--lambda-i", "1um",
-         "--pump-intensity", "135MW/cm2"],
-        capsys,
-    )
+         "--pump-intensity", "135MW/cm2"])
     assert code == 0
     assert "at-limit" in out
     assert "1.00" in out  # beta*L within 1% of 1
 
 
-def test_classify_halved_intensity_is_small_signal(capsys):
-    code, out, _ = run_cli(
+def test_classify_halved_intensity_is_small_signal():
+    code, out, _ = regen.run(
         ["classify", "--material", "KTP_class", "--length", "1cm",
-         "--pump-intensity", "67.5MW/cm2"],
-        capsys,
-    )
+         "--pump-intensity", "67.5MW/cm2"])
     assert code == 0
     assert "small-signal" in out
 
 
-def test_classify_fwm_silica_example(capsys):
-    code, out, _ = run_cli(
+def test_classify_fwm_silica_example():
+    code, out, _ = regen.run(
         ["classify", "--material", "silica_fiber", "--length", "10m",
-         "--pump-intensity", "84.5MW/cm2"],
-        capsys,
-    )
+         "--pump-intensity", "84.5MW/cm2"])
     assert code == 0
     assert "at-limit" in out
 
 
-def test_classify_csv_golden(capsys):
-    code, out, _ = run_cli(
+def test_classify_csv_golden():
+    code, out, _ = regen.run(
         ["classify", "--chi2", "1pm/V", "--length", "1cm",
-         "--pump-intensity", "135MW/cm2", "--format", "csv"],
-        capsys,
-    )
+         "--pump-intensity", "135MW/cm2", "--format", "csv"])
     assert code == 0
     row = parse_csv(out)[0]
 
@@ -118,13 +120,11 @@ def test_classify_csv_golden(capsys):
     assert float(row["field_ratio"]) == report.field_ratio
 
 
-def test_classify_field_report_columns(capsys):
-    code, out, _ = run_cli(
+def test_classify_field_report_columns():
+    code, out, _ = regen.run(
         ["classify", "--chi2", "1pm/V", "--length", "1cm",
-         "--pump-intensity", "135MW/cm2", "--section", "1mm2",
-         "--delta-nu", "1GHz", "--format", "csv"],
-        capsys,
-    )
+         "--pump-intensity", "67.5MW/cm2", "--section", "1mm2",
+         "--delta-nu", "1GHz", "--format", "csv"])
     assert code == 0
     row = parse_csv(out)[0]
     assert float(row["generated_field_V_per_m"]) == pytest.approx(
@@ -132,41 +132,35 @@ def test_classify_field_report_columns(capsys):
     )
 
 
-def test_classify_bad_unit_names_flag(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["classify", "--chi2", "1pm/V", "--length", "1cm",
-                  "--pump-intensity", "135parsec"])
-    assert exc.value.code == 2
-    assert "--pump-intensity" in capsys.readouterr().err
-
-
-def test_classify_requires_one_medium_source(capsys):
-    code, _, err = run_cli(
-        ["classify", "--length", "1cm", "--pump-intensity", "1MW/cm2"], capsys
-    )
-    assert code == 2
-    assert "--material" in err
-
-    code, _, err = run_cli(
-        ["classify", "--chi2", "1pm/V", "--chi3", "1e-22m2/V2",
-         "--length", "1cm", "--pump-intensity", "1MW/cm2"],
-        capsys,
-    )
-    assert code == 2
-
-
-def test_classify_requires_one_pump(capsys):
-    code, _, err = run_cli(["classify", "--chi2", "1pm/V", "--length", "1cm"], capsys)
+def test_classify_bad_unit_names_flag():
+    code, _, err = regen.run(["classify", "--chi2", "1pm/V", "--length", "1cm",
+                              "--pump-intensity", "135parsec"])
     assert code == 2
     assert "--pump-intensity" in err
 
 
-def test_classify_unknown_material_suggests(capsys):
-    code, _, err = run_cli(
+def test_classify_requires_one_medium_source():
+    code, _, err = regen.run(
+        ["classify", "--length", "1cm", "--pump-intensity", "1MW/cm2"])
+    assert code == 2
+    assert "--material" in err
+
+    code, _, err = regen.run(
+        ["classify", "--chi2", "1pm/V", "--chi3", "1e-22m2/V2",
+         "--length", "1cm", "--pump-intensity", "1MW/cm2"])
+    assert code == 2
+
+
+def test_classify_requires_one_pump():
+    code, _, err = regen.run(["classify", "--chi2", "1pm/V", "--length", "1cm"])
+    assert code == 2
+    assert "--pump-intensity" in err
+
+
+def test_classify_unknown_material_suggests():
+    code, _, err = regen.run(
         ["classify", "--material", "KTP_clas", "--length", "1cm",
-         "--pump-intensity", "1MW/cm2"],
-        capsys,
-    )
+         "--pump-intensity", "1MW/cm2"])
     assert code == 2
     assert "KTP_class" in err
 
@@ -175,27 +169,24 @@ def test_classify_unknown_material_suggests(capsys):
 # flux
 # --------------------------------------------------------------------------
 
-def test_flux_zero_gain(capsys):
-    code, out, _ = run_cli(["flux", "--beta-l", "0", "--delta-nu", "1GHz"], capsys)
+def test_flux_zero_gain():
+    code, out, _ = regen.run(["flux", "--beta-l", "0", "--delta-nu", "1GHz"])
     assert code == 0
     assert "pairs_per_s  0" in out
 
 
-def test_flux_csv_golden(capsys):
-    code, out, _ = run_cli(
-        ["flux", "--beta-l", "1.0", "--delta-nu", "1Hz", "--format", "csv"], capsys
-    )
+def test_flux_csv_golden():
+    code, out, _ = regen.run(
+        ["flux", "--beta-l", "1.0", "--delta-nu", "1Hz", "--format", "csv"])
     assert code == 0
     row = parse_csv(out)[0]
     assert float(row["pairs_per_s"]) == model.pair_flux_reduced(1.0, 1.0)
 
 
-def test_flux_physical_path_matches_classify(capsys):
-    code, out, _ = run_cli(
+def test_flux_physical_path_matches_classify():
+    code, out, _ = regen.run(
         ["flux", "--chi2", "1pm/V", "--length", "1cm",
-         "--pump-intensity", "135MW/cm2", "--delta-nu", "1Hz", "--format", "csv"],
-        capsys,
-    )
+         "--pump-intensity", "135MW/cm2", "--delta-nu", "1Hz", "--format", "csv"])
     assert code == 0
     row = parse_csv(out)[0]
     medium = Medium(process=Process.SPDC, chi_eff=1e-12)
@@ -209,17 +200,15 @@ def test_flux_physical_path_matches_classify(capsys):
     ["--pump-intensity", "1MW/cm2"],
     ["--chi2", "0pm/V"],
 ], ids=["pump_intensity", "chi2_zero"])
-def test_flux_beta_l_conflicts_with_pump(extra, capsys):
-    code, _, err = run_cli(["flux", "--beta-l", "1", "--delta-nu", "1Hz"] + extra, capsys)
+def test_flux_beta_l_conflicts_with_pump(extra):
+    code, _, err = regen.run(["flux", "--beta-l", "1", "--delta-nu", "1Hz"] + extra)
     assert code == 2
     assert "--beta-l" in err
 
 
-def test_flux_needs_length_without_beta_l(capsys):
-    code, _, err = run_cli(
-        ["flux", "--chi2", "1pm/V", "--pump-intensity", "1MW/cm2", "--delta-nu", "1Hz"],
-        capsys,
-    )
+def test_flux_needs_length_without_beta_l():
+    code, _, err = regen.run(
+        ["flux", "--chi2", "1pm/V", "--pump-intensity", "1MW/cm2", "--delta-nu", "1Hz"])
     assert code == 2
     assert "--length" in err
 
@@ -228,16 +217,15 @@ def test_flux_needs_length_without_beta_l(capsys):
 # limit
 # --------------------------------------------------------------------------
 
-def test_limit_quoted_endpoint(capsys):
-    code, out, _ = run_cli(["limit", "--chi2", "1pm/V", "--length", "1mm"], capsys)
+def test_limit_quoted_endpoint():
+    code, out, _ = regen.run(["limit", "--chi2", "1pm/V", "--length", "1mm"])
     assert code == 0
     assert "13.4 GW/cm2" in out  # 13.447, i.e. the quoted 13.5 within 1%
 
 
-def test_limit_csv_golden(capsys):
-    code, out, _ = run_cli(
-        ["limit", "--chi3", "1e-22m2/V2", "--length", "10m", "--format", "csv"], capsys
-    )
+def test_limit_csv_golden():
+    code, out, _ = regen.run(
+        ["limit", "--chi3", "1e-22m2/V2", "--length", "10m", "--format", "csv"])
     assert code == 0
     row = parse_csv(out)[0]
     medium = Medium(process=Process.FWM, chi_eff=1e-22)
@@ -249,12 +237,10 @@ def test_limit_csv_golden(capsys):
     )
 
 
-def test_limit_with_indices_reports_both_intensities(capsys):
-    code, out, _ = run_cli(
+def test_limit_with_indices_reports_both_intensities():
+    code, out, _ = regen.run(
         ["limit", "--chi2", "10pm/V", "--length", "1cm",
-         "--n-p", "1.8", "--n-s", "1.8", "--n-i", "1.8", "--format", "csv"],
-        capsys,
-    )
+         "--n-p", "1.8", "--n-s", "1.8", "--n-i", "1.8", "--format", "csv"])
     assert code == 0
     row = parse_csv(out)[0]
     ratio = float(row["limit_intensity_W_per_m2"]) / float(row["effective_limit_W_per_m2"])
@@ -265,8 +251,8 @@ def test_limit_with_indices_reports_both_intensities(capsys):
 # sweep
 # --------------------------------------------------------------------------
 
-def test_sweep_figure2_schema_and_origin(capsys):
-    code, out, _ = run_cli(["sweep", "--figure", "2"], capsys)
+def test_sweep_figure2_schema_and_origin():
+    code, out, _ = regen.run(["sweep", "--figure", "2"])
     assert code == 0
     rows = parse_csv(out)
     assert list(rows[0]) == ["beta_l", "pairs_per_bandwidth"]
@@ -275,8 +261,8 @@ def test_sweep_figure2_schema_and_origin(capsys):
     assert float(rows[-1]["beta_l"]) == 6.0
 
 
-def test_sweep_figure2_golden(capsys):
-    _, out, _ = run_cli(["sweep", "--figure", "2"], capsys)
+def test_sweep_figure2_golden():
+    _, out, _ = regen.run(["sweep", "--figure", "2"])
     for row in parse_csv(out)[::20]:
         assert float(row["pairs_per_bandwidth"]) == model.pairs_per_bandwidth(
             float(row["beta_l"])
@@ -287,8 +273,8 @@ def pick_row(rows, column, value):
     return min(rows, key=lambda r: abs(float(r[column]) - value))
 
 
-def test_sweep_figure3_quoted_endpoints(capsys):
-    code, out, _ = run_cli(["sweep", "--figure", "3"], capsys)
+def test_sweep_figure3_quoted_endpoints():
+    code, out, _ = regen.run(["sweep", "--figure", "3"])
     assert code == 0
     rows = parse_csv(out)
     at_1mm = pick_row(rows, "length_m", 1e-3)
@@ -301,8 +287,8 @@ def test_sweep_figure3_quoted_endpoints(capsys):
     assert float(at_1cm["gamma_W_per_m2_chi2_100pm_V"]) == pytest.approx(1.35e8, rel=0.01)
 
 
-def test_sweep_figure4_quoted_endpoints(capsys):
-    code, out, _ = run_cli(["sweep", "--figure", "4"], capsys)
+def test_sweep_figure4_quoted_endpoints():
+    code, out, _ = regen.run(["sweep", "--figure", "4"])
     assert code == 0
     rows = parse_csv(out)
     at_1mm = pick_row(rows, "length_m", 1e-3)
@@ -317,12 +303,11 @@ def test_sweep_figure4_quoted_endpoints(capsys):
     assert float(at_1km["gamma_W_per_m2_chi3_1e-22m2_V2"]) == pytest.approx(8.45e9, rel=0.01)
 
 
-def test_sweep_deterministic_output(tmp_path, capsys):
+def test_sweep_deterministic_output(tmp_path):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
-    assert cli.main(["sweep", "--figure", "3", "--out", str(first)]) == 0
-    assert cli.main(["sweep", "--figure", "3", "--out", str(second)]) == 0
-    capsys.readouterr()
+    assert regen.run(["sweep", "--figure", "3", "--out", str(first)]) == (0, "", "")
+    assert regen.run(["sweep", "--figure", "3", "--out", str(second)]) == (0, "", "")
     assert first.read_bytes() == second.read_bytes()
 
 
@@ -347,11 +332,9 @@ def test_sweep_log_grid_is_ten_to_the_linear_grid(start, stop, count):
     assert cli.SweepSpec(start, stop, count, log=True).grid() == [10.0 ** x for x in exponents]
 
 
-def test_sweep_explicit_beta_l(capsys):
-    code, out, _ = run_cli(
-        ["sweep", "--variable", "beta_l", "--min", "0", "--max", "2", "--count", "5"],
-        capsys,
-    )
+def test_sweep_explicit_beta_l():
+    code, out, _ = regen.run(
+        ["sweep", "--variable", "beta_l", "--min", "0", "--max", "2", "--count", "5"])
     assert code == 0
     rows = parse_csv(out)
     assert len(rows) == 5
@@ -359,12 +342,10 @@ def test_sweep_explicit_beta_l(capsys):
     assert float(rows[2]["pairs_per_bandwidth"]) == model.pairs_per_bandwidth(1.0)
 
 
-def test_sweep_explicit_length(capsys):
-    code, out, _ = run_cli(
+def test_sweep_explicit_length():
+    code, out, _ = regen.run(
         ["sweep", "--variable", "length", "--min", "1mm", "--max", "1m",
-         "--count", "4", "--scale", "log", "--chi2", "1pm/V"],
-        capsys,
-    )
+         "--count", "4", "--scale", "log", "--chi2", "1pm/V"])
     assert code == 0
     rows = parse_csv(out)
     assert list(rows[0]) == ["length_m", "gamma_W_per_m2"]
@@ -374,12 +355,10 @@ def test_sweep_explicit_length(capsys):
     )
 
 
-def test_sweep_explicit_pump_intensity(capsys):
-    code, out, _ = run_cli(
+def test_sweep_explicit_pump_intensity():
+    code, out, _ = regen.run(
         ["sweep", "--variable", "pump_intensity", "--min", "1MW/cm2", "--max", "1GW/cm2",
-         "--count", "7", "--scale", "log", "--chi2", "1pm/V", "--length", "1cm"],
-        capsys,
-    )
+         "--count", "7", "--scale", "log", "--chi2", "1pm/V", "--length", "1cm"])
     assert code == 0
     rows = parse_csv(out)
     assert list(rows[0]) == ["pump_intensity_W_per_m2", "beta_l", "pairs_per_bandwidth"]
@@ -391,12 +370,10 @@ def test_sweep_explicit_pump_intensity(capsys):
         assert float(row["beta_l"]) == beta_l
 
 
-def test_sweep_beta_l_with_bandwidth_adds_flux_column(capsys):
-    code, out, _ = run_cli(
+def test_sweep_beta_l_with_bandwidth_adds_flux_column():
+    code, out, _ = regen.run(
         ["sweep", "--variable", "beta_l", "--min", "0", "--max", "2",
-         "--count", "5", "--delta-nu", "1GHz"],
-        capsys,
-    )
+         "--count", "5", "--delta-nu", "1GHz"])
     assert code == 0
     rows = parse_csv(out)
     assert list(rows[0]) == ["beta_l", "pairs_per_bandwidth", "pairs_per_s"]
@@ -428,7 +405,7 @@ _SWEEP_MEDIA = {
     ("beta_l", "linear", None, "1GHz"),
     ("beta_l", "log", None, None),
 ])
-def test_sweep_rows_equal_the_scalar_kernels(variable, scale, medium, delta_nu, capsys):
+def test_sweep_rows_equal_the_scalar_kernels(variable, scale, medium, delta_nu):
     """Every row of a ~10^4-point sweep is the scalar kernels' value at its point, bit for bit."""
     count = 10_001
     bounds = {"pump_intensity": ("1MW/cm2", "10GW/cm2"), "length": ("1mm", "1km"),
@@ -443,7 +420,7 @@ def test_sweep_rows_equal_the_scalar_kernels(variable, scale, medium, delta_nu, 
         triplet = triplet_from_wavelengths(lambda_s, lambda_i, medium.process)
     if delta_nu is not None:
         argv += ["--delta-nu", delta_nu]
-    code, out, _ = run_cli(argv, capsys)
+    code, out, _ = regen.run(argv)
     assert code == 0
     rows = [[float(cell) for cell in line.split(",")] for line in out.splitlines()[1:]]
     assert len(rows) == count
@@ -463,44 +440,13 @@ def test_sweep_rows_equal_the_scalar_kernels(variable, scale, medium, delta_nu, 
         assert cells == want
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["sweep", "--variable", "pump_intensity", "--min", "1W/m2", "--max", "1e300W/m2",
-      "--chi2", "1pm/V", "--length", "1m", "--count", "3"],
-     "gain out of the float range: chi_eff=1e-12, pump_field=inf"),
-    (["sweep", "--variable", "beta_l", "--min", "0", "--max", "300", "--delta-nu", "1e200Hz"],
-     "pair flux out of the float range: beta_l=126.0, delta_nu=1e+200"),
-    # point 0's beta_l is checked before delta_nu, at every point
-    (["sweep", "--variable", "beta_l", "--min", "400", "--max", "1000", "--delta-nu", "0Hz"],
-     "beta_l must be <= BETA_L_MAX = 354.89, got 400.0"),
-    (["sweep", "--variable", "beta_l", "--min", "0", "--max", "1000", "--delta-nu", "0Hz"],
-     "delta_nu must be strictly positive and finite, got 0.0"),
-    # fails at both ends; the first point is reported
-    (["sweep", "--variable", "length", "--min", "1e-300m", "--max", "1e300m", "--count", "5",
-      "--scale", "log", "--chi2", "1pm/V"],
-     "effective limit intensity out of the float range: length=1e-300, chi_eff=1e-12"),
-    # a coupling product ks*ki that overflows to inf is rejected before any point
-    (["sweep", "--variable", "pump_intensity", "--min", "0W/m2", "--max", "1W/m2",
-      "--count", "3", "--chi2", "1pm/V", "--length", "1m", "--lambda-s", "1e-290m",
-      "--lambda-i", "1e-290m"],
-     "gain out of the float range: omega_s=1.883651567308853e+299, "
-     "omega_i=1.883651567308853e+299, n_s=1.0, n_i=1.0"),
-    # fails first in the third block of points
-    (["sweep", "--variable", "beta_l", "--min", "0", "--max", "400", "--count", "10000"],
-     "beta_l must be <= BETA_L_MAX = 354.89, got 354.9154915491549"),
-    # a coupling product that underflows to 0 is rejected before any point
-    (["sweep", "--variable", "pump_intensity", "--min", "1W/m2", "--max", "1e308W/m2",
-      "--chi2", "1pm/V", "--length", "1m", "--lambda-s", "1e170m", "--lambda-i", "1e170m",
-      "--count", "3"],
-     "gain out of the float range: omega_s=1.883651567308853e-161, "
-     "omega_i=1.883651567308853e-161, n_s=1.0, n_i=1.0"),
-])
+@pytest.mark.parametrize("argv, message", [(shlex.split(line), _message(line))
+                                           for line in regen.tagged("sweep-error")])
 @pytest.mark.parametrize("to_file", [False, True])
-def test_sweep_error_comes_before_any_output(argv, message, to_file, tmp_path, capsys):
+def test_sweep_error_comes_before_any_output(argv, message, to_file, tmp_path):
     target = tmp_path / "out.csv"
-    code, out, err = run_cli(argv + (["--out", str(target)] if to_file else []), capsys)
-    assert code == 2
-    assert err == f"pairgate sweep: {message}\n"
-    assert out == ""
+    code, out, err = regen.run(argv + (["--out", str(target)] if to_file else []))
+    assert (code, out, err) == (2, "", f"pairgate sweep: {message}\n")
     assert not target.exists()
 
 
@@ -584,9 +530,10 @@ def test_sweep_blocks_equal_the_scalar_walk(sweep):
 
 
 def test_a_failing_sweep_computes_no_block(monkeypatch):
-    """Every block is checked before the first one is computed: the block columns never run
-    on a sweep whose second block fails, and each pair flux is one scalar kernel's point."""
-    sizes = []
+    """Every block is checked before the first one is computed: no failing sweep renders a
+    row, not even one whose second block fails, and each pair flux is one scalar kernel's
+    point."""
+    sizes, rendered, rows = [], [], cli._rows
     pair_fluxes = model._pair_fluxes
 
     def counted(growths, per_hz):
@@ -595,12 +542,10 @@ def test_a_failing_sweep_computes_no_block(monkeypatch):
         return pair_fluxes(growths, per_hz)
 
     monkeypatch.setattr(model, "_pair_fluxes", counted)
-    argv = ["sweep", "--variable", "beta_l", "--min", "0", "--max", "400", "--count", "8193",
-            "--delta-nu", "1GHz"]
-    assert run_cli_catching_exit(argv) == (
-        2, "", "pairgate sweep: pair flux out of the float range: beta_l=345.60546875, "
-               "delta_nu=1000000000.0\n")
-    assert sizes and max(sizes) == 1
+    monkeypatch.setattr(cli, "_rows", lambda *args: rendered.append(args) or rows(*args))
+    for argv in _argv("sweep-error"):
+        assert regen.run(argv)[:2] == (2, "")
+    assert rendered == [] and max(sizes) == 1
 
 
 _forking = pytest.mark.skipif(
@@ -636,7 +581,7 @@ def _set_cpus(monkeypatch, cpus: int) -> None:
 def _sweep_leaving_no_child(argv):
     """cli.main's (exit code, stdout, stderr) on argv, after asserting that no child of this
     process is left unreaped."""
-    result = run_cli_catching_exit(argv)
+    result = regen.run(argv)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     return result
@@ -720,9 +665,8 @@ def test_an_exception_kills_and_reaps_every_child(monkeypatch):
 def test_no_fork_for_a_failing_sweep_or_beside_a_live_thread(monkeypatch):
     _set_cpus(monkeypatch, 2)
     forks = _count_forks(monkeypatch)
-    failing = ["sweep", "--variable", "beta_l", "--min", "0", "--max", "1000", "--count", "8193"]
-    assert _sweep_leaving_no_child(failing) == (
-        2, "", "pairgate sweep: beta_l must be <= BETA_L_MAX = 354.89, got 354.98046875\n")
+    for argv in _argv("sweep-error"):
+        assert _sweep_leaving_no_child(argv)[:2] == (2, "")
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
@@ -735,258 +679,59 @@ def test_no_fork_for_a_failing_sweep_or_beside_a_live_thread(monkeypatch):
     assert forks == []
 
 
-def test_sweep_length_rejects_bandwidth(capsys):
-    code, _, err = run_cli(
-        ["sweep", "--variable", "length", "--min", "1mm", "--max", "1m",
-         "--chi2", "1pm/V", "--delta-nu", "1GHz"],
-        capsys,
-    )
-    assert code == 2
-    assert "--delta-nu" in err
-
-
-def test_missing_materials_file_is_input_error(capsys):
-    code, _, err = run_cli(
-        ["classify", "--materials", "/nonexistent/catalog.mat", "--material", "x",
-         "--length", "1cm", "--pump-intensity", "1MW/cm2"],
-        capsys,
-    )
-    assert code == 2
-    assert "catalog.mat" in err
-
-
-def test_sweep_validation_errors(capsys):
-    code, _, err = run_cli(["sweep"], capsys)
-    assert code == 2
-    code, _, err = run_cli(
-        ["sweep", "--figure", "2", "--variable", "beta_l"], capsys
-    )
-    assert code == 2
-    code, _, err = run_cli(
-        ["sweep", "--variable", "beta_l", "--min", "5", "--max", "1"], capsys
-    )
-    assert code == 2
-    assert "min < max" in err
-    code, _, err = run_cli(
-        ["sweep", "--variable", "beta_l", "--min", "0", "--max", "1", "--scale", "log"],
-        capsys,
-    )
-    assert code == 2
-    assert "log" in err
-    assert run_cli(["sweep", "--variable", "pump_intensity", "--min", "0W/m2", "--max", "1W/m2",
-                    "--chi2", "1pm/V"], capsys) == (
-        2, "", "pairgate sweep: --length is required for a pump_intensity sweep\n")
-
-
-# each nonzero input whose result underflowed to 0 or a subnormal, or overflowed, and the
-# inputs its one-line message names
-_RANGE_MESSAGES = {
-    "flux --beta-l 1e-170 --delta-nu 1Hz":
-        "pair flux out of the float range: beta_l=1e-170, delta_nu=1.0",
-    "flux --beta-l 126 --delta-nu 1e200Hz":
-        "pair flux out of the float range: beta_l=126.0, delta_nu=1e+200",
-    "classify --chi2 1pm/V --length 1cm --pump-intensity 1e-300W/m2 --section 1mm2 "
-    "--delta-nu 1GHz":
-        "pairs per bandwidth out of the float range: beta_l=8.623432219006712e-157",
-    "sweep --variable beta_l --min 0 --max 1e-160 --count 3 --delta-nu 1Hz":
-        "pairs per bandwidth out of the float range: beta_l=5e-161",
-    "oracle --beta-l 1e-160":
-        "oracle pair flux out of the float range: pump_field=3.183098861837907e-152, "
-        "length=0.001, delta_omega=6.283185307179586",
-    "classify --chi2 1pm/V --length 1cm --pump-field 1e-320V/m":
-        "gain out of the float range: chi_eff=1e-12, pump_field=1e-320",
-    "classify --chi2 1pm/V --length 1e-300m --pump-field 1e-10V/m":
-        "beta_l out of the float range: beta=3.1415926535897933e-16, length=1e-300",
-    "classify --chi2 1pm/V --length 1cm --pump-field 0V/m --lambda-s 1e-290m "
-    "--lambda-i 1e-290m":
-        "gain out of the float range: omega_s=1.883651567308853e+299, "
-        "omega_i=1.883651567308853e+299, n_s=1.0, n_i=1.0",
-    "sweep --variable pump_intensity --min 0W/m2 --max 1e-300W/m2 --chi3 1e-22m2/V2 "
-    "--length 1m --count 3":
-        "gain out of the float range: chi_eff=1e-22, pump_field=1.9409541820116555e-149",
-    "limit --chi2 1pm/V --length 1e-143m":
-        "limit pump intensity out of the float range: length=1e-143, chi_eff=1e-12",
-    "limit --chi2 1pm/V --length 1mm --lambda-s 1e200m --lambda-i 1e200m":
-        "limit pump intensity out of the float range: lambda_s=1e+200, lambda_i=1e+200, "
-        "n_p=1.0, n_s=1.0, n_i=1.0",
-    "limit --chi2 1pm/V --length 1mm --n-p 1e200 --n-s 1e200 --n-i 1e200":
-        "limit pump intensity out of the float range: lambda_s=1e-06, lambda_i=1e-06, "
-        "n_p=1e+200, n_s=1e+200, n_i=1e+200",
-    "oracle --beta-l 1e-306":
-        "pump field out of the float range: beta_l=1e-306, length=0.001, chi_eff=1e-12",
-    "limit --chi3 1e-22m2/V2 --length 1mm --n-p 1e308 --lambda-s 1e6m --lambda-i 1e6m":
-        "limit pump intensity out of the float range: lambda_s=1000000.0, lambda_i=1000000.0, "
-        "n_p=1e+308, n_s=1.0, n_i=1.0",
-    "sweep --variable length --chi3 1e-22m2/V2 --lambda-s 1e200m --lambda-i 1e200m "
-    "--min 1mm --max 1m --count 3":
-        "effective limit intensity out of the float range: lambda_s=1e+200, lambda_i=1e+200",
-    # I_lim passes, Gamma's lambda_s*lambda_i does not: only the wavelengths are named
-    "limit --chi2 1pm/V --length 1mm --lambda-s 1e-160m --lambda-i 1e-160m --n-p 1e100":
-        "effective limit intensity out of the float range: lambda_s=1e-160, lambda_i=1e-160",
-}
-_RANGE_ERRORS = [shlex.split(argv) for argv in _RANGE_MESSAGES]
-
-
-def run_cli_catching_exit(argv):
-    """cli.main with argparse's SystemExit folded into the exit code."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-
-@pytest.mark.parametrize("argv", [
-    ["flux", "--beta-l", "400", "--delta-nu", "1Hz"],
-    ["flux", "--beta-l", "800", "--delta-nu", "1Hz"],
-    ["flux", "--beta-l", "nan", "--delta-nu", "1Hz"],
-    ["flux", "--beta-l", "300", "--delta-nu", "1e200THz"],
-    ["limit", "--chi2", "1pm/V", "--n-s", "inf", "--length", "1mm"],
-    ["limit", "--chi2", "1pm/V", "--length", "1e-150m"],
-    ["classify", "--chi2", "1pm/V", "--length", "1cm", "--pump-intensity", "1e400W/m2"],
-    ["sweep", "--variable", "beta_l", "--min", "0", "--max", "1000"],
-    ["sweep", "--variable", "beta_l", "--min", "nan", "--max", "1"],
-    ["oracle", "--beta-l", "inf"],
-    # argparse rejections
-    ["limit", "--chi2", "1pm/V", "--length", "3furlong"],
-    ["flux", "--beta-l", "1", "--delta-nu", "3Gbps"],
-    ["classify", "--chi2", "1pm/V", "--length", "1cm", "--pump-intensity", "3MW/in2"],
-    ["sweep", "--variable", "beta_l", "--min", "0", "--max", "1", "--count", "-3"],
-    ["oracle", "--beta-l", "1", "--steps", "-3"],
-    ["oracle", "--beta-l", "1", "--steps", "many"],
-    ["criteria", "--format", "xml"],
-    # caps on the grid size and the RK4 step count, and a log grid whose top overflows
-    ["sweep", "--variable", "beta_l", "--min", "0", "--max", "1", "--count", "1000000000"],
-    ["sweep", "--variable", "length", "--min", "1m", "--max", "1.7976931348623157e308m",
-     "--scale", "log", "--chi2", "1pm/V"],
-    ["oracle", "--beta-l", "1", "--steps", "1000000000000"],
-    # an empty --material is a medium source like any other
-    ["limit", "--material", "", "--chi2", "1pm/V", "--length", "1mm"],
-    ["limit", "--material", "", "--length", "1mm"],
-    # a flag the command would not read
-    ["limit", "--chi2", "1pm/V", "--length", "1mm", "--materials", "/nonexistent/cat.toml"],
-    ["classify", "--chi2", "1pm/V", "--length", "1cm", "--pump-intensity", "135MW/cm2",
-     "--section", "1mm2"],
-    ["classify", "--chi2", "1pm/V", "--length", "1cm", "--pump-intensity", "135MW/cm2",
-     "--delta-nu", "1GHz"],
-    ["flux", "--beta-l", "1", "--delta-nu", "1GHz", "--n-p", "2"],
-    ["flux", "--beta-l", "1", "--delta-nu", "1GHz", "--n-s", "2"],
-    ["flux", "--beta-l", "1", "--delta-nu", "1GHz", "--n-i", "2"],
-    ["flux", "--beta-l", "1", "--delta-nu", "1GHz", "--materials", "/nonexistent/cat.toml"],
-    # an empty --materials is a path, not a fall-back to the presets
-    ["limit", "--material", "KTP_class", "--materials", "", "--length", "1mm"],
-    # more flags the chosen path would not read
-    *[["sweep", "--figure", "2", *extra] for extra in (
-        ["--min", "0"], ["--max", "1"], ["--count", "5"], ["--scale", "log"], ["--length", "1m"],
-        ["--delta-nu", "1GHz"], ["--chi2", "1pm/V"], ["--material", "KTP_class"],
-        ["--n-p", "2"], ["--lambda-s", "2um"], ["--lambda-i", "2um"])],
-    *[["sweep", "--variable", "beta_l", "--min", "0", "--max", "1", *extra] for extra in (
-        ["--chi3", "1e-22m2/V2"], ["--materials", "/nonexistent/cat.toml"], ["--n-i", "2"],
-        ["--lambda-s", "2um"], ["--lambda-i", "2um"], ["--length", "1m"])],
-    ["sweep", "--variable", "length", "--min", "1mm", "--max", "1m", "--chi2", "1pm/V",
-     "--length", "1m"],
-    ["flux", "--beta-l", "1", "--delta-nu", "1GHz", "--lambda-s", "2um"],
-    ["flux", "--beta-l", "1", "--delta-nu", "1GHz", "--lambda-i", "2um"],
-    # a flag the subcommand does not accept is reported under the subcommand
-    ["criteria", "--bogus"],
-    ["sweep", "--figure", "2", "--format", "csv"],
-    ["oracle", "--beta-l", "1", "--materials", "/nonexistent/cat.toml"],
-    ["oracle", "--beta-l", "1", "--section", "1mm2"],
-    # index overrides are checked like any other medium
-    ["limit", "--chi2", "1pm/V", "--length", "1mm", "--n-p", "0.5"],
-    ["classify", "--chi2", "1pm/V", "--pump-intensity", "1GW/cm2", "--length", "1cm",
-     "--n-s", "nan"],
-    # a zero length is rejected wherever the gain is computed, as by limit and length sweeps
-    ["classify", "--chi2", "1pm/V", "--length", "0m", "--pump-intensity", "1MW/cm2"],
-    ["flux", "--chi2", "1pm/V", "--length", "0m", "--pump-intensity", "1MW/cm2",
-     "--delta-nu", "1GHz"],
-    ["sweep", "--variable", "pump_intensity", "--chi2", "1pm/V", "--length", "0m",
-     "--min", "0W/m2", "--max", "1W/m2"],
-    # positive inputs whose vacuum seed or limit intensity underflows the float range
-    ["classify", "--chi2", "1pm/V", "--length", "1cm", "--pump-intensity", "1MW/cm2",
-     "--section", "1mm2", "--delta-nu", "1e-310Hz"],
-    ["oracle", "--beta-l", "1", "--delta-nu", "1e-310Hz"],
-    ["classify", "--chi2", "1pm/V", "--length", "1cm", "--pump-intensity", "1MW/cm2",
-     "--section", "1e306m2", "--delta-nu", "1e-5Hz", "--format", "csv"],
-    ["classify", "--chi2", "1pm/V", "--length", "1cm", "--pump-intensity", "1MW/cm2",
-     "--section", "1e300m2", "--delta-nu", "1Hz", "--format", "csv"],
-    ["limit", "--chi3", "1e-22m2/V2", "--length", "1mm", "--lambda-s", "1e-200m",
-     "--lambda-i", "1e-200m"],
-    # positive inputs whose gain coupling product ks*ki underflows the float range
-    ["classify", "--chi2", "1pm/V", "--length", "1cm", "--pump-intensity", "1MW/cm2",
-     "--lambda-s", "1e170m", "--lambda-i", "1e170m"],
-    ["flux", "--chi2", "1pm/V", "--length", "1cm", "--pump-intensity", "1MW/cm2",
-     "--n-s", "1e300", "--n-i", "1e300", "--delta-nu", "1GHz"],
-    # positive inputs whose pair flux, gain or beta*L leaves the float range
-    *_RANGE_ERRORS,
-    # Gamma reads no index, so a length sweep takes no index flag
-    ["sweep", "--variable", "length", "--chi2", "1pm/V", "--n-p", "2", "--min", "1mm",
-     "--max", "1m"],
-])
+@pytest.mark.parametrize("argv", _argv("one-line-error"))
 def test_invalid_input_is_one_line_exit_2(argv):
-    code, out, err = run_cli_catching_exit(argv)
+    code, out, err = regen.run(argv)
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith(f"pairgate {argv[0]}: ")
 
 
-@pytest.mark.parametrize("argv", [
-    ["limit", "--chi2", "1pm/V", "--length", "0m"],
-    ["sweep", "--variable", "length", "--chi2", "1pm/V", "--min", "0m", "--max", "1m"],
-    ["classify", "--chi2", "1pm/V", "--length", "0m", "--pump-intensity", "1MW/cm2"],
-    ["flux", "--chi2", "1pm/V", "--length", "0m", "--pump-intensity", "1MW/cm2",
-     "--delta-nu", "1GHz"],
-    ["sweep", "--variable", "pump_intensity", "--chi2", "1pm/V", "--length", "0m",
-     "--min", "0W/m2", "--max", "1W/m2"],
-])
+@pytest.mark.parametrize("argv", _argv("zero-length"))
 def test_zero_length_has_one_message_everywhere(argv):
-    code, _, err = run_cli_catching_exit(argv)
+    code, _, err = regen.run(argv)
     assert (code, err) == (2, f"pairgate {argv[0]}: length must be strictly positive and finite, "
                               "got 0.0\n")
 
 
-@pytest.mark.parametrize("argv, inputs", [
-    (["limit", "--chi2", "1e300pm/V", "--length", "1mm"], "length=0.001, chi_eff=1e+288"),
-    (["sweep", "--variable", "length", "--min", "1m", "--max", "1e300m", "--count", "2",
-      "--chi2", "1pm/V"], "length=1e+300, chi_eff=1e-12"),
-    (["limit", "--chi2", "1pm/V", "--length", "1e-150m"], "length=1e-150, chi_eff=1e-12"),
-    (["limit", "--chi3", "1e-22m2/V2", "--length", "1mm", "--lambda-s", "1e-200m",
-      "--lambda-i", "1e-200m"], "lambda_s=1e-200, lambda_i=1e-200, n_p=1.0, n_s=1.0, n_i=1.0"),
-    (["limit", "--chi2", "1pm/V", "--length", "1mm", "--lambda-s", "1e-160m",
-      "--lambda-i", "1e-160m"], "lambda_s=1e-160, lambda_i=1e-160, n_p=1.0, n_s=1.0, n_i=1.0"),
-    # a limit intensity that underflows to 0 (numer/inf once L*chi overflows) or to a subnormal
-    (["limit", "--chi2", "1e300pm/V", "--length", "1e30m", "--format", "csv"],
-     "length=1e+30, chi_eff=1e+288"),
-    (["limit", "--chi2", "1pm/V", "--length", "1e160m"], "length=1e+160, chi_eff=1e-12"),
-    (["sweep", "--variable", "length", "--chi2", "1pm/V", "--min", "1e150m", "--max", "1e162m",
-      "--count", "3"], "length=5.000000000004999e+161, chi_eff=1e-12"),
-])
+@pytest.mark.parametrize("argv, inputs", [(shlex.split(line), _message(line).split("range: ")[1])
+                                          for line in regen.tagged("limit-range")])
 def test_limit_intensity_range_error_names_its_inputs(argv, inputs):
     """limit checks I_lim before Gamma; a length sweep computes Gamma alone."""
     what = "effective limit intensity" if argv[0] == "sweep" else "limit pump intensity"
-    assert run_cli_catching_exit(argv) == (
+    assert regen.run(argv) == (
         2, "", f"pairgate {argv[0]}: {what} out of the float range: {inputs}\n")
 
 
-@pytest.mark.parametrize("argv, message", _RANGE_MESSAGES.items())
+_PARSER = cli.build_parser()
+
+
+@pytest.mark.parametrize("argv, message",
+                         [(line, _message(line)) for line in regen.tagged("range")])
 def test_range_error_names_its_inputs(argv, message):
+    """A nonzero input whose result, or a partial product of it, leaves the normal floats:
+    the message names each input it was computed from, and a flag given on the command
+    line by the value it was given."""
     argv = shlex.split(argv)
-    assert run_cli_catching_exit(argv) == (2, "", f"pairgate {argv[0]}: {message}\n")
+    assert regen.run(argv) == (2, "", f"pairgate {argv[0]}: {message}\n")
+    given = vars(_PARSER.parse_args(argv))
+    given["chi_eff"] = given.get("chi2") or given.get("chi3")
+    _, inputs = message.split(" out of the float range: ")
+    for name, value in (pair.split("=") for pair in inputs.split(", ")):
+        assert given.get(name) in (None, float(value)), name
 
 
 @pytest.mark.parametrize("argv, columns", [
     (["flux", "--beta-l", "0", "--delta-nu", "1Hz"], ["0.0", "1.0", "0.0"]),
     (["classify", "--chi2", "1pm/V", "--length", "1cm", "--pump-field", "0V/m"],
      ["0.0", "small-signal", "0.0", "0.0"]),
-    (["oracle", "--beta-l", "0"], ["0.0", "1024", "0.0", "0.0", "0.0"]),
+    (["oracle", "--beta-l", "0", "--steps", "16"], ["0.0", "16", "0.0", "0.0", "0.0"]),
 ])
 def test_a_zero_drive_still_gives_exact_zeros(argv, columns):
     """beta*L = 0 and a zero pump are the inputs whose zero results are exact. The oracle's
     is the one that reaches cmd_oracle's analytic > 0 fallback."""
-    code, out, err = run_cli_catching_exit(argv + ["--format", "csv"])
+    code, out, err = regen.run(argv + ["--format", "csv"])
     assert (code, err) == (0, "")
     assert out.splitlines()[1].split(",") == columns
 
@@ -998,27 +743,16 @@ def test_sweep_from_zero_beta_l_keeps_its_bytes():
                 "0.0,0.0,0.0\n"
                 "0.0005,3.1265629558268405e-08,3.1265629558268405e-08\n"
                 "0.001,1.2512507294792744e-07,1.2512507294792744e-07\n")
-    assert run_cli_catching_exit(argv) == (0, expected, "")
+    assert regen.run(argv) == (0, expected, "")
 
 
 def test_vacuum_seed_underflow_names_its_inputs():
-    code, out, err = run_cli_catching_exit(["oracle", "--beta-l", "1", "--delta-nu", "1e-310Hz"])
+    code, out, err = regen.run(["classify", "--chi2", "1pm/V", "--length", "1cm",
+                                "--pump-intensity", "1MW/cm2", "--section", "1e306m2",
+                                "--delta-nu", "1e-5Hz"])
     assert (code, out) == (2, "")
-    assert err.startswith("pairgate oracle: vacuum field out of the float range: omega=")
-    assert err.endswith(", delta_omega=6.28318530717956e-310\n")
-
-
-def test_oracle_steps_cap_is_max_steps():
-    code, out, _ = run_cli_catching_exit(["oracle", "--beta-l", "1", "--steps", "16777216"])
-    assert code == 0 and out
-    assert run_cli_catching_exit(["oracle", "--beta-l", "1", "--steps", "16777217"]) == (
-        2, "", "pairgate oracle: steps must be <= MAX_STEPS = 16777216, got 16777217\n")
-
-
-def test_index_override_is_checked():
-    code, _, err = run_cli_catching_exit(["limit", "--chi2", "1pm/V", "--length", "1mm",
-                                          "--n-p", "0.5"])
-    assert (code, err) == (2, "pairgate limit: n_p must be >= 1 and finite, got 0.5\n")
+    assert err.startswith("pairgate classify: vacuum field out of the float range: omega=")
+    assert err.endswith(", section=1e+306, delta_omega=6.283185307179587e-05\n")
 
 
 _OUTPUT = ["--out", "-h", "--help"]
@@ -1078,9 +812,10 @@ def test_threads_parsing_a_subcommand_first_all_get_its_flags():
 
 
 def test_help_still_exits_zero():
-    code, out, _ = run_cli_catching_exit(["flux", "--help"])
-    assert code == 0
-    assert "--beta-l" in out
+    for argv in _argv("help"):
+        code, out, err = regen.run(argv)
+        assert (code, err) == (0, "")
+        assert out.startswith(" ".join(["usage: pairgate", *argv[:-1]]))
 
 
 def test_main_builds_its_parser_once(monkeypatch):
@@ -1093,10 +828,7 @@ def test_main_builds_its_parser_once(monkeypatch):
         return build_parser()
 
     monkeypatch.setattr(cli, "build_parser", counting_build_parser)
-    for argv in (["criteria"], ["limit", "--chi2", "1pm/V", "--length", "1mm"],
-                 ["flux", "--beta-l", "1", "--delta-nu", "1GHz"],
-                 ["sweep", "--figure", "2"], ["oracle", "--beta-l", "1", "--steps", "16"]):
-        assert run_cli_catching_exit(argv)[0] == 0
+    regen.records(regen.tagged("calls"))
     assert len(built) == 1
     assert build_parser() is not build_parser()
 
@@ -1104,12 +836,12 @@ def test_main_builds_its_parser_once(monkeypatch):
 def test_no_call_state_leaks_into_the_next_call():
     """A rejection, --help, other flags and a ValueError in between leave the same bytes."""
     argv = ["limit", "--chi2", "1pm/V", "--length", "1mm", "--format", "csv"]
-    first = run_cli_catching_exit(argv)
-    assert run_cli_catching_exit(["limit", "--bogus"])[0] == 2
-    assert run_cli_catching_exit(["flux", "--help"])[0] == 0
-    assert run_cli_catching_exit(argv + ["--n-p", "2", "--lambda-s", "2um"])[0] == 0
-    assert run_cli_catching_exit(["flux", "--beta-l", "400", "--delta-nu", "1GHz"])[0] == 2
-    assert run_cli_catching_exit(argv) == first
+    first = regen.run(argv)
+    assert regen.run(["limit", "--bogus"])[0] == 2
+    assert regen.run(["flux", "--help"])[0] == 0
+    assert regen.run(argv + ["--n-p", "2", "--lambda-s", "2um"])[0] == 0
+    assert regen.run(["flux", "--beta-l", "400", "--delta-nu", "1GHz"])[0] == 2
+    assert regen.run(argv) == first
     child = subprocess.run([sys.executable, "-m", "pairgate.cli", *argv],
                            capture_output=True, text=True)
     assert (child.returncode, child.stdout, child.stderr) == first
@@ -1174,7 +906,7 @@ def fuzzed_argv(draw):
 @settings(max_examples=300, deadline=None)
 @given(argv=fuzzed_argv())
 def test_fuzzed_argv_ends_in_finite_output_or_one_line_error(argv):
-    code, out, err = run_cli_catching_exit(argv)
+    code, out, err = regen.run(argv)
     assert code in (0, 2, 3)
     if code == 2:
         assert len(err.splitlines()) == 1
@@ -1182,42 +914,33 @@ def test_fuzzed_argv_ends_in_finite_output_or_one_line_error(argv):
         assert not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE), out
 
 
-def test_sweep_unwritable_path_is_io_error(tmp_path, capsys):
-    code, _, err = run_cli(
-        ["sweep", "--figure", "2", "--out", str(tmp_path / "missing" / "out.csv")], capsys
-    )
-    assert code == 3
-    assert "cannot write" in err
-
-
 # --------------------------------------------------------------------------
 # oracle
 # --------------------------------------------------------------------------
 
-def test_oracle_at_limit(capsys):
-    code, out, _ = run_cli(["oracle", "--beta-l", "1", "--format", "csv"], capsys)
+def test_oracle_at_limit():
+    code, out, _ = regen.run(["oracle", "--beta-l", "1", "--format", "csv"])
     assert code == 0
     row = parse_csv(out)[0]
     assert float(row["analytic_pairs_per_s"]) == model.pair_flux_reduced(1.0, 1.0)
     assert float(row["relative_error"]) <= 1e-6
 
 
-def test_oracle_zero_gain(capsys):
-    code, out, _ = run_cli(["oracle", "--beta-l", "0", "--format", "csv"], capsys)
+def test_oracle_zero_gain():
+    code, out, _ = regen.run(["oracle", "--beta-l", "0", "--format", "csv"])
     assert code == 0
     row = parse_csv(out)[0]
     assert float(row["oracle_pairs_per_s"]) == 0.0
     assert float(row["relative_error"]) == 0.0
 
 
-def test_oracle_custom_steps(capsys):
-    code, out, _ = run_cli(
-        ["oracle", "--beta-l", "2", "--steps", "64", "--format", "csv"], capsys
-    )
+def test_oracle_custom_steps():
+    code, out, _ = regen.run(
+        ["oracle", "--beta-l", "2", "--steps", "64", "--format", "csv"])
     assert code == 0
     row = parse_csv(out)[0]
     assert float(row["relative_error"]) <= 1e-4
-    code, out, _ = run_cli(["oracle", "--beta-l", "2", "--steps", "8"], capsys)
+    code, out, _ = regen.run(["oracle", "--beta-l", "2", "--steps", "8"])
     assert code == 2  # below the fixed-step minimum
 
 
@@ -1225,129 +948,41 @@ def test_oracle_custom_steps(capsys):
 # materials wiring
 # --------------------------------------------------------------------------
 
-def test_materials_flag_and_env(tmp_path, capsys, monkeypatch):
+def test_materials_flag_and_env(tmp_path, monkeypatch):
     custom = tmp_path / "custom.mat"
     custom.write_text(
         "[lab_crystal]\nprocess = spdc\nchi_eff = 5 pm/V\nn_p = 1.8\nn_s = 1.8\nn_i = 1.8\n"
     )
-    code, out, _ = run_cli(
+    code, out, _ = regen.run(
         ["classify", "--materials", str(custom), "--material", "lab_crystal",
-         "--length", "1cm", "--pump-intensity", "1MW/cm2"],
-        capsys,
-    )
+         "--length", "1cm", "--pump-intensity", "1MW/cm2"])
     assert code == 0
 
     monkeypatch.setenv(MATERIALS_ENV_VAR, str(custom))
-    code, out, _ = run_cli(
+    code, out, _ = regen.run(
         ["classify", "--material", "lab_crystal", "--length", "1cm",
-         "--pump-intensity", "1MW/cm2"],
-        capsys,
-    )
+         "--pump-intensity", "1MW/cm2"])
     assert code == 0
     # presets are shadowed by the env catalog
-    code, _, err = run_cli(
+    code, _, err = regen.run(
         ["classify", "--material", "KTP_class", "--length", "1cm",
-         "--pump-intensity", "1MW/cm2"],
-        capsys,
-    )
+         "--pump-intensity", "1MW/cm2"])
     assert code == 2
 
 
-def test_materials_parse_error_is_input_error(tmp_path, capsys):
+def test_materials_parse_error_is_input_error(tmp_path):
     broken = tmp_path / "broken.mat"
     broken.write_text("[x]\nprocess = spdc\nchi_eff = 1 m2/V2\n")
-    code, _, err = run_cli(
+    code, _, err = regen.run(
         ["classify", "--materials", str(broken), "--material", "x",
-         "--length", "1cm", "--pump-intensity", "1MW/cm2"],
-        capsys,
-    )
+         "--length", "1cm", "--pump-intensity", "1MW/cm2"])
     assert code == 2
     assert ":3:" in err
 
 
 # --------------------------------------------------------------------------
-# exact report bytes, README examples
+# README examples
 # --------------------------------------------------------------------------
-
-REPORT_ARGV = {
-    "criteria": ["criteria"],
-    "classify": ["classify", "--chi2", "1pm/V", "--length", "1cm",
-                 "--pump-intensity", "135MW/cm2", "--section", "1mm2", "--delta-nu", "1GHz"],
-    "flux": ["flux", "--beta-l", "1", "--delta-nu", "1GHz"],
-    "limit": ["limit", "--chi3", "1e-22m2/V2", "--length", "1km",
-              "--n-p", "1.45", "--n-s", "1.44", "--n-i", "1.46"],
-    "oracle": ["oracle", "--beta-l", "0"],
-    "limit_preset": ["limit", "--material", "silica_fiber", "--length", "1km"],
-}
-
-
-@pytest.mark.parametrize("command, fmt, expected", [
-    ("criteria", "table",
-     "quantity                     value   exact\n"
-     "pairs_per_bandwidth_limit    0.369   0.3690615552515699\n"
-     "photons_per_bandwidth_limit  0.738   0.7381231105031398\n"
-     "field_ratio_limit            1.718   1.718281828459045\n"),
-    ("criteria", "csv",
-     "pairs_per_bandwidth_limit,photons_per_bandwidth_limit,field_ratio_limit\n"
-     "0.3690615552515699,0.7381231105031398,1.718281828459045\n"),
-    ("classify", "table",
-     "beta_l               1.00\n"
-     "regime               at-limit\n"
-     "pairs_per_bandwidth  0.371\n"
-     "field_ratio          1.72\n"
-     "vacuum_field         0.193 V/m\n"
-     "generated_field      0.333 V/m\n"),
-    ("classify", "csv",
-     "beta_l,regime,pairs_per_bandwidth,field_ratio,vacuum_field_V_per_m,generated_field_V_per_m\n"
-     "1.0019522811408441,at-limit,0.37134697531843075,1.723593862412908,"
-     "0.19343660083422298,0.3334061379638823\n"),
-    ("flux", "table",
-     "beta_l       1.00\n"
-     "delta_nu     1.00e+09 Hz\n"
-     "pairs_per_s  3.69e+08\n"),
-    ("flux", "csv",
-     "beta_l,delta_nu_Hz,pairs_per_s\n"
-     "1.0,1000000000.0,369061555.2515699\n"),
-    ("limit", "table",
-     "process                fwm\n"
-     "length                 1.00e+03 m\n"
-     "lambda_s               1.00e-06 m\n"
-     "lambda_i               1.00e-06 m\n"
-     "chi_eff                1.00e-22 m2/V2\n"
-     "limit_pump_intensity   1.78 MW/cm2   (17764182911.217876 W/m2)\n"
-     "effective_limit_gamma  845 kW/cm2   (8449277231.915787 W/m2)\n"),
-    ("limit", "csv",
-     "process,length_m,lambda_s_m,lambda_i_m,chi_eff_si,"
-     "limit_intensity_W_per_m2,effective_limit_W_per_m2\n"
-     "fwm,1000.0,1e-06,1e-06,1e-22,17764182911.217876,8449277231.915787\n"),
-    ("oracle", "table",
-     "beta_l                0.00\n"
-     "steps                 1024\n"
-     "analytic_pairs_per_s  0.0\n"
-     "oracle_pairs_per_s    0.0\n"
-     "relative_error        0.00\n"),
-    ("oracle", "csv",
-     "beta_l,steps,analytic_pairs_per_s,oracle_pairs_per_s,relative_error\n"
-     "0.0,1024,0.0,0.0,0.0\n"),
-    ("limit_preset", "table",
-     "process                fwm\n"
-     "length                 1.00e+03 m\n"
-     "lambda_s               1.00e-06 m\n"
-     "lambda_i               1.00e-06 m\n"
-     "chi_eff                1.00e-22 m2/V2\n"
-     "limit_pump_intensity   845 kW/cm2   (8449277231.915787 W/m2)\n"
-     "effective_limit_gamma  845 kW/cm2   (8449277231.915787 W/m2)\n"),
-    ("limit_preset", "csv",
-     "process,length_m,lambda_s_m,lambda_i_m,chi_eff_si,"
-     "limit_intensity_W_per_m2,effective_limit_W_per_m2\n"
-     "fwm,1000.0,1e-06,1e-06,1e-22,8449277231.915787,8449277231.915787\n"),
-])
-def test_scalar_report_bytes(command, fmt, expected, capsys, monkeypatch):
-    monkeypatch.delenv(MATERIALS_ENV_VAR, raising=False)
-    code, out, err = run_cli(REPORT_ARGV[command] + ["--format", fmt], capsys)
-    assert (code, err) == (0, "")
-    assert out == expected
-
 
 def readme_cli_examples():
     """Every `pairgate ...` line of the README's command-line block, continuations joined."""
@@ -1357,49 +992,39 @@ def readme_cli_examples():
             if line.startswith("pairgate ")]
 
 
-def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # the sweep examples write their --out files here
     monkeypatch.delenv(MATERIALS_ENV_VAR, raising=False)
     examples = readme_cli_examples()
     assert len(examples) == 7
     for argv in examples:
-        assert cli.main(argv) == 0, argv
-    capsys.readouterr()
+        assert regen.run(argv)[0] == 0, argv
     assert (tmp_path / "fig3.csv").exists() and (tmp_path / "ramp.csv").exists()
 
 
 # --------------------------------------------------------------------------
-# table output to file, entry point
+# table output to file, numpy and import footprint
 # --------------------------------------------------------------------------
 
-def test_out_flag_writes_table(tmp_path, capsys):
+def test_out_flag_writes_table(tmp_path):
     target = tmp_path / "criteria.txt"
-    assert cli.main(["criteria", "--out", str(target)]) == 0
-    capsys.readouterr()
+    assert regen.run(["criteria", "--out", str(target)]) == (0, "", "")
     assert "0.369" in target.read_text()
 
 
 def test_every_subcommand_runs_without_numpy():
-    argvs = [
-        ["criteria"],
-        ["classify", "--material", "KTP_class", "--length", "1cm",
-         "--pump-intensity", "135MW/cm2"],
-        ["flux", "--beta-l", "1", "--delta-nu", "1GHz"],
-        ["limit", "--chi2", "1pm/V", "--length", "1mm"],
-        ["sweep", "--figure", "2"],
-        ["sweep", "--figure", "4"],
-        ["sweep", "--variable", "pump_intensity", "--min", "1MW/cm2", "--max", "10GW/cm2",
-         "--scale", "log", "--chi2", "1pm/V", "--length", "1cm"],
-        ["oracle", "--beta-l", "1"],
-    ]
+    """The calls records replay byte for byte in a process that cannot import numpy."""
     script = (
-        "import sys\n"
+        "import importlib.util, sys\n"
         "sys.modules['numpy'] = None\n"  # any numpy import now raises ImportError
-        "from pairgate import cli\n"
-        f"sys.exit(max(cli.main(argv) for argv in {argvs!r}))\n"
+        f"spec = importlib.util.spec_from_file_location('regen', {regen.__file__!r})\n"
+        "regen = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(regen)\n"
+        "sys.stdout.write(''.join(regen.records(regen.tagged('calls'))))\n"
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    assert result.stdout == "".join(map(_EXPECTED.get, regen.tagged("calls")))
 
 
 def test_cli_import_loads_no_dataclass_or_typing_machinery():
@@ -1415,20 +1040,12 @@ def test_cli_import_loads_no_dataclass_or_typing_machinery():
     assert result.stdout == "[]\n"
 
 
-@pytest.mark.parametrize("argv, lazy", [
-    ([], []),  # a bare `import pairgate`
-    (["criteria"], []),
-    (["classify", "--chi2", "1pm/V", "--length", "1cm", "--pump-intensity", "1MW/cm2"], []),
-    (["flux", "--chi3", "1e-22m2/V2", "--length", "1m", "--pump-intensity", "1GW/cm2",
-      "--delta-nu", "1GHz"], []),
-    (["limit", "--chi2", "1pm/V", "--length", "1mm"], []),
-    (["sweep", "--figure", "3"], []),
-    (["limit", "--material", "KTP_class", "--length", "1mm"], ["pairgate.materials"]),
-    (["sweep", "--variable", "length", "--material", "silica_fiber", "--min", "1m", "--max", "1km"],
-     ["pairgate.materials"]),
-    (["oracle", "--beta-l", "1"], ["pairgate.oracle"]),
-], ids=lambda value: " ".join(value) or "none")
+@pytest.mark.parametrize("argv, lazy", [([], [])] + [  # [] is a bare `import pairgate`
+    (argv, ["pairgate.materials"] * ("--material" in argv)
+     + ["pairgate.oracle"] * (argv[0] == "oracle")) for argv in _argv("imports")],
+    ids=lambda value: " ".join(value) or "none")
 def test_a_call_imports_the_catalog_and_oracle_only_where_it_runs_them(argv, lazy):
+    """A call loads pairgate.materials only for --material, pairgate.oracle only for oracle."""
     src = Path(__file__).parent.parent / "src"
     script = (
         "import contextlib, io, sys\n"
@@ -1444,13 +1061,3 @@ def test_a_call_imports_the_catalog_and_oracle_only_where_it_runs_them(argv, laz
                             text=True, env={**os.environ, MATERIALS_ENV_VAR: ""})
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == lazy
-
-
-def test_module_entry_point_runs():
-    result = subprocess.run(
-        [sys.executable, "-m", "pairgate.cli", "criteria"],
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode == 0
-    assert "1.718" in result.stdout
