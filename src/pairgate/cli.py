@@ -9,8 +9,8 @@ prints as a table or as CSV; every renderer ends its text with a newline,
 so `_emit` writes it unchanged to stdout or --out.
 
 A call imports and builds only what its subcommand runs: the material catalog
-on the first --material lookup, the oracle in `oracle`, and a subcommand's
-flags the first time that subcommand parses.
+on the first --material lookup, the oracle in `oracle`, and only the parser of
+the subcommand it runs.
 """
 
 from __future__ import annotations
@@ -65,24 +65,7 @@ ORACLE_REFERENCE = {
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one stderr line, '<prog>: <message>', exit 2; a flag
     the chosen subcommand does not accept is reported under that subcommand's prog.
-    A subcommand's parser adds its flags the first time it parses, so a call builds
-    only the flags of the subcommand it runs."""
-
-    _flags_lock = threading.Lock()  # one thread adds a parser's flags; another waits for them
-
-    def __init__(self, *args, flags=(), **kwargs):
-        super().__init__(*args, **kwargs)
-        self.flags = flags  # functions that each add some of its flags, in usage order
-
-    def add_flags(self) -> None:
-        with self._flags_lock:
-            flags, self.flags = self.flags, ()
-            for function in flags:
-                function(self.add_argument)
-
-    def parse_known_args(self, args=None, namespace=None):
-        self.add_flags()
-        return super().parse_known_args(args, namespace)
+    main builds only the parser of the subcommand it runs."""
 
     def error(self, message: str, prog: str | None = None):
         print(f"{prog or self.prog}: {message}", file=sys.stderr)
@@ -133,9 +116,9 @@ class SweepSpec(model._named_tuple("SweepSpec", "start stop count log", (False,)
             raise ValueError(f"--max {self.stop!r} overflows a log grid") from None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """main's parser. Each subcommand's flags are added by a tuple of functions, in its usage
-    order, the first time that subcommand parses; each function takes add_argument."""
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """main's parser, whole, with the subcommand `command` alone or, when None, with every
+    subcommand; a subcommand's flags are added by functions of add_argument, in usage order."""
     def out_flag(add):
         add("--out", metavar="PATH", default=None, help="write output to PATH instead of stdout")
 
@@ -174,8 +157,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("criteria", flags=(common,),
-                   help="print the universal limit criteria at beta*L = 1")
+    def add_parser(name, flags, help):
+        if command in (None, name):
+            add = sub.add_parser(name, help=help).add_argument
+            for function in flags:
+                function(add)
+
+    add_parser("criteria", (common,),
+               help="print the universal limit criteria at beta*L = 1")
 
     def classify_flags(add):
         add("--length", type=parse_length, metavar="LEN", required=True,
@@ -186,8 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="pair linewidth, e.g. 1GHz (enables field report)")
         add("--band", type=float, default=0.01,
             help="relative at-limit band on beta*L (default 0.01)")
-    sub.add_parser("classify", flags=(common, medium_flags, wave_flags, pump_flags, classify_flags),
-                   help="classify the operating regime of a configuration")
+    add_parser("classify", (common, medium_flags, wave_flags, pump_flags, classify_flags),
+               help="classify the operating regime of a configuration")
 
     def flux_flags(add):
         add("--beta-l", type=float, default=None,
@@ -196,14 +185,14 @@ def build_parser() -> argparse.ArgumentParser:
             help="interaction length (required without --beta-l)")
         add("--delta-nu", type=parse_frequency, metavar="BW", required=True,
             help="pair linewidth, e.g. 1GHz")
-    sub.add_parser("flux", flags=(common, medium_flags, wave_flags, pump_flags, flux_flags),
-                   help="absolute pair flux for a configuration or a given beta*L")
+    add_parser("flux", (common, medium_flags, wave_flags, pump_flags, flux_flags),
+               help="absolute pair flux for a configuration or a given beta*L")
 
     def limit_flags(add):
         add("--length", type=parse_length, metavar="LEN", required=True,
             help="interaction length, e.g. 1mm")
-    sub.add_parser("limit", flags=(common, medium_flags, wave_flags, limit_flags),
-                   help="limit pump intensity at which beta*L = 1")
+    add_parser("limit", (common, medium_flags, wave_flags, limit_flags),
+               help="limit pump intensity at which beta*L = 1")
 
     def sweep_flags(add):
         add("--figure", choices=("2", "3", "4"), default=None,
@@ -218,16 +207,17 @@ def build_parser() -> argparse.ArgumentParser:
             help="fixed interaction length (pump_intensity sweeps)")
         add("--delta-nu", type=parse_frequency, metavar="BW", default=None,
             help="pair linewidth for flux columns")
-    sub.add_parser("sweep", flags=(out_flag, medium_flags, wave_flags, sweep_flags),
-                   help="CSV parameter sweeps, including figure presets")
+    add_parser("sweep", (out_flag, medium_flags, wave_flags, sweep_flags),
+               help="CSV parameter sweeps, including figure presets")
 
     def oracle_flags(add):
         add("--beta-l", type=float, required=True, help="gain product beta*L")
-        add("--steps", type=int, default=1024, help="fixed RK4 step count (default 1024)")
+        add("--steps", type=int, default=None,
+            help="fixed RK4 step count (default MAX_STEPS = 2^24)")
         add("--delta-nu", type=parse_frequency, metavar="BW", default=1.0,
             help="pair linewidth (default 1Hz)")
-    sub.add_parser("oracle", flags=(common, oracle_flags),
-                   help="compare the RK4 coupled-wave oracle against the closed form")
+    add_parser("oracle", (common, oracle_flags),
+               help="compare the RK4 coupled-wave oracle against the closed form")
 
     return parser
 
@@ -560,7 +550,8 @@ def cmd_oracle(args) -> str:
     geometry = Geometry(length=ORACLE_REFERENCE["length"], section=ORACLE_REFERENCE["section"])
     bandwidth = Bandwidth.from_delta_nu(args.delta_nu)
     pump = model.pump_for_gain(medium, triplet, geometry, args.beta_l)
-    config = oracle.IntegrationConfig(steps=args.steps)
+    config = (oracle.IntegrationConfig() if args.steps is None
+              else oracle.IntegrationConfig(steps=args.steps))
 
     numeric = oracle.oracle_pair_flux(medium, triplet, pump, geometry, bandwidth, config)
     analytic = model.pair_flux_reduced(args.beta_l, args.delta_nu)
@@ -568,7 +559,7 @@ def cmd_oracle(args) -> str:
 
     return _report(args, [
         ("beta_l", args.beta_l, format_sig(args.beta_l)),
-        ("steps", args.steps, str(args.steps)),
+        ("steps", config.steps, str(config.steps)),
         ("analytic_pairs_per_s", analytic, repr(analytic)),
         ("oracle_pairs_per_s", numeric, repr(numeric)),
         ("relative_error", error, format_sig(error)),
@@ -585,16 +576,20 @@ _COMMANDS = {
 }
 
 
-# main's parser, built on its first call and reused by every later one: parse_args
-# keeps no state between calls, and a library user who never calls main never builds it
-_parser: argparse.ArgumentParser | None = None
+# main's parsers by subcommand, None for the one with every subcommand (--help, a missing or
+# unknown subcommand, an option before it). Each is built whole on the first call that needs
+# it and reused: parse_args keeps no state, so concurrent first calls need no lock (each may
+# build its own), and a library user who never calls main builds none.
+_parsers: dict[str | None, argparse.ArgumentParser] = {}
 
 
 def main(argv: list[str] | None = None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = _parsers.get(command)
+    if parser is None:
+        parser = _parsers[command] = build_parser(command)
+    args = parser.parse_args(argv)
     try:
         output = _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:

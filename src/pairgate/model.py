@@ -314,7 +314,10 @@ def coupling_factor(omega: float, n: float) -> float:
     """
     _check("omega", omega)
     _check("refractive index", n, 1.0, inclusive=True)
-    return omega / (2.0 * n * CODATA2018.c)
+    factor = omega / (2.0 * n * CODATA2018.c)
+    if not _FLOAT_MIN <= factor:  # never above _FLOAT_MAX (2*n*c >= 2c); 0.0 if 2*n*c overflows
+        raise _out_of_float_range("coupling factor", omega=omega, n=n)
+    return factor
 
 
 def vacuum_fluctuation(omega: float, n: float, section: float, delta_omega: float) -> float:

@@ -47,7 +47,8 @@ __all__ = ["OdeState", "IntegrationConfig", "integrate", "oracle_pair_flux"]
 
 MIN_STEPS = 16
 # At 2^24 steps the scheme bound (beta*L)^5/steps^4 is below double rounding for every
-# accepted beta*L (BETA_L_MAX^5/2^96 ~ 7e-17): more steps cannot make the check sharper.
+# accepted beta*L (BETA_L_MAX^5/2^96 ~ 7e-17): more steps cannot make the check sharper,
+# and binary powering makes it cost ~2*log2(steps) updates, so it is the default.
 MAX_STEPS = 2**24
 
 
@@ -61,7 +62,7 @@ class OdeState(_named_tuple("OdeState", "z e_s e_i")):
         _check("e_i", self.e_i, inclusive=True)
 
 
-class IntegrationConfig(_named_tuple("IntegrationConfig", "steps", (1024,))):
+class IntegrationConfig(_named_tuple("IntegrationConfig", "steps", (MAX_STEPS,))):
     __slots__ = ()
 
     def __post_init__(self) -> None:

@@ -28,6 +28,7 @@ from conftest import regen, sweep_rows
 from pairgate import cli, model
 from pairgate.materials import MATERIALS_ENV_VAR
 from pairgate.model import Medium, Process, PumpDrive, triplet_from_wavelengths
+from pairgate.oracle import MAX_STEPS
 from pairgate.units import parse_length
 
 
@@ -772,34 +773,40 @@ ACCEPTED_OPTIONS = {
 }
 
 
-def test_each_subcommand_accepts_only_the_flags_it_reads():
-    parser = cli.build_parser()
+def _accepted_options(parser):
+    """{subcommand: its sorted option strings} of a parser that build_parser returned."""
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for sub in subparsers.choices.values():
-        sub.add_flags()  # otherwise added on the subcommand's first parse
-    accepted = {name: sorted(option for action in sub._actions for option in action.option_strings)
-                for name, sub in subparsers.choices.items()}
-    assert accepted == {name: sorted(options) for name, options in ACCEPTED_OPTIONS.items()}
+    return {name: sorted(option for action in sub._actions for option in action.option_strings)
+            for name, sub in subparsers.choices.items()}
 
 
-def test_threads_parsing_a_subcommand_first_all_get_its_flags():
-    """A subcommand's first parse adds its flags; concurrent first parses wait for them."""
-    parser = cli.build_parser()
-    argv = ["limit", "--chi2", "1pm/V", "--length", "1mm", "--lambda-s", "2um", "--n-i", "2"]
+def test_each_subcommand_accepts_only_the_flags_it_reads():
+    """The parser of every subcommand, and the parser of each subcommand alone."""
+    expected = {name: sorted(options) for name, options in ACCEPTED_OPTIONS.items()}
+    assert _accepted_options(cli.build_parser()) == expected
+    for name, options in expected.items():
+        assert _accepted_options(cli.build_parser(name)) == {name: options}
+
+
+def test_concurrent_first_calls_all_get_a_whole_parser(tmp_path, monkeypatch):
+    """Threads that make main's first call at once each parse every flag they are given."""
+    monkeypatch.setattr(cli, "_parsers", {})
+    argv = ["limit", "--chi2", "1pm/V", "--length", "1mm", "--lambda-s", "2um", "--n-i", "2",
+            "--format", "csv"]
     barrier = threading.Barrier(8)
-    lengths, errors = [], []
+    codes = []
 
-    def parse():
+    def call(k):
         barrier.wait()
         try:
-            lengths.append(parser.parse_args(argv).length)
-        except BaseException as exc:  # SystemExit from a flag not yet added, or ArgumentError
-            errors.append(exc)
+            codes.append(cli.main(argv + ["--out", str(tmp_path / f"{k}.csv")]))
+        except BaseException as exc:  # SystemExit from a parser without one of the flags
+            codes.append(exc)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=parse) for _ in range(8)]
+        threads = [threading.Thread(target=call, args=(k,)) for k in range(8)]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -807,8 +814,9 @@ def test_threads_parsing_a_subcommand_first_all_get_its_flags():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
-    assert lengths == [1e-3] * 8
+    assert codes == [0] * 8
+    texts = {(tmp_path / f"{k}.csv").read_text(encoding="utf-8") for k in range(8)}
+    assert texts == {regen.run(argv)[1]}
 
 
 def test_help_still_exits_zero():
@@ -818,19 +826,23 @@ def test_help_still_exits_zero():
         assert out.startswith(" ".join(["usage: pairgate", *argv[:-1]]))
 
 
-def test_main_builds_its_parser_once(monkeypatch):
-    monkeypatch.setattr(cli, "_parser", None)
+def test_main_builds_one_parser_per_subcommand_it_runs(monkeypatch):
+    monkeypatch.setattr(cli, "_parsers", {})
     built = []
     build_parser = cli.build_parser
 
-    def counting_build_parser():
-        built.append(1)
-        return build_parser()
+    def counting_build_parser(command=None):
+        built.append(command)
+        return build_parser(command)
 
     monkeypatch.setattr(cli, "build_parser", counting_build_parser)
-    regen.records(regen.tagged("calls"))
-    assert len(built) == 1
-    assert build_parser() is not build_parser()
+    lines = regen.tagged("calls")
+    regen.records(lines)
+    assert sorted(built) == sorted({shlex.split(line)[0] for line in lines})
+    built.clear()
+    regen.records(lines)
+    assert built == []
+    assert build_parser("limit") is not build_parser("limit")
 
 
 def test_no_call_state_leaks_into_the_next_call():
@@ -918,20 +930,18 @@ def test_fuzzed_argv_ends_in_finite_output_or_one_line_error(argv):
 # oracle
 # --------------------------------------------------------------------------
 
-def test_oracle_at_limit():
-    code, out, _ = regen.run(["oracle", "--beta-l", "1", "--format", "csv"])
+@pytest.mark.parametrize("beta_l", [1e-150, 1.0, 100.0, 354.0])
+def test_oracle_at_limit(beta_l):
+    """At its default step count the oracle is sharp over the whole accepted beta*L range:
+    within the RK4 scheme bound plus the rounding floor of tests/test_oracle.py."""
+    code, out, _ = regen.run(["oracle", "--beta-l", repr(beta_l), "--format", "csv"])
     assert code == 0
     row = parse_csv(out)[0]
-    assert float(row["analytic_pairs_per_s"]) == model.pair_flux_reduced(1.0, 1.0)
-    assert float(row["relative_error"]) <= 1e-6
-
-
-def test_oracle_zero_gain():
-    code, out, _ = regen.run(["oracle", "--beta-l", "0", "--format", "csv"])
-    assert code == 0
-    row = parse_csv(out)[0]
-    assert float(row["oracle_pairs_per_s"]) == 0.0
-    assert float(row["relative_error"]) == 0.0
+    assert row["steps"] == str(MAX_STEPS)
+    assert float(row["analytic_pairs_per_s"]) == model.pair_flux_reduced(beta_l, 1.0)
+    floor = (beta_l**5 / MAX_STEPS**4
+             + 8 * (math.log2(MAX_STEPS) + beta_l) * sys.float_info.epsilon)
+    assert float(row["relative_error"]) <= floor
 
 
 def test_oracle_custom_steps():

@@ -12,6 +12,7 @@ Algorithms, ch. 2-3.)
 """
 
 import math
+import re
 import sys
 from decimal import Decimal, localcontext
 
@@ -32,6 +33,7 @@ from pairgate.model import (
     Process,
     PumpDrive,
     WaveTriplet,
+    coupling_factor,
     effective_limit_intensity,
     flux_asymptote,
     gain_coefficient,
@@ -93,6 +95,10 @@ def assert_in_range_or_rejected(kernel, exact_fn, ulps, *args):
 # ---------------------------------------------------------------------------
 # 50-digit references of the closed forms
 # ---------------------------------------------------------------------------
+
+def exact_coupling(omega, n):
+    return Decimal(omega) / (2 * Decimal(n) * K["c"])
+
 
 def exact_vacuum(omega, n, section, delta_omega):
     d = [Decimal(x) for x in (omega, n, section, delta_omega)]
@@ -170,6 +176,24 @@ def gamma_partials(medium, lambda_s, lambda_i, length):
 # ---------------------------------------------------------------------------
 # the gate: one test per kernel
 # ---------------------------------------------------------------------------
+
+@EXAMPLES
+@given(omega=positive, n=index)
+def test_coupling_factor(omega, n):
+    # the product n*c (2*n is exact) and the quotient
+    assert_in_range_or_rejected(coupling_factor, exact_coupling, 2, omega, n)
+
+
+@pytest.mark.parametrize("omega, n", [
+    (1e-320, 1.0),   # was 0.0
+    (1e15, 1e308),   # 2*n*c overflows: was 0.0
+    (1e-300, 1.0),   # was the subnormal 1.67e-309
+])
+def test_coupling_factor_that_gave_zero_or_a_subnormal_now_raises(omega, n):
+    message = f"coupling factor out of the float range: omega={omega!r}, n={n!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        coupling_factor(omega, n)
+
 
 @EXAMPLES
 @given(omega=positive, n=index, section=positive, delta_omega=positive)

@@ -87,23 +87,6 @@ def test_matches_closed_form_from_vacuum_seeds():
     assert final.e_i == pytest.approx(exact_i, rel=1e-8)
 
 
-def test_fourth_order_convergence():
-    medium, triplet, geometry, pump = spdc_scenario(2.0)
-    ks = coupling_factor(triplet.omega_s, medium.n_s)
-    ki = coupling_factor(triplet.omega_i, medium.n_i)
-    initial = OdeState(0.0, 1.0, 0.0)
-    exact_s, _ = closed_form(initial, 2.0, ks, ki)
-
-    errors = []
-    for steps in (16, 32, 64, 128):
-        final = integrate(medium, triplet, pump, geometry, initial,
-                          IntegrationConfig(steps=steps))
-        errors.append(abs(final.e_s - exact_s) / exact_s)
-    for coarse, fine in zip(errors, errors[1:]):
-        order = math.log2(coarse / fine)
-        assert 3.8 <= order <= 4.2
-
-
 def test_conserved_arm_difference_along_trajectory():
     # ki*e_s^2 - ks*e_i^2 is a constant of the motion
     medium, triplet, _, _ = spdc_scenario(2.0)
