@@ -6,7 +6,8 @@ this boundary only. Exit codes: 0 success, 2 input validation, 3 I/O.
 
 Scalar reports state each output once, as a column list that `_report`
 prints as a table or as CSV; every renderer ends its text with a newline,
-so `_emit` writes it unchanged to stdout or --out.
+so `_emit` writes it unchanged to stdout or --out. A sweep's text is a
+generator of such chunks, each written as soon as it is rendered.
 
 A call imports and builds only what its subcommand runs: the material catalog
 on the first --material lookup, the oracle in `oracle`, and only the parser of
@@ -20,6 +21,7 @@ import math
 import os
 import sys
 import threading
+from collections.abc import Iterator
 
 from . import model
 from .constants import MATERIALS_ENV_VAR
@@ -52,7 +54,7 @@ EXIT_INPUT = 2
 EXIT_IO = 3
 
 DEFAULT_WAVELENGTH = 1e-6  # m, degenerate signal/idler default
-MAX_SWEEP_POINTS = 10**6  # the grid and the CSV text are held whole; 10x the largest bench sweep
+MAX_SWEEP_POINTS = 10**6  # 10x the largest bench sweep; at the cap, 8 MB of points and ~56 MB of CSV
 _MEDIUM_FLAGS = ("--material", "--materials", "--chi2", "--chi3", "--n-p", "--n-s", "--n-i")
 _WAVE_FLAGS = ("--lambda-s", "--lambda-i")
 ORACLE_REFERENCE = {
@@ -98,22 +100,29 @@ class SweepSpec(model._named_tuple("SweepSpec", "start stop count log", (False,)
             raise ValueError(
                 f"--count must be <= MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}, got {self.count}")
 
-    def grid(self) -> list[float]:
-        """numpy.linspace's points, i*step + start with the last one exactly stop;
-        a log grid is 10**x over that grid between the log10 endpoints."""
+    def points(self, lo: int, hi: int) -> list[float]:
+        """Grid points lo to hi - 1, numpy.linspace's: i*step + start, with the last one exactly
+        stop; a log grid is 10**x over that grid between the log10 endpoints."""
         start, stop = self.start, self.stop
         if self.log:
             start, stop = math.log10(start), math.log10(stop)
         div = self.count - 1
         step = (stop - start) / div
+        inner = range(lo, min(hi, div))
         if step:
-            points = [i * step + start for i in range(div)] + [stop]
+            points = [i * step + start for i in inner]
         else:  # a subnormal span whose step underflows: numpy scales i/div instead
-            points = [i / div * (stop - start) + start for i in range(div)] + [stop]
+            points = [i / div * (stop - start) + start for i in inner]
+        if hi > div:
+            points.append(stop)
         try:
             return [10.0 ** x for x in points] if self.log else points
         except OverflowError:
             raise ValueError(f"--max {self.stop!r} overflows a log grid") from None
+
+    def grid(self) -> list[float]:
+        """The whole grid, points(0, count)."""
+        return self.points(0, self.count)
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -303,12 +312,26 @@ def _report(args, columns: list[tuple]) -> str:
                           for name, _, text, *label in columns])
 
 
-def _emit(text: str, args) -> None:
-    if args.out is None:
-        sys.stdout.write(text)
-        return
-    with open(args.out, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+def _emit(text: str, handle) -> None:
+    """Writes one chunk of a call's output text to handle, stdout or the --out file."""
+    handle.write(text)
+
+
+def _write(output, args) -> None:
+    """Writes output, a str or a generator of str chunks, to stdout or --out, each chunk by
+    _emit as it comes. A generator is closed here, written whole or not, so a sweep has no
+    child left when this returns; a failed write leaves --out with what was written."""
+    handle = sys.stdout
+    try:
+        if args.out is not None:
+            handle = open(args.out, "w", encoding="utf-8", newline="")
+        for chunk in [output] if isinstance(output, str) else output:
+            _emit(chunk, handle)
+    finally:
+        if not isinstance(output, str):
+            output.close()
+        if handle is not sys.stdout:
+            handle.close()
 
 
 # --------------------------------------------------------------------------
@@ -396,38 +419,41 @@ def cmd_limit(args) -> str:
     ])
 
 
-# A sweep is checked, then computed, SWEEP_BLOCK grid points at a time. Every block is
-# checked (model._check_block) before the first one is computed, so a failing sweep
-# raises the scalar kernels' message at its first offending point in grid order and
-# computes, forks and writes nothing. A block is rendered as one string. The blocks of a
-# checked sweep are cut into one contiguous range per CPU the process may run on; an
-# os.fork child renders each range after the first into a pipe while the parent renders
-# the first, and the parent joins the ranges in grid order. Where a pipe, fork or child
-# fails, the parent renders that range itself, so the text never depends on the path.
+# A sweep is checked, then rendered, SWEEP_BLOCK grid points at a time. The check pass builds
+# each block's points (SweepSpec.points) and checks them (model._check_block) before any block
+# is rendered, so a failing sweep raises the scalar kernels' message at its first offending
+# point in grid order and renders, forks and writes nothing. It keeps the checked points as
+# 8-byte doubles. The text is then streamed: the header, then each block's rows in grid order
+# as soon as they are rendered, so a call holds a few blocks of text at any size. Block i is
+# rendered by process i % cpus, over the CPUs the process may run on: process 0 is the caller,
+# and each other is an os.fork child that writes its blocks to a pipe, each after its length.
+# Where a pipe or fork fails, or a child's block comes short because the child died, the
+# caller renders that child's blocks itself, so the text never depends on the path.
 
-SWEEP_BLOCK = 4096  # grid points per block: the extra columns stay small at any count
-
-
-def _rows(grid: list[float], columns, starts: range) -> str:
-    """The CSV rows of the blocks of grid at starts, a row per point: the point, then the
-    values of columns(block) at it. Each column is rendered by one C-level repr pass
-    (str(float) is its shortest repr) and each row by one join."""
-    blocks = []
-    for start in starts:
-        block = grid[start:start + SWEEP_BLOCK]
-        cells = [list(map(repr, column)) for column in (block, *columns(block))]
-        blocks.append("\n".join(map(",".join, zip(*cells))))
-    return "\n".join(blocks)
+SWEEP_BLOCK = 4096  # grid points per block: a sweep of up to 4096 points never forks
 
 
-def _spawn(grid: list[float], columns, starts: range):
-    """(pid, pipe) of an os.fork child that writes _rows(grid, columns, starts) as ASCII to
-    pipe and leaves by os._exit, so no exit handler or stdio flush runs; None where pipe
-    or fork fails."""
+def _render_block(points: list[float], columns) -> str:
+    """The CSV rows of one block, each ending in a newline: the point, then the values of
+    columns(points) at it. Each column is rendered by one C-level repr pass (str(float) is its
+    shortest repr) and each row by one join."""
+    cells = [list(map(repr, column)) for column in (points, *columns(points))]
+    return "\n".join([*map(",".join, zip(*cells)), ""])
+
+
+def _spawn(block, columns, indices: range):
+    """(pid, pipe) of an os.fork child that writes the ASCII rows of block(i), for each i of
+    indices, to pipe, each after its 8-byte length, and leaves by os._exit, so no exit handler
+    or stdio flush runs; None where pipe or fork fails."""
     try:
         read, write = os.pipe()
     except OSError:
         return None
+    try:  # room for a few blocks, so that a child renders ahead instead of waiting on a read
+        import fcntl
+        fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, 1 << 20)
+    except (AttributeError, OSError):  # F_SETPIPE_SZ is Linux's; the limit may be lower
+        pass
     try:
         pid = os.fork()
     except OSError:
@@ -438,9 +464,11 @@ def _spawn(grid: list[float], columns, starts: range):
         code = 1
         try:
             os.close(read)
-            data = memoryview(_rows(grid, columns, starts).encode("ascii"))
-            while data:
-                data = data[os.write(write, data):]
+            with open(write, "wb") as pipe:
+                for i in indices:
+                    data = _render_block(block(i), columns).encode("ascii")
+                    pipe.write(len(data).to_bytes(8, "little"))
+                    pipe.write(data)
             code = 0
         finally:
             os._exit(code)
@@ -448,40 +476,58 @@ def _spawn(grid: list[float], columns, starts: range):
     return pid, open(read, "rb")
 
 
-def _sweep(header: list[str], grid: list[float], sweep) -> str:
-    """The CSV text of a sweep, given the (columns, row) of a model sweep: the header, then
-    the _rows of every block of the grid, rendered on up to one CPU per block."""
+def _receive(pipe) -> str | None:
+    """The next block a child wrote to pipe, or None where it comes short: the child died."""
+    head = pipe.read(8)
+    if len(head) == 8:
+        data = pipe.read(int.from_bytes(head, "little"))
+        if len(data) == int.from_bytes(head, "little"):
+            return data.decode("ascii")
+    return None
+
+
+def _sweep(header: list[str], spec: SweepSpec, sweep) -> Iterator[str]:
+    """The CSV text of a sweep as chunks, given the (columns, row) of a model sweep: every
+    block of spec's grid is checked here, before the returned generator starts. It yields the
+    header line, then the rows of each block in grid order."""
+    from array import array  # here, not at start-up, where every call would pay its import
+
     columns, row = sweep
-    starts = range(0, len(grid), SWEEP_BLOCK)
-    for start in starts:
-        model._check_block(grid[start:start + SWEEP_BLOCK], row)
+    rest = array("d")  # the checked points of the blocks after the first
+    for lo in range(0, spec.count, SWEEP_BLOCK):
+        points = spec.points(lo, lo + SWEEP_BLOCK)
+        model._check_block(points, row)
+        if lo:
+            rest.fromlist(points)
+        else:
+            first = points
+
+    def block(i: int) -> list[float]:
+        return rest[(i - 1) * SWEEP_BLOCK:i * SWEEP_BLOCK].tolist() if i else first
+
+    return _stream(",".join(header) + "\n", 1 + -(-len(rest) // SWEEP_BLOCK), block, columns)
+
+
+def _stream(header: str, blocks: int, block, columns) -> Iterator[str]:
+    """header, then the rows of block(i) for each i < blocks, block i rendered by process
+    i % cpus: 0 is this one, and the others are forked when the first chunk is asked for."""
     cpus = 1  # one process where threads are alive: a fork copies only the calling thread
-    if len(starts) > 1 and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
-        cpus = min(len(starts), len(os.sched_getaffinity(0)))
-    parts = [starts[k * len(starts) // cpus:(k + 1) * len(starts) // cpus] for k in range(cpus)]
-    children = []
+    if blocks > 1 and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
+        cpus = min(blocks, len(os.sched_getaffinity(0)))
+    children = [None]  # (pid, pipe) of each process, None for this one and a failed fork
     try:
-        for part in parts[1:]:
-            children.append(_spawn(grid, columns, part))
-        texts = [_rows(grid, columns, parts[0])]
-        for k, part in enumerate(parts[1:]):
-            if children[k] is not None:
-                pid, pipe = children[k]
-                with pipe:
-                    text = pipe.read().decode("ascii")  # a child writes only encoded text
-                status = os.waitpid(pid, 0)[1]
-                children[k] = None
-                if status == 0:
-                    texts.append(text)
-                    continue
-            texts.append(_rows(grid, columns, part))
-    finally:  # a child still listed here was left by an exception: kill it, then reap it
+        for k in range(1, cpus):
+            children.append(_spawn(block, columns, range(k, blocks, cpus)))
+        yield header
+        for i in range(blocks):
+            child = children[i % cpus]
+            yield (child and _receive(child[1])) or _render_block(block(i), columns)
+    finally:  # kill and reap every child, done or not, also where an exception ends the stream
         for pid, pipe in filter(None, children):
             import signal  # here, not at start-up, where it would cost every call ~1 ms
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return "\n".join([",".join(header), *texts, ""])  # the text ends with a newline
 
 
 def _flux_header(columns: list[str], delta_nu: float | None) -> list[str]:
@@ -489,11 +535,10 @@ def _flux_header(columns: list[str], delta_nu: float | None) -> list[str]:
             + (["pairs_per_s"] if delta_nu is not None else []))
 
 
-def _figure_sweep(figure: str) -> str:
+def _figure_sweep(figure: str) -> Iterator[str]:
     # reference-figure presets: degenerate 1 um pair, unit indices
     if figure == "2":
-        return _sweep(_flux_header([], None), SweepSpec(0.0, 6.0, 121).grid(),
-                      model._flux_sweep(None))
+        return _sweep(_flux_header([], None), SweepSpec(0.0, 6.0, 121), model._flux_sweep(None))
     if figure == "3":
         sweep, process, tag = SweepSpec(1e-3, 1.0, 61, log=True), Process.SPDC, "chi2"
         chis = [(1e-12, "1pm_V"), (1e-11, "10pm_V"), (1e-10, "100pm_V")]
@@ -502,11 +547,10 @@ def _figure_sweep(figure: str) -> str:
         chis = [(1e-22, "1e-22m2_V2"), (1e-20, "1e-20m2_V2"), (1e-18, "1e-18m2_V2")]
     media = [Medium(process=process, chi_eff=chi) for chi, _ in chis]
     header = ["length_m"] + [f"gamma_W_per_m2_{tag}_{label}" for _, label in chis]
-    return _sweep(header, sweep.grid(),
-                  model._gamma_sweep(media, DEFAULT_WAVELENGTH, DEFAULT_WAVELENGTH))
+    return _sweep(header, sweep, model._gamma_sweep(media, DEFAULT_WAVELENGTH, DEFAULT_WAVELENGTH))
 
 
-def cmd_sweep(args) -> str:
+def cmd_sweep(args) -> Iterator[str]:
     if (args.figure is None) == (args.variable is None):
         raise ValueError("specify exactly one of --figure or --variable")
     if args.figure is not None:
@@ -528,17 +572,16 @@ def cmd_sweep(args) -> str:
     if args.variable == "beta_l":
         _reject_unread(args, _MEDIUM_FLAGS + _WAVE_FLAGS + ("--length",),
                        "{flag} does not apply to a beta_l sweep")
-        return _sweep(_flux_header([], args.delta_nu), sweep.grid(),
-                      model._flux_sweep(args.delta_nu))
+        return _sweep(_flux_header([], args.delta_nu), sweep, model._flux_sweep(args.delta_nu))
     if args.variable == "length":
-        return _sweep(["length_m", "gamma_W_per_m2"], sweep.grid(),
+        return _sweep(["length_m", "gamma_W_per_m2"], sweep,
                       model._gamma_sweep([_build_medium(args)], *_wavelengths(args)))
     if args.length is None:
         raise ValueError("--length is required for a pump_intensity sweep")
     medium = _build_medium(args)
     triplet = _build_triplet(args, medium.process)
     _check("length", args.length)
-    return _sweep(_flux_header(["pump_intensity_W_per_m2"], args.delta_nu), sweep.grid(),
+    return _sweep(_flux_header(["pump_intensity_W_per_m2"], args.delta_nu), sweep,
                   model._pump_sweep(medium, triplet, args.length, args.delta_nu))
 
 
@@ -597,7 +640,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"pairgate {args.command}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        _emit(output, args)
+        _write(output, args)
     except OSError as exc:
         print(f"pairgate {args.command}: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO

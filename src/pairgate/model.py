@@ -274,14 +274,16 @@ class Bandwidth(_named_tuple("Bandwidth", "delta_omega")):
 
     def __post_init__(self) -> None:
         _check("bandwidth delta_omega", self.delta_omega)
+        if not _FLOAT_MIN <= self.delta_nu:  # never above _FLOAT_MAX: 2*pi > 1
+            raise _out_of_float_range("bandwidth", delta_omega=self.delta_omega)
 
     @classmethod
     def from_delta_nu(cls, delta_nu: float) -> "Bandwidth":
         _check("delta_nu", delta_nu)
-        delta_omega = 2.0 * math.pi * delta_nu
-        if not _FLOAT_MIN <= delta_omega <= _FLOAT_MAX:
-            raise _out_of_float_range("bandwidth", delta_nu=delta_nu)
-        return cls(delta_omega=delta_omega)
+        try:
+            return cls(delta_omega=2.0 * math.pi * delta_nu)
+        except ValueError:  # 2*pi*delta_nu, or delta_nu back from it, is not a normal float
+            raise _out_of_float_range("bandwidth", delta_nu=delta_nu) from None
 
     @property
     def delta_nu(self) -> float:

@@ -8,7 +8,9 @@ is written once there, next to its recorded bytes in expected.txt.
 """
 
 import argparse
+import contextlib
 import csv
+import errno
 import io
 import math
 import os
@@ -17,6 +19,7 @@ import shlex
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -534,7 +537,7 @@ def test_a_failing_sweep_computes_no_block(monkeypatch):
     """Every block is checked before the first one is computed: no failing sweep renders a
     row, not even one whose second block fails, and each pair flux is one scalar kernel's
     point."""
-    sizes, rendered, rows = [], [], cli._rows
+    sizes, rendered, render = [], [], cli._render_block
     pair_fluxes = model._pair_fluxes
 
     def counted(growths, per_hz):
@@ -543,7 +546,8 @@ def test_a_failing_sweep_computes_no_block(monkeypatch):
         return pair_fluxes(growths, per_hz)
 
     monkeypatch.setattr(model, "_pair_fluxes", counted)
-    monkeypatch.setattr(cli, "_rows", lambda *args: rendered.append(args) or rows(*args))
+    monkeypatch.setattr(cli, "_render_block",
+                        lambda *args: rendered.append(args) or render(*args))
     for argv in _argv("sweep-error"):
         assert regen.run(argv)[:2] == (2, "")
     assert rendered == [] and max(sizes) == 1
@@ -592,8 +596,9 @@ def _sweep_leaving_no_child(argv):
 @pytest.mark.parametrize("count", [4097, 8193, 3 * 4096 + 5, 25119])
 @pytest.mark.parametrize("variable", _PARALLEL_SWEEPS)
 def test_a_sweep_on_any_cpu_count_has_the_one_cpu_bytes(variable, count, monkeypatch):
-    """The blocks are cut into one range per CPU, capped at the block count, and a forked
-    child renders every range but the first: the text is the one-CPU text byte for byte."""
+    """Block i is rendered by process i % cpus, cpus capped at the block count: a forked
+    child renders each block whose index is not a multiple of cpus, and the text is the
+    one-CPU text byte for byte."""
     argv = _PARALLEL_SWEEPS[variable] + ["--count", str(count)]
     forks = _count_forks(monkeypatch)
     outputs = []
@@ -621,8 +626,21 @@ def _failing_fork(monkeypatch):
 
 
 def _failing_child(monkeypatch):
-    parent, rows = os.getpid(), cli._rows
-    monkeypatch.setattr(cli, "_rows", lambda *args: rows(*args) if os.getpid() == parent else 1 / 0)
+    parent, render = os.getpid(), cli._render_block
+    monkeypatch.setattr(cli, "_render_block",
+                        lambda *args: render(*args) if os.getpid() == parent else 1 / 0)
+
+
+def _child_dying_after_a_block(monkeypatch):
+    parent, render, calls = os.getpid(), cli._render_block, []
+
+    def dying(*args):
+        if os.getpid() != parent and calls:
+            os._exit(1)
+        calls.append(None)
+        return render(*args)
+
+    monkeypatch.setattr(cli, "_render_block", dying)
 
 
 def _child_reported_failed(monkeypatch):
@@ -632,9 +650,10 @@ def _child_reported_failed(monkeypatch):
 
 @_forking
 @pytest.mark.parametrize("fail", [_failing_pipe, _failing_fork, _failing_child,
-                                  _child_reported_failed])
+                                  _child_reported_failed, _child_dying_after_a_block])
 def test_a_failed_pipe_fork_or_child_leaves_the_bytes(fail, monkeypatch):
-    """The parent renders a range whose pipe or fork fails, or whose child exits nonzero."""
+    """The caller renders the blocks of a child whose pipe or fork fails, and every block a
+    child dies before sending whole; a child's exit status is not read."""
     argv = _PARALLEL_SWEEPS["beta_l"] + ["--count", "25119"]
     _set_cpus(monkeypatch, 1)
     expected = _sweep_leaving_no_child(argv)
@@ -645,21 +664,111 @@ def test_a_failed_pipe_fork_or_child_leaves_the_bytes(fail, monkeypatch):
 
 @_forking
 def test_an_exception_kills_and_reaps_every_child(monkeypatch):
-    parent, rows = os.getpid(), cli._rows
+    """The children are killed, not waited for: each would render for a minute."""
+    parent, render = os.getpid(), cli._render_block
 
     def interrupted(*args):
         if os.getpid() == parent:
             raise KeyboardInterrupt
-        return rows(*args)
+        time.sleep(60)
+        return render(*args)
 
-    monkeypatch.setattr(cli, "_rows", interrupted)
+    monkeypatch.setattr(cli, "_render_block", interrupted)
     _set_cpus(monkeypatch, 3)
     forks = _count_forks(monkeypatch)
+    start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         _sweep_leaving_no_child(_PARALLEL_SWEEPS["beta_l"] + ["--count", "25119"])
+    assert time.monotonic() - start < 30
     assert len(forks) == 2
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_block_that_comes_short_is_none():
+    """A child sends each block as its 8-byte length, then that many bytes; a pipe that ends
+    first, in the length or in the block (the child died), gives None."""
+    whole_then_short = (4).to_bytes(8, "little") + b"1,2\n" + (9).to_bytes(8, "little") + b"3,4"
+    for data, blocks in [(whole_then_short, ["1,2\n", None, None]), (b"\x04\x00\x00", [None])]:
+        read, write = os.pipe()
+        os.write(write, data)
+        os.close(write)
+        with open(read, "rb") as pipe:
+            assert [cli._receive(pipe) for _ in blocks] == blocks
+
+
+@pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=_forking)])
+def test_a_sweep_streams_each_block_as_it_is_rendered(cpus, monkeypatch):
+    """The header and the blocks before the last are written before the last block is
+    rendered, on one CPU and on two, where the caller renders blocks 0 and 2 of 3."""
+    argv = _PARALLEL_SWEEPS["beta_l"] + ["--count", str(2 * _BLOCK + 1)]
+    _set_cpus(monkeypatch, 1)
+    code, expected, _ = regen.run(argv)
+    parent, render, written = os.getpid(), cli._render_block, []
+
+    def render_last_after_a_look(points, columns):
+        if os.getpid() == parent and points == [5.0]:  # the last block, the grid's last point
+            written.append(sys.stdout.getvalue())
+        return render(points, columns)
+
+    monkeypatch.setattr(cli, "_render_block", render_last_after_a_look)
+    _set_cpus(monkeypatch, cpus)
+    forks = _count_forks(monkeypatch)
+    assert _sweep_leaving_no_child(argv) == (code, expected, "")
+    assert len(forks) == cpus - 1
+    assert written == ["".join(expected.splitlines(keepends=True)[:1 + 2 * _BLOCK])]
+
+
+class _NoSpaceOnSecondWrite:
+    """A text sink whose second write fails as a full disk does."""
+
+    def __init__(self, handle):
+        self.handle, self.writes = handle, 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.handle.write(text)
+
+    def close(self):
+        self.handle.close()
+
+
+@_forking
+@pytest.mark.parametrize("to_file", [False, True])
+def test_a_write_failing_midway_exits_3_and_leaves_no_child(to_file, tmp_path, monkeypatch):
+    """A write that fails midway ends the call with exit 3 and one stderr line; the writer
+    has killed and reaped every child before it returns, whatever still holds the chunk
+    stream, and --out keeps what was written before the failure, the header."""
+    target = tmp_path / "out.csv"
+    argv = _PARALLEL_SWEEPS["beta_l"] + ["--count", "25119"] + ["--out", str(target)] * to_file
+    _set_cpus(monkeypatch, 3)
+    forks = _count_forks(monkeypatch)
+    write = cli._write
+
+    def write_then_look_for_children(output, args):
+        try:
+            write(output, args)
+        finally:  # main still holds output here, so only the writer can have closed it
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+
+    monkeypatch.setattr(cli, "_write", write_then_look_for_children)
+    stdout, err = _NoSpaceOnSecondWrite(io.StringIO()), io.StringIO()
+    if to_file:
+        monkeypatch.setattr(cli, "open", lambda path, mode="r", **kwargs: (
+            _NoSpaceOnSecondWrite(open(path, mode, **kwargs)) if mode == "w"
+            else open(path, mode, **kwargs)), raising=False)
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code == 3 and len(forks) == 2
+    assert err.getvalue() == ("pairgate sweep: cannot write output: [Errno 28] "
+                              f"{os.strerror(errno.ENOSPC)}\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    header = "beta_l,pairs_per_bandwidth,pairs_per_s\n"
+    assert (target.read_text() if to_file else stdout.handle.getvalue()) == header
 
 
 @_forking

@@ -105,10 +105,15 @@ def exact_vacuum(omega, n, section, delta_omega):
     return (K["hbar"] * d[0] * d[3] / (4 * PI * K["c"] * K["eps0"] * d[1] * d[2])).sqrt()
 
 
-def exact_generated(beta, triplet, medium, geometry, bandwidth, arm):
-    vac = exact_vacuum(triplet.omega(arm), medium.n(arm), geometry.section,
-                       bandwidth.delta_omega)
+def exact_generated(beta, triplet, medium, geometry, delta_omega, arm):
+    vac = exact_vacuum(triplet.omega(arm), medium.n(arm), geometry.section, delta_omega)
     return vac * decimal_expm1(beta)
+
+
+def generated_field_of(beta, triplet, medium, geometry, delta_omega, arm):
+    """generated_field with its Bandwidth built inside the checked call, so that the
+    bandwidth's own range error counts as a rejection."""
+    return generated_field(beta, triplet, medium, geometry, Bandwidth(delta_omega), arm)
 
 
 def exact_root(medium, triplet):
@@ -209,8 +214,8 @@ def test_vacuum_fluctuation(omega, n, section, delta_omega):
 def test_generated_field(media, beta, section, delta_omega, arm):
     # the vacuum field's 4.5u, expm1's 4u and the product's u
     medium, triplet = media
-    assert_in_range_or_rejected(generated_field, exact_generated, 10, beta, triplet, medium,
-                                Geometry(1.0, section), Bandwidth(delta_omega), arm)
+    assert_in_range_or_rejected(generated_field_of, exact_generated, 10, beta, triplet, medium,
+                                Geometry(1.0, section), delta_omega, arm)
 
 
 @EXAMPLES
@@ -230,6 +235,23 @@ def test_pair_flux_general(media, beta, vac_s, vac_i, section):
     medium, triplet = media
     assert_in_range_or_rejected(pair_flux_general, exact_general, 32, beta, vac_s, vac_i,
                                 triplet, medium, Geometry(1.0, section))
+
+
+@EXAMPLES
+@given(delta_omega=positive)
+def test_bandwidth_delta_nu(delta_omega):
+    # one quotient: 2*pi doubles math.pi exactly
+    assert_in_range_or_rejected(lambda d: Bandwidth(d).delta_nu, lambda d: Decimal(d) / (2 * PI),
+                                1, delta_omega)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Bandwidth(FLOAT_MIN), "delta_omega=2.2250738585072014e-308"),  # delta_nu 3.54e-309
+    (lambda: Bandwidth.from_delta_nu(5e-309), "delta_nu=5e-309"),  # delta_omega 3.14e-308
+], ids=["Bandwidth", "from_delta_nu"])
+def test_a_bandwidth_whose_delta_nu_is_subnormal_raises(build, message):
+    with pytest.raises(ValueError, match=f"^bandwidth out of the float range: {message}$"):
+        build()
 
 
 @EXAMPLES
