@@ -30,8 +30,9 @@ through, or it is an exact 0 where the input driving it is 0 (beta*L = 0, a
 zero pump). Anything else (a zero, subnormal, infinite or NaN result of
 nonzero inputs) raises _out_of_float_range's "<what> out of the float range:
 k=v, ..." instead of printing 0.0, a few-digit number or inf. The one
-exception is PumpDrive.as_intensity, whose subnormal result is the exact
-round trip of a subnormal intensity.
+exception is the round trip of a subnormal intensity: PumpDrive.field keeps a
+field whose square is subnormal, and as_intensity gives the intensity back.
+tests/test_float_range.py holds each public callable and method to the rule.
 """
 
 from __future__ import annotations
@@ -165,8 +166,10 @@ class WaveTriplet(_named_tuple("WaveTriplet", "omega_s omega_i process")):
     __slots__ = ()
 
     def __post_init__(self) -> None:
-        for name in ("omega_s", "omega_i", "omega_p"):
+        for name in ("omega_s", "omega_i"):
             _check(name, getattr(self, name))
+        if not _FLOAT_MIN <= self.omega_p <= _FLOAT_MAX:
+            raise _out_of_float_range("omega_p", omega_s=self.omega_s, omega_i=self.omega_i)
 
     @property
     def omega_p(self) -> float:
@@ -182,7 +185,10 @@ def triplet_from_wavelengths(lambda_s: float, lambda_i: float, process: Process)
     _check("lambda_s", lambda_s)
     _check("lambda_i", lambda_i)
     two_pi_c = 2.0 * math.pi * CODATA2018.c
-    return WaveTriplet(two_pi_c / lambda_s, two_pi_c / lambda_i, process)
+    omegas = two_pi_c / lambda_s, two_pi_c / lambda_i  # never below 2*pi*c/_FLOAT_MAX ~ 1e-299
+    if max(omegas) == math.inf:
+        raise _out_of_float_range("angular frequency", lambda_s=lambda_s, lambda_i=lambda_i)
+    return WaveTriplet(*omegas, process)
 
 
 class Medium(_named_tuple("Medium", "process chi_eff n_p n_s n_i", (1.0, 1.0, 1.0))):
@@ -241,9 +247,11 @@ class PumpDrive(_named_tuple("PumpDrive", "intensity field_amplitude", (None, No
 
     def field(self, n_p: float) -> float:
         """Pump field amplitude (V/m) at a checked pump index n_p, such as Medium.n_p."""
-        if self.field_amplitude is not None:
-            return self.field_amplitude
-        return _pump_fields((self.intensity,), n_p)[0]
+        field = _pump_field(self, n_p)
+        # a field whose square is subnormal stays: as_intensity takes it back to its intensity
+        if self.intensity and not 0.0 < field <= _FLOAT_MAX:
+            raise _out_of_float_range("pump field", intensity=self.intensity, n_p=n_p)
+        return field
 
     def as_intensity(self, n_p: float) -> float:
         """Pump intensity (W/m^2) at a checked pump index n_p."""
@@ -255,6 +263,12 @@ class PumpDrive(_named_tuple("PumpDrive", "intensity field_amplitude", (None, No
         if e_p and not 0.0 < intensity <= _FLOAT_MAX:
             raise _out_of_float_range("pump intensity", pump_field=e_p, n_p=n_p)
         return intensity
+
+
+def _pump_field(pump: PumpDrive, n_p: float) -> float:
+    """PumpDrive.field unchecked, for gain_coefficient, which checks E_p^2 as its own partial."""
+    intensity = pump.intensity
+    return pump.field_amplitude if intensity is None else _pump_fields((intensity,), n_p)[0]
 
 
 def _pump_fields(intensities, n_p: float) -> list[float]:
@@ -402,7 +416,7 @@ def gain_coefficient(medium: Medium, triplet: WaveTriplet, pump: PumpDrive) -> f
     for FWM, with ks, ki the signal/idler coupling factors.
     """
     chi, root = _gain_factors(medium, triplet)
-    field = pump.field(medium.n_p)
+    field = _pump_field(pump, medium.n_p)
     beta = _beta_ls((field,), chi, root, 1.0, medium.process)[0]
     # the chain's partial products: chi (chi3/2 for FWM), the drive coupling (chi*E_p is at
     # least the smaller of the two) and beta, and E_p^2 if E_p is its root, from an intensity
@@ -424,15 +438,14 @@ def _gain_product(medium: Medium, triplet: WaveTriplet, pump: PumpDrive, length:
     return beta_l
 
 
-def pump_for_gain(
-    medium: Medium, triplet: WaveTriplet, geometry: Geometry, beta_l: float
-) -> PumpDrive:
+def pump_for_gain(medium: Medium, triplet: WaveTriplet, geometry: Geometry,
+                  beta_l: float) -> PumpDrive:
     """Pump drive that realizes a target gain product beta*L (inverse of
     gain_coefficient at fixed medium and geometry)."""
     _check_beta_l(beta_l)
     _, root = _gain_factors(medium, triplet)
     span = geometry.length * root
-    drive = beta_l / span
+    drive = beta_l / span if span else (math.inf if beta_l else 0.0)  # 0 span: raised if beta_l
     spdc = medium.process is Process.SPDC
     field = (drive if spdc else 2.0 * drive) / medium.chi_eff  # E_p^2 for FWM
     if beta_l and not (_FLOAT_MIN <= min(span, drive, field) and field <= _FLOAT_MAX):
@@ -455,14 +468,8 @@ def _photon_partials(field: float, omega: float, n: float, section: float) -> tu
     return area, quantum, scale, scale * field, scale * field * field
 
 
-def pair_flux_general(
-    beta_l: float,
-    vac_s: float,
-    vac_i: float,
-    triplet: WaveTriplet,
-    medium: Medium,
-    geometry: Geometry,
-) -> float:
+def pair_flux_general(beta_l: float, vac_s: float, vac_i: float, triplet: WaveTriplet,
+                      medium: Medium, geometry: Geometry) -> float:
     """Pair flux (pairs/s) for arbitrary seed amplitudes on the two arms.
 
     N = eps0*n_s*c*S/(4*hbar*omega_s) *
@@ -496,7 +503,7 @@ def pair_flux_reduced(beta_l: float, delta_nu: float) -> float:
 
     (delta_nu/8)*(exp(beta_l)-1)^2, via expm1 for small-gain stability.
     """
-    growth = field_ratio(beta_l)
+    growth = _growth(beta_l)
     _check("delta_nu", delta_nu)
     per_hz = 0.125 * delta_nu  # the one partial product that the result does not bound
     pairs = _pair_fluxes((growth,), per_hz)[0]
@@ -507,14 +514,14 @@ def pair_flux_reduced(beta_l: float, delta_nu: float) -> float:
 
 def pairs_per_bandwidth(beta_l: float) -> float:
     """Dimensionless pair flux per frequency unit, (1/8)*(exp(beta_l)-1)^2."""
-    pairs = _pair_fluxes((field_ratio(beta_l),), 0.125)[0]
+    pairs = _pair_fluxes((_growth(beta_l),), 0.125)[0]
     if beta_l and not _FLOAT_MIN <= pairs <= _FLOAT_MAX:
         raise _out_of_float_range("pairs per bandwidth", beta_l=beta_l)
     return pairs
 
 
 def _pair_fluxes(growths, per_hz: float) -> list[float]:
-    """per_hz*growth^2 at each growth = field_ratio(beta_l) of a column: the pairs per
+    """per_hz*growth^2 at each growth = expm1(beta_l) of a column: the pairs per
     bandwidth at per_hz = 1/8 and the pair flux at per_hz = delta_nu/8."""
     return [per_hz * g * g for g in growths]
 
@@ -599,25 +606,27 @@ def limit_criteria() -> LimitCriteria:
 
 def field_ratio(beta_l: float) -> float:
     """Generated-field to vacuum-field amplitude ratio, exp(beta_l) - 1."""
+    growth = _growth(beta_l)
+    if beta_l and not _FLOAT_MIN <= growth:  # never above _FLOAT_MAX: beta_l <= BETA_L_MAX
+        raise _out_of_float_range("field ratio", beta_l=beta_l)
+    return growth
+
+
+def _growth(beta_l: float) -> float:
+    """field_ratio unchecked, for kernels that check what they derive from it under their name."""
     _check_beta_l(beta_l)
     return math.expm1(beta_l)
 
 
-def generated_field(
-    beta_l: float,
-    triplet: WaveTriplet,
-    medium: Medium,
-    geometry: Geometry,
-    bandwidth: Bandwidth,
-    arm: Arm,
-) -> float:
+def generated_field(beta_l: float, triplet: WaveTriplet, medium: Medium, geometry: Geometry,
+                    bandwidth: Bandwidth, arm: Arm) -> float:
     """Field amplitude (V/m) generated on one arm from the vacuum seed.
 
     vacuum_fluctuation(arm) * (exp(beta_l) - 1).
     """
     vac = _vacuum_field(triplet.omega(arm), medium.n(arm), geometry.section,
                         bandwidth.delta_omega)
-    generated = vac * field_ratio(beta_l)
+    generated = vac * _growth(beta_l)
     if beta_l and not _FLOAT_MIN <= generated <= _FLOAT_MAX:
         raise _out_of_float_range("generated field", beta_l=beta_l, vacuum_field=vac)
     return generated
@@ -627,9 +636,7 @@ def generated_field(
 # the beta*L = 1 limit
 # --------------------------------------------------------------------------
 
-def limit_pump_intensity(
-    medium: Medium, lambda_s: float, lambda_i: float, length: float
-) -> float:
+def limit_pump_intensity(medium: Medium, lambda_s: float, lambda_i: float, length: float) -> float:
     """Pump intensity (W/m^2) at which beta*L reaches 1.
 
     SPDC: (1/(2*pi^2*mu0*c)) * n_p*n_s*n_i*lambda_s*lambda_i / (L*chi2)^2
@@ -641,9 +648,8 @@ def limit_pump_intensity(
     return _limit_intensity(length, *_limit_factors(medium, lambda_s, lambda_i))
 
 
-def effective_limit_intensity(
-    medium: Medium, lambda_s: float, lambda_i: float, length: float
-) -> float:
+def effective_limit_intensity(medium: Medium, lambda_s: float, lambda_i: float,
+                              length: float) -> float:
     """Index-normalized limit pump intensity Gamma (W/m^2), which reads no index, so it
     is computed as limit_pump_intensity at unit indices, and a range error names only
     the wavelengths, or the length and chi_eff:
@@ -686,10 +692,9 @@ def _limit_factors(medium: Medium, lambda_s: float, lambda_i: float, gamma: bool
 def _limit_intensity(length: float, numer: float, chi: float, process: Process,
                      gamma: bool = False) -> float:
     """The limit intensity at one length, I_lim or Gamma as gamma, from the _limit_factors
-    of a medium, checked:
-    _limit_quotients on a one-point column, and the first partial products of its
-    denominator, L*chi2 and its square or pi*L and pi*L*chi3, which can underflow while
-    the quotient stays normal."""
+    of a medium, checked: _limit_quotients on a one-point column, and the first partial
+    products of its denominator, L*chi2 and its square or pi*L and pi*L*chi3, which can
+    underflow while the quotient stays normal."""
     _check("length", length)
     try:
         i_lim = _limit_quotients((length,), numer, chi, process)[0]
@@ -735,9 +740,4 @@ def classify_regime(beta_l: float, at_limit_band: float = 0.01) -> RegimeReport:
         regime = Regime.HIGH_SIGNAL
     else:
         regime = Regime.AT_LIMIT
-    return RegimeReport(
-        beta_l=beta_l,
-        pairs_per_bandwidth=pairs_per_bandwidth(beta_l),
-        field_ratio=field_ratio(beta_l),
-        regime=regime,
-    )
+    return RegimeReport(beta_l, pairs_per_bandwidth(beta_l), field_ratio(beta_l), regime)
