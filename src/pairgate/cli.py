@@ -17,6 +17,7 @@ the subcommand it runs.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -47,7 +48,7 @@ from .units import (
     parse_length,
 )
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -319,14 +320,16 @@ def _emit(text: str, handle) -> None:
 
 def _write(output, args) -> None:
     """Writes output, a str or a generator of str chunks, to stdout or --out, each chunk by
-    _emit as it comes. A generator is closed here, written whole or not, so a sweep has no
-    child left when this returns; a failed write leaves --out with what was written."""
+    _emit as it comes, then flushes it, so a closed stdout pipe raises here too. A generator is
+    closed here, written whole or not, so a sweep has no child left when this returns; a failed
+    write leaves --out with what was written."""
     handle = sys.stdout
     try:
         if args.out is not None:
             handle = open(args.out, "w", encoding="utf-8", newline="")
         for chunk in [output] if isinstance(output, str) else output:
             _emit(chunk, handle)
+        handle.flush()
     finally:
         if not isinstance(output, str):
             output.close()
@@ -647,5 +650,23 @@ def main(argv: list[str] | None = None) -> int:
     return EXIT_OK
 
 
+def run() -> None:
+    """The process entry (`pairgate`, `python -m pairgate.cli`): exits with main's code. It
+    freezes the heap however main ends, so the collector's shutdown passes skip every object
+    the call made or imported; atexit handlers and the final flush of the std streams still
+    run. Where stdout refuses the bytes main could not write (a closed pipe, reported as
+    exit 3), stdout's descriptor is pointed at os.devnull, so that the final flush drops them
+    instead of failing again. main itself never freezes: an in-process caller keeps its heap."""
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

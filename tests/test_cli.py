@@ -8,9 +8,11 @@ is written once there, next to its recorded bytes in expected.txt.
 """
 
 import argparse
+import ast
 import contextlib
 import csv
 import errno
+import gc
 import io
 import math
 import os
@@ -966,6 +968,72 @@ def test_no_call_state_leaks_into_the_next_call():
     child = subprocess.run([sys.executable, "-m", "pairgate.cli", *argv],
                            capture_output=True, text=True)
     assert (child.returncode, child.stdout, child.stderr) == first
+
+
+# --------------------------------------------------------------------------
+# the process entry: cli.run ends every `pairgate` and `python -m pairgate.cli` process
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["criteria"],
+    ["limit", "--chi2", "1pm/V", "--length", "1mm"],
+    ["sweep", "--figure", "4"],
+    ["sweep", "--variable", "beta_l", "--min", "0", "--max", "5", "--count", "100000",
+     "--delta-nu", "1GHz"],
+])
+def test_a_closed_stdout_pipe_is_exit_3_and_one_line(argv, unbuffered):
+    """A buffered stdout (Python's default) held the bytes a closed pipe refused, and the
+    interpreter's final flush failed on them again: exit 120 and "Exception ignored"."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        child = subprocess.run([sys.executable, "-m", "pairgate.cli", *argv], stdout=write,
+                               stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(write)
+    message = f"cannot write output: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}"
+    assert (child.returncode, child.stderr) == (3, f"pairgate {argv[0]}: {message}\n")
+
+
+# a pairgate success, a ValueError, an argparse rejection and --help
+_ENDINGS = [(["criteria"], 0), (["flux", "--beta-l", "400", "--delta-nu", "1GHz"], 2),
+            (["limit", "--bogus"], 2), (["--help"], 0)]
+
+
+def test_main_in_process_leaves_the_heap_unfrozen():
+    frozen = gc.get_freeze_count()
+    assert [regen.run(argv)[0] for argv, _ in _ENDINGS] == [code for _, code in _ENDINGS]
+    assert gc.get_freeze_count() == frozen
+
+
+@pytest.mark.parametrize("argv, code", _ENDINGS)
+def test_the_process_entry_freezes_the_heap_and_keeps_the_exit_atexit_and_bytes(argv, code,
+                                                                                monkeypatch):
+    """However main ends, the process has frozen its heap by exit, so the collector's
+    shutdown passes skip it; atexit handlers still run, and the exit code and output are
+    main's."""
+    monkeypatch.setenv("COLUMNS", "80")
+    hook = ("import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))\n"
+            "runpy.run_module('pairgate.cli', run_name='__main__', alter_sys=True)\n")
+    child = subprocess.run([sys.executable, "-c", hook, *argv], capture_output=True, text=True,
+                           timeout=60)
+    expected_code, out, err = regen.run(argv)
+    assert expected_code == code
+    assert (child.returncode, child.stdout, child.stderr) == (code, out, err + "True\n")
+
+
+def test_the_console_script_runs_the_entry_of_the_main_block():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    [target] = re.findall(r'^pairgate = "pairgate\.cli:(\w+)"$', pyproject, re.MULTILINE)
+    [block] = [node for node in ast.parse(Path(cli.__file__).read_text()).body
+               if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(statement) for statement in block.body] == [f"{target}()"]
+    assert target == "run"
 
 
 # --------------------------------------------------------------------------

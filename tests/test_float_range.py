@@ -389,6 +389,8 @@ ROWS = [
             ((1e-310, 1e-310, Process.FWM),
              "omega_p out of the float range: omega_s=1e-310, omega_i=1e-310"),
             ((1e308, 1e308, Process.SPDC),
+             "omega_p out of the float range: omega_s=1e+308, omega_i=1e+308"),
+            ((1e308, 1e308, Process.FWM),
              "omega_p out of the float range: omega_s=1e+308, omega_i=1e+308"))),
     Row("WaveTriplet.omega", lambda *args: WaveTriplet(*args[:3]).omega(args[3]),
         st.tuples(positive, positive, processes, arms),
