@@ -65,13 +65,21 @@ ORACLE_REFERENCE = {
 }
 
 
+def _say(line: str) -> None:
+    """Writes a diagnostic line to stderr, or drops it where stderr is closed or refuses it."""
+    try:
+        sys.stderr.write(line + "\n")  # stderr is line-buffered: this write flushes it
+    except (AttributeError, OSError):  # sys.stderr is None where descriptor 2 was closed
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 2)  # so the final flush cannot fail on it
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one stderr line, '<prog>: <message>', exit 2; a flag
     the chosen subcommand does not accept is reported under that subcommand's prog.
     main builds only the parser of the subcommand it runs."""
 
     def error(self, message: str, prog: str | None = None):
-        print(f"{prog or self.prog}: {message}", file=sys.stderr)
+        _say(f"{prog or self.prog}: {message}")
         raise SystemExit(EXIT_INPUT)
 
     def parse_args(self, args=None, namespace=None):
@@ -327,6 +335,8 @@ def _write(output, args) -> None:
     try:
         if args.out is not None:
             handle = open(args.out, "w", encoding="utf-8", newline="")
+        elif handle is None:  # descriptor 1 was closed when the interpreter started
+            raise OSError("stdout is closed")
         for chunk in [output] if isinstance(output, str) else output:
             _emit(chunk, handle)
         handle.flush()
@@ -640,12 +650,12 @@ def main(argv: list[str] | None = None) -> int:
         output = _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         # OSError here is a failed catalog read, i.e. a bad --materials value
-        print(f"pairgate {args.command}: {exc}", file=sys.stderr)
+        _say(f"pairgate {args.command}: {exc}")
         return EXIT_INPUT
     try:
         _write(output, args)
     except OSError as exc:
-        print(f"pairgate {args.command}: cannot write output: {exc}", file=sys.stderr)
+        _say(f"pairgate {args.command}: cannot write output: {exc}")
         return EXIT_IO
     return EXIT_OK
 
@@ -653,18 +663,28 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> None:
     """The process entry (`pairgate`, `python -m pairgate.cli`): exits with main's code. It
     freezes the heap however main ends, so the collector's shutdown passes skip every object
-    the call made or imported; atexit handlers and the final flush of the std streams still
-    run. Where stdout refuses the bytes main could not write (a closed pipe, reported as
-    exit 3), stdout's descriptor is pointed at os.devnull, so that the final flush drops them
-    instead of failing again. main itself never freezes: an in-process caller keeps its heap."""
+    the call made or imported. Where stdout refuses the bytes left in its buffer (a closed
+    pipe), its descriptor is pointed at os.devnull, so the final flush drops them; --help then
+    exits 3 with one line, as main does. main never freezes: an in-process caller keeps its heap."""
     try:
         code = main()
+    except SystemExit as exc:  # argparse's, after --help or a usage error
+        code = exc.code
+    except KeyboardInterrupt:
+        import signal  # here, not at start-up, where it would cost every call ~1 ms
+        _say("pairgate: interrupted")
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        signal.raise_signal(signal.SIGINT)  # so that a calling shell sees the interrupt
     finally:
         gc.freeze()
     try:
-        sys.stdout.flush()
-    except OSError:
+        if sys.stdout:  # None where descriptor 1 was closed at start-up
+            sys.stdout.flush()
+    except OSError as exc:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if code == EXIT_OK:
+            _say(f"pairgate: cannot write output: {exc}")
+            code = EXIT_IO
     sys.exit(code)
 
 

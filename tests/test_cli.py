@@ -18,6 +18,7 @@ import math
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 import threading
@@ -974,17 +975,27 @@ def test_no_call_state_leaks_into_the_next_call():
 # the process entry: cli.run ends every `pairgate` and `python -m pairgate.cli` process
 # --------------------------------------------------------------------------
 
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("argv", [
+_PIPE_ARGV = [
     ["criteria"],
     ["limit", "--chi2", "1pm/V", "--length", "1mm"],
     ["sweep", "--figure", "4"],
     ["sweep", "--variable", "beta_l", "--min", "0", "--max", "5", "--count", "100000",
      "--delta-nu", "1GHz"],
+]
+
+
+# --help only buffered: argparse drops the help that an unbuffered stdout refuses, and exits 0
+@pytest.mark.parametrize("argv, unbuffered", [
+    *[pytest.param(argv, unbuffered, id=f"argv{i}-{'un' * unbuffered}buffered")
+      for i, argv in enumerate(_PIPE_ARGV) for unbuffered in (False, True)],
+    pytest.param(["--help"], False, id="help-buffered"),
+    pytest.param(["limit", "--help"], False, id="limit-help-buffered"),
 ])
 def test_a_closed_stdout_pipe_is_exit_3_and_one_line(argv, unbuffered):
     """A buffered stdout (Python's default) held the bytes a closed pipe refused, and the
-    interpreter's final flush failed on them again: exit 120 and "Exception ignored"."""
+    interpreter's final flush failed on them again: exit 120 and "Exception ignored". The
+    help text is smaller than a pipe buffer, so the read end is closed before the child
+    starts."""
     env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -996,7 +1007,58 @@ def test_a_closed_stdout_pipe_is_exit_3_and_one_line(argv, unbuffered):
     finally:
         os.close(write)
     message = f"cannot write output: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}"
-    assert (child.returncode, child.stderr) == (3, f"pairgate {argv[0]}: {message}\n")
+    prog = "pairgate" if "--help" in argv else f"pairgate {argv[0]}"
+    assert (child.returncode, child.stderr) == (3, f"{prog}: {message}\n")
+
+
+def _in_shell(redirect, argv):
+    """A child that runs `python -m pairgate.cli argv` with the shell redirection redirect."""
+    return subprocess.run(["/bin/sh", "-c", f'exec "$0" -m pairgate.cli "$@" {redirect}',
+                           sys.executable, *argv], capture_output=True, text=True, timeout=120)
+
+
+def test_a_closed_stdout_is_exit_3_and_one_line():
+    """Python sets sys.stdout to None where descriptor 1 is closed: that was a traceback."""
+    child = _in_shell(">&-", ["criteria"])
+    assert (child.returncode, child.stdout, child.stderr) == (
+        3, "", "pairgate criteria: cannot write output: stdout is closed\n")
+
+
+@pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])
+@pytest.mark.parametrize("argv", [
+    ["flux", "--beta-l", "-1", "--delta-nu", "1Hz"],
+    ["flux", "--bogus"],
+    ["sweep", "--variable", "beta_l", "--min", "0", "--max", "400", "--count", "5"],
+], ids=["value-error", "usage-error", "sweep-range"])
+def test_a_closed_or_read_only_stderr_keeps_exit_2_and_stdout_clean(argv, redirect):
+    """A message that stderr cannot take is dropped: print(file=None) wrote it to stdout where
+    descriptor 2 was closed, and a read-only descriptor 2 failed the write itself (exit 1)."""
+    child = _in_shell(redirect, argv)
+    assert (child.returncode, child.stdout, child.stderr) == (2, "", "")
+
+
+def test_ctrl_c_during_a_sweep_is_one_line_and_death_by_sigint(tmp_path):
+    """SIGINT to the call's process group, as a terminal's Ctrl-C sends it to the caller and
+    its sweep workers: one line, no traceback, the workers reaped, and the call dies by SIGINT
+    so that a calling shell sees the interrupt."""
+    out = tmp_path / "sweep.csv"
+    child = subprocess.Popen(
+        [sys.executable, "-m", "pairgate.cli", "sweep", "--variable", "beta_l", "--min", "0",
+         "--max", "5", "--count", "1000000", "--delta-nu", "1GHz", "--out", str(out)],
+        stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not (out.exists() and out.stat().st_size) and time.monotonic() < deadline:
+            time.sleep(0.01)  # until the sweep writes: its handlers are then in place
+        os.killpg(child.pid, signal.SIGINT)
+        _, err = child.communicate(timeout=60)
+    finally:
+        if child.poll() is None:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+    assert (child.returncode, err) == (-signal.SIGINT, "pairgate: interrupted\n")
+    with pytest.raises(ProcessLookupError):
+        os.killpg(child.pid, 0)  # no worker is left in the call's process group
 
 
 # a pairgate success, a ValueError, an argparse rejection and --help

@@ -19,7 +19,6 @@ and hold to 1e-10 relative.
 
 import inspect
 import math
-import re
 import sys
 from decimal import Decimal, localcontext
 from typing import Callable, NamedTuple
@@ -517,33 +516,3 @@ def test_limit_intensities(media, lambda_s, lambda_i, length):
         representable = Decimal(FLOAT_MIN) * MARGIN <= gamma <= Decimal(FLOAT_MAX) / MARGIN
     if representable and all(FLOAT_MIN <= x <= FLOAT_MAX for x in gamma_partials(*args)):
         model.effective_limit_intensity(*args)
-
-
-@pytest.mark.parametrize("omega, n", [
-    (1e-320, 1.0),   # was 0.0
-    (1e15, 1e308),   # 2*n*c overflows: was 0.0
-    (1e-300, 1.0),   # was the subnormal 1.67e-309
-])
-def test_coupling_factor_that_gave_zero_or_a_subnormal_now_raises(omega, n):
-    message = f"coupling factor out of the float range: omega={omega!r}, n={n!r}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        model.coupling_factor(omega, n)
-
-
-@pytest.mark.parametrize("kernel, args", [
-    (model.pair_flux_general, (300.0, 1e200, 1e200)),  # was inf
-    (model.pair_flux_general, (1e-200, 1e-3, 1e-3)),   # was 0.0
-    (model.flux_asymptote, (1e-170, AsymptoteBranch.SMALL)),
-    (model.pairs_per_bandwidth, (1e-160,)),
-    (model.pair_flux_reduced, (1e-170, 1.0)),
-])
-def test_kernels_that_printed_zero_or_inf_now_raise(kernel, args):
-    if kernel is model.pair_flux_general:
-        args += (SPDC_WAVES, SPDC, CRYSTAL)
-    with pytest.raises(ValueError, match="out of the float range: beta_l="):
-        kernel(*args)
-
-
-def test_generated_field_of_the_smallest_beta_l_raises():
-    with pytest.raises(ValueError, match="^generated field out of the float range: beta_l=5e-324"):
-        model.generated_field(5e-324, SPDC_WAVES, SPDC, CRYSTAL, Bandwidth(1.0), Arm.SIGNAL)
