@@ -460,6 +460,10 @@ def in_range_or_rejected(row: Row, args: tuple) -> None:
 
 
 ROW_PARAMS = [pytest.param(row, id=row.name) for row in ROWS]
+# one case per point, so that a wrong point is reported by name and hides no other
+POINT_PARAMS = [pytest.param(row, args, want, kind == "pinned", id=f"{row.name}-{kind}-{i}")
+                for row in ROWS for kind in ("pinned", "exception")
+                for i, (args, want) in enumerate(getattr(row, kind))]
 
 
 @pytest.mark.parametrize("row", ROW_PARAMS)
@@ -469,18 +473,16 @@ def test_each_row_is_in_range_or_rejected(row, data):
     in_range_or_rejected(row, data.draw(row.draw, label="args"))
 
 
-@pytest.mark.parametrize("row", ROW_PARAMS)
-def test_each_row_gives_its_pinned_values_and_messages(row):
-    for args, want in row.pinned:
-        if isinstance(want, str):
-            with pytest.raises(ValueError) as excinfo:
-                row.call(*args)
-            assert str(excinfo.value) == want, args
-        else:
-            in_range_or_rejected(row, args)
-            assert row.call(*args) == pytest.approx(want, rel=1e-10, abs=0.0), args
-    for args, want in row.exception:
-        assert row.call(*args) == pytest.approx(want, rel=1e-10, abs=0.0), args
+@pytest.mark.parametrize("row, args, want, on_rule", POINT_PARAMS)
+def test_each_point_gives_its_pinned_value_or_message(row, args, want, on_rule):
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as excinfo:
+            row.call(*args)
+        assert str(excinfo.value) == want, args
+        return
+    if on_rule:  # an exception point lies off the rule
+        in_range_or_rejected(row, args)
+    assert row.call(*args) == pytest.approx(want, rel=1e-10, abs=0.0), args
 
 
 def test_every_public_callable_has_a_row():
