@@ -1,10 +1,14 @@
-"""CLI behaviour: renderings, exit codes, figure sweeps, golden projections.
+"""CLI behaviour that a corpus record cannot hold.
 
-Golden tests assert that CSV output reproduces direct library calls bit for
-bit, guaranteeing no physics is computed in the CLI layer. The property tests
-over CLI cases (one-line errors, range messages, sweep errors, --help, imports,
-runs without numpy) take their argv from tests/corpus/argv.txt by tag, so each case
-is written once there, next to its recorded bytes in expected.txt.
+Each CLI case's exit code, stderr and output are pinned once: its argv is a line of
+tests/corpus/argv.txt, and its record is in expected.txt. The property tests here over
+one-line errors, range messages, sweep errors, --help, imports and runs without numpy
+take their argv from there by tag. The cases written here stay outside the corpus:
+each needs a closed or redirected descriptor, a signal, threads, a monkeypatched fork
+or CPU count, a catalog file or environment variable, several calls in one process, or
+argv drawn by hypothesis or read from the README; or it states what a printed value
+means: equal to a library call, within a bound, an exact zero or a figure the paper
+quotes.
 """
 
 import argparse
@@ -58,7 +62,7 @@ def _message(line):
 
 
 # --------------------------------------------------------------------------
-# criteria
+# scalar reports: the paper's figures, and CSV equal to the library
 # --------------------------------------------------------------------------
 
 def test_criteria_prints_quoted_constants():
@@ -69,20 +73,6 @@ def test_criteria_prints_quoted_constants():
     # full-precision column present
     assert repr(model.limit_criteria().pairs_limit) in out
 
-
-def test_criteria_csv_golden():
-    code, out, _ = regen.run(["criteria", "--format", "csv"])
-    assert code == 0
-    row = parse_csv(out)[0]
-    crit = model.limit_criteria()
-    assert float(row["pairs_per_bandwidth_limit"]) == crit.pairs_limit
-    assert float(row["photons_per_bandwidth_limit"]) == crit.photons_limit
-    assert float(row["field_ratio_limit"]) == crit.field_ratio_limit
-
-
-# --------------------------------------------------------------------------
-# classify
-# --------------------------------------------------------------------------
 
 def test_classify_at_limit_example():
     code, out, _ = regen.run(
@@ -110,148 +100,51 @@ def test_classify_fwm_silica_example():
     assert "at-limit" in out
 
 
-def test_classify_csv_golden():
-    code, out, _ = regen.run(
-        ["classify", "--chi2", "1pm/V", "--length", "1cm",
-         "--pump-intensity", "135MW/cm2", "--format", "csv"])
-    assert code == 0
-    row = parse_csv(out)[0]
-
-    medium = Medium(process=Process.SPDC, chi_eff=1e-12)
-    triplet = triplet_from_wavelengths(1e-6, 1e-6, Process.SPDC)
-    beta_l = model.gain_coefficient(medium, triplet, PumpDrive.from_intensity(1.35e12)) * 1e-2
-    report = model.classify_regime(beta_l)
-    assert float(row["beta_l"]) == report.beta_l
-    assert row["regime"] == report.regime.value
-    assert float(row["pairs_per_bandwidth"]) == report.pairs_per_bandwidth
-    assert float(row["field_ratio"]) == report.field_ratio
-
-
-def test_classify_field_report_columns():
-    code, out, _ = regen.run(
-        ["classify", "--chi2", "1pm/V", "--length", "1cm",
-         "--pump-intensity", "67.5MW/cm2", "--section", "1mm2",
-         "--delta-nu", "1GHz", "--format", "csv"])
-    assert code == 0
-    row = parse_csv(out)[0]
-    assert float(row["generated_field_V_per_m"]) == pytest.approx(
-        float(row["vacuum_field_V_per_m"]) * float(row["field_ratio"]), rel=1e-12
-    )
-
-
-def test_classify_bad_unit_names_flag():
-    code, _, err = regen.run(["classify", "--chi2", "1pm/V", "--length", "1cm",
-                              "--pump-intensity", "135parsec"])
-    assert code == 2
-    assert "--pump-intensity" in err
-
-
-def test_classify_requires_one_medium_source():
-    code, _, err = regen.run(
-        ["classify", "--length", "1cm", "--pump-intensity", "1MW/cm2"])
-    assert code == 2
-    assert "--material" in err
-
-    code, _, err = regen.run(
-        ["classify", "--chi2", "1pm/V", "--chi3", "1e-22m2/V2",
-         "--length", "1cm", "--pump-intensity", "1MW/cm2"])
-    assert code == 2
-
-
-def test_classify_requires_one_pump():
-    code, _, err = regen.run(["classify", "--chi2", "1pm/V", "--length", "1cm"])
-    assert code == 2
-    assert "--pump-intensity" in err
-
-
-def test_classify_unknown_material_suggests():
-    code, _, err = regen.run(
-        ["classify", "--material", "KTP_clas", "--length", "1cm",
-         "--pump-intensity", "1MW/cm2"])
-    assert code == 2
-    assert "KTP_class" in err
-
-
-# --------------------------------------------------------------------------
-# flux
-# --------------------------------------------------------------------------
-
-def test_flux_zero_gain():
-    code, out, _ = regen.run(["flux", "--beta-l", "0", "--delta-nu", "1GHz"])
-    assert code == 0
-    assert "pairs_per_s  0" in out
-
-
-def test_flux_csv_golden():
-    code, out, _ = regen.run(
-        ["flux", "--beta-l", "1.0", "--delta-nu", "1Hz", "--format", "csv"])
-    assert code == 0
-    row = parse_csv(out)[0]
-    assert float(row["pairs_per_s"]) == model.pair_flux_reduced(1.0, 1.0)
-
-
-def test_flux_physical_path_matches_classify():
-    code, out, _ = regen.run(
-        ["flux", "--chi2", "1pm/V", "--length", "1cm",
-         "--pump-intensity", "135MW/cm2", "--delta-nu", "1Hz", "--format", "csv"])
-    assert code == 0
-    row = parse_csv(out)[0]
-    medium = Medium(process=Process.SPDC, chi_eff=1e-12)
-    triplet = triplet_from_wavelengths(1e-6, 1e-6, Process.SPDC)
-    beta_l = model.gain_coefficient(medium, triplet, PumpDrive.from_intensity(1.35e12)) * 1e-2
-    assert float(row["beta_l"]) == beta_l
-    assert float(row["pairs_per_s"]) == model.pair_flux_reduced(beta_l, 1.0)
-
-
-@pytest.mark.parametrize("extra", [
-    ["--pump-intensity", "1MW/cm2"],
-    ["--chi2", "0pm/V"],
-], ids=["pump_intensity", "chi2_zero"])
-def test_flux_beta_l_conflicts_with_pump(extra):
-    code, _, err = regen.run(["flux", "--beta-l", "1", "--delta-nu", "1Hz"] + extra)
-    assert code == 2
-    assert "--beta-l" in err
-
-
-def test_flux_needs_length_without_beta_l():
-    code, _, err = regen.run(
-        ["flux", "--chi2", "1pm/V", "--pump-intensity", "1MW/cm2", "--delta-nu", "1Hz"])
-    assert code == 2
-    assert "--length" in err
-
-
-# --------------------------------------------------------------------------
-# limit
-# --------------------------------------------------------------------------
-
 def test_limit_quoted_endpoint():
     code, out, _ = regen.run(["limit", "--chi2", "1pm/V", "--length", "1mm"])
     assert code == 0
     assert "13.4 GW/cm2" in out  # 13.447, i.e. the quoted 13.5 within 1%
 
 
-def test_limit_csv_golden():
-    code, out, _ = regen.run(
-        ["limit", "--chi3", "1e-22m2/V2", "--length", "10m", "--format", "csv"])
-    assert code == 0
-    row = parse_csv(out)[0]
+_AT_LIMIT = ["--chi2", "1pm/V", "--length", "1cm", "--pump-intensity", "135MW/cm2"]
+
+
+def _beta_l_at_limit():
+    """beta*L of _AT_LIMIT through the library: 1 pm/V, 1 um degenerate, 1 cm."""
+    medium = Medium(process=Process.SPDC, chi_eff=1e-12)
+    triplet = triplet_from_wavelengths(1e-6, 1e-6, Process.SPDC)
+    return model.gain_coefficient(medium, triplet, PumpDrive.from_intensity(1.35e12)) * 1e-2
+
+
+def _classify_at_limit():
+    report = model.classify_regime(_beta_l_at_limit())
+    return {"beta_l": report.beta_l, "regime": report.regime.value,
+            "pairs_per_bandwidth": report.pairs_per_bandwidth, "field_ratio": report.field_ratio}
+
+
+def _limit_fwm_10m():
     medium = Medium(process=Process.FWM, chi_eff=1e-22)
-    assert float(row["limit_intensity_W_per_m2"]) == model.limit_pump_intensity(
-        medium, 1e-6, 1e-6, 10.0
-    )
-    assert float(row["effective_limit_W_per_m2"]) == model.effective_limit_intensity(
-        medium, 1e-6, 1e-6, 10.0
-    )
+    return {"limit_intensity_W_per_m2": model.limit_pump_intensity(medium, 1e-6, 1e-6, 10.0),
+            "effective_limit_W_per_m2": model.effective_limit_intensity(medium, 1e-6, 1e-6, 10.0)}
 
 
-def test_limit_with_indices_reports_both_intensities():
-    code, out, _ = regen.run(
-        ["limit", "--chi2", "10pm/V", "--length", "1cm",
-         "--n-p", "1.8", "--n-s", "1.8", "--n-i", "1.8", "--format", "csv"])
+@pytest.mark.parametrize("argv, columns", [
+    (["classify", *_AT_LIMIT], _classify_at_limit),
+    (["flux", "--beta-l", "1.0", "--delta-nu", "1Hz"],
+     lambda: {"pairs_per_s": model.pair_flux_reduced(1.0, 1.0)}),
+    (["flux", *_AT_LIMIT, "--delta-nu", "1Hz"],
+     lambda: {"beta_l": _beta_l_at_limit(),
+              "pairs_per_s": model.pair_flux_reduced(_beta_l_at_limit(), 1.0)}),
+    (["limit", "--chi3", "1e-22m2/V2", "--length", "10m"], _limit_fwm_10m),
+], ids=["classify", "flux", "flux-physical", "limit"])
+def test_scalar_csv_equals_the_library(argv, columns):
+    """A scalar report's CSV columns are the library's values bit for bit: the CLI layer
+    computes no physics."""
+    code, out, _ = regen.run(argv + ["--format", "csv"])
     assert code == 0
     row = parse_csv(out)[0]
-    ratio = float(row["limit_intensity_W_per_m2"]) / float(row["effective_limit_W_per_m2"])
-    assert ratio == pytest.approx(1.8**3, rel=1e-12)
+    for name, value in columns().items():
+        assert (row[name] if isinstance(value, str) else float(row[name])) == value, name
 
 
 # --------------------------------------------------------------------------
@@ -266,14 +159,6 @@ def test_sweep_figure2_schema_and_origin():
     assert float(rows[0]["beta_l"]) == 0.0
     assert float(rows[0]["pairs_per_bandwidth"]) == 0.0
     assert float(rows[-1]["beta_l"]) == 6.0
-
-
-def test_sweep_figure2_golden():
-    _, out, _ = regen.run(["sweep", "--figure", "2"])
-    for row in parse_csv(out)[::20]:
-        assert float(row["pairs_per_bandwidth"]) == model.pairs_per_bandwidth(
-            float(row["beta_l"])
-        )
 
 
 def pick_row(rows, column, value):
@@ -310,20 +195,13 @@ def test_sweep_figure4_quoted_endpoints():
     assert float(at_1km["gamma_W_per_m2_chi3_1e-22m2_V2"]) == pytest.approx(8.45e9, rel=0.01)
 
 
-def test_sweep_deterministic_output(tmp_path):
-    first = tmp_path / "a.csv"
-    second = tmp_path / "b.csv"
-    assert regen.run(["sweep", "--figure", "3", "--out", str(first)]) == (0, "", "")
-    assert regen.run(["sweep", "--figure", "3", "--out", str(second)]) == (0, "", "")
-    assert first.read_bytes() == second.read_bytes()
-
-
 @pytest.mark.parametrize("start, stop, count", [
     (0.0, 6.0, 121),        # figure 2
     (0.0, 1.0, 2),
     (1e2, 1e9, 100_000),
     (0.0, 1e-320, 4),       # subnormal span: the step is subnormal, not zero
     (0.0, 5e-324, 4),       # the step underflows to zero: numpy scales i/div
+    (1e-322, 1.1e-322, 7),  # so it does from a nonzero start
 ])
 def test_sweep_grid_is_numpy_linspace(start, stop, count):
     assert cli.SweepSpec(start, stop, count).grid() == np.linspace(start, stop, count).tolist()
@@ -337,54 +215,6 @@ def test_sweep_grid_is_numpy_linspace(start, stop, count):
 def test_sweep_log_grid_is_ten_to_the_linear_grid(start, stop, count):
     exponents = np.linspace(math.log10(start), math.log10(stop), count).tolist()
     assert cli.SweepSpec(start, stop, count, log=True).grid() == [10.0 ** x for x in exponents]
-
-
-def test_sweep_explicit_beta_l():
-    code, out, _ = regen.run(
-        ["sweep", "--variable", "beta_l", "--min", "0", "--max", "2", "--count", "5"])
-    assert code == 0
-    rows = parse_csv(out)
-    assert len(rows) == 5
-    assert float(rows[2]["beta_l"]) == 1.0
-    assert float(rows[2]["pairs_per_bandwidth"]) == model.pairs_per_bandwidth(1.0)
-
-
-def test_sweep_explicit_length():
-    code, out, _ = regen.run(
-        ["sweep", "--variable", "length", "--min", "1mm", "--max", "1m",
-         "--count", "4", "--scale", "log", "--chi2", "1pm/V"])
-    assert code == 0
-    rows = parse_csv(out)
-    assert list(rows[0]) == ["length_m", "gamma_W_per_m2"]
-    medium = Medium(process=Process.SPDC, chi_eff=1e-12)
-    assert float(rows[0]["gamma_W_per_m2"]) == model.effective_limit_intensity(
-        medium, 1e-6, 1e-6, float(rows[0]["length_m"])
-    )
-
-
-def test_sweep_explicit_pump_intensity():
-    code, out, _ = regen.run(
-        ["sweep", "--variable", "pump_intensity", "--min", "1MW/cm2", "--max", "1GW/cm2",
-         "--count", "7", "--scale", "log", "--chi2", "1pm/V", "--length", "1cm"])
-    assert code == 0
-    rows = parse_csv(out)
-    assert list(rows[0]) == ["pump_intensity_W_per_m2", "beta_l", "pairs_per_bandwidth"]
-    medium = Medium(process=Process.SPDC, chi_eff=1e-12)
-    triplet = triplet_from_wavelengths(1e-6, 1e-6, Process.SPDC)
-    for row in rows:
-        pump = PumpDrive.from_intensity(float(row["pump_intensity_W_per_m2"]))
-        beta_l = model.gain_coefficient(medium, triplet, pump) * 1e-2
-        assert float(row["beta_l"]) == beta_l
-
-
-def test_sweep_beta_l_with_bandwidth_adds_flux_column():
-    code, out, _ = regen.run(
-        ["sweep", "--variable", "beta_l", "--min", "0", "--max", "2",
-         "--count", "5", "--delta-nu", "1GHz"])
-    assert code == 0
-    rows = parse_csv(out)
-    assert list(rows[0]) == ["beta_l", "pairs_per_bandwidth", "pairs_per_s"]
-    assert float(rows[2]["pairs_per_s"]) == model.pair_flux_reduced(1.0, 1e9)
 
 
 # (medium flags, index flags, the medium they give, the wavelengths)
@@ -413,7 +243,8 @@ _SWEEP_MEDIA = {
     ("beta_l", "log", None, None),
 ])
 def test_sweep_rows_equal_the_scalar_kernels(variable, scale, medium, delta_nu):
-    """Every row of a ~10^4-point sweep is the scalar kernels' value at its point, bit for bit."""
+    """Every row of a ~10^4-point sweep is the scalar kernels' value at its point, bit for bit,
+    under the header that names its columns."""
     count = 10_001
     bounds = {"pump_intensity": ("1MW/cm2", "10GW/cm2"), "length": ("1mm", "1km"),
               "beta_l": ("1e-6" if scale == "log" else "0", "40")}[variable]
@@ -429,7 +260,11 @@ def test_sweep_rows_equal_the_scalar_kernels(variable, scale, medium, delta_nu):
         argv += ["--delta-nu", delta_nu]
     code, out, _ = regen.run(argv)
     assert code == 0
-    rows = [[float(cell) for cell in line.split(",")] for line in out.splitlines()[1:]]
+    header, *lines = out.splitlines()
+    columns = {"pump_intensity": "pump_intensity_W_per_m2,beta_l,pairs_per_bandwidth",
+               "length": "length_m,gamma_W_per_m2", "beta_l": "beta_l,pairs_per_bandwidth"}
+    assert header == columns[variable] + (",pairs_per_s" if delta_nu else "")
+    rows = [[float(cell) for cell in line.split(",")] for line in lines]
     assert len(rows) == count
     for x, *cells in rows:
         if variable == "length":
@@ -859,15 +694,6 @@ def test_sweep_from_zero_beta_l_keeps_its_bytes():
     assert regen.run(argv) == (0, expected, "")
 
 
-def test_vacuum_seed_underflow_names_its_inputs():
-    code, out, err = regen.run(["classify", "--chi2", "1pm/V", "--length", "1cm",
-                                "--pump-intensity", "1MW/cm2", "--section", "1e306m2",
-                                "--delta-nu", "1e-5Hz"])
-    assert (code, out) == (2, "")
-    assert err.startswith("pairgate classify: vacuum field out of the float range: omega=")
-    assert err.endswith(", section=1e+306, delta_omega=6.283185307179587e-05\n")
-
-
 _OUTPUT = ["--out", "-h", "--help"]
 _SCALAR = _OUTPUT + ["--format"]
 _MEDIUM = ["--materials", "--material", "--chi2", "--chi3", "--n-p", "--n-s", "--n-i"]
@@ -1252,14 +1078,8 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# table output to file, numpy and import footprint
+# numpy and import footprint
 # --------------------------------------------------------------------------
-
-def test_out_flag_writes_table(tmp_path):
-    target = tmp_path / "criteria.txt"
-    assert regen.run(["criteria", "--out", str(target)]) == (0, "", "")
-    assert "0.369" in target.read_text()
-
 
 def test_every_subcommand_runs_without_numpy():
     """The calls records replay byte for byte in a process that cannot import numpy."""
