@@ -12,7 +12,9 @@ so nothing amplifies those roundings but the square roots, which halve them. (Go
 Higham, Accuracy and Stability of Numerical Algorithms, ch. 2-3.)
 
 Each row also pins points: exact zeros, frozen values and former breaches of the rule, and
-out-of-domain inputs, each with the exact message it raises. The frozen values were computed
+out-of-domain inputs, each with the exact message it raises. A point marked EDGE is where the
+value, or the partial product named, is exactly the smallest or the largest normal float: the
+range rule's edges are inclusive, so the callable accepts it. The frozen values were computed
 independently with 30-digit arithmetic from the closed forms and the CODATA 2018 constants,
 and hold to 1e-10 relative.
 """
@@ -253,7 +255,8 @@ ROWS = [
         ((-1e15, 1.0), NEED["omega"] + "-1000000000000000.0"),
         ((1e15, 0.5), "refractive index must be >= 1 and finite, got 0.5"),
         ((NAN, 1.0), NEED["omega"] + "nan"),
-        ((1e15, INF), "refractive index must be >= 1 and finite, got inf"))),
+        ((1e15, INF), "refractive index must be >= 1 and finite, got inf"),
+        ((1.3341207225468362e-299, 1.0), FLOAT_MIN))),  # EDGE: omega/(2nc)
     # 7 roundings under the square root, which halves them, and its own
     Row("vacuum_fluctuation", model.vacuum_fluctuation,
         st.tuples(positive, index, positive, positive), exact_vacuum, 5, (
@@ -270,7 +273,9 @@ ROWS = [
         exact_gain, 16, (
             ((SPDC, SPDC_WAVES, PumpDrive.from_intensity(0.0)), 0.0),
             ((FWM, SPDC_WAVES, PumpDrive.from_intensity(1e10)),
-             "process mismatch: medium is fwm, triplet is spdc"))),
+             "process mismatch: medium is fwm, triplet is spdc"),
+            ((Medium(Process.SPDC, FLOAT_MIN), SPDC_WAVES, PumpDrive.from_field(1e10)),
+             6.99027568758e-292))),  # EDGE: chi_eff
     # the coupling root 3.5u, then L*root, beta_l over it and that over chi_eff; for FWM a root
     # halves those 6.5u and adds its own u
     Row("pump_for_gain", model.pump_for_gain,
@@ -287,7 +292,9 @@ ROWS = [
             ((Medium(Process.SPDC, 1e-310), SPDC_WAVES, CRYSTAL, 300.0),
              PUMP_FIELD + "beta_l=300.0, length=0.001, chi_eff=1e-310"),
             ((FWM, model.triplet_from_wavelengths(1e-6, 1e-6, Process.FWM), CRYSTAL, 1e-305),
-             PUMP_FIELD + "beta_l=1e-305, length=0.001, chi_eff=1e-22"))),  # beta_l/(L*root) too
+             PUMP_FIELD + "beta_l=1e-305, length=0.001, chi_eff=1e-22"),  # beta_l/(L*root) too
+            ((SPDC, WaveTriplet(1.0, 1.0, Process.SPDC), Geometry(5e-324, 1e-6), 0.0),
+             PumpDrive.from_field(0.0)))),  # L*root underflows to 0
     # the bracket 7.5u and a subnormal seed term's u; the photon-flux scale 5u; two products
     Row("pair_flux_general", model.pair_flux_general,
         st.tuples(beta_l, maybe_zero(positive), maybe_zero(positive), scenario(),
@@ -302,7 +309,10 @@ ROWS = [
             ((NAN, 0.1, 0.1, SPDC_WAVES, SPDC, CRYSTAL), BETA_L + "nan"),
             ((400.0, 0.1, 0.1, SPDC_WAVES, SPDC, CRYSTAL), ABOVE_MAX + "400.0"),
             ((1.0, INF, 0.1, SPDC_WAVES, SPDC, CRYSTAL),
-             "vac_s must be nonnegative and finite, got inf"))),
+             "vac_s must be nonnegative and finite, got inf"),
+            ((1.0, 0.1, 0.0, SPDC_WAVES, SPDC, CRYSTAL), 9852838.02037),  # no idler seed
+            ((300.0, 1e30, 1e30, SPDC_WAVES, SPDC, CRYSTAL),  # N overflows, N/bracket does not
+             "pair flux out of the float range: beta_l=300.0, vac_s=1e+30, vac_i=1e+30"))),
     # expm1 squared, 8u, and two products
     Row("pair_flux_reduced", model.pair_flux_reduced, st.tuples(beta_l, positive),
         exact_pair_flux, 10, (
@@ -315,7 +325,8 @@ ROWS = [
             ((-0.1, 1.0), BETA_L + "-0.1"),
             ((1.0, 0.0), NEED["delta_nu"] + "0.0"),
             ((800.0, 1.0), ABOVE_MAX + "800.0"),
-            ((1.0, INF), NEED["delta_nu"] + "inf"))),
+            ((1.0, INF), NEED["delta_nu"] + "inf"),
+            ((1.0, 8.0 * FLOAT_MIN), 6.56951375016e-308))),  # EDGE: delta_nu/8
     Row("pairs_per_bandwidth", model.pairs_per_bandwidth, st.tuples(beta_l),
         lambda beta: exact_pair_flux(beta, 1.0), 10, (
             ((0.0,), 0.0),
@@ -339,13 +350,16 @@ ROWS = [
             ((0.0, SPDC_WAVES, SPDC, CRYSTAL, 2.0 * math.pi * 1e9, Arm.SIGNAL), 0.0),
             ((5e-324, SPDC_WAVES, SPDC, CRYSTAL, 1.0, Arm.SIGNAL),
              "generated field out of the float range: beta_l=5e-324, "
-             "vacuum_field=2.4403308925693e-06"))),
+             "vacuum_field=2.4403308925693e-06"),
+            ((1.1502858553713478e-307, SPDC_WAVES, SPDC, CRYSTAL, 2.0 * math.pi * 1e9,
+              Arm.SIGNAL), FLOAT_MIN))),  # EDGE
     Row("field_ratio", model.field_ratio, st.tuples(beta_l), decimal_expm1, 4, (
         ((1.0,), 1.71828182846),
         ((math.log(2.0),), 1.0),
         ((0.0,), 0.0),
         ((1e-310,), "field ratio out of the float range: beta_l=1e-310"),  # was 1e-310
-        ((-1.0,), BETA_L + "-1.0"))),
+        ((-1.0,), BETA_L + "-1.0"),
+        ((FLOAT_MIN,), FLOAT_MIN))),  # EDGE
     # the index-wavelength product 4u, the denominator 5u, the quotient u
     Row("limit_pump_intensity", model.limit_pump_intensity,
         with_scenario(positive, positive, positive).map(lambda d: (d[0], *d[2:])),
@@ -358,7 +372,11 @@ ROWS = [
             ((SPDC, 1e-6, 1e-6, 0.0), NEED["length"] + "0.0"),
             ((SPDC, -1e-6, 1e-6, 1e-3), NEED["lambda_s"] + "-1e-06"),
             ((SPDC, NAN, 1e-6, 1e-3), NEED["lambda_s"] + "nan"),
-            ((SPDC, 1e-6, 1e-6, INF), NEED["length"] + "inf"))),
+            ((SPDC, 1e-6, 1e-6, INF), NEED["length"] + "inf"),
+            ((SPDC, 2.0**-511, 2.0**-511, 1e-3), 2.99215524816e-282),  # EDGE: lambda_s*lambda_i
+            ((Medium(Process.SPDC, 1.0), FLOAT_MAX, 1.0, 1.0), 2.41743748302e304),  # EDGE: same
+            ((Medium(Process.FWM, 2.833052026607821e-308), 1e-6, 1e-6, 0.25),
+             1.19295758109e299))),  # EDGE: pi*L*chi3
     # at unit indices: the wavelength product u (halved, plus a root and a product, for FWM),
     # the denominator 4u, the quotient u
     Row("effective_limit_intensity", model.effective_limit_intensity,
@@ -366,12 +384,13 @@ ROWS = [
         exact_gamma, 8),
     # the pairs per bandwidth 10u and the field ratio 4u; the first one's message comes first
     Row("classify_regime", lambda *args: model.classify_regime(*args)[1:3], st.tuples(beta_l),
-        lambda beta: (exact_pair_flux(beta, 1.0), decimal_expm1(beta)), 10, (
+        lambda beta, *band: (exact_pair_flux(beta, 1.0), decimal_expm1(beta)), 10, (
             ((0.0,), (0.0, 0.0)),
             ((1e-310,), "pairs per bandwidth out of the float range: beta_l=1e-310"),
             ((1.0, 1.0), BAND), ((1.0, -0.1), BAND), ((1.0, NAN), BAND),
             ((-1.0,), BETA_L + "-1.0"), ((NAN,), BETA_L + "nan"), ((INF,), BETA_L + "inf"),
-            ((800.0,), ABOVE_MAX + "800.0"))),
+            ((800.0,), ABOVE_MAX + "800.0"),
+            ((1.0, 0.0), (0.369061555252, 1.71828182846)))),  # the band's closed end
     # 2*pi*c rounds once and each quotient once
     Row("triplet_from_wavelengths", lambda *args: model.triplet_from_wavelengths(*args)[:2],
         st.tuples(positive, positive, processes),
@@ -390,7 +409,9 @@ ROWS = [
             ((1e308, 1e308, Process.SPDC),
              "omega_p out of the float range: omega_s=1e+308, omega_i=1e+308"),
             ((1e308, 1e308, Process.FWM),
-             "omega_p out of the float range: omega_s=1e+308, omega_i=1e+308"))),
+             "omega_p out of the float range: omega_s=1e+308, omega_i=1e+308"),
+            ((FLOAT_MIN / 2, FLOAT_MIN / 2, Process.SPDC), FLOAT_MIN),  # EDGE
+            ((FLOAT_MAX / 2, FLOAT_MAX / 2, Process.SPDC), FLOAT_MAX))),  # EDGE
     Row("WaveTriplet.omega", lambda *args: WaveTriplet(*args[:3]).omega(args[3]),
         st.tuples(positive, positive, processes, arms),
         lambda omega_s, omega_i, _, arm: omega_s if arm is Arm.SIGNAL else omega_i, 0),
@@ -436,7 +457,8 @@ ROWS = [
     Row("Bandwidth.delta_nu", lambda d: Bandwidth(d).delta_nu, st.tuples(positive),
         lambda d: Decimal(d) / (2 * PI), 1, (
             ((FLOAT_MIN,),  # was 3.54e-309
-             "bandwidth out of the float range: delta_omega=2.2250738585072014e-308"),)),
+             "bandwidth out of the float range: delta_omega=2.2250738585072014e-308"),
+            ((1.3980551375161837e-307,), FLOAT_MIN))),  # EDGE
 ]
 
 
