@@ -74,13 +74,16 @@ def _say(line: str) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one stderr line, '<prog>: <message>', exit 2; a flag
-    the chosen subcommand does not accept is reported under that subcommand's prog.
-    main builds only the parser of the subcommand it runs."""
+    """Reports a usage error as one stderr line, '<prog>: <message>', exit 2 (a flag the chosen
+    subcommand does not accept under that subcommand's prog), and writes --help by _write, so
+    a refused help raises OSError. main builds only the parser of the subcommand it runs."""
 
     def error(self, message: str, prog: str | None = None):
         _say(f"{prog or self.prog}: {message}")
         raise SystemExit(EXIT_INPUT)
+
+    def print_help(self, file=None):
+        _write(self.format_help(), None)
 
     def parse_args(self, args=None, namespace=None):
         namespace, extras = self.parse_known_args(args, namespace)
@@ -326,15 +329,15 @@ def _emit(text: str, handle) -> None:
     handle.write(text)
 
 
-def _write(output, args) -> None:
-    """Writes output, a str or a generator of str chunks, to stdout or --out, each chunk by
-    _emit as it comes, then flushes it, so a closed stdout pipe raises here too. A generator is
-    closed here, written whole or not, so a sweep has no child left when this returns; a failed
-    write leaves --out with what was written."""
+def _write(output, path) -> None:
+    """Writes output, a str or a generator of str chunks, to the file path or, where path is
+    None, to stdout, each chunk by _emit as it comes, then flushes it, so a closed stdout pipe
+    raises here too. A generator is closed here, written whole or not, so a sweep has no child
+    left when this returns; a failed write leaves the file with what was written."""
     handle = sys.stdout
     try:
-        if args.out is not None:
-            handle = open(args.out, "w", encoding="utf-8", newline="")
+        if path is not None:
+            handle = open(path, "w", encoding="utf-8", newline="")
         elif handle is None:  # descriptor 1 was closed when the interpreter started
             raise OSError("stdout is closed")
         for chunk in [output] if isinstance(output, str) else output:
@@ -474,7 +477,6 @@ def _spawn(block, columns, indices: range):
         os.close(write)
         return None
     if pid == 0:
-        code = 1
         try:
             os.close(read)
             with open(write, "wb") as pipe:
@@ -482,9 +484,8 @@ def _spawn(block, columns, indices: range):
                     data = _render_block(block(i), columns).encode("ascii")
                     pipe.write(len(data).to_bytes(8, "little"))
                     pipe.write(data)
-            code = 0
-        finally:
-            os._exit(code)
+        finally:  # the caller reads no exit status: a block that comes short is its signal
+            os._exit(0)
     os.close(write)
     return pid, open(read, "rb")
 
@@ -645,7 +646,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = _parsers.get(command)
     if parser is None:
         parser = _parsers[command] = build_parser(command)
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse's, after --help or a usage error
+        return exc.code
+    except OSError as exc:  # stdout refused --help
+        _say(f"pairgate: cannot write output: {exc}")
+        return EXIT_IO
     try:
         output = _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
@@ -653,7 +660,7 @@ def main(argv: list[str] | None = None) -> int:
         _say(f"pairgate {args.command}: {exc}")
         return EXIT_INPUT
     try:
-        _write(output, args)
+        _write(output, args.out)
     except OSError as exc:
         _say(f"pairgate {args.command}: cannot write output: {exc}")
         return EXIT_IO
@@ -664,12 +671,10 @@ def run() -> None:
     """The process entry (`pairgate`, `python -m pairgate.cli`): exits with main's code. It
     freezes the heap however main ends, so the collector's shutdown passes skip every object
     the call made or imported. Where stdout refuses the bytes left in its buffer (a closed
-    pipe), its descriptor is pointed at os.devnull, so the final flush drops them; --help then
-    exits 3 with one line, as main does. main never freezes: an in-process caller keeps its heap."""
+    pipe, which main has reported), its descriptor is pointed at os.devnull, so the final
+    flush drops them. main never freezes: an in-process caller keeps its heap."""
     try:
         code = main()
-    except SystemExit as exc:  # argparse's, after --help or a usage error
-        code = exc.code
     except KeyboardInterrupt:
         import signal  # here, not at start-up, where it would cost every call ~1 ms
         _say("pairgate: interrupted")
@@ -680,11 +685,8 @@ def run() -> None:
     try:
         if sys.stdout:  # None where descriptor 1 was closed at start-up
             sys.stdout.flush()
-    except OSError as exc:
+    except OSError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        if code == EXIT_OK:
-            _say(f"pairgate: cannot write output: {exc}")
-            code = EXIT_IO
     sys.exit(code)
 
 

@@ -1,5 +1,5 @@
-"""Shared hypothesis strategies, 50-digit reference helpers, the checked-sweep helper, the
-behaviour corpus's regen module and the acceptance-summary hook."""
+"""Shared hypothesis strategies, 50-digit reference helpers, the checked-sweep helpers and
+their scalar reference, the behaviour corpus's regen module and the acceptance-summary hook."""
 
 import importlib.util
 from decimal import Context, Decimal, localcontext
@@ -8,7 +8,8 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from pairgate import cli, model
-from pairgate.model import Geometry, Medium, Process, WaveTriplet
+from pairgate.model import (Geometry, Medium, Process, PumpDrive, WaveTriplet,
+                            triplet_from_wavelengths)
 
 # tests/corpus/regen.py, which the corpus tests and the tag-driven CLI tests share
 _spec = importlib.util.spec_from_file_location("corpus_regen",
@@ -45,6 +46,45 @@ def sweep_rows(sweep, points):
     except ValueError as exc:
         return str(exc)
     return [list(values) for block in blocks for values in zip(*columns(block))]
+
+
+def model_sweep(variable, media=None, lambdas=None, length=None, delta_nu=None):
+    """The (columns, row) of the model sweep that `sweep --variable variable` runs: of beta*L,
+    of length with a Gamma column per medium of media, or of pump intensity in the one medium
+    of media over length. lambdas are the signal and idler wavelengths."""
+    if variable == "beta_l":
+        return model._flux_sweep(delta_nu)
+    if variable == "length":
+        return model._gamma_sweep(media, *lambdas)
+    [medium] = media
+    triplet = triplet_from_wavelengths(*lambdas, medium.process)
+    return model._pump_sweep(medium, triplet, length, delta_nu)
+
+
+def scalar_walk(variable, points, media=None, lambdas=None, length=None, delta_nu=None):
+    """The rows of model_sweep(variable, media, ...) at points, each without its point, walked
+    point by point with the public scalar kernels, beta*L by model._gain_product as a sweep's
+    row takes it; or the message of the first ValueError they raise."""
+    rows = []
+    try:
+        if variable == "pump_intensity":
+            [medium] = media
+            triplet = triplet_from_wavelengths(*lambdas, medium.process)
+        for x in points:
+            if variable == "length":
+                rows.append([model.effective_limit_intensity(m, *lambdas, x) for m in media])
+                continue
+            row, beta_l = [], x
+            if variable == "pump_intensity":
+                beta_l = model._gain_product(medium, triplet, PumpDrive.from_intensity(x), length)
+                row.append(beta_l)
+            row.append(model.pairs_per_bandwidth(beta_l))
+            if delta_nu is not None:
+                row.append(model.pair_flux_reduced(beta_l, delta_nu))
+            rows.append(row)
+    except ValueError as exc:
+        return str(exc)
+    return rows
 
 
 # optical angular frequencies from mid-IR to near-UV (rad/s)

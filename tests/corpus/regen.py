@@ -64,14 +64,10 @@ def split(line: str, tmp: Path) -> list[str]:
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:
-    """(exit code, stdout, stderr) of cli.main on argv in this process, argparse's
-    SystemExit folded into the exit code."""
+    """(exit code, stdout, stderr) of cli.main on argv in this process."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse's own rejections, and --help
-            code = exc.code
+        code = cli.main(argv)
     return code, out.getvalue(), err.getvalue()
 
 

@@ -34,7 +34,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import regen, sweep_rows
+from conftest import model_sweep, regen, scalar_walk, sweep_rows
 from pairgate import cli, model
 from pairgate.materials import MATERIALS_ENV_VAR
 from pairgate.model import Medium, Process, PumpDrive, triplet_from_wavelengths
@@ -250,12 +250,10 @@ def test_sweep_rows_equal_the_scalar_kernels(variable, scale, medium, delta_nu):
               "beta_l": ("1e-6" if scale == "log" else "0", "40")}[variable]
     argv = ["sweep", "--variable", variable, "--min", bounds[0], "--max", bounds[1],
             "--count", str(count), "--scale", scale]
-    if medium is not None:
-        flags, index_flags, medium, (lambda_s, lambda_i) = _SWEEP_MEDIA[medium]
-        argv += flags if variable == "length" else flags + index_flags  # Gamma reads no index
+    flags, index_flags, medium, lambdas = _SWEEP_MEDIA[medium] if medium else ([], [], None, None)
+    argv += flags if variable == "length" else flags + index_flags  # Gamma reads no index
     if variable == "pump_intensity":
         argv += ["--length", "1cm"]
-        triplet = triplet_from_wavelengths(lambda_s, lambda_i, medium.process)
     if delta_nu is not None:
         argv += ["--delta-nu", delta_nu]
     code, out, _ = regen.run(argv)
@@ -266,20 +264,14 @@ def test_sweep_rows_equal_the_scalar_kernels(variable, scale, medium, delta_nu):
     assert header == columns[variable] + (",pairs_per_s" if delta_nu else "")
     rows = [[float(cell) for cell in line.split(",")] for line in lines]
     assert len(rows) == count
-    for x, *cells in rows:
-        if variable == "length":
-            assert cells == [model.effective_limit_intensity(medium, lambda_s, lambda_i, x)]
-            continue
-        if variable == "pump_intensity":
-            beta_l = model.gain_coefficient(medium, triplet, PumpDrive.from_intensity(x)) * 1e-2
-            assert cells[0] == beta_l
-            cells = cells[1:]
-        else:
-            beta_l = x
-        want = [model.pairs_per_bandwidth(beta_l)]
-        if delta_nu is not None:
-            want.append(model.pair_flux_reduced(beta_l, 1e9))
-        assert cells == want
+    points = [row[0] for row in rows]
+    assert [row[1:] for row in rows] == scalar_walk(variable, points, [medium], lambdas, 1e-2,
+                                                    delta_nu and 1e9)
+    if variable == "pump_intensity":
+        triplet = triplet_from_wavelengths(*lambdas, medium.process)
+        assert [row[1] for row in rows] == [
+            model.gain_coefficient(medium, triplet, PumpDrive.from_intensity(x)) * 1e-2
+            for x in points]
 
 
 @pytest.mark.parametrize("argv, message", [(shlex.split(line), _message(line))
@@ -290,31 +282,6 @@ def test_sweep_error_comes_before_any_output(argv, message, to_file, tmp_path):
     code, out, err = regen.run(argv + (["--out", str(target)] if to_file else []))
     assert (code, out, err) == (2, "", f"pairgate sweep: {message}\n")
     assert not target.exists()
-
-
-def _scalar_sweep(variable, grid, medium, lambdas, length, delta_nu):
-    """A sweep's CSV rows walked point by point with the public scalar kernels, or the
-    message of the first ValueError they raise."""
-    triplet = triplet_from_wavelengths(*lambdas, medium.process)
-    rows = []
-    try:
-        for x in grid:
-            if variable == "length":
-                rows.append([x, model.effective_limit_intensity(medium, *lambdas, x)])
-                continue
-            row = [x]
-            beta_l = x
-            if variable == "pump_intensity":
-                pump = PumpDrive.from_intensity(x)
-                beta_l = model.gain_coefficient(medium, triplet, pump) * length
-                row.append(beta_l)
-            row.append(model.pairs_per_bandwidth(beta_l))
-            if delta_nu is not None:
-                row.append(model.pair_flux_reduced(beta_l, delta_nu))
-            rows.append(row)
-    except ValueError as exc:
-        return str(exc)
-    return "".join(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 _BLOCK = cli.SWEEP_BLOCK
@@ -345,7 +312,7 @@ def _block_sweeps(draw):
         delta_nu = draw(st.sampled_from([None, None, 0.0, 1e9, 1e9]
                                         + [10.0 ** draw(st.floats(-5.0, 300.0))] * 3))
     return (variable, cli.SweepSpec(start, stop, count, log).grid(),
-            Medium(process, chi, *indices), lambdas, length, delta_nu)
+            [Medium(process, chi, *indices)], lambdas, length, delta_nu)
 
 
 @settings(max_examples=40, deadline=None)
@@ -353,22 +320,12 @@ def _block_sweeps(draw):
 def test_sweep_blocks_equal_the_scalar_walk(sweep):
     """Around and across block boundaries, a sweep is the scalar kernels' walk bit for bit,
     or fails with the message of its first offending point."""
-    variable, grid, medium, lambdas, length, delta_nu = sweep
+    variable, grid, *inputs = sweep
     try:
-        if variable == "beta_l":
-            model_sweep = model._flux_sweep(delta_nu)
-        elif variable == "length":
-            model_sweep = model._gamma_sweep([medium], *lambdas)
-        else:
-            triplet = triplet_from_wavelengths(*lambdas, medium.process)
-            model_sweep = model._pump_sweep(medium, triplet, length, delta_nu)
+        rows = sweep_rows(model_sweep(variable, *inputs), grid)
     except ValueError as exc:
-        text = str(exc)
-    else:
-        rows = sweep_rows(model_sweep, grid)
-        text = rows if isinstance(rows, str) else "".join(
-            ",".join(map(repr, [x, *values])) + "\n" for x, values in zip(grid, rows))
-    assert text == _scalar_sweep(variable, grid, medium, lambdas, length, delta_nu)
+        rows = str(exc)
+    assert repr(rows) == repr(scalar_walk(variable, grid, *inputs))  # repr: -0.0 too
 
 
 def test_a_failing_sweep_computes_no_block(monkeypatch):
@@ -736,10 +693,7 @@ def test_concurrent_first_calls_all_get_a_whole_parser(tmp_path, monkeypatch):
 
     def call(k):
         barrier.wait()
-        try:
-            codes.append(cli.main(argv + ["--out", str(tmp_path / f"{k}.csv")]))
-        except BaseException as exc:  # SystemExit from a parser without one of the flags
-            codes.append(exc)
+        codes.append(cli.main(argv + ["--out", str(tmp_path / f"{k}.csv")]))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -810,18 +764,16 @@ _PIPE_ARGV = [
 ]
 
 
-# --help only buffered: argparse drops the help that an unbuffered stdout refuses, and exits 0
 @pytest.mark.parametrize("argv, unbuffered", [
-    *[pytest.param(argv, unbuffered, id=f"argv{i}-{'un' * unbuffered}buffered")
-      for i, argv in enumerate(_PIPE_ARGV) for unbuffered in (False, True)],
-    pytest.param(["--help"], False, id="help-buffered"),
-    pytest.param(["limit", "--help"], False, id="limit-help-buffered"),
-])
+    pytest.param(argv, unbuffered, id=f"{name}-{'un' * unbuffered}buffered")
+    for name, argv in [*[(f"argv{i}", argv) for i, argv in enumerate(_PIPE_ARGV)],
+                       ("help", ["--help"]), ("limit-help", ["limit", "--help"])]
+    for unbuffered in (False, True)])
 def test_a_closed_stdout_pipe_is_exit_3_and_one_line(argv, unbuffered):
     """A buffered stdout (Python's default) held the bytes a closed pipe refused, and the
-    interpreter's final flush failed on them again: exit 120 and "Exception ignored". The
-    help text is smaller than a pipe buffer, so the read end is closed before the child
-    starts."""
+    interpreter's final flush failed on them again: exit 120 and "Exception ignored"; an
+    unbuffered one let argparse drop a refused --help and exit 0. The help text is smaller
+    than a pipe buffer, so the read end is closed before the child starts."""
     env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -843,11 +795,14 @@ def _in_shell(redirect, argv):
                            sys.executable, *argv], capture_output=True, text=True, timeout=120)
 
 
-def test_a_closed_stdout_is_exit_3_and_one_line():
-    """Python sets sys.stdout to None where descriptor 1 is closed: that was a traceback."""
-    child = _in_shell(">&-", ["criteria"])
+@pytest.mark.parametrize("argv, prog", [(["criteria"], "pairgate criteria"),
+                                        (["--help"], "pairgate")], ids=["criteria", "help"])
+def test_a_closed_stdout_is_exit_3_and_one_line(argv, prog):
+    """Python sets sys.stdout to None where descriptor 1 is closed: that was a traceback, and
+    argparse wrote --help to stderr and exited 0."""
+    child = _in_shell(">&-", argv)
     assert (child.returncode, child.stdout, child.stderr) == (
-        3, "", "pairgate criteria: cannot write output: stdout is closed\n")
+        3, "", f"{prog}: cannot write output: stdout is closed\n")
 
 
 @pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])

@@ -23,7 +23,9 @@ from conftest import (
     lengths,
     matched_scenarios,
     media,
+    model_sweep,
     omegas,
+    scalar_walk,
     sections,
     sweep_rows,
     wavelengths,
@@ -335,14 +337,6 @@ def test_beta_l_column_is_the_drive_coupling_times_root_times_length(chi, field,
             == [model._drive_coupling(chi, field, process) * root * length])
 
 
-def _walk(kernel, column):
-    """kernel at each point of a column in order, or the first ValueError's message."""
-    try:
-        return [kernel(x) for x in column]
-    except ValueError as exc:
-        return str(exc)
-
-
 # columns no grid produces: NaN, infinite, negative or zero points, anywhere in the column
 _ODD_COLUMNS = [[1.0, math.nan, 2.0], [1.0, 2.0, math.nan], [1.0, math.inf], [2.0, -1.0, 1.0],
                 [3.0, 0.0, 1.0], [1.0, -math.inf], [1.0, 400.0, math.nan]]
@@ -351,22 +345,16 @@ _ODD_COLUMNS = [[1.0, math.nan, 2.0], [1.0, 2.0, math.nan], [1.0, math.inf], [2.
 @pytest.mark.parametrize("column", _ODD_COLUMNS)
 @pytest.mark.parametrize("delta_nu", [None, 1e9, 0.0])
 def test_flux_columns_stop_where_the_scalar_kernels_do(column, delta_nu):
-    def kernel(beta_l):
-        row = [pairs_per_bandwidth(beta_l)]
-        return row + ([] if delta_nu is None else [pair_flux_reduced(beta_l, delta_nu)])
-
-    assert sweep_rows(model._flux_sweep(delta_nu), column) == _walk(kernel, column)
+    assert (sweep_rows(model_sweep("beta_l", delta_nu=delta_nu), column)
+            == scalar_walk("beta_l", column, delta_nu=delta_nu))
 
 
 @pytest.mark.parametrize("column", _ODD_COLUMNS)
 @pytest.mark.parametrize("process", [Process.SPDC, Process.FWM])
 def test_gamma_columns_stop_where_the_scalar_kernel_does(column, process):
-    pair = [Medium(process, 1e-12), Medium(process, 1e-20, 1.5, 1.4, 1.6)]
-
-    def kernel(length):
-        return [effective_limit_intensity(m, 1e-6, 1.2e-6, length) for m in pair]
-
-    assert sweep_rows(model._gamma_sweep(pair, 1e-6, 1.2e-6), column) == _walk(kernel, column)
+    inputs = [Medium(process, 1e-12), Medium(process, 1e-20, 1.5, 1.4, 1.6)], (1e-6, 1.2e-6)
+    assert (sweep_rows(model_sweep("length", *inputs), column)
+            == scalar_walk("length", column, *inputs))
 
 
 @pytest.mark.parametrize("column", [[0.0, 5e-301, 1e-300], [0.0, 0.0, 1e-300], [1e-300, 1e300],
@@ -376,16 +364,9 @@ def test_gamma_columns_stop_where_the_scalar_kernel_does(column, process):
 def test_pump_columns_stop_where_the_scalar_kernels_do(column, delta_nu, process):
     """Intensities whose gain under- or overflows are walked with _gain_product and the
     flux kernels point by point, and raise where that walk does."""
-    medium = Medium(process, 1e-12 if process is Process.SPDC else 1e-22)
-    triplet = triplet_from_wavelengths(1e-6, 1e-6, process)
-
-    def kernel(intensity):
-        beta_l = model._gain_product(medium, triplet, PumpDrive.from_intensity(intensity), 1.0)
-        row = [beta_l, pairs_per_bandwidth(beta_l)]
-        return row + ([] if delta_nu is None else [pair_flux_reduced(beta_l, delta_nu)])
-
-    sweep = model._pump_sweep(medium, triplet, 1.0, delta_nu)
-    assert sweep_rows(sweep, column) == _walk(kernel, column)
+    inputs = [Medium(process, 1e-12 if process is Process.SPDC else 1e-22)], (1e-6, 1e-6), 1.0
+    assert (sweep_rows(model_sweep("pump_intensity", *inputs, delta_nu), column)
+            == scalar_walk("pump_intensity", column, *inputs, delta_nu))
 
 
 def _bits(x: float) -> int:
@@ -397,13 +378,13 @@ def _float(bits: int) -> float:
     return struct.unpack("<d", struct.pack("<q", bits))[0]
 
 
-def _first_failing(kernel, passing: float, failing: float) -> float:
-    """The float next to the last one at which kernel passes, between a passing and a
-    failing point, by bisection over the bit patterns."""
+def _first_failing(walk, passing: float, failing: float) -> float:
+    """The float next to the last one at which the scalar walk of a one-point column passes,
+    between a passing and a failing point, by bisection over the bit patterns."""
     good, bad = _bits(passing), _bits(failing)
     while abs(bad - good) > 1:
         mid = (good + bad) // 2
-        if isinstance(_walk(kernel, [_float(mid)]), str):
+        if isinstance(walk([_float(mid)]), str):
             bad = mid
         else:
             good = mid
@@ -411,53 +392,52 @@ def _first_failing(kernel, passing: float, failing: float) -> float:
 
 
 def _sweep_edges():
-    """(sweep, kernel, passing, failing) per range edge of each swept quantity."""
+    """(variable, media, lambdas, length, delta_nu) of a sweep, a passing point and a failing
+    one, per range edge of each swept quantity."""
     def flux(delta_nu):
-        return (model._flux_sweep(delta_nu),
-                lambda b: [pairs_per_bandwidth(b), pair_flux_reduced(b, delta_nu)])
+        return "beta_l", None, None, None, delta_nu
 
     def pump(medium, delta_nu):
-        triplet = triplet_from_wavelengths(1e-6, 1e-6, medium.process)
-
-        def kernel(intensity):
-            beta_l = model._gain_product(medium, triplet, PumpDrive.from_intensity(intensity), 1.0)
-            return [beta_l, pairs_per_bandwidth(beta_l), pair_flux_reduced(beta_l, delta_nu)]
-        return model._pump_sweep(medium, triplet, 1.0, delta_nu), kernel
+        return "pump_intensity", [medium], (1e-6, 1e-6), 1.0, delta_nu
 
     def gamma(medium, lambda_s):
-        return (model._gamma_sweep([medium], lambda_s, lambda_s),
-                lambda length: [effective_limit_intensity(medium, lambda_s, lambda_s, length)])
+        return "length", [medium], (lambda_s, lambda_s), None, None
 
     spdc, strong, weak = (Medium(Process.SPDC, chi) for chi in (1e-12, 1e88, 1e-290))
     edges = {
-        "beta_l-pair-flux-overflow": (*flux(1e200), 100.0, 300.0),
-        "beta_l-pair-flux-underflow-near-4.2e-154": (*flux(1.0), 1.0, 1e-160),
-        "intensity-gain-E_p^2-underflow": (*pump(strong, 1e9), 1e-200, 1e-320),
-        "intensity-pairs-per-bandwidth-underflow": (*pump(spdc, 1e9), 1.0, 1e-305),
-        "intensity-pair-flux-overflow": (*pump(spdc, 1e9), 1.0, 1e300),
-        "intensity-pump-field-overflow": (*pump(weak, 1e9), 1e280, 1e308),
-        "length-(L*chi)^2-underflow": (*gamma(spdc, 1e-6), 1.0, 1e-150),
-        "length-quotient-overflow": (*gamma(spdc, 1e100), 1.0, 1e-60),
-        "length-quotient-underflow": (*gamma(spdc, 1e-6), 1.0, 1e200),
+        "beta_l-pair-flux-overflow": (flux(1e200), 100.0, 300.0),
+        "beta_l-pair-flux-underflow-near-4.2e-154": (flux(1.0), 1.0, 1e-160),
+        "intensity-gain-E_p^2-underflow": (pump(strong, 1e9), 1e-200, 1e-320),
+        "intensity-pairs-per-bandwidth-underflow": (pump(spdc, 1e9), 1.0, 1e-305),
+        "intensity-pair-flux-overflow": (pump(spdc, 1e9), 1.0, 1e300),
+        "intensity-pump-field-overflow": (pump(weak, 1e9), 1e280, 1e308),
+        "length-(L*chi)^2-underflow": (gamma(spdc, 1e-6), 1.0, 1e-150),
+        "length-quotient-overflow": (gamma(spdc, 1e100), 1.0, 1e-60),
+        "length-quotient-underflow": (gamma(spdc, 1e-6), 1.0, 1e200),
     }
     return [pytest.param(*edge, id=name) for name, edge in edges.items()]
 
 
-@pytest.mark.parametrize("sweep, kernel, passing, failing", _sweep_edges())
-def test_sweep_blocks_at_the_range_edges_equal_the_scalar_walk(sweep, kernel, passing,
-                                                                failing):
+@pytest.mark.parametrize("inputs, passing, failing", _sweep_edges())
+def test_sweep_blocks_at_the_range_edges_equal_the_scalar_walk(inputs, passing, failing):
     """The block check trusts each column to be monotone in the swept point: blocks that
     end or start 0 to 3 ulp either side of the point where the scalar kernels start to
     raise are the scalar walk bit for bit, or raise its first message."""
-    edge = _first_failing(kernel, passing, failing)
+    variable, *rest = inputs
+    sweep = model_sweep(variable, *rest)
+
+    def walk(column):
+        return scalar_walk(variable, column, *rest)
+
+    edge = _first_failing(walk, passing, failing)
     inward = -1 if edge > passing else 1  # one bit pattern toward the passing point
-    assert isinstance(_walk(kernel, [edge]), str)
-    assert not isinstance(_walk(kernel, [_float(_bits(edge) + inward)]), str)
+    assert isinstance(walk([edge]), str)
+    assert not isinstance(walk([_float(_bits(edge) + inward)]), str)
     for steps in range(-4, 4):
         point = _float(_bits(edge) + steps)
         run = [_float(_bits(point) + k) for k in range(4)]
         for block in (sorted([passing, point]), [0.0, *sorted([passing, point])], run):
-            assert sweep_rows(sweep, block) == _walk(kernel, block)
+            assert sweep_rows(sweep, block) == walk(block)
 
 
 @given(medium=media(), lambda_s=wavelengths, lambda_i=wavelengths, length=lengths)
