@@ -29,9 +29,7 @@ _FLOAT_MIN <= x <= _FLOAT_MAX, and so is each partial product it is computed
 through, or it is an exact 0 where the input driving it is 0 (beta*L = 0, a
 zero pump). Anything else (a zero, subnormal, infinite or NaN result of
 nonzero inputs) raises _out_of_float_range's "<what> out of the float range:
-k=v, ..." instead of printing 0.0, a few-digit number or inf. The one
-exception is the round trip of a subnormal intensity: PumpDrive.field keeps a
-field whose square is subnormal, and as_intensity gives the intensity back.
+k=v, ..." instead of printing 0.0, a few-digit number or inf.
 tests/test_float_range.py holds each public callable and method to the rule.
 """
 
@@ -246,10 +244,12 @@ class PumpDrive(_named_tuple("PumpDrive", "intensity field_amplitude", (None, No
         return cls(field_amplitude=field_amplitude)
 
     def field(self, n_p: float) -> float:
-        """Pump field amplitude (V/m) at a checked pump index n_p, such as Medium.n_p."""
-        field = _pump_field(self, n_p)
-        # a field whose square is subnormal stays: as_intensity takes it back to its intensity
-        if self.intensity and not 0.0 < field <= _FLOAT_MAX:
+        """Pump field amplitude (V/m) at a checked pump index n_p, such as Medium.n_p.
+        Of an intensity, E_p^2 = 2*I*c*mu0/n_p is the partial product under the root."""
+        if self.intensity is None:
+            return self.field_amplitude
+        field = _pump_fields((self.intensity,), n_p)[0]
+        if self.intensity and not _FLOAT_MIN <= field * field <= _FLOAT_MAX:
             raise _out_of_float_range("pump field", intensity=self.intensity, n_p=n_p)
         return field
 
@@ -258,17 +258,11 @@ class PumpDrive(_named_tuple("PumpDrive", "intensity field_amplitude", (None, No
         if self.intensity is not None:
             return self.intensity
         e_p, k = self.field_amplitude, CODATA2018
+        # a partial product off the float range takes the intensity off it too
         intensity = 0.5 * n_p * e_p * e_p / (k.c * k.mu0)
-        # a subnormal result stays: it is the exact round trip of a subnormal from_intensity
-        if e_p and not 0.0 < intensity <= _FLOAT_MAX:
+        if e_p and not _FLOAT_MIN <= intensity <= _FLOAT_MAX:
             raise _out_of_float_range("pump intensity", pump_field=e_p, n_p=n_p)
         return intensity
-
-
-def _pump_field(pump: PumpDrive, n_p: float) -> float:
-    """PumpDrive.field unchecked, for gain_coefficient, which checks E_p^2 as its own partial."""
-    intensity = pump.intensity
-    return pump.field_amplitude if intensity is None else _pump_fields((intensity,), n_p)[0]
 
 
 def _pump_fields(intensities, n_p: float) -> list[float]:
@@ -416,12 +410,11 @@ def gain_coefficient(medium: Medium, triplet: WaveTriplet, pump: PumpDrive) -> f
     for FWM, with ks, ki the signal/idler coupling factors.
     """
     chi, root = _gain_factors(medium, triplet)
-    field = _pump_field(pump, medium.n_p)
+    field = pump.field(medium.n_p)
     beta = _beta_ls((field,), chi, root, 1.0, medium.process)[0]
     # the chain's partial products: chi (chi3/2 for FWM), the drive coupling (chi*E_p is at
-    # least the smaller of the two) and beta, and E_p^2 if E_p is its root, from an intensity
-    partials = (chi, _drive_coupling(chi, field, medium.process), beta,
-                field * field if pump.intensity else beta)
+    # least the smaller of the two) and beta; pump.field checks E_p^2
+    partials = (chi, _drive_coupling(chi, field, medium.process), beta)
     if any(pump) and not (_FLOAT_MIN <= min(partials) and beta <= _FLOAT_MAX):  # a nonzero pump
         raise _out_of_float_range("gain", chi_eff=medium.chi_eff, pump_field=field)
     return beta
