@@ -55,7 +55,7 @@ EXIT_INPUT = 2
 EXIT_IO = 3
 
 DEFAULT_WAVELENGTH = 1e-6  # m, degenerate signal/idler default
-MAX_SWEEP_POINTS = 10**6  # 10x the largest bench sweep; at the cap, 8 MB of points and ~56 MB of CSV
+MAX_SWEEP_POINTS = 10**6  # 10x the largest bench sweep; at the cap, ~56 MB of CSV, ~17 MiB RSS
 _MEDIUM_FLAGS = ("--material", "--materials", "--chi2", "--chi3", "--n-p", "--n-s", "--n-i")
 _WAVE_FLAGS = ("--lambda-s", "--lambda-i")
 ORACLE_REFERENCE = {
@@ -194,8 +194,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             help="overlap section, e.g. 1mm2 (enables field report)")
         add("--delta-nu", type=parse_frequency, metavar="BW", default=None,
             help="pair linewidth, e.g. 1GHz (enables field report)")
-        add("--band", type=float, default=0.01,
-            help="relative at-limit band on beta*L (default 0.01)")
+        add("--band", type=float, default=model._AT_LIMIT_BAND,
+            help=f"relative at-limit band on beta*L (default {model._AT_LIMIT_BAND:g})")
     add_parser("classify", (common, medium_flags, wave_flags, pump_flags, classify_flags),
                help="classify the operating regime of a configuration")
 
@@ -438,13 +438,12 @@ def cmd_limit(args) -> str:
 # A sweep is checked, then rendered, SWEEP_BLOCK grid points at a time. The check pass builds
 # each block's points (SweepSpec.points) and checks them (model._check_block) before any block
 # is rendered, so a failing sweep raises the scalar kernels' message at its first offending
-# point in grid order and renders, forks and writes nothing. It keeps the checked points as
-# 8-byte doubles. The text is then streamed: the header, then each block's rows in grid order
-# as soon as they are rendered, so a call holds a few blocks of text at any size. Block i is
-# rendered by process i % cpus, over the CPUs the process may run on: process 0 is the caller,
-# and each other is an os.fork child that writes its blocks to a pipe, each after its length.
-# Where a pipe or fork fails, or a child's block comes short because the child died, the
-# caller renders that child's blocks itself, so the text never depends on the path.
+# point in grid order and renders, forks and writes nothing. No point is kept: the process that
+# renders a block builds its points by that same call, and the rows are streamed in grid order,
+# so memory does not grow with the count. Block i is rendered by process i % cpus, over the
+# CPUs the process may run on: process 0 is the caller, and each other is an os.fork child that
+# writes its blocks to a pipe, each after its length. Where a pipe or fork fails, or a child's
+# block comes short because it died, the caller renders it, so the text never depends on the path.
 
 SWEEP_BLOCK = 4096  # grid points per block: a sweep of up to 4096 points never forks
 
@@ -504,22 +503,15 @@ def _sweep(header: list[str], spec: SweepSpec, sweep) -> Iterator[str]:
     """The CSV text of a sweep as chunks, given the (columns, row) of a model sweep: every
     block of spec's grid is checked here, before the returned generator starts. It yields the
     header line, then the rows of each block in grid order."""
-    from array import array  # here, not at start-up, where every call would pay its import
-
     columns, row = sweep
-    rest = array("d")  # the checked points of the blocks after the first
-    for lo in range(0, spec.count, SWEEP_BLOCK):
-        points = spec.points(lo, lo + SWEEP_BLOCK)
-        model._check_block(points, row)
-        if lo:
-            rest.fromlist(points)
-        else:
-            first = points
 
     def block(i: int) -> list[float]:
-        return rest[(i - 1) * SWEEP_BLOCK:i * SWEEP_BLOCK].tolist() if i else first
+        return spec.points(i * SWEEP_BLOCK, (i + 1) * SWEEP_BLOCK)
 
-    return _stream(",".join(header) + "\n", 1 + -(-len(rest) // SWEEP_BLOCK), block, columns)
+    blocks = -(-spec.count // SWEEP_BLOCK)
+    for i in range(blocks):
+        model._check_block(block(i), row)
+    return _stream(",".join(header) + "\n", blocks, block, columns)
 
 
 def _stream(header: str, blocks: int, block, columns) -> Iterator[str]:

@@ -76,6 +76,7 @@ __all__ = [
 # finite floats (~354.89); every kernel taking a raw beta*L rejects more.
 BETA_L_MAX = 0.5 * math.log(sys.float_info.max)
 _FLOAT_MIN, _FLOAT_MAX = sys.float_info.min, sys.float_info.max  # the normal floats
+_AT_LIMIT_BAND = 0.01  # classify_regime's relative at-limit band, also `classify --band`'s
 
 
 def _out_of_float_range(what: str, **inputs) -> ValueError:
@@ -93,6 +94,13 @@ def _check(name: str, value: float, low: float = 0.0, inclusive: bool = False) -
     else:
         need = f"{'>=' if inclusive else '>'} {low:g}"
     raise ValueError(f"{name} must be {need} and finite, got {value!r}")
+
+
+def _check_member(name: str, value, kind: type) -> None:
+    """The one check on an enum argument: a member of kind, not its value nor another enum's."""
+    if not isinstance(value, kind):
+        members = " or ".join(f"{kind.__name__}.{member.name}" for member in kind)
+        raise ValueError(f"{name} must be {members}, got {value!r}")
 
 
 def _check_beta_l(beta_l: float) -> None:
@@ -164,6 +172,7 @@ class WaveTriplet(_named_tuple("WaveTriplet", "omega_s omega_i process")):
     __slots__ = ()
 
     def __post_init__(self) -> None:
+        _check_member("process", self.process, Process)
         for name in ("omega_s", "omega_i"):
             _check(name, getattr(self, name))
         if not _FLOAT_MIN <= self.omega_p <= _FLOAT_MAX:
@@ -175,6 +184,7 @@ class WaveTriplet(_named_tuple("WaveTriplet", "omega_s omega_i process")):
         return total if self.process is Process.SPDC else 0.5 * total
 
     def omega(self, arm: Arm) -> float:
+        _check_member("arm", arm, Arm)
         return self.omega_s if arm is Arm.SIGNAL else self.omega_i
 
 
@@ -201,11 +211,13 @@ class Medium(_named_tuple("Medium", "process chi_eff n_p n_s n_i", (1.0, 1.0, 1.
     __slots__ = ()
 
     def __post_init__(self) -> None:
+        _check_member("process", self.process, Process)
         _check("chi_eff", self.chi_eff)
         for name in ("n_p", "n_s", "n_i"):
             _check(name, getattr(self, name), 1.0, inclusive=True)
 
     def n(self, arm: Arm) -> float:
+        _check_member("arm", arm, Arm)
         return self.n_s if arm is Arm.SIGNAL else self.n_i
 
 
@@ -579,6 +591,7 @@ def flux_asymptote(beta_l: float, branch: AsymptoteBranch) -> float:
     High signal: (1/8)*exp(2*beta_l) (stimulated, exponential).
     """
     _check_beta_l(beta_l)
+    _check_member("branch", branch, AsymptoteBranch)
     small = branch is AsymptoteBranch.SMALL
     value = 0.125 * beta_l * beta_l if small else 0.125 * math.exp(2.0 * beta_l)
     if beta_l and not _FLOAT_MIN <= value <= _FLOAT_MAX:
@@ -718,7 +731,7 @@ def _gamma_sweep(media: list[Medium], lambda_s: float, lambda_i: float):
             lambda length: [_limit_intensity(length, *f, gamma=True) for f in factors])
 
 
-def classify_regime(beta_l: float, at_limit_band: float = 0.01) -> RegimeReport:
+def classify_regime(beta_l: float, at_limit_band: float = _AT_LIMIT_BAND) -> RegimeReport:
     """Classify the operating regime around the beta*L = 1 limit.
 
     beta_l within +/- at_limit_band (relative) of 1 counts as at-limit; the

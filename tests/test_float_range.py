@@ -229,6 +229,7 @@ PUMP_DRIVE = "pump drive must be nonnegative and finite, got "
 PUMP_FIELD = "pump field out of the float range: "
 ABOVE_MAX = "beta_l must be <= BETA_L_MAX = 354.89, got "
 BAND = "at_limit_band must lie in [0, 1)"
+ARM = "arm must be Arm.SIGNAL or Arm.IDLER, got "
 LIMIT = "limit pump intensity out of the float range: "
 
 ROWS = [
@@ -327,7 +328,9 @@ ROWS = [
             ((1.0, SMALL), 0.125),
             ((1.0, HIGH), 0.923632012366),
             ((0.0, SMALL), 0.0),
-            ((1e-170, SMALL), "flux asymptote out of the float range: beta_l=1e-170"))),
+            ((1e-170, SMALL), "flux asymptote out of the float range: beta_l=1e-170"),
+            ((0.1, "small"),  # was the high branch's 0.1527
+             "branch must be AsymptoteBranch.SMALL or AsymptoteBranch.HIGH, got 'small'"))),
     # (e-1)^2/8 of the float e: one product; 2*pairs and e-1 are exact
     Row("limit_criteria", model.limit_criteria, st.just(()), exact_criteria, 1, (
         ((), (0.369061555252, 0.738123110504, 1.71828182846)),)),
@@ -400,13 +403,16 @@ ROWS = [
             ((1e308, 1e308, Process.FWM),
              "omega_p out of the float range: omega_s=1e+308, omega_i=1e+308"),
             ((FLOAT_MIN / 2, FLOAT_MIN / 2, Process.SPDC), FLOAT_MIN),  # EDGE
-            ((FLOAT_MAX / 2, FLOAT_MAX / 2, Process.SPDC), FLOAT_MAX))),  # EDGE
+            ((FLOAT_MAX / 2, FLOAT_MAX / 2, Process.SPDC), FLOAT_MAX),  # EDGE
+            ((1e15, 1e15, "spdc"), "process must be Process.SPDC or Process.FWM, got 'spdc'"))),
     Row("WaveTriplet.omega", lambda *args: WaveTriplet(*args[:3]).omega(args[3]),
         st.tuples(positive, positive, processes, arms),
-        lambda omega_s, omega_i, _, arm: omega_s if arm is Arm.SIGNAL else omega_i, 0),
+        lambda omega_s, omega_i, _, arm: omega_s if arm is Arm.SIGNAL else omega_i, 0, (
+            ((1e15, 2e15, Process.SPDC, "signal"), ARM + "'signal'"),)),  # was the idler's 2e15
     Row("Medium.n", lambda medium, arm: medium.n(arm),
         st.tuples(scenario().map(lambda media: media[0]), arms),
-        lambda medium, arm: medium.n_s if arm is Arm.SIGNAL else medium.n_i, 0),
+        lambda medium, arm: medium.n_s if arm is Arm.SIGNAL else medium.n_i, 0, (
+            ((SPDC, Process.SPDC), ARM + "<Process.SPDC: 'spdc'>"),)),
     Row("PumpDrive.from_intensity", lambda x: PumpDrive.from_intensity(x).intensity,
         st.tuples(maybe_zero(positive)), lambda x: x, 0, (
             ((0.0,), 0.0), ((-1.0,), PUMP_DRIVE + "-1.0"), ((NAN,), PUMP_DRIVE + "nan"),

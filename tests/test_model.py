@@ -477,6 +477,8 @@ def test_classify_band_edges():
     assert classify_regime(1.01, 0.01).regime is Regime.AT_LIMIT
     assert classify_regime(0.9899, 0.01).regime is Regime.SMALL_SIGNAL
     assert classify_regime(1.0101, 0.01).regime is Regime.HIGH_SIGNAL
+    assert classify_regime(1.0101).regime is Regime.HIGH_SIGNAL  # the default band is 0.01
+    assert classify_regime(1.0099).regime is Regime.AT_LIMIT
 
 
 def test_classify_report_consistency():
@@ -620,22 +622,27 @@ class TestBandwidth:
             Bandwidth.from_delta_nu(1e-310)  # 2*pi*delta_nu is subnormal
 
 
-# (class, valid arguments, field, a value its check rejects)
+# (class, valid arguments, field, a value its check rejects, the message it raises)
 CHECKED_VALUES = [
-    (WaveTriplet, (1e15, 1e15, Process.SPDC), "omega_s", -1e15),
-    (Medium, (Process.SPDC, 1e-12), "n_p", 0.5),
-    (Geometry, (1e-3, 1e-6), "section", 0.0),
-    (PumpDrive, (1e13,), "intensity", -1.0),
-    (Bandwidth, (1e9,), "delta_omega", math.nan),
-    (OdeState, (0.0, 1.0, 0.0), "e_i", -1.0),
-    (IntegrationConfig, (1024,), "steps", 8),
-    (SweepSpec, (0.0, 1.0, 5), "count", 1),
+    (WaveTriplet, (1e15, 1e15, Process.SPDC), "omega_s", -1e15,
+     "omega_s must be strictly positive and finite, got -1000000000000000.0"),
+    (Medium, (Process.SPDC, 1e-12), "n_p", 0.5, "n_p must be >= 1 and finite, got 0.5"),
+    (Medium, (Process.SPDC, 1e-12), "process", "spdc",  # the enum's value, not its member
+     "process must be Process.SPDC or Process.FWM, got 'spdc'"),
+    (Geometry, (1e-3, 1e-6), "section", 0.0,
+     "section must be strictly positive and finite, got 0.0"),
+    (PumpDrive, (1e13,), "intensity", -1.0, "pump drive must be nonnegative and finite, got -1.0"),
+    (Bandwidth, (1e9,), "delta_omega", math.nan,
+     "bandwidth delta_omega must be strictly positive and finite, got nan"),
+    (OdeState, (0.0, 1.0, 0.0), "e_i", -1.0, "e_i must be nonnegative and finite, got -1.0"),
+    (IntegrationConfig, (1024,), "steps", 8, "steps must be >= 16"),
+    (SweepSpec, (0.0, 1.0, 5), "count", 1, "sweep requires at least 2 points"),
 ]
 
 
-@pytest.mark.parametrize("cls, args, field, bad", CHECKED_VALUES,
+@pytest.mark.parametrize("cls, args, field, bad, message", CHECKED_VALUES,
                          ids=[case[0].__name__ for case in CHECKED_VALUES])
-def test_construction_make_and_replace_run_the_same_check(cls, args, field, bad):
+def test_construction_make_and_replace_run_the_same_check(cls, args, field, bad, message):
     good = cls(*args)
     assert cls._make(args) == good
     values = dict(zip(cls._fields, good), **{field: bad})
@@ -645,7 +652,7 @@ def test_construction_make_and_replace_run_the_same_check(cls, args, field, bad)
         cls._make(values.values())
     with pytest.raises(ValueError) as replaced:
         good._replace(**{field: bad})
-    assert str(built.value) == str(made.value) == str(replaced.value) != ""
+    assert str(built.value) == str(made.value) == str(replaced.value) == message
 
 
 def _counted_hook(monkeypatch, cls) -> list:
@@ -662,9 +669,9 @@ def _counted_hook(monkeypatch, cls) -> list:
     return calls
 
 
-@pytest.mark.parametrize("cls, args, field, bad", CHECKED_VALUES,
+@pytest.mark.parametrize("cls, args, field, bad, message", CHECKED_VALUES,
                          ids=[case[0].__name__ for case in CHECKED_VALUES])
-def test_post_init_is_the_one_construction_hook(cls, args, field, bad, monkeypatch):
+def test_post_init_is_the_one_construction_hook(cls, args, field, bad, message, monkeypatch):
     calls = _counted_hook(monkeypatch, cls)
     good = cls(*args)
     made = cls._make(args)
@@ -680,7 +687,7 @@ def test_every_pump_drive_constructor_runs_the_hook_once(monkeypatch):
     assert list(map(id, calls)) == list(map(id, drives))
 
 
-VALUES = [cls(*args) for cls, args, _, _ in CHECKED_VALUES] + [
+VALUES = list({cls: cls(*args) for cls, args, *_ in CHECKED_VALUES}.values()) + [
     classify_regime(1.0), limit_criteria(), MaterialRecord("x", Medium(Process.SPDC, 1e-12), "")]
 
 
