@@ -10,8 +10,9 @@ so `_emit` writes it unchanged to stdout or --out. A sweep's text is a
 generator of such chunks, each written as soon as it is rendered.
 
 A call imports and builds only what its subcommand runs: the material catalog
-on the first --material lookup, the oracle in `oracle`, and only the parser of
-the subcommand it runs.
+on the first --material lookup, the oracle in `oracle`, the sweep module
+(pairgate.sweep, which checks, renders and streams a sweep) in `sweep` once its
+flags pass their checks, and only the parser of the subcommand it runs.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import gc
 import math
 import os
 import sys
-import threading
 from collections.abc import Iterator
 
 from . import model
@@ -435,134 +435,14 @@ def cmd_limit(args) -> str:
     ])
 
 
-# A sweep is checked, then rendered, SWEEP_BLOCK grid points at a time. The check pass builds
-# each block's points (SweepSpec.points) and checks them (model._check_block) before any block
-# is rendered, so a failing sweep raises the scalar kernels' message at its first offending
-# point in grid order and renders, forks and writes nothing. No point is kept: the process that
-# renders a block builds its points by that same call, and the rows are streamed in grid order,
-# so memory does not grow with the count. Block i is rendered by process i % cpus, over the
-# CPUs the process may run on: process 0 is the caller, and each other is an os.fork child that
-# writes its blocks to a pipe, each after its length. Where a pipe or fork fails, or a child's
-# block comes short because it died, the caller renders it, so the text never depends on the path.
-
-SWEEP_BLOCK = 4096  # grid points per block: a sweep of up to 4096 points never forks
-
-
-def _render_block(points: list[float], columns) -> str:
-    """The CSV rows of one block, each ending in a newline: the point, then the values of
-    columns(points) at it. Each column is rendered by one C-level repr pass (str(float) is its
-    shortest repr) and each row by one join."""
-    cells = [list(map(repr, column)) for column in (points, *columns(points))]
-    return "\n".join([*map(",".join, zip(*cells)), ""])
-
-
-def _spawn(block, columns, indices: range):
-    """(pid, pipe) of an os.fork child that writes the ASCII rows of block(i), for each i of
-    indices, to pipe, each after its 8-byte length, and leaves by os._exit, so no exit handler
-    or stdio flush runs; None where pipe or fork fails."""
-    try:
-        read, write = os.pipe()
-    except OSError:
-        return None
-    try:  # room for a few blocks, so that a child renders ahead instead of waiting on a read
-        import fcntl
-        fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, 1 << 20)
-    except (AttributeError, OSError):  # F_SETPIPE_SZ is Linux's; the limit may be lower
-        pass
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        return None
-    if pid == 0:
-        try:
-            os.close(read)
-            with open(write, "wb") as pipe:
-                for i in indices:
-                    data = _render_block(block(i), columns).encode("ascii")
-                    pipe.write(len(data).to_bytes(8, "little"))
-                    pipe.write(data)
-        finally:  # the caller reads no exit status: a block that comes short is its signal
-            os._exit(0)
-    os.close(write)
-    return pid, open(read, "rb")
-
-
-def _receive(pipe) -> str | None:
-    """The next block a child wrote to pipe, or None where it comes short: the child died."""
-    head = pipe.read(8)
-    if len(head) == 8:
-        data = pipe.read(int.from_bytes(head, "little"))
-        if len(data) == int.from_bytes(head, "little"):
-            return data.decode("ascii")
-    return None
-
-
-def _sweep(header: list[str], spec: SweepSpec, sweep) -> Iterator[str]:
-    """The CSV text of a sweep as chunks, given the (columns, row) of a model sweep: every
-    block of spec's grid is checked here, before the returned generator starts. It yields the
-    header line, then the rows of each block in grid order."""
-    columns, row = sweep
-
-    def block(i: int) -> list[float]:
-        return spec.points(i * SWEEP_BLOCK, (i + 1) * SWEEP_BLOCK)
-
-    blocks = -(-spec.count // SWEEP_BLOCK)
-    for i in range(blocks):
-        model._check_block(block(i), row)
-    return _stream(",".join(header) + "\n", blocks, block, columns)
-
-
-def _stream(header: str, blocks: int, block, columns) -> Iterator[str]:
-    """header, then the rows of block(i) for each i < blocks, block i rendered by process
-    i % cpus: 0 is this one, and the others are forked when the first chunk is asked for."""
-    cpus = 1  # one process where threads are alive: a fork copies only the calling thread
-    if blocks > 1 and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
-        cpus = min(blocks, len(os.sched_getaffinity(0)))
-    children = [None]  # (pid, pipe) of each process, None for this one and a failed fork
-    try:
-        for k in range(1, cpus):
-            children.append(_spawn(block, columns, range(k, blocks, cpus)))
-        yield header
-        for i in range(blocks):
-            child = children[i % cpus]
-            yield (child and _receive(child[1])) or _render_block(block(i), columns)
-    finally:  # kill and reap every child, done or not, also where an exception ends the stream
-        for pid, pipe in filter(None, children):
-            import signal  # here, not at start-up, where it would cost every call ~1 ms
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _flux_header(columns: list[str], delta_nu: float | None) -> list[str]:
-    return (columns + ["beta_l", "pairs_per_bandwidth"]
-            + (["pairs_per_s"] if delta_nu is not None else []))
-
-
-def _figure_sweep(figure: str) -> Iterator[str]:
-    # reference-figure presets: degenerate 1 um pair, unit indices
-    if figure == "2":
-        return _sweep(_flux_header([], None), SweepSpec(0.0, 6.0, 121), model._flux_sweep(None))
-    if figure == "3":
-        sweep, process, tag = SweepSpec(1e-3, 1.0, 61, log=True), Process.SPDC, "chi2"
-        chis = [(1e-12, "1pm_V"), (1e-11, "10pm_V"), (1e-10, "100pm_V")]
-    else:
-        sweep, process, tag = SweepSpec(1e-3, 1e3, 121, log=True), Process.FWM, "chi3"
-        chis = [(1e-22, "1e-22m2_V2"), (1e-20, "1e-20m2_V2"), (1e-18, "1e-18m2_V2")]
-    media = [Medium(process=process, chi_eff=chi) for chi, _ in chis]
-    header = ["length_m"] + [f"gamma_W_per_m2_{tag}_{label}" for _, label in chis]
-    return _sweep(header, sweep, model._gamma_sweep(media, DEFAULT_WAVELENGTH, DEFAULT_WAVELENGTH))
-
-
 def cmd_sweep(args) -> Iterator[str]:
     if (args.figure is None) == (args.variable is None):
         raise ValueError("specify exactly one of --figure or --variable")
     if args.figure is not None:
         _reject_unread(args, ("--min", "--max", "--count", "--scale", "--length", "--delta-nu")
                        + _MEDIUM_FLAGS + _WAVE_FLAGS, "{flag} does not apply to a figure sweep")
-        return _figure_sweep(args.figure)
+        from . import sweep
+        return sweep.figure(args.figure, SweepSpec(*sweep.FIGURE_GRIDS[args.figure]))
     if args.min is None or args.max is None:
         raise ValueError("explicit sweeps require --min and --max")
     if args.variable == "length":
@@ -574,21 +454,22 @@ def cmd_sweep(args) -> Iterator[str]:
         start, stop = parse(args.min), parse(args.max)
     except ValueError as exc:
         raise ValueError(f"--min/--max: {exc}") from exc
-    sweep = SweepSpec(start, stop, 101 if args.count is None else args.count, args.scale == "log")
+    spec = SweepSpec(start, stop, 101 if args.count is None else args.count, args.scale == "log")
     if args.variable == "beta_l":
         _reject_unread(args, _MEDIUM_FLAGS + _WAVE_FLAGS + ("--length",),
                        "{flag} does not apply to a beta_l sweep")
-        return _sweep(_flux_header([], args.delta_nu), sweep, model._flux_sweep(args.delta_nu))
-    if args.variable == "length":
-        return _sweep(["length_m", "gamma_W_per_m2"], sweep,
-                      model._gamma_sweep([_build_medium(args)], *_wavelengths(args)))
-    if args.length is None:
-        raise ValueError("--length is required for a pump_intensity sweep")
-    medium = _build_medium(args)
-    triplet = _build_triplet(args, medium.process)
-    _check("length", args.length)
-    return _sweep(_flux_header(["pump_intensity_W_per_m2"], args.delta_nu), sweep,
-                  model._pump_sweep(medium, triplet, args.length, args.delta_nu))
+        inputs = (args.delta_nu,)
+    elif args.variable == "length":
+        inputs = (_build_medium(args), *_wavelengths(args))
+    else:
+        if args.length is None:
+            raise ValueError("--length is required for a pump_intensity sweep")
+        medium = _build_medium(args)
+        triplet = _build_triplet(args, medium.process)
+        _check("length", args.length)
+        inputs = (medium, triplet, args.length, args.delta_nu)
+    from . import sweep  # after the last flag check: no other call compiles the sweep code
+    return getattr(sweep, args.variable)(spec, *inputs)  # sweep.beta_l, .length, .pump_intensity
 
 
 def cmd_oracle(args) -> str:

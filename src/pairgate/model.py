@@ -15,14 +15,8 @@ which Gamma takes at unit indices) and a column body, which evaluates the
 formula over a whole column of points in one pass (_pump_fields, _beta_ls,
 _pair_fluxes, _limit_quotients). The scalar kernels call them on a one-point
 column, so each formula has one home; only the oracle's _drive_coupling stays
-scalar, and a test pins _beta_ls to it. Each swept quantity has one sweep
-function, _flux_sweep (beta*L), _pump_sweep (pump intensity) and _gamma_sweep
-(length), which computes the per-sweep factors once and returns a (columns,
-row) pair: columns evaluates a block with the column bodies, unchecked, and
-row is the scalar kernels at one point. _check_block is the one place a block
-is checked: the row at the block's extremes vouches for every point, as each
-value is monotone in the swept point, and a block it rejects is walked with
-the row, which raises the scalar message at the first offending point.
+scalar, and a test pins _beta_ls to it. pairgate.sweep builds each sweep from
+these factors and column bodies, and checks it with the scalar kernels.
 
 One range rule holds for every derived value: it is a normal float,
 _FLOAT_MIN <= x <= _FLOAT_MAX, and so is each partial product it is computed
@@ -86,8 +80,9 @@ def _out_of_float_range(what: str, **inputs) -> ValueError:
 
 
 def _check(name: str, value: float, low: float = 0.0, inclusive: bool = False) -> None:
-    """The one domain check on raw numbers: finite and > low (>= low if inclusive)."""
-    if low < value < math.inf or (inclusive and value == low):
+    """The one domain check on raw numbers: finite and > low (>= low if inclusive, where a
+    negative zero counts as below a low of 0)."""
+    if low < value < math.inf or (inclusive and value == low and math.copysign(1.0, value) > 0):
         return
     if low == 0.0:
         need = "nonnegative" if inclusive else "strictly positive"
@@ -104,7 +99,7 @@ def _check_member(name: str, value, kind: type) -> None:
 
 
 def _check_beta_l(beta_l: float) -> None:
-    if not 0.0 <= beta_l <= BETA_L_MAX:
+    if not (0.0 <= beta_l <= BETA_L_MAX and math.copysign(1.0, beta_l) > 0):
         _check("beta_l", beta_l, inclusive=True)
         raise ValueError(f"beta_l must be <= BETA_L_MAX = {BETA_L_MAX:.2f}, got {beta_l!r}")
 
@@ -531,59 +526,6 @@ def _pair_fluxes(growths, per_hz: float) -> list[float]:
     return [per_hz * g * g for g in growths]
 
 
-def _check_block(points: list[float], row) -> None:
-    """Raises what row, the scalar kernels of a sweep, raises at the first offending point of
-    a block, or nothing. row runs at the block's smallest, smallest nonzero and largest points,
-    and walks every point in order if one of them fails. Each derived value and partial
-    product of a sweep is a rounded chain of products, quotients, sqrt and expm1 of the point,
-    so it is monotone in it: on finite, nonnegative points the range rule holds at every point
-    once it holds at those three. A sweep's columns and row share their column bodies, so the
-    columns of a block that passes are the walk's result bit for bit."""
-    total, low, high = sum(points), min(points), max(points)
-    if total == total and 0.0 <= low and high < math.inf:  # no NaN, negative or inf point
-        try:
-            for point in (low, low or min(filter(None, points), default=low), high):
-                row(point)
-            return
-        except ValueError:
-            pass
-    for point in points:
-        row(point)
-
-
-def _flux_sweep(delta_nu: float | None):
-    """(columns, row) of a beta*L sweep: pairs_per_bandwidth and, given delta_nu,
-    pair_flux_reduced; columns evaluates a block of beta*L unchecked, row one beta*L."""
-    per_hz = [0.125] if delta_nu is None else [0.125, 0.125 * delta_nu]
-
-    def columns(beta_ls: list[float]) -> list[list[float]]:
-        growths = list(map(math.expm1, beta_ls))
-        return [_pair_fluxes(growths, factor) for factor in per_hz]
-
-    def row(beta_l: float) -> list[float]:
-        pairs = pairs_per_bandwidth(beta_l)
-        return [pairs] if delta_nu is None else [pairs, pair_flux_reduced(beta_l, delta_nu)]
-
-    return columns, row
-
-
-def _pump_sweep(medium: Medium, triplet: WaveTriplet, length: float, delta_nu: float | None):
-    """(columns, row) of a pump-intensity sweep at a checked length: beta*L, then the
-    _flux_sweep columns; the row is _gain_product and the flux kernels, as classify and flux run."""
-    chi, root = _gain_factors(medium, triplet)
-    flux_columns, flux_row = _flux_sweep(delta_nu)
-
-    def columns(intensities: list[float]) -> list[list[float]]:
-        beta_ls = _beta_ls(_pump_fields(intensities, medium.n_p), chi, root, length, medium.process)
-        return [beta_ls, *flux_columns(beta_ls)]
-
-    def row(intensity: float) -> list[float]:
-        beta_l = _gain_product(medium, triplet, PumpDrive(intensity=intensity), length)
-        return [beta_l, *flux_row(beta_l)]
-
-    return columns, row
-
-
 def flux_asymptote(beta_l: float, branch: AsymptoteBranch) -> float:
     """Limiting branches of pairs_per_bandwidth.
 
@@ -722,13 +664,6 @@ def _limit_quotients(lengths, numer: float, chi: float, process: Process) -> lis
         return [numer / (scale * (length * chi) ** 2) for length in lengths]
     pi = math.pi
     return [numer / (pi * length * chi) for length in lengths]
-
-
-def _gamma_sweep(media: list[Medium], lambda_s: float, lambda_i: float):
-    """(columns, row) of a length sweep: effective_limit_intensity, one column per medium."""
-    factors = [_limit_factors(medium, lambda_s, lambda_i, gamma=True) for medium in media]
-    return (lambda lengths: [_limit_quotients(lengths, *f) for f in factors],
-            lambda length: [_limit_intensity(length, *f, gamma=True) for f in factors])
 
 
 def classify_regime(beta_l: float, at_limit_band: float = _AT_LIMIT_BAND) -> RegimeReport:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
-from pairgate import cli, model
+from pairgate import model, sweep
 from pairgate.model import (Geometry, Medium, Process, PumpDrive, WaveTriplet,
                             triplet_from_wavelengths)
 
@@ -34,15 +34,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(f"{nodeid.split('::')[-1]}: {verdict}")
 
 
-def sweep_rows(sweep, points):
-    """The rows of a model sweep, its (columns, row), over points in cli.SWEEP_BLOCK blocks:
-    model._check_block passes every block before columns computes any, as in cli._sweep.
-    Else the message of the ValueError that the check raises."""
-    columns, row = sweep
-    blocks = [points[i:i + cli.SWEEP_BLOCK] for i in range(0, len(points), cli.SWEEP_BLOCK)]
+def sweep_rows(pair, points):
+    """The rows of a model sweep, its (columns, row) pair, over points in sweep.SWEEP_BLOCK
+    blocks: sweep._check_block passes every block before columns computes any, as in
+    sweep._sweep. Else the message of the ValueError that the check raises."""
+    columns, row = pair
+    blocks = [points[i:i + sweep.SWEEP_BLOCK] for i in range(0, len(points), sweep.SWEEP_BLOCK)]
     try:
         for block in blocks:
-            model._check_block(block, row)
+            sweep._check_block(block, row)
     except ValueError as exc:
         return str(exc)
     return [list(values) for block in blocks for values in zip(*columns(block))]
@@ -53,12 +53,12 @@ def model_sweep(variable, media=None, lambdas=None, length=None, delta_nu=None):
     of length with a Gamma column per medium of media, or of pump intensity in the one medium
     of media over length. lambdas are the signal and idler wavelengths."""
     if variable == "beta_l":
-        return model._flux_sweep(delta_nu)
+        return sweep._flux_sweep(delta_nu)
     if variable == "length":
-        return model._gamma_sweep(media, *lambdas)
+        return sweep._gamma_sweep(media, *lambdas)
     [medium] = media
     triplet = triplet_from_wavelengths(*lambdas, medium.process)
-    return model._pump_sweep(medium, triplet, length, delta_nu)
+    return sweep._pump_sweep(medium, triplet, length, delta_nu)
 
 
 def scalar_walk(variable, points, media=None, lambdas=None, length=None, delta_nu=None):

@@ -35,7 +35,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import model_sweep, regen, scalar_walk, sweep_rows
-from pairgate import cli, model
+from pairgate import cli, model, sweep
 from pairgate.materials import MATERIALS_ENV_VAR
 from pairgate.model import Medium, Process, PumpDrive, triplet_from_wavelengths
 from pairgate.oracle import MAX_STEPS
@@ -284,7 +284,7 @@ def test_sweep_error_comes_before_any_output(argv, message, to_file, tmp_path):
     assert not target.exists()
 
 
-_BLOCK = cli.SWEEP_BLOCK
+_BLOCK = sweep.SWEEP_BLOCK
 
 
 @st.composite
@@ -317,10 +317,10 @@ def _block_sweeps(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(_block_sweeps())
-def test_sweep_blocks_equal_the_scalar_walk(sweep):
+def test_sweep_blocks_equal_the_scalar_walk(case):
     """Around and across block boundaries, a sweep is the scalar kernels' walk bit for bit,
     or fails with the message of its first offending point."""
-    variable, grid, *inputs = sweep
+    variable, grid, *inputs = case
     try:
         rows = sweep_rows(model_sweep(variable, *inputs), grid)
     except ValueError as exc:
@@ -332,7 +332,7 @@ def test_a_failing_sweep_computes_no_block(monkeypatch):
     """Every block is checked before the first one is computed: no failing sweep renders a
     row, not even one whose second block fails, and each pair flux is one scalar kernel's
     point."""
-    sizes, rendered, render = [], [], cli._render_block
+    sizes, rendered, render = [], [], sweep._render_block
     pair_fluxes = model._pair_fluxes
 
     def counted(growths, per_hz):
@@ -341,7 +341,7 @@ def test_a_failing_sweep_computes_no_block(monkeypatch):
         return pair_fluxes(growths, per_hz)
 
     monkeypatch.setattr(model, "_pair_fluxes", counted)
-    monkeypatch.setattr(cli, "_render_block",
+    monkeypatch.setattr(sweep, "_render_block",
                         lambda *args: rendered.append(args) or render(*args))
     for argv in _argv("sweep-error"):
         assert regen.run(argv)[:2] == (2, "")
@@ -402,7 +402,7 @@ def test_a_sweep_on_any_cpu_count_has_the_one_cpu_bytes(variable, count, monkeyp
         forks.clear()
         code, out, err = _sweep_leaving_no_child(argv)
         assert (code, err) == (0, "")
-        assert len(forks) == min(cpus, -(-count // cli.SWEEP_BLOCK)) - 1
+        assert len(forks) == min(cpus, -(-count // sweep.SWEEP_BLOCK)) - 1
         outputs.append(out)
     assert out.count("\n") == count + 1
     assert outputs == outputs[:1] * 4
@@ -421,13 +421,13 @@ def _failing_fork(monkeypatch):
 
 
 def _failing_child(monkeypatch):
-    parent, render = os.getpid(), cli._render_block
-    monkeypatch.setattr(cli, "_render_block",
+    parent, render = os.getpid(), sweep._render_block
+    monkeypatch.setattr(sweep, "_render_block",
                         lambda *args: render(*args) if os.getpid() == parent else 1 / 0)
 
 
 def _child_dying_after_a_block(monkeypatch):
-    parent, render, calls = os.getpid(), cli._render_block, []
+    parent, render, calls = os.getpid(), sweep._render_block, []
 
     def dying(*args):
         if os.getpid() != parent and calls:
@@ -435,7 +435,7 @@ def _child_dying_after_a_block(monkeypatch):
         calls.append(None)
         return render(*args)
 
-    monkeypatch.setattr(cli, "_render_block", dying)
+    monkeypatch.setattr(sweep, "_render_block", dying)
 
 
 def _child_reported_failed(monkeypatch):
@@ -460,7 +460,7 @@ def test_a_failed_pipe_fork_or_child_leaves_the_bytes(fail, monkeypatch):
 @_forking
 def test_an_exception_kills_and_reaps_every_child(monkeypatch):
     """The children are killed, not waited for: each would render for a minute."""
-    parent, render = os.getpid(), cli._render_block
+    parent, render = os.getpid(), sweep._render_block
 
     def interrupted(*args):
         if os.getpid() == parent:
@@ -468,7 +468,7 @@ def test_an_exception_kills_and_reaps_every_child(monkeypatch):
         time.sleep(60)
         return render(*args)
 
-    monkeypatch.setattr(cli, "_render_block", interrupted)
+    monkeypatch.setattr(sweep, "_render_block", interrupted)
     _set_cpus(monkeypatch, 3)
     forks = _count_forks(monkeypatch)
     start = time.monotonic()
@@ -489,7 +489,7 @@ def test_a_block_that_comes_short_is_none():
         os.write(write, data)
         os.close(write)
         with open(read, "rb") as pipe:
-            assert [cli._receive(pipe) for _ in blocks] == blocks
+            assert [sweep._receive(pipe) for _ in blocks] == blocks
 
 
 @pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=_forking)])
@@ -499,14 +499,14 @@ def test_a_sweep_streams_each_block_as_it_is_rendered(cpus, monkeypatch):
     argv = _PARALLEL_SWEEPS["beta_l"] + ["--count", str(2 * _BLOCK + 1)]
     _set_cpus(monkeypatch, 1)
     code, expected, _ = regen.run(argv)
-    parent, render, written = os.getpid(), cli._render_block, []
+    parent, render, written = os.getpid(), sweep._render_block, []
 
     def render_last_after_a_look(points, columns):
         if os.getpid() == parent and points == [5.0]:  # the last block, the grid's last point
             written.append(sys.stdout.getvalue())
         return render(points, columns)
 
-    monkeypatch.setattr(cli, "_render_block", render_last_after_a_look)
+    monkeypatch.setattr(sweep, "_render_block", render_last_after_a_look)
     _set_cpus(monkeypatch, cpus)
     forks = _count_forks(monkeypatch)
     assert _sweep_leaving_no_child(argv) == (code, expected, "")
@@ -1064,24 +1064,55 @@ def test_cli_import_loads_no_dataclass_or_typing_machinery():
     assert result.stdout == "[]\n"
 
 
+# sweeps that cmd_sweep rejects in its flag checks: a unit --min does not take, and --length
+# on a length sweep
+_REJECTED_SWEEPS = [
+    ["sweep", "--variable", "length", "--chi2", "1pm/V", "--min", "1furlong", "--max", "1km"],
+    ["sweep", "--variable", "length", "--chi2", "1pm/V", "--length", "1m", "--min", "1m",
+     "--max", "1km"],
+]
+
+
 @pytest.mark.parametrize("argv, lazy", [([], [])] + [  # [] is a bare `import pairgate`
     (argv, ["pairgate.materials"] * ("--material" in argv)
-     + ["pairgate.oracle"] * (argv[0] == "oracle")) for argv in _argv("imports")],
+     + ["pairgate.oracle"] * (argv[0] == "oracle") + ["pairgate.sweep"] * (argv[0] == "sweep"))
+    for argv in _argv("imports")] + [(argv, []) for argv in _REJECTED_SWEEPS],
     ids=lambda value: " ".join(value) or "none")
 def test_a_call_imports_the_catalog_and_oracle_only_where_it_runs_them(argv, lazy):
-    """A call loads pairgate.materials only for --material, pairgate.oracle only for oracle."""
+    """A call loads pairgate.materials only for --material, pairgate.oracle only for oracle
+    and pairgate.sweep only for a sweep that passes its flag checks."""
     src = Path(__file__).parent.parent / "src"
     script = (
         "import contextlib, io, sys\n"
         f"sys.path.insert(0, {str(src)!r})\n"
         "import pairgate\n"
+        "code = 0\n"
         "if sys.argv[1:]:\n"
         "    from pairgate import cli\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert cli.main(sys.argv[1:]) == 0\n"
-        "print(*sorted({'pairgate.materials', 'pairgate.oracle'} & set(sys.modules)))\n"
+        "        code = cli.main(sys.argv[1:])\n"
+        "print(code, *sorted({'pairgate.materials', 'pairgate.oracle', 'pairgate.sweep'}\n"
+        "                    & set(sys.modules)))\n"
     )
     result = subprocess.run([sys.executable, "-S", "-c", script, *argv], capture_output=True,
                             text=True, env={**os.environ, MATERIALS_ENV_VAR: ""})
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == lazy
+    assert result.stdout.split() == [str(2 if argv in _REJECTED_SWEEPS else 0), *lazy]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--figure", "2"],
+    _PARALLEL_SWEEPS["pump_intensity"] + ["--count", "8193"],  # forks where it has 2 CPUs
+    ["oracle", "--beta-l", "1", "--steps", "16"],
+    ["limit", "--material", "KTP_class", "--length", "1mm"],
+], ids=" ".join)
+def test_the_module_entry_imports_no_second_cli(argv):
+    """Under `python -m pairgate.cli` the CLI is __main__: no module it imports, the sweep
+    module included, imports pairgate.cli, which would compile it a second time."""
+    child = subprocess.run([sys.executable, "-X", "importtime", "-m", "pairgate.cli", *argv],
+                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                           env={**os.environ, MATERIALS_ENV_VAR: ""}, timeout=60)
+    assert child.returncode == 0, child.stderr
+    imported = [line.rpartition("|")[2].strip() for line in child.stderr.splitlines()]
+    assert "pairgate.model" in imported  # the log is there
+    assert "pairgate.cli" not in imported
