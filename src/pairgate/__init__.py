@@ -6,8 +6,9 @@ intensities, a coupled-wave RK4 oracle validating the closed forms, and a
 material-class catalog. See the CLI (`pairgate --help`) for the command
 surface.
 
-The catalog and oracle names, and the `materials` and `oracle` modules, are
-imported on first use: most CLI calls need neither.
+The catalog and oracle names, the model's kernels of a configuration (gain,
+limit intensity, fields; see pairgate.model) and the modules that hold them are
+imported on first use: most CLI calls need none of them.
 """
 
 import importlib
@@ -25,21 +26,14 @@ from .model import (
     Regime,
     RegimeReport,
     WaveTriplet,
+    _HOMES,
     classify_regime,
-    coupling_factor,
-    effective_limit_intensity,
     field_ratio,
     flux_asymptote,
-    gain_coefficient,
-    generated_field,
     limit_criteria,
-    limit_pump_intensity,
-    pair_flux_general,
     pair_flux_reduced,
     pairs_per_bandwidth,
-    pump_for_gain,
     triplet_from_wavelengths,
-    vacuum_fluctuation,
 )
 
 __version__ = "0.1.0"
@@ -49,16 +43,17 @@ _LAZY = {
     **dict.fromkeys(("MaterialParseError", "MaterialRecord", "UnknownMaterialError",
                      "builtin_presets", "load_catalog", "lookup", "resolve_catalog"), "materials"),
     **dict.fromkeys(("IntegrationConfig", "OdeState", "integrate", "oracle_pair_flux"), "oracle"),
+    **_HOMES,
 }
 
 
 def __getattr__(name: str):
     module = _LAZY.get(name, name)
-    if module not in ("materials", "oracle"):
+    if module not in _LAZY.values():
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = importlib.import_module(f"{__name__}.{module}")
     return value if name == module else getattr(value, name)
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_LAZY, "materials", "oracle"})
+    return sorted({*globals(), *_LAZY, *_LAZY.values()})

@@ -12,10 +12,10 @@ generator of such chunks, each written as soon as it is rendered.
 A call imports and builds only what its subcommand runs: the material catalog
 on the first --material lookup, the oracle in `oracle`, the sweep module
 (pairgate.sweep, which checks, renders and streams a sweep) in `sweep` once its
-flags pass their checks, and only the parser of the subcommand it runs.
+flags pass their checks, the model's gain, limit-intensity and field kernels
+(pairgate.gain, .limit, .fields) where it computes them, and only the parser of
+the subcommand it runs.
 """
-
-from __future__ import annotations
 
 import argparse
 import gc
@@ -367,7 +367,9 @@ def cmd_classify(args) -> str:
     medium = _build_medium(args)
     triplet = _build_triplet(args, medium.process)
     pump = _build_pump(args)
-    report = model.classify_regime(model._gain_product(medium, triplet, pump, args.length),
+    from .gain import _gain_product
+
+    report = model.classify_regime(_gain_product(medium, triplet, pump, args.length),
                                    at_limit_band=args.band)
 
     columns = [
@@ -406,7 +408,9 @@ def cmd_flux(args) -> str:
         medium = _build_medium(args)
         triplet = _build_triplet(args, medium.process)
         pump = _build_pump(args)
-        beta_l = model._gain_product(medium, triplet, pump, args.length)
+        from .gain import _gain_product
+
+        beta_l = _gain_product(medium, triplet, pump, args.length)
 
     pairs = model.pair_flux_reduced(beta_l, args.delta_nu)
     return _report(args, [

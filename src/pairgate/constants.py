@@ -5,8 +5,6 @@ Everything downstream computes in SI (m, s, rad/s, V/m, W/m^2); unit
 conveniences live at the CLI boundary only.
 """
 
-from __future__ import annotations
-
 import math
 
 

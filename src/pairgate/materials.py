@@ -27,8 +27,6 @@ Catalog resolution order: explicit path > PAIRGATE_MATERIALS env var >
 built-in presets.
 """
 
-from __future__ import annotations
-
 import os
 from pathlib import Path
 

@@ -9,14 +9,26 @@ All quantities are strict SI: angular frequencies in rad/s, fields in V/m,
 intensities in W/m^2, lengths in m. Collinear, exactly phase-matched
 interaction is assumed throughout.
 
+This module holds what nearly every call runs: the range rule and its
+checks, the enums, the value types and the results that read beta*L alone
+(pairs_per_bandwidth, pair_flux_reduced, field_ratio, limit_criteria,
+flux_asymptote, classify_regime). The kernels of a configuration live in
+modules imported on first use: pairgate.gain (coupling_factor,
+gain_coefficient, pump_for_gain), pairgate.limit (limit_pump_intensity,
+effective_limit_intensity) and pairgate.fields (vacuum_fluctuation,
+generated_field, pair_flux_general). This module serves their public names too,
+through _HOMES and a module __getattr__ (PEP 562), so `model.gain_coefficient`
+reads as ever; no code here reads one of them as a global.
+
 Kernels that sweeps evaluate are split into the factors constant along a sweep
-(_gain_factors; _limit_factors, the whole factor (numer, chi_eff, process),
-which Gamma takes at unit indices) and a column body, which evaluates the
-formula over a whole column of points in one pass (_pump_fields, _beta_ls,
-_pair_fluxes, _limit_quotients). The scalar kernels call them on a one-point
-column, so each formula has one home; only the oracle's _drive_coupling stays
-scalar, and a test pins _beta_ls to it. pairgate.sweep builds each sweep from
-these factors and column bodies, and checks it with the scalar kernels.
+(gain._gain_factors; limit._limit_factors, the whole factor (numer, chi_eff,
+process), which Gamma takes at unit indices) and a column body, which evaluates
+the formula over a whole column of points in one pass (_pump_fields and
+_pair_fluxes here, gain._beta_ls, limit._limit_quotients). The scalar kernels
+call them on a one-point column, so each formula has one home; only the
+oracle's gain._drive_coupling stays scalar, and a test pins _beta_ls to it.
+pairgate.sweep builds each sweep from these factors and column bodies, and
+checks it with the scalar kernels.
 
 One range rule holds for every derived value: it is a normal float,
 _FLOAT_MIN <= x <= _FLOAT_MAX, and so is each partial product it is computed
@@ -27,8 +39,7 @@ k=v, ..." instead of printing 0.0, a few-digit number or inf.
 tests/test_float_range.py holds each public callable and method to the rule.
 """
 
-from __future__ import annotations
-
+import importlib
 import math
 import sys
 from collections import namedtuple
@@ -320,183 +331,8 @@ class LimitCriteria(_named_tuple("LimitCriteria", "pairs_limit photons_limit fie
 
 
 # --------------------------------------------------------------------------
-# elementary building blocks
+# the results of beta*L alone
 # --------------------------------------------------------------------------
-
-def coupling_factor(omega: float, n: float) -> float:
-    """Per-field coupling factor omega/(2*n*c), in 1/m.
-
-    Multiplied by the dimensionless product chi_eff*field it yields the
-    spatial gain rate of one arm.
-    """
-    _check("omega", omega)
-    _check("refractive index", n, 1.0, inclusive=True)
-    factor = omega / (2.0 * n * CODATA2018.c)
-    if not _FLOAT_MIN <= factor:  # never above _FLOAT_MAX (2*n*c >= 2c); 0.0 if 2*n*c overflows
-        raise _out_of_float_range("coupling factor", omega=omega, n=n)
-    return factor
-
-
-def vacuum_fluctuation(omega: float, n: float, section: float, delta_omega: float) -> float:
-    """Zero-point field amplitude (V/m) seeding spontaneous generation.
-
-    sqrt(hbar*omega*delta_omega / (4*pi*c*eps0*n*section)); equivalently
-    sqrt(h*nu*delta_nu / (2*c*eps0*n*section)).
-    """
-    _check("omega", omega)
-    _check("refractive index", n, 1.0, inclusive=True)
-    _check("section", section)
-    _check("delta_omega", delta_omega)
-    return _vacuum_field(omega, n, section, delta_omega)
-
-
-def _vacuum_field(omega: float, n: float, section: float, delta_omega: float) -> float:
-    """vacuum_fluctuation at inputs a value type has checked: the range rule only."""
-    k = CODATA2018
-    photon = k.hbar * omega
-    energy = photon * delta_omega
-    denom = 4.0 * math.pi * k.c * k.eps0 * n * section
-    quotient = energy / denom if denom else math.inf
-    if not (_FLOAT_MIN <= min(photon, energy, denom, quotient) and quotient <= _FLOAT_MAX):
-        raise _out_of_float_range("vacuum field", omega=omega, n=n, section=section,
-                                  delta_omega=delta_omega)
-    return math.sqrt(quotient)
-
-
-# --------------------------------------------------------------------------
-# parametric gain
-# --------------------------------------------------------------------------
-
-def _couplings(medium: Medium, triplet: WaveTriplet) -> tuple[float, float]:
-    """coupling_factor of both arms; Medium and WaveTriplet already checked its inputs."""
-    if medium.process is not triplet.process:
-        raise ValueError(
-            f"process mismatch: medium is {medium.process.value}, "
-            f"triplet is {triplet.process.value}"
-        )
-    c = CODATA2018.c
-    return triplet.omega_s / (2.0 * medium.n_s * c), triplet.omega_i / (2.0 * medium.n_i * c)
-
-
-def _chi(medium: Medium) -> float:
-    """The susceptibility as _drive_coupling takes it: chi2 for SPDC, (1/2)*chi3 for FWM."""
-    return medium.chi_eff if medium.process is Process.SPDC else 0.5 * medium.chi_eff
-
-
-def _gain_factors(medium: Medium, triplet: WaveTriplet) -> tuple[float, float]:
-    """The pump-independent factors of the gain, (_chi(medium), sqrt(ks*ki))."""
-    ks, ki = _couplings(medium, triplet)
-    if not (_FLOAT_MIN <= min(ks, ki, ks * ki) and ks * ki <= _FLOAT_MAX):
-        raise _out_of_float_range("gain", omega_s=triplet.omega_s, omega_i=triplet.omega_i,
-                                  n_s=medium.n_s, n_i=medium.n_i)
-    return _chi(medium), math.sqrt(ks * ki)
-
-
-def _beta_ls(fields, chi: float, root: float, length: float, process: Process) -> list[float]:
-    """beta*L at each pump field of a column, from the _gain_factors (chi, root) of a
-    medium and triplet: _drive_coupling times root times length, in that order."""
-    if process is Process.SPDC:
-        return [chi * e * root * length for e in fields]
-    return [chi * e * e * root * length for e in fields]
-
-
-def _drive_coupling(chi: float, e_p: float, process: Process) -> float:
-    """Dimensionless chi*pump product whose units cancel against 1/m couplings.
-
-    chi2*E_p for SPDC, (1/2)*chi3*E_p^2 for FWM (E_p the total two-wave
-    amplitude), with chi = _chi(medium). The oracle's one use; _beta_ls repeats
-    the product per point, as a one-point column costs the oracle ~20% of a call.
-    """
-    return chi * e_p if process is Process.SPDC else chi * e_p * e_p
-
-
-def gain_coefficient(medium: Medium, triplet: WaveTriplet, pump: PumpDrive) -> float:
-    """Parametric gain coefficient beta (1/m) of the phase-matched process.
-
-    beta = chi2*E_p*sqrt(ks*ki) for SPDC and (1/2)*chi3*E_p^2*sqrt(ks*ki)
-    for FWM, with ks, ki the signal/idler coupling factors.
-    """
-    chi, root = _gain_factors(medium, triplet)
-    field = pump.field(medium.n_p)
-    beta = _beta_ls((field,), chi, root, 1.0, medium.process)[0]
-    # the chain's partial products: chi (chi3/2 for FWM), the drive coupling (chi*E_p is at
-    # least the smaller of the two) and beta; pump.field checks E_p^2
-    partials = (chi, _drive_coupling(chi, field, medium.process), beta)
-    if any(pump) and not (_FLOAT_MIN <= min(partials) and beta <= _FLOAT_MAX):  # a nonzero pump
-        raise _out_of_float_range("gain", chi_eff=medium.chi_eff, pump_field=field)
-    return beta
-
-
-def _gain_product(medium: Medium, triplet: WaveTriplet, pump: PumpDrive, length: float) -> float:
-    """beta*L of a pump drive over a length: gain_coefficient times the length, which the
-    _beta_ls chain of a sweep repeats bit for bit. Only a zero pump gives beta*L = 0."""
-    _check("length", length)
-    beta = gain_coefficient(medium, triplet, pump)
-    beta_l = beta * length
-    if beta and not _FLOAT_MIN <= beta_l <= _FLOAT_MAX:
-        raise _out_of_float_range("beta_l", beta=beta, length=length)
-    return beta_l
-
-
-def pump_for_gain(medium: Medium, triplet: WaveTriplet, geometry: Geometry,
-                  beta_l: float) -> PumpDrive:
-    """Pump drive that realizes a target gain product beta*L (inverse of
-    gain_coefficient at fixed medium and geometry)."""
-    _check_beta_l(beta_l)
-    _, root = _gain_factors(medium, triplet)
-    span = geometry.length * root
-    drive = beta_l / span if span else (math.inf if beta_l else 0.0)  # 0 span: raised if beta_l
-    spdc = medium.process is Process.SPDC
-    field = (drive if spdc else 2.0 * drive) / medium.chi_eff  # E_p^2 for FWM
-    if beta_l and not (_FLOAT_MIN <= min(span, drive, field) and field <= _FLOAT_MAX):
-        raise _out_of_float_range("pump field", beta_l=beta_l, length=geometry.length,
-                                  chi_eff=medium.chi_eff)
-    return PumpDrive.from_field(field if spdc else math.sqrt(field))
-
-
-# --------------------------------------------------------------------------
-# pair flux
-# --------------------------------------------------------------------------
-
-def _photon_partials(field: float, omega: float, n: float, section: float) -> tuple:
-    """The partial products of the photon flux (photons/s) of a field amplitude,
-    eps0*n*c*S/(4*hbar*omega) * field^2, in evaluation order, the flux last:
-    eps0*n*c*S, 4*hbar*omega, their quotient, that times field, that times field."""
-    k = CODATA2018
-    area, quantum = k.eps0 * n * k.c * section, 4.0 * k.hbar * omega
-    scale = area / quantum if quantum else 0.0  # the caller's check sees the zero quantum
-    return area, quantum, scale, scale * field, scale * field * field
-
-
-def pair_flux_general(beta_l: float, vac_s: float, vac_i: float, triplet: WaveTriplet,
-                      medium: Medium, geometry: Geometry) -> float:
-    """Pair flux (pairs/s) for arbitrary seed amplitudes on the two arms.
-
-    N = eps0*n_s*c*S/(4*hbar*omega_s) *
-        [vac_s*(cosh(bL)-1) + sqrt(omega_s*n_i/(omega_i*n_s))*vac_i*sinh(bL)]^2
-
-    As cosh(x)-1 = sinh(x)*tanh(x/2), the bracket is evaluated as
-    sinh(bL)*(vac_s*tanh(bL/2) + weight*vac_i): the small-signal regime keeps full
-    precision, and a seed term too small to matter may be subnormal.
-    """
-    _check_beta_l(beta_l)
-    _check("vac_s", vac_s, inclusive=True)
-    _check("vac_i", vac_i, inclusive=True)
-    if not (beta_l and (vac_s or vac_i)):
-        return 0.0  # no gain or no seed
-    cross = (triplet.omega_s * medium.n_i, triplet.omega_i * medium.n_s)
-    weight_squared = cross[0] / cross[1]
-    weighted = math.sqrt(weight_squared) * vac_i if vac_i else 0.0
-    seeds = vac_s * math.tanh(0.5 * beta_l) + weighted
-    bracket = math.sinh(beta_l) * seeds
-    photon = _photon_partials(bracket, triplet.omega_s, medium.n_s, geometry.section)
-    # the partial products of the idler weight, the bracket and the photon flux; a seed
-    # term is one rounding (tanh(bL/2) is subnormal only below ~2 ulp of its term)
-    partials = (*cross, weight_squared) if vac_i else ()
-    if not (_FLOAT_MIN <= min(*partials, seeds, bracket, *photon) and photon[-1] <= _FLOAT_MAX):
-        raise _out_of_float_range("pair flux", beta_l=beta_l, vac_s=vac_s, vac_i=vac_i)
-    return photon[-1]
-
 
 def pair_flux_reduced(beta_l: float, delta_nu: float) -> float:
     """Pair flux (pairs/s) with both arms seeded by vacuum at linewidth delta_nu.
@@ -566,106 +402,6 @@ def _growth(beta_l: float) -> float:
     return math.expm1(beta_l)
 
 
-def generated_field(beta_l: float, triplet: WaveTriplet, medium: Medium, geometry: Geometry,
-                    bandwidth: Bandwidth, arm: Arm) -> float:
-    """Field amplitude (V/m) generated on one arm from the vacuum seed.
-
-    vacuum_fluctuation(arm) * (exp(beta_l) - 1).
-    """
-    vac = _vacuum_field(triplet.omega(arm), medium.n(arm), geometry.section,
-                        bandwidth.delta_omega)
-    generated = vac * _growth(beta_l)
-    if beta_l and not _FLOAT_MIN <= generated <= _FLOAT_MAX:
-        raise _out_of_float_range("generated field", beta_l=beta_l, vacuum_field=vac)
-    return generated
-
-
-# --------------------------------------------------------------------------
-# the beta*L = 1 limit
-# --------------------------------------------------------------------------
-
-def limit_pump_intensity(medium: Medium, lambda_s: float, lambda_i: float, length: float) -> float:
-    """Pump intensity (W/m^2) at which beta*L reaches 1.
-
-    SPDC: (1/(2*pi^2*mu0*c)) * n_p*n_s*n_i*lambda_s*lambda_i / (L*chi2)^2
-    FWM:  (1/pi)*sqrt(eps0/mu0) * n_p*sqrt(n_s*n_i*lambda_s*lambda_i) / (L*chi3)
-
-    Wavelengths are vacuum values in m. For FWM the result is the total
-    two-wave pump intensity.
-    """
-    return _limit_intensity(length, *_limit_factors(medium, lambda_s, lambda_i))
-
-
-def effective_limit_intensity(medium: Medium, lambda_s: float, lambda_i: float,
-                              length: float) -> float:
-    """Index-normalized limit pump intensity Gamma (W/m^2), which reads no index, so it
-    is computed as limit_pump_intensity at unit indices, and a range error names only
-    the wavelengths, or the length and chi_eff:
-
-    SPDC: I_lim/(n_p*n_s*n_i) = lambda_s*lambda_i / (2*pi^2*mu0*c*(L*chi2)^2)
-    FWM:  I_lim/(n_p*sqrt(n_s*n_i)) = sqrt(eps0/mu0)*sqrt(lambda_s*lambda_i) / (pi*L*chi3)
-    """
-    return _limit_intensity(length, *_limit_factors(medium, lambda_s, lambda_i, gamma=True),
-                            gamma=True)
-
-
-# 2*pi^2*mu0*c, the constant of the SPDC limit intensity's denominator
-_SPDC_LIMIT_SCALE = 2.0 * math.pi**2 * CODATA2018.mu0 * CODATA2018.c
-# what a range error of I_lim, and of Gamma (gamma=True), names
-_LIMIT_NAMES = ("limit pump intensity", "effective limit intensity")
-
-
-def _limit_factors(medium: Medium, lambda_s: float, lambda_i: float, gamma: bool = False) -> tuple:
-    """The length-independent factor of the limit intensity, (numer, chi_eff, process):
-    numer over _limit_quotients' denominator is I_lim, or Gamma at unit indices if gamma.
-    Checks the partial products of numer: the index-wavelength products and, for FWM,
-    n_p times their root."""
-    _check("lambda_s", lambda_s)
-    _check("lambda_i", lambda_i)
-    n_p, n_s, n_i = (1.0, 1.0, 1.0) if gamma else (medium.n_p, medium.n_s, medium.n_i)
-    spdc = medium.process is Process.SPDC
-    indices = n_p * n_s * n_i if spdc else n_s * n_i
-    scaled = indices * lambda_s  # a partial product only where it rounds: indices != 1
-    product = scaled * lambda_i
-    k = CODATA2018
-    numer = product if spdc else n_p * math.sqrt(product) * math.sqrt(k.eps0 / k.mu0)
-    if not (_FLOAT_MIN <= min(product, scaled if indices != 1.0 else product)
-            and max(product, numer) <= _FLOAT_MAX):
-        read = {} if gamma else {"n_p": n_p, "n_s": n_s, "n_i": n_i}
-        raise _out_of_float_range(_LIMIT_NAMES[gamma], lambda_s=lambda_s, lambda_i=lambda_i,
-                                  **read)
-    return numer, medium.chi_eff, medium.process
-
-
-def _limit_intensity(length: float, numer: float, chi: float, process: Process,
-                     gamma: bool = False) -> float:
-    """The limit intensity at one length, I_lim or Gamma as gamma, from the _limit_factors
-    of a medium, checked: _limit_quotients on a one-point column, and the first partial
-    products of its denominator, L*chi2 and its square or pi*L and pi*L*chi3, which can
-    underflow while the quotient stays normal."""
-    _check("length", length)
-    try:
-        i_lim = _limit_quotients((length,), numer, chi, process)[0]
-    except ArithmeticError:  # an intermediate left the float range: rejected below
-        i_lim = 0.0
-    span = length * chi if process is Process.SPDC else math.pi * length
-    partial = span * span if process is Process.SPDC else span * chi
-    if not (_FLOAT_MIN <= min(span, partial, i_lim) and i_lim <= _FLOAT_MAX):
-        raise _out_of_float_range(_LIMIT_NAMES[gamma], length=length, chi_eff=chi)
-    return i_lim
-
-
-def _limit_quotients(lengths, numer: float, chi: float, process: Process) -> list[float]:
-    """The limit intensity at each length of a column, from the _limit_factors of a
-    medium: numer/(2*pi^2*mu0*c*(L*chi2)^2) for SPDC, numer/(pi*L*chi3) for FWM.
-    Raises ArithmeticError where an intermediate leaves the float range."""
-    if process is Process.SPDC:
-        scale = _SPDC_LIMIT_SCALE
-        return [numer / (scale * (length * chi) ** 2) for length in lengths]
-    pi = math.pi
-    return [numer / (pi * length * chi) for length in lengths]
-
-
 def classify_regime(beta_l: float, at_limit_band: float = _AT_LIMIT_BAND) -> RegimeReport:
     """Classify the operating regime around the beta*L = 1 limit.
 
@@ -673,7 +409,7 @@ def classify_regime(beta_l: float, at_limit_band: float = _AT_LIMIT_BAND) -> Reg
     band is a reporting convenience, exact equality being measure-zero.
     """
     _check_beta_l(beta_l)
-    if not 0.0 <= at_limit_band < 1.0:
+    if not (0.0 <= at_limit_band < 1.0 and math.copysign(1.0, at_limit_band) > 0):
         raise ValueError("at_limit_band must lie in [0, 1)")
     if beta_l < 1.0 - at_limit_band:
         regime = Regime.SMALL_SIGNAL
@@ -682,3 +418,30 @@ def classify_regime(beta_l: float, at_limit_band: float = _AT_LIMIT_BAND) -> Reg
     else:
         regime = Regime.AT_LIMIT
     return RegimeReport(beta_l, pairs_per_bandwidth(beta_l), field_ratio(beta_l), regime)
+
+
+# --------------------------------------------------------------------------
+# the kernels of a configuration, imported on first use
+# --------------------------------------------------------------------------
+
+# each public name of __all__ that another module holds -> that module; the package's
+# lazy names include these too
+_HOMES = {
+    **dict.fromkeys(("coupling_factor", "gain_coefficient", "pump_for_gain"), "gain"),
+    **dict.fromkeys(("limit_pump_intensity", "effective_limit_intensity"), "limit"),
+    **dict.fromkeys(("vacuum_fluctuation", "generated_field", "pair_flux_general"), "fields"),
+}
+
+
+def __getattr__(name: str):
+    """A name of _HOMES, from its module, which is imported on the first use of one of its
+    names; the value is then kept here, so this runs once per name."""
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__package__}.{_HOMES[name]}")
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOMES})

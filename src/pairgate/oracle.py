@@ -23,8 +23,8 @@ independent of the closed forms, and its scheme error is still
 ~(beta*L)^5/steps^4 relative.
 """
 
-from __future__ import annotations
-
+from .fields import _photon_partials, _vacuum_field
+from .gain import _chi, _couplings, _drive_coupling
 from .model import (
     Bandwidth,
     Geometry,
@@ -32,15 +32,10 @@ from .model import (
     PumpDrive,
     WaveTriplet,
     _check,
-    _chi,
-    _couplings,
-    _drive_coupling,
     _FLOAT_MAX,
     _FLOAT_MIN,
     _named_tuple,
     _out_of_float_range,
-    _photon_partials,
-    _vacuum_field,
 )
 
 __all__ = ["OdeState", "IntegrationConfig", "integrate", "oracle_pair_flux"]

@@ -2,19 +2,21 @@
 
 Only `cli.cmd_sweep` imports this module, after its last flag check, so no
 other call, and no sweep that its flags reject, compiles it. It imports the
-model and the stdlib, never `pairgate.cli`: under `python -m pairgate.cli` the
-CLI runs as `__main__`, and importing `pairgate.cli` would compile it again.
+model, the gain and limit modules (each only in the sweep that runs it) and the
+stdlib, never `pairgate.cli`: under `python -m pairgate.cli` the CLI runs as
+`__main__`, and importing `pairgate.cli` would compile it again.
 `cli` builds each sweep's `SweepSpec`, the grid, and passes it in.
 
 Each swept quantity has one model sweep, _flux_sweep (beta*L), _pump_sweep
 (pump intensity) and _gamma_sweep (length), which computes the model's factors
-constant along a sweep once (_gain_factors, _limit_factors) and returns a
-(columns, row) pair: columns evaluates a block with the model's column bodies
-(_pump_fields, _beta_ls, _pair_fluxes, _limit_quotients), unchecked, and row is
-the scalar kernels at one point. _check_block is the one place a block is
-checked: the row at the block's extremes vouches for every point, as each value
-is monotone in the swept point, and a block it rejects is walked with the row,
-which raises the scalar message at the first offending point.
+constant along a sweep once (gain._gain_factors, limit._limit_factors) and
+returns a (columns, row) pair: columns evaluates a block with the model's column
+bodies (_pump_fields, _pair_fluxes, gain._beta_ls, limit._limit_quotients),
+unchecked, and row is the scalar kernels at one point. _check_block is the one
+place a block is checked: the row at the block's extremes vouches for every
+point, as each value is monotone in the swept point, and a block it rejects is
+walked with the row, which raises the scalar message at the first offending
+point.
 
 A sweep is checked, then rendered, SWEEP_BLOCK grid points at a time. The check
 pass builds each block's points (SweepSpec.points) and checks them before any
@@ -28,8 +30,6 @@ its blocks to a pipe, each after its length. Where a pipe or fork fails, or a
 child's block comes short because it died, the caller renders it, so the text
 never depends on the path.
 """
-
-from __future__ import annotations
 
 import math
 import os
@@ -96,16 +96,18 @@ def _pump_sweep(medium: model.Medium, triplet: model.WaveTriplet, length: float,
                 delta_nu: float | None):
     """(columns, row) of a pump-intensity sweep at a checked length: beta*L, then the
     _flux_sweep columns; the row is _gain_product and the flux kernels, as classify and flux run."""
-    chi, root = model._gain_factors(medium, triplet)
+    from .gain import _beta_ls, _gain_factors, _gain_product
+
+    chi, root = _gain_factors(medium, triplet)
     flux_columns, flux_row = _flux_sweep(delta_nu)
 
     def columns(intensities: list[float]) -> list[list[float]]:
         fields = model._pump_fields(intensities, medium.n_p)
-        beta_ls = model._beta_ls(fields, chi, root, length, medium.process)
+        beta_ls = _beta_ls(fields, chi, root, length, medium.process)
         return [beta_ls, *flux_columns(beta_ls)]
 
     def row(intensity: float) -> list[float]:
-        beta_l = model._gain_product(medium, triplet, model.PumpDrive(intensity=intensity), length)
+        beta_l = _gain_product(medium, triplet, model.PumpDrive(intensity=intensity), length)
         return [beta_l, *flux_row(beta_l)]
 
     return columns, row
@@ -113,9 +115,11 @@ def _pump_sweep(medium: model.Medium, triplet: model.WaveTriplet, length: float,
 
 def _gamma_sweep(media: list[model.Medium], lambda_s: float, lambda_i: float):
     """(columns, row) of a length sweep: effective_limit_intensity, one column per medium."""
-    factors = [model._limit_factors(medium, lambda_s, lambda_i, gamma=True) for medium in media]
-    return (lambda lengths: [model._limit_quotients(lengths, *f) for f in factors],
-            lambda length: [model._limit_intensity(length, *f, gamma=True) for f in factors])
+    from .limit import _limit_factors, _limit_intensity, _limit_quotients
+
+    factors = [_limit_factors(medium, lambda_s, lambda_i, gamma=True) for medium in media]
+    return (lambda lengths: [_limit_quotients(lengths, *f) for f in factors],
+            lambda length: [_limit_intensity(length, *f, gamma=True) for f in factors])
 
 
 # --------------------------------------------------------------------------

@@ -9,8 +9,6 @@ spellings like um^2 and m^2/V^2 all work.
 The library core is strict SI; everything here converts to or from it.
 """
 
-from __future__ import annotations
-
 import argparse
 import math
 import re
@@ -163,7 +161,7 @@ def format_sig(value: float) -> str:
 
 def format_intensity(w_per_m2: float) -> str:
     """Auto-scaled intensity per cm^2, e.g. 1.345e14 W/m^2 -> '13.4 GW/cm2'."""
-    if w_per_m2 < 0:
+    if w_per_m2 < 0 or (w_per_m2 == 0.0 and math.copysign(1.0, w_per_m2) < 0):
         raise ValueError("intensity must be nonnegative")
     per_cm2 = w_per_m2 * 1e-4
     if per_cm2 == 0.0 or not math.isfinite(per_cm2):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
-from pairgate import model, sweep
+from pairgate import gain, model, sweep
 from pairgate.model import (Geometry, Medium, Process, PumpDrive, WaveTriplet,
                             triplet_from_wavelengths)
 
@@ -63,7 +63,7 @@ def model_sweep(variable, media=None, lambdas=None, length=None, delta_nu=None):
 
 def scalar_walk(variable, points, media=None, lambdas=None, length=None, delta_nu=None):
     """The rows of model_sweep(variable, media, ...) at points, each without its point, walked
-    point by point with the public scalar kernels, beta*L by model._gain_product as a sweep's
+    point by point with the public scalar kernels, beta*L by gain._gain_product as a sweep's
     row takes it; or the message of the first ValueError they raise."""
     rows = []
     try:
@@ -76,7 +76,7 @@ def scalar_walk(variable, points, media=None, lambdas=None, length=None, delta_n
                 continue
             row, beta_l = [], x
             if variable == "pump_intensity":
-                beta_l = model._gain_product(medium, triplet, PumpDrive.from_intensity(x), length)
+                beta_l = gain._gain_product(medium, triplet, PumpDrive.from_intensity(x), length)
                 row.append(beta_l)
             row.append(model.pairs_per_bandwidth(beta_l))
             if delta_nu is not None:

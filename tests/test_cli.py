@@ -1073,14 +1073,33 @@ _REJECTED_SWEEPS = [
 ]
 
 
+def _lazy_modules(argv):
+    """The modules loaded on first use that a call passing its flag checks loads, in name
+    order: the catalog for --material, the oracle and the sweep module for their subcommands,
+    and the model's kernels of a configuration that it computes."""
+    command = argv[0]
+    figure = argv[2] if argv[1:2] == ["--figure"] else None
+    variable = argv[argv.index("--variable") + 1] if "--variable" in argv else None
+    loads = {
+        "fields": command == "oracle" or "--section" in argv,
+        "gain": (command in ("classify", "oracle") or variable == "pump_intensity"
+                 or command == "flux" and "--beta-l" not in argv),
+        "limit": command == "limit" or variable == "length" or figure in ("3", "4"),
+        "materials": "--material" in argv,
+        "oracle": command == "oracle",
+        "sweep": command == "sweep",
+    }
+    return [f"pairgate.{name}" for name, loaded in loads.items() if loaded]
+
+
 @pytest.mark.parametrize("argv, lazy", [([], [])] + [  # [] is a bare `import pairgate`
-    (argv, ["pairgate.materials"] * ("--material" in argv)
-     + ["pairgate.oracle"] * (argv[0] == "oracle") + ["pairgate.sweep"] * (argv[0] == "sweep"))
-    for argv in _argv("imports")] + [(argv, []) for argv in _REJECTED_SWEEPS],
+    (argv, _lazy_modules(argv)) for argv in _argv("imports")]
+    + [(argv, []) for argv in _REJECTED_SWEEPS],
     ids=lambda value: " ".join(value) or "none")
 def test_a_call_imports_the_catalog_and_oracle_only_where_it_runs_them(argv, lazy):
-    """A call loads pairgate.materials only for --material, pairgate.oracle only for oracle
-    and pairgate.sweep only for a sweep that passes its flag checks."""
+    """A call loads pairgate.materials only for --material, pairgate.oracle only for oracle,
+    pairgate.sweep only for a sweep that passes its flag checks, and pairgate.gain,
+    pairgate.limit and pairgate.fields only where it computes their kernels."""
     src = Path(__file__).parent.parent / "src"
     script = (
         "import contextlib, io, sys\n"
@@ -1091,8 +1110,8 @@ def test_a_call_imports_the_catalog_and_oracle_only_where_it_runs_them(argv, laz
         "    from pairgate import cli\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = cli.main(sys.argv[1:])\n"
-        "print(code, *sorted({'pairgate.materials', 'pairgate.oracle', 'pairgate.sweep'}\n"
-        "                    & set(sys.modules)))\n"
+        "lazy = {'fields', 'gain', 'limit', 'materials', 'oracle', 'sweep'}\n"
+        "print(code, *sorted({f'pairgate.{name}' for name in lazy} & set(sys.modules)))\n"
     )
     result = subprocess.run([sys.executable, "-S", "-c", script, *argv], capture_output=True,
                             text=True, env={**os.environ, MATERIALS_ENV_VAR: ""})

@@ -30,7 +30,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import REFERENCE, decimal_expm1, exact_pair_flux
-from pairgate import model
+from pairgate import limit, model
 from pairgate.constants import CODATA2018
 from pairgate.model import (
     BETA_L_MAX,
@@ -165,7 +165,7 @@ def exact_limit(medium, lambda_s, lambda_i, length):
     n_p, n_s, n_i, chi, ls, li, L = (Decimal(x) for x in (
         medium.n_p, medium.n_s, medium.n_i, medium.chi_eff, lambda_s, lambda_i, length))
     if medium.process is Process.SPDC:
-        return n_p * n_s * n_i * ls * li / (Decimal(model._SPDC_LIMIT_SCALE) * (L * chi) ** 2)
+        return n_p * n_s * n_i * ls * li / (Decimal(limit._SPDC_LIMIT_SCALE) * (L * chi) ** 2)
     impedance = Decimal(math.sqrt(CODATA2018.eps0 / CODATA2018.mu0))  # the code's constant
     return n_p * (n_s * n_i * ls * li).sqrt() * impedance / (PI * L * chi)
 
@@ -184,7 +184,7 @@ def gamma_partials(medium, lambda_s, lambda_i, length):
     chi = medium.chi_eff
     if medium.process is Process.SPDC:
         span = length * chi
-        return lambda_s * lambda_i, span, span * span, model._SPDC_LIMIT_SCALE * (span * span)
+        return lambda_s * lambda_i, span, span * span, limit._SPDC_LIMIT_SCALE * (span * span)
     return lambda_s * lambda_i, math.pi * length, math.pi * length * chi
 
 
@@ -379,7 +379,7 @@ ROWS = [
         lambda beta, *band: (exact_pair_flux(beta, 1.0), decimal_expm1(beta)), 10, (
             ((0.0,), (0.0, 0.0)),
             ((1e-310,), "pairs per bandwidth out of the float range: beta_l=1e-310"),
-            ((1.0, 1.0), BAND), ((1.0, -0.1), BAND), ((1.0, NAN), BAND),
+            ((1.0, 1.0), BAND), ((1.0, -0.1), BAND), ((1.0, -0.0), BAND), ((1.0, NAN), BAND),
             ((-1.0,), BETA_L + "-1.0"), ((NAN,), BETA_L + "nan"), ((INF,), BETA_L + "inf"),
             ((800.0,), ABOVE_MAX + "800.0"),
             ((1.0, 0.0), (0.369061555252, 1.71828182846)))),  # the band's closed end

@@ -30,9 +30,10 @@ from conftest import (
     sweep_rows,
     wavelengths,
 )
-from pairgate import model
+from pairgate import gain, model
 from pairgate.cli import SweepSpec
 from pairgate.constants import CODATA2018
+from pairgate.fields import _photon_partials
 from pairgate.model import (
     BETA_L_MAX,
     Arm,
@@ -59,7 +60,6 @@ from pairgate.model import (
     pump_for_gain,
     triplet_from_wavelengths,
     vacuum_fluctuation,
-    _photon_partials,
 )
 from pairgate.materials import MaterialRecord
 from pairgate.oracle import IntegrationConfig, OdeState
@@ -344,8 +344,8 @@ def test_effective_limit_divides_out_indices():
 def test_beta_l_column_is_the_drive_coupling_times_root_times_length(chi, field, root, length,
                                                                      process):
     """The oracle's scalar _drive_coupling and the sweeps' _beta_ls agree bit for bit."""
-    assert (model._beta_ls((field,), chi, root, length, process)
-            == [model._drive_coupling(chi, field, process) * root * length])
+    assert (gain._beta_ls((field,), chi, root, length, process)
+            == [gain._drive_coupling(chi, field, process) * root * length])
 
 
 # columns no grid produces: NaN, infinite, negative or zero points, anywhere in the column

@@ -19,7 +19,8 @@ from pairgate.model import (
     triplet_from_wavelengths,
     vacuum_fluctuation,
 )
-from pairgate.model import _couplings, _drive_coupling, _gain_factors, _photon_partials
+from pairgate.fields import _photon_partials
+from pairgate.gain import _couplings, _drive_coupling, _gain_factors
 from pairgate.oracle import MAX_STEPS, IntegrationConfig, OdeState, integrate, oracle_pair_flux
 
 EPS = sys.float_info.epsilon

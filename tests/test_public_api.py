@@ -1,8 +1,13 @@
 """The public surface: the names pairgate exports and the README's Library snippet."""
 
+import importlib
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import pairgate
 from pairgate import materials, model, oracle, units
@@ -25,6 +30,29 @@ def test_public_names_are_pinned():
     assert exported == sorted(PUBLIC_NAMES)
     for module in (model, materials, oracle, units):
         assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def test_import_loads_no_kernel_module_of_a_configuration():
+    """`import pairgate` loads neither pairgate.gain, pairgate.limit nor pairgate.fields."""
+    src = Path(__file__).parent.parent / "src"
+    script = (f"import sys; sys.path.insert(0, {str(src)!r}); import pairgate; "
+              "print(*sorted({'pairgate.gain', 'pairgate.limit', 'pairgate.fields'}"
+              " & set(sys.modules)))")
+    child = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True)
+    assert (child.returncode, child.stdout, child.stderr) == (0, "\n", "")
+
+
+@pytest.mark.parametrize("home, names", [
+    ("gain", ["coupling_factor", "gain_coefficient", "pump_for_gain"]),
+    ("limit", ["limit_pump_intensity", "effective_limit_intensity"]),
+    ("fields", ["vacuum_fluctuation", "generated_field", "pair_flux_general"]),
+])
+def test_each_kernel_of_a_configuration_is_one_object_wherever_it_is_read(home, names):
+    """A public name of pairgate.model that another module holds is one object as
+    pairgate.<name>, pairgate.model.<name> and pairgate.<module>.<name>."""
+    module = importlib.import_module(f"pairgate.{home}")
+    for name in names:
+        assert getattr(pairgate, name) is getattr(model, name) is getattr(module, name), name
 
 
 def test_readme_library_snippet_runs():

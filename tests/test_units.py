@@ -97,5 +97,6 @@ def test_format_intensity(value, expected):
 
 
 def test_format_intensity_rejects_negative():
-    with pytest.raises(ValueError):
-        format_intensity(-1.0)
+    for value in (-1.0, -0.0):  # a negative zero counts as negative
+        with pytest.raises(ValueError, match="intensity must be nonnegative"):
+            format_intensity(value)
