@@ -25,7 +25,7 @@ import sys
 from collections.abc import Iterator
 
 from . import model
-from .constants import MATERIALS_ENV_VAR
+from .constants import DEFAULT_WAVELENGTH, MATERIALS_ENV_VAR
 from .model import (
     Arm,
     Bandwidth,
@@ -43,6 +43,7 @@ from .units import (
     parse_chi2,
     parse_chi3,
     parse_field,
+    parse_float,
     parse_frequency,
     parse_intensity,
     parse_length,
@@ -54,7 +55,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_IO = 3
 
-DEFAULT_WAVELENGTH = 1e-6  # m, degenerate signal/idler default
 MAX_SWEEP_POINTS = 10**6  # 10x the largest bench sweep; at the cap, ~56 MB of CSV, ~17 MiB RSS
 _MEDIUM_FLAGS = ("--material", "--materials", "--chi2", "--chi3", "--n-p", "--n-s", "--n-i")
 _WAVE_FLAGS = ("--lambda-s", "--lambda-i")
@@ -157,9 +157,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             help="second-order susceptibility, e.g. 1pm/V (implies spdc)")
         add("--chi3", type=parse_chi3, metavar="CHI",
             help="third-order susceptibility, e.g. 1e-22m2/V2 (implies fwm)")
-        add("--n-p", type=float, default=None, help="pump refractive index")
-        add("--n-s", type=float, default=None, help="signal refractive index")
-        add("--n-i", type=float, default=None, help="idler refractive index")
+        add("--n-p", type=parse_float, default=None, help="pump refractive index")
+        add("--n-s", type=parse_float, default=None, help="signal refractive index")
+        add("--n-i", type=parse_float, default=None, help="idler refractive index")
 
     def wave_flags(add):
         add("--lambda-s", type=parse_length, metavar="LEN", help="signal wavelength (default 1um)")
@@ -194,13 +194,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             help="overlap section, e.g. 1mm2 (enables field report)")
         add("--delta-nu", type=parse_frequency, metavar="BW", default=None,
             help="pair linewidth, e.g. 1GHz (enables field report)")
-        add("--band", type=float, default=model._AT_LIMIT_BAND,
+        add("--band", type=parse_float, default=model._AT_LIMIT_BAND,
             help=f"relative at-limit band on beta*L (default {model._AT_LIMIT_BAND:g})")
     add_parser("classify", (common, medium_flags, wave_flags, pump_flags, classify_flags),
                help="classify the operating regime of a configuration")
 
     def flux_flags(add):
-        add("--beta-l", type=float, default=None,
+        add("--beta-l", type=parse_float, default=None,
             help="gain product beta*L (bypasses the medium/pump flags)")
         add("--length", type=parse_length, metavar="LEN", default=None,
             help="interaction length (required without --beta-l)")
@@ -232,7 +232,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                help="CSV parameter sweeps, including figure presets")
 
     def oracle_flags(add):
-        add("--beta-l", type=float, required=True, help="gain product beta*L")
+        add("--beta-l", type=parse_float, required=True, help="gain product beta*L")
         add("--steps", type=int, default=None,
             help="fixed RK4 step count (default MAX_STEPS = 2^24)")
         add("--delta-nu", type=parse_frequency, metavar="BW", default=1.0,
@@ -446,13 +446,13 @@ def cmd_sweep(args) -> Iterator[str]:
         _reject_unread(args, ("--min", "--max", "--count", "--scale", "--length", "--delta-nu")
                        + _MEDIUM_FLAGS + _WAVE_FLAGS, "{flag} does not apply to a figure sweep")
         from . import sweep
-        return sweep.figure(args.figure, SweepSpec(*sweep.FIGURE_GRIDS[args.figure]))
+        return sweep.csv(SweepSpec(*sweep.FIGURE_GRIDS[args.figure]), sweep.figure(args.figure))
     if args.min is None or args.max is None:
         raise ValueError("explicit sweeps require --min and --max")
     if args.variable == "length":
         _reject_unread(args, ("--length", "--delta-nu", "--n-p", "--n-s", "--n-i"),
                        "{flag} does not apply to a length sweep")
-    parse = {"beta_l": float, "length": parse_length,
+    parse = {"beta_l": parse_float, "length": parse_length,
              "pump_intensity": parse_intensity}[args.variable]
     try:
         start, stop = parse(args.min), parse(args.max)
@@ -464,16 +464,15 @@ def cmd_sweep(args) -> Iterator[str]:
                        "{flag} does not apply to a beta_l sweep")
         inputs = (args.delta_nu,)
     elif args.variable == "length":
-        inputs = (_build_medium(args), *_wavelengths(args))
+        inputs = ([_build_medium(args)], *_wavelengths(args))
     else:
         if args.length is None:
             raise ValueError("--length is required for a pump_intensity sweep")
         medium = _build_medium(args)
-        triplet = _build_triplet(args, medium.process)
-        _check("length", args.length)
-        inputs = (medium, triplet, args.length, args.delta_nu)
+        inputs = (medium, _build_triplet(args, medium.process), args.length, args.delta_nu)
     from . import sweep  # after the last flag check: no other call compiles the sweep code
-    return getattr(sweep, args.variable)(spec, *inputs)  # sweep.beta_l, .length, .pump_intensity
+    # sweep.beta_l, .length or .pump_intensity; a pump sweep's row checks its length
+    return sweep.csv(spec, getattr(sweep, args.variable)(*inputs))
 
 
 def cmd_oracle(args) -> str:

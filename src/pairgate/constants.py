@@ -1,5 +1,5 @@
-"""Fundamental physical constants, CODATA 2018, strict SI, and the name of the
-environment variable that points at a material catalog.
+"""Fundamental physical constants, CODATA 2018, strict SI, the name of the catalog's
+environment variable, and the default signal and idler wavelength.
 
 Everything downstream computes in SI (m, s, rad/s, V/m, W/m^2); unit
 conveniences live at the CLI boundary only.
@@ -25,3 +25,6 @@ class CODATA2018:
 # read by materials.resolve_catalog; here so that the CLI's help names it
 # without importing the catalog
 MATERIALS_ENV_VAR = "PAIRGATE_MATERIALS"
+
+# the signal and idler wavelength (m) of a call that gives none, and of the figure presets
+DEFAULT_WAVELENGTH = 1e-6

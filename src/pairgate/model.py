@@ -441,7 +441,3 @@ def __getattr__(name: str):
     module = importlib.import_module(f"{__package__}.{_HOMES[name]}")
     value = globals()[name] = getattr(module, name)
     return value
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_HOMES})

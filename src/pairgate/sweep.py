@@ -5,18 +5,19 @@ other call, and no sweep that its flags reject, compiles it. It imports the
 model, the gain and limit modules (each only in the sweep that runs it) and the
 stdlib, never `pairgate.cli`: under `python -m pairgate.cli` the CLI runs as
 `__main__`, and importing `pairgate.cli` would compile it again.
-`cli` builds each sweep's `SweepSpec`, the grid, and passes it in.
+`cli` builds each sweep's `SweepSpec`, the grid, and passes it to csv() with
+the model sweep of its swept quantity.
 
-Each swept quantity has one model sweep, _flux_sweep (beta*L), _pump_sweep
-(pump intensity) and _gamma_sweep (length), which computes the model's factors
+Each swept quantity has one model sweep, named after it: beta_l, pump_intensity
+and length, and figure() picks a figure's. It computes the model's factors
 constant along a sweep once (gain._gain_factors, limit._limit_factors) and
-returns a (columns, row) pair: columns evaluates a block with the model's column
-bodies (_pump_fields, _pair_fluxes, gain._beta_ls, limit._limit_quotients),
-unchecked, and row is the scalar kernels at one point. _check_block is the one
-place a block is checked: the row at the block's extremes vouches for every
-point, as each value is monotone in the swept point, and a block it rejects is
-walked with the row, which raises the scalar message at the first offending
-point.
+returns (header, columns, row): header names the CSV columns, the point's
+first; columns evaluates a block with the model's column bodies (_pump_fields,
+_pair_fluxes, gain._beta_ls, limit._limit_quotients), unchecked; and row is the
+scalar kernels at one point. _check_block is the one place a block is checked:
+the row at the block's extremes vouches for every point, as each value is
+monotone in the swept point, and a block it rejects is walked with the row,
+which raises the scalar message at the first offending point.
 
 A sweep is checked, then rendered, SWEEP_BLOCK grid points at a time. The check
 pass builds each block's points (SweepSpec.points) and checks them before any
@@ -37,23 +38,24 @@ import threading
 from collections.abc import Iterator
 
 from . import model
+from .constants import DEFAULT_WAVELENGTH
 
 SWEEP_BLOCK = 4096  # grid points per block: a sweep of up to 4096 points never forks
 
 # the reference-figure presets: each figure's grid (start, stop, count[, log]), of which cli
-# builds the SweepSpec that figure() takes, and for a Gamma figure its process, the tag of its
-# susceptibility and each column's (chi_eff, label), over a degenerate 1 um pair at unit indices
+# builds the SweepSpec that csv() takes with figure(), and for a Gamma figure its process, the
+# tag of its susceptibility and each column's (chi_eff, label), over a degenerate pair at
+# DEFAULT_WAVELENGTH and unit indices
 FIGURE_GRIDS = {"2": (0.0, 6.0, 121), "3": (1e-3, 1.0, 61, True), "4": (1e-3, 1e3, 121, True)}
 _FIGURE_MEDIA = {
     "3": (model.Process.SPDC, "chi2", [(1e-12, "1pm_V"), (1e-11, "10pm_V"), (1e-10, "100pm_V")]),
     "4": (model.Process.FWM, "chi3",
           [(1e-22, "1e-22m2_V2"), (1e-20, "1e-20m2_V2"), (1e-18, "1e-18m2_V2")]),
 }
-_FIGURE_WAVELENGTH = 1e-6  # m
 
 
 # --------------------------------------------------------------------------
-# model sweeps: (columns, row) of each swept quantity, and the block check
+# the block check, and the model sweep, (header, columns, row), of each swept quantity
 # --------------------------------------------------------------------------
 
 def _check_block(points: list[float], row) -> None:
@@ -76,9 +78,9 @@ def _check_block(points: list[float], row) -> None:
         row(point)
 
 
-def _flux_sweep(delta_nu: float | None):
-    """(columns, row) of a beta*L sweep: pairs_per_bandwidth and, given delta_nu,
-    pair_flux_reduced; columns evaluates a block of beta*L unchecked, row one beta*L."""
+def beta_l(delta_nu: float | None):
+    """The model sweep of `sweep --variable beta_l` and figure 2: pairs_per_bandwidth and,
+    given delta_nu, pair_flux_reduced."""
     per_hz = [0.125] if delta_nu is None else [0.125, 0.125 * delta_nu]
 
     def columns(beta_ls: list[float]) -> list[list[float]]:
@@ -89,17 +91,18 @@ def _flux_sweep(delta_nu: float | None):
         pairs = model.pairs_per_bandwidth(beta_l)
         return [pairs] if delta_nu is None else [pairs, model.pair_flux_reduced(beta_l, delta_nu)]
 
-    return columns, row
+    return ["beta_l", "pairs_per_bandwidth", "pairs_per_s"][:len(per_hz) + 1], columns, row
 
 
-def _pump_sweep(medium: model.Medium, triplet: model.WaveTriplet, length: float,
-                delta_nu: float | None):
-    """(columns, row) of a pump-intensity sweep at a checked length: beta*L, then the
-    _flux_sweep columns; the row is _gain_product and the flux kernels, as classify and flux run."""
+def pump_intensity(medium: model.Medium, triplet: model.WaveTriplet, length: float,
+                   delta_nu: float | None):
+    """The model sweep of `sweep --variable pump_intensity` over length: beta*L, then the
+    beta_l columns; the row is _gain_product, which checks length, and the flux kernels, as
+    classify and flux run."""
     from .gain import _beta_ls, _gain_factors, _gain_product
 
     chi, root = _gain_factors(medium, triplet)
-    flux_columns, flux_row = _flux_sweep(delta_nu)
+    flux_header, flux_columns, flux_row = beta_l(delta_nu)
 
     def columns(intensities: list[float]) -> list[list[float]]:
         fields = model._pump_fields(intensities, medium.n_p)
@@ -110,52 +113,29 @@ def _pump_sweep(medium: model.Medium, triplet: model.WaveTriplet, length: float,
         beta_l = _gain_product(medium, triplet, model.PumpDrive(intensity=intensity), length)
         return [beta_l, *flux_row(beta_l)]
 
-    return columns, row
+    return ["pump_intensity_W_per_m2", *flux_header], columns, row
 
 
-def _gamma_sweep(media: list[model.Medium], lambda_s: float, lambda_i: float):
-    """(columns, row) of a length sweep: effective_limit_intensity, one column per medium."""
+def length(media: list[model.Medium], lambda_s: float, lambda_i: float,
+           labels=("gamma_W_per_m2",)):
+    """The model sweep of `sweep --variable length` and figures 3-4: Gamma, the
+    effective_limit_intensity, of each medium of media, in the column of its label."""
     from .limit import _limit_factors, _limit_intensity, _limit_quotients
 
     factors = [_limit_factors(medium, lambda_s, lambda_i, gamma=True) for medium in media]
-    return (lambda lengths: [_limit_quotients(lengths, *f) for f in factors],
-            lambda length: [_limit_intensity(length, *f, gamma=True) for f in factors])
+    return (["length_m", *labels],
+            lambda lengths: [_limit_quotients(lengths, *f) for f in factors],
+            lambda point: [_limit_intensity(point, *f, gamma=True) for f in factors])
 
 
-# --------------------------------------------------------------------------
-# the sweeps of `pairgate sweep`, each over a SweepSpec that cli built and checked
-# --------------------------------------------------------------------------
-
-def _flux_header(columns: list[str], delta_nu: float | None) -> list[str]:
-    return (columns + ["beta_l", "pairs_per_bandwidth"]
-            + (["pairs_per_s"] if delta_nu is not None else []))
-
-
-def beta_l(spec, delta_nu: float | None) -> Iterator[str]:
-    """`sweep --variable beta_l`: the pairs per bandwidth and, given delta_nu, the pair flux."""
-    return _sweep(_flux_header([], delta_nu), spec, _flux_sweep(delta_nu))
-
-
-def length(spec, medium: model.Medium, lambda_s: float, lambda_i: float) -> Iterator[str]:
-    """`sweep --variable length`: Gamma, the effective limit intensity, of medium."""
-    return _sweep(["length_m", "gamma_W_per_m2"], spec, _gamma_sweep([medium], lambda_s, lambda_i))
-
-
-def pump_intensity(spec, medium: model.Medium, triplet: model.WaveTriplet, length: float,
-                   delta_nu: float | None) -> Iterator[str]:
-    """`sweep --variable pump_intensity` at a checked length: beta*L, then the beta_l columns."""
-    return _sweep(_flux_header(["pump_intensity_W_per_m2"], delta_nu), spec,
-                  _pump_sweep(medium, triplet, length, delta_nu))
-
-
-def figure(number: str, spec) -> Iterator[str]:
-    """`sweep --figure number` over spec, the SweepSpec of FIGURE_GRIDS[number]."""
+def figure(number: str):
+    """The model sweep of `sweep --figure number`, over the grid FIGURE_GRIDS[number]."""
     if number == "2":
-        return beta_l(spec, None)
+        return beta_l(None)
     process, tag, chis = _FIGURE_MEDIA[number]
-    media = [model.Medium(process=process, chi_eff=chi) for chi, _ in chis]
-    header = ["length_m"] + [f"gamma_W_per_m2_{tag}_{label}" for _, label in chis]
-    return _sweep(header, spec, _gamma_sweep(media, _FIGURE_WAVELENGTH, _FIGURE_WAVELENGTH))
+    return length([model.Medium(process=process, chi_eff=chi) for chi, _ in chis],
+                  DEFAULT_WAVELENGTH, DEFAULT_WAVELENGTH,
+                  [f"gamma_W_per_m2_{tag}_{label}" for _, label in chis])
 
 
 # --------------------------------------------------------------------------
@@ -213,11 +193,11 @@ def _receive(pipe) -> str | None:
     return None
 
 
-def _sweep(header: list[str], spec, sweep) -> Iterator[str]:
-    """The CSV text of a sweep as chunks, given its SweepSpec and the (columns, row) of a model
-    sweep: every block of spec's grid is checked here, before the returned generator starts.
+def csv(spec, model_sweep) -> Iterator[str]:
+    """The CSV text of a model sweep, its (header, columns, row), over spec, its SweepSpec, as
+    chunks: every block of spec's grid is checked here, before the returned generator starts.
     It yields the header line, then the rows of each block in grid order."""
-    columns, row = sweep
+    header, columns, row = model_sweep
 
     def block(i: int) -> list[float]:
         return spec.points(i * SWEEP_BLOCK, (i + 1) * SWEEP_BLOCK)

@@ -23,13 +23,14 @@ __all__ = [
     "parse_field",
     "parse_chi2",
     "parse_chi3",
+    "parse_float",
     "format_sig",
     "format_intensity",
 ]
 
 
 class UnitParseError(ValueError, argparse.ArgumentTypeError):
-    """Not a finite <number><unit>; an ArgumentTypeError, so argparse shows this text."""
+    """Not a float-range <number>[<unit>]; an ArgumentTypeError, so argparse shows this text."""
 
 
 LENGTH_UNITS = {
@@ -110,11 +111,27 @@ def split_quantity(text: str, table: dict, dimension: str) -> tuple[float, str]:
     return float(match.group(1)), unit
 
 
+# a number with a nonzero digit before any exponent: one that reads 0.0 has underflowed
+_NONZERO_RE = re.compile(r"\s*[+-]?[0._]*[1-9]")
+
+
 def _parse(text: str, table: dict[str, float], dimension: str) -> float:
     value, unit = split_quantity(text, table, dimension)
     value *= table[unit]
-    if not math.isfinite(value):
+    if not math.isfinite(value) or (value == 0.0 and _NONZERO_RE.match(text)):
         raise UnitParseError(f"{dimension} {text!r} is out of the floating-point range")
+    return value
+
+
+def parse_float(text: str) -> float:
+    """'2.5' -> 2.5: a bare number as float() reads it, inf and nan too (the model rejects
+    them), but not a nonzero number that rounds to 0.0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise UnitParseError(f"invalid float value: {text!r}") from None
+    if value == 0.0 and _NONZERO_RE.match(text):
+        raise UnitParseError(f"number {text!r} is out of the floating-point range")
     return value
 
 

@@ -34,11 +34,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(f"{nodeid.split('::')[-1]}: {verdict}")
 
 
-def sweep_rows(pair, points):
-    """The rows of a model sweep, its (columns, row) pair, over points in sweep.SWEEP_BLOCK
+def sweep_rows(model_sweep, points):
+    """The rows of a model sweep, its (header, columns, row), over points in sweep.SWEEP_BLOCK
     blocks: sweep._check_block passes every block before columns computes any, as in
-    sweep._sweep. Else the message of the ValueError that the check raises."""
-    columns, row = pair
+    sweep.csv. Else the message of the ValueError that the check raises."""
+    _, columns, row = model_sweep
     blocks = [points[i:i + sweep.SWEEP_BLOCK] for i in range(0, len(points), sweep.SWEEP_BLOCK)]
     try:
         for block in blocks:
@@ -49,16 +49,16 @@ def sweep_rows(pair, points):
 
 
 def model_sweep(variable, media=None, lambdas=None, length=None, delta_nu=None):
-    """The (columns, row) of the model sweep that `sweep --variable variable` runs: of beta*L,
-    of length with a Gamma column per medium of media, or of pump intensity in the one medium
-    of media over length. lambdas are the signal and idler wavelengths."""
+    """The (header, columns, row) of the model sweep that `sweep --variable variable` runs: of
+    beta*L, of length with a Gamma column per medium of media, or of pump intensity in the one
+    medium of media over length. lambdas are the signal and idler wavelengths."""
     if variable == "beta_l":
-        return sweep._flux_sweep(delta_nu)
+        return sweep.beta_l(delta_nu)
     if variable == "length":
-        return sweep._gamma_sweep(media, *lambdas)
+        return sweep.length(media, *lambdas)
     [medium] = media
     triplet = triplet_from_wavelengths(*lambdas, medium.process)
-    return sweep._pump_sweep(medium, triplet, length, delta_nu)
+    return sweep.pump_intensity(medium, triplet, length, delta_nu)
 
 
 def scalar_walk(variable, points, media=None, lambdas=None, length=None, delta_nu=None):

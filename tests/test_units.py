@@ -10,6 +10,7 @@ from pairgate.units import (
     parse_chi2,
     parse_chi3,
     parse_field,
+    parse_float,
     parse_frequency,
     parse_intensity,
     parse_length,
@@ -64,6 +65,33 @@ def test_parse_frequency_and_area_and_field():
 def test_parse_rejects_garbage(text):
     with pytest.raises(UnitParseError):
         parse_length(text)
+
+
+@pytest.mark.parametrize("parse,text", [
+    (parse_length, "1e-400m"), (parse_chi2, "1e-320pm/V"), (parse_intensity, "0.001e-323W/m2"),
+    (parse_float, "1e-400"), (parse_float, "-0.5e-400"),
+])
+def test_a_nonzero_number_that_underflows_is_out_of_range(parse, text):
+    """A nonzero number that rounds to 0.0 is rejected as an overflow is, not taken as an
+    exact zero."""
+    with pytest.raises(UnitParseError, match=f"'{text}' is out of the floating-point range"):
+        parse(text)
+
+
+@pytest.mark.parametrize("parse,text", [
+    (parse_float, "0"), (parse_float, "0e-999"), (parse_float, "-0.0"),
+    (parse_intensity, "0W/m2"), (parse_length, "0.00e-400m"),
+])
+def test_an_exact_zero_parses_to_zero(parse, text):
+    value = parse(text)
+    assert value == 0.0 and str(value) == ("-0.0" if text.startswith("-") else "0.0")
+
+
+def test_parse_float_reads_what_float_reads():
+    assert parse_float("2.5") == 2.5 and parse_float(" 1e-300 ") == 1e-300
+    assert parse_float("inf") == float("inf")  # the model rejects it, naming the quantity
+    with pytest.raises(UnitParseError, match="^invalid float value: 'abc'$"):
+        parse_float("abc")
 
 
 def test_parse_error_names_dimension_and_units():
