@@ -14,7 +14,9 @@ Format, one block per material:
 Keys: process (spdc|fwm), chi_eff (number + unit, pm/V or m/V for spdc,
 m2/V2 for fwm), optional indices n_p/n_s/n_i (default 1.0) and an optional
 free-text note. The declared chi unit must match the process order. Every
-value except the note may carry a trailing '# comment'.
+value except the note may carry a trailing '# comment'. chi_eff is read by
+units._quantity, the reader of the unit flags, with the same range rule.
+A file is UTF-8, with or without a byte-order mark.
 
 Each entry becomes a MaterialRecord (name, medium, note), checked once
 while it is built. The four built-in presets are such records written out
@@ -32,7 +34,7 @@ from pathlib import Path
 
 from .constants import MATERIALS_ENV_VAR
 from .model import Medium, Process, _named_tuple
-from .units import CHI2_UNITS, CHI3_UNITS, UnitParseError, split_quantity
+from .units import CHI2_UNITS, CHI3_UNITS, UnitParseError, _quantity
 
 __all__ = [
     "MaterialRecord",
@@ -45,12 +47,7 @@ __all__ = [
     "MATERIALS_ENV_VAR",
 ]
 
-# chi unit -> (process whose order it fits, scale to SI)
-_CHI_UNITS = {
-    unit: (process, scale)
-    for process, table in ((Process.SPDC, CHI2_UNITS), (Process.FWM, CHI3_UNITS))
-    for unit, scale in table.items()
-}
+_CHI_UNITS = {**CHI2_UNITS, **CHI3_UNITS}
 
 _PROCESS_NAMES = {p.value: p for p in Process}
 
@@ -104,7 +101,7 @@ def _build_record(
 
     chi_text, chi_line = fields["chi_eff"]
     try:
-        chi_value, chi_unit = split_quantity(chi_text, _CHI_UNITS, "chi")
+        chi_eff, chi_unit = _quantity(chi_text, _CHI_UNITS, "chi")
     except UnitParseError as exc:
         raise MaterialParseError(str(exc), origin, chi_line) from exc
 
@@ -119,12 +116,11 @@ def _build_record(
 
     if not name:
         raise MaterialParseError("material name must be nonempty", origin, header_line)
-    unit_process, scale = _CHI_UNITS[chi_unit]
-    if unit_process is not process:
+    if (chi_unit in CHI2_UNITS) is not (process is Process.SPDC):
         raise MaterialParseError(f"chi_eff unit {chi_unit!r} does not match process "
                                  f"{process.value!r}", origin, chi_line)
     try:
-        medium = Medium(process=process, chi_eff=chi_value * scale, **indices)
+        medium = Medium(process=process, chi_eff=chi_eff, **indices)
     except ValueError as exc:
         # Medium's messages start with the offending key
         key = str(exc).partition(" ")[0]
@@ -195,7 +191,11 @@ def resolve_catalog(explicit_path: str | Path | None = None) -> list[MaterialRec
     if explicit_path is None and not os.environ.get(MATERIALS_ENV_VAR):
         return builtin_presets()
     path = Path(os.environ[MATERIALS_ENV_VAR] if explicit_path is None else explicit_path)
-    return load_catalog(path.read_text(encoding="utf-8"), origin=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return load_catalog(text.removeprefix("\ufeff"), origin=str(path))
 
 
 def lookup(catalog: list[MaterialRecord], name: str) -> MaterialRecord:

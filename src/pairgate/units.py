@@ -6,6 +6,10 @@ Decimal point is always '.', never locale-dependent. Unit tokens are
 case-sensitive; '^' and the micro sign are normalized away, so um2, µm²-less
 spellings like um^2 and m^2/V^2 all work.
 
+One reader, _quantity, turns each <number><unit> of a flag or a catalog into
+SI. It rejects a product that is not finite or that reads 0.0 from a nonzero
+mantissa (the number before its exponent), as parse_float does a bare number.
+
 The library core is strict SI; everything here converts to or from it.
 """
 
@@ -15,7 +19,6 @@ import re
 
 __all__ = [
     "UnitParseError",
-    "split_quantity",
     "parse_length",
     "parse_area",
     "parse_intensity",
@@ -91,36 +94,32 @@ _QUANTITY_RE = re.compile(
 )
 
 
-def _normalize_unit(token: str) -> str:
-    return token.replace("^", "").replace("µ", "u").replace("μ", "u")
+def _underflows(value: float, number: str) -> bool:
+    """A number float() read as `value` underflowed: it reads 0.0 from a nonzero mantissa."""
+    return value == 0.0 and float(number.lower().partition("e")[0]) != 0.0
 
 
-def split_quantity(text: str, table: dict, dimension: str) -> tuple[float, str]:
-    """'2.5 pm/V' -> (2.5, 'pm/V'): the number as written and the normalized unit."""
+def _quantity(text: str, table: dict[str, float], dimension: str) -> tuple[float, str]:
+    """'2.5 pm/V' -> (2.5e-12, 'pm/V'): the SI value, in the float range, and the unit."""
     match = _QUANTITY_RE.match(text)
     if match is None:
         raise UnitParseError(
             f"cannot parse {dimension} {text!r}: expected <number><unit>, e.g. 1{next(iter(table))}"
         )
-    unit = _normalize_unit(match.group(2))
+    unit = match.group(2).replace("^", "").replace("µ", "u").replace("μ", "u")
     if unit not in table:
         allowed = ", ".join(sorted(table))
         raise UnitParseError(
             f"unknown {dimension} unit {match.group(2)!r}; allowed: {allowed}"
         )
-    return float(match.group(1)), unit
-
-
-# a number with a nonzero digit before any exponent: one that reads 0.0 has underflowed
-_NONZERO_RE = re.compile(r"\s*[+-]?[0._]*[1-9]")
+    value = float(match.group(1)) * table[unit]
+    if not math.isfinite(value) or _underflows(value, match.group(1)):
+        raise UnitParseError(f"{dimension} {text!r} is out of the floating-point range")
+    return value, unit
 
 
 def _parse(text: str, table: dict[str, float], dimension: str) -> float:
-    value, unit = split_quantity(text, table, dimension)
-    value *= table[unit]
-    if not math.isfinite(value) or (value == 0.0 and _NONZERO_RE.match(text)):
-        raise UnitParseError(f"{dimension} {text!r} is out of the floating-point range")
-    return value
+    return _quantity(text, table, dimension)[0]
 
 
 def parse_float(text: str) -> float:
@@ -130,7 +129,7 @@ def parse_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise UnitParseError(f"invalid float value: {text!r}") from None
-    if value == 0.0 and _NONZERO_RE.match(text):
+    if _underflows(value, text):
         raise UnitParseError(f"number {text!r} is out of the floating-point range")
     return value
 

@@ -106,8 +106,10 @@ def test_malformed_lines_rejected():
         load_catalog("[x]\nprocess = spdc\nchi_eff = 1 furlong\n")
     with pytest.raises(MaterialParseError, match=r":4: n_p .*finite"):
         load_catalog("[x]\nprocess = spdc\nchi_eff = 1 pm/V\nn_p = nan\n")
-    with pytest.raises(MaterialParseError, match=r":3: chi_eff .*finite"):
-        load_catalog("[x]\nprocess = spdc\nchi_eff = 1e400 pm/V\n")
+    for process, chi in (("spdc", "1e400 pm/V"), ("spdc", "1e-400 pm/V"), ("fwm", "1e-330 m2/V2")):
+        with pytest.raises(MaterialParseError) as exc:  # the message of a flag out of range
+            load_catalog(f"[x]\nprocess = {process}\nchi_eff = {chi}\n")
+        assert str(exc.value) == f"<string>:3: chi {chi!r} is out of the floating-point range"
     with pytest.raises(MaterialParseError, match=r":1: .*nonempty"):
         load_catalog("[]\nprocess = spdc\nchi_eff = 1 pm/V\n")
     with pytest.raises(MaterialParseError) as exc:
@@ -116,6 +118,11 @@ def test_malformed_lines_rejected():
     with pytest.raises(MaterialParseError) as exc:
         load_catalog("[x]\nprocess = spdc\nchi_eff = 1 pm/V\nn_p = abc\n")
     assert str(exc.value) == "<string>:4: n_p must be a number, got 'abc'"
+
+
+def test_a_subnormal_chi_eff_loads():
+    (record,) = load_catalog("[x]\nprocess = spdc\nchi_eff = 1e-300 pm/V\n")
+    assert record.medium.chi_eff == 1e-300 * 1e-12 > 0.0
 
 
 def test_readme_catalog_example_parses_as_written():
@@ -177,3 +184,17 @@ def test_resolve_catalog_reports_path(tmp_path):
         resolve_catalog(bad)
     assert str(bad) in str(err.value)
     assert ":3:" in str(err.value)
+
+
+def test_a_leading_byte_order_mark_is_dropped(tmp_path):
+    path = tmp_path / "bom.txt"
+    path.write_bytes("\ufeff# my catalog\n[a]\nprocess = spdc\nchi_eff = 1 pm/V\n".encode())
+    assert resolve_catalog(path) == [MaterialRecord("a", Medium(Process.SPDC, 1e-12), "")]
+
+
+def test_an_undecodable_catalog_names_its_path(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"\xff[a]\n")
+    with pytest.raises(ValueError) as exc:
+        resolve_catalog(path)
+    assert str(exc.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xff")

@@ -70,6 +70,7 @@ def test_parse_rejects_garbage(text):
 @pytest.mark.parametrize("parse,text", [
     (parse_length, "1e-400m"), (parse_chi2, "1e-320pm/V"), (parse_intensity, "0.001e-323W/m2"),
     (parse_float, "1e-400"), (parse_float, "-0.5e-400"),
+    (parse_length, "\u0661e-400m"), (parse_float, "\u0661e-400"),  # an Arabic-Indic one
 ])
 def test_a_nonzero_number_that_underflows_is_out_of_range(parse, text):
     """A nonzero number that rounds to 0.0 is rejected as an overflow is, not taken as an
@@ -81,6 +82,7 @@ def test_a_nonzero_number_that_underflows_is_out_of_range(parse, text):
 @pytest.mark.parametrize("parse,text", [
     (parse_float, "0"), (parse_float, "0e-999"), (parse_float, "-0.0"),
     (parse_intensity, "0W/m2"), (parse_length, "0.00e-400m"),
+    (parse_float, "\u0660e-999"),  # an Arabic-Indic zero
 ])
 def test_an_exact_zero_parses_to_zero(parse, text):
     value = parse(text)
