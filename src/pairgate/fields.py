@@ -18,9 +18,8 @@ from .model import (
     WaveTriplet,
     _check,
     _check_beta_l,
-    _FLOAT_MAX,
-    _FLOAT_MIN,
     _growth,
+    _normal,
     _out_of_float_range,
 )
 
@@ -45,7 +44,7 @@ def _vacuum_field(omega: float, n: float, section: float, delta_omega: float) ->
     energy = photon * delta_omega
     denom = 4.0 * math.pi * k.c * k.eps0 * n * section
     quotient = energy / denom if denom else math.inf
-    if not (_FLOAT_MIN <= min(photon, energy, denom, quotient) and quotient <= _FLOAT_MAX):
+    if not _normal(photon, energy, denom, quotient):
         raise _out_of_float_range("vacuum field", omega=omega, n=n, section=section,
                                   delta_omega=delta_omega)
     return math.sqrt(quotient)
@@ -60,7 +59,7 @@ def generated_field(beta_l: float, triplet: WaveTriplet, medium: Medium, geometr
     vac = _vacuum_field(triplet.omega(arm), medium.n(arm), geometry.section,
                         bandwidth.delta_omega)
     generated = vac * _growth(beta_l)
-    if beta_l and not _FLOAT_MIN <= generated <= _FLOAT_MAX:
+    if beta_l and not _normal(generated):
         raise _out_of_float_range("generated field", beta_l=beta_l, vacuum_field=vac)
     return generated
 
@@ -100,6 +99,6 @@ def pair_flux_general(beta_l: float, vac_s: float, vac_i: float, triplet: WaveTr
     # the partial products of the idler weight, the bracket and the photon flux; a seed
     # term is one rounding (tanh(bL/2) is subnormal only below ~2 ulp of its term)
     partials = (*cross, weight_squared) if vac_i else ()
-    if not (_FLOAT_MIN <= min(*partials, seeds, bracket, *photon) and photon[-1] <= _FLOAT_MAX):
+    if not _normal(*partials, seeds, bracket, *photon):
         raise _out_of_float_range("pair flux", beta_l=beta_l, vac_s=vac_s, vac_i=vac_i)
     return photon[-1]

@@ -23,8 +23,7 @@ from .model import (
     WaveTriplet,
     _check,
     _check_beta_l,
-    _FLOAT_MAX,
-    _FLOAT_MIN,
+    _normal,
     _out_of_float_range,
 )
 
@@ -38,7 +37,7 @@ def coupling_factor(omega: float, n: float) -> float:
     _check("omega", omega)
     _check("refractive index", n, 1.0, inclusive=True)
     factor = omega / (2.0 * n * CODATA2018.c)
-    if not _FLOAT_MIN <= factor:  # never above _FLOAT_MAX (2*n*c >= 2c); 0.0 if 2*n*c overflows
+    if not _normal(factor):
         raise _out_of_float_range("coupling factor", omega=omega, n=n)
     return factor
 
@@ -62,7 +61,7 @@ def _chi(medium: Medium) -> float:
 def _gain_factors(medium: Medium, triplet: WaveTriplet) -> tuple[float, float]:
     """The pump-independent factors of the gain, (_chi(medium), sqrt(ks*ki))."""
     ks, ki = _couplings(medium, triplet)
-    if not (_FLOAT_MIN <= min(ks, ki, ks * ki) and ks * ki <= _FLOAT_MAX):
+    if not _normal(ks, ki, ks * ki):
         raise _out_of_float_range("gain", omega_s=triplet.omega_s, omega_i=triplet.omega_i,
                                   n_s=medium.n_s, n_i=medium.n_i)
     return _chi(medium), math.sqrt(ks * ki)
@@ -98,7 +97,7 @@ def gain_coefficient(medium: Medium, triplet: WaveTriplet, pump: PumpDrive) -> f
     # the chain's partial products: chi (chi3/2 for FWM), the drive coupling (chi*E_p is at
     # least the smaller of the two) and beta; pump.field checks E_p^2
     partials = (chi, _drive_coupling(chi, field, medium.process), beta)
-    if any(pump) and not (_FLOAT_MIN <= min(partials) and beta <= _FLOAT_MAX):  # a nonzero pump
+    if any(pump) and not _normal(*partials):  # a nonzero pump
         raise _out_of_float_range("gain", chi_eff=medium.chi_eff, pump_field=field)
     return beta
 
@@ -109,7 +108,7 @@ def _gain_product(medium: Medium, triplet: WaveTriplet, pump: PumpDrive, length:
     _check("length", length)
     beta = gain_coefficient(medium, triplet, pump)
     beta_l = beta * length
-    if beta and not _FLOAT_MIN <= beta_l <= _FLOAT_MAX:
+    if beta and not _normal(beta_l):
         raise _out_of_float_range("beta_l", beta=beta, length=length)
     return beta_l
 
@@ -124,7 +123,7 @@ def pump_for_gain(medium: Medium, triplet: WaveTriplet, geometry: Geometry,
     drive = beta_l / span if span else (math.inf if beta_l else 0.0)  # 0 span: raised if beta_l
     spdc = medium.process is Process.SPDC
     field = (drive if spdc else 2.0 * drive) / medium.chi_eff  # E_p^2 for FWM
-    if beta_l and not (_FLOAT_MIN <= min(span, drive, field) and field <= _FLOAT_MAX):
+    if beta_l and not _normal(span, drive, field):
         raise _out_of_float_range("pump field", beta_l=beta_l, length=geometry.length,
                                   chi_eff=medium.chi_eff)
     return PumpDrive.from_field(field if spdc else math.sqrt(field))

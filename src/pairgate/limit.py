@@ -18,8 +18,7 @@ from .model import (
     Medium,
     Process,
     _check,
-    _FLOAT_MAX,
-    _FLOAT_MIN,
+    _normal,
     _out_of_float_range,
 )
 
@@ -69,8 +68,7 @@ def _limit_factors(medium: Medium, lambda_s: float, lambda_i: float, gamma: bool
     product = scaled * lambda_i
     k = CODATA2018
     numer = product if spdc else n_p * math.sqrt(product) * math.sqrt(k.eps0 / k.mu0)
-    if not (_FLOAT_MIN <= min(product, scaled if indices != 1.0 else product)
-            and max(product, numer) <= _FLOAT_MAX):
+    if not _normal(product, numer, scaled if indices != 1.0 else product):
         read = {} if gamma else {"n_p": n_p, "n_s": n_s, "n_i": n_i}
         raise _out_of_float_range(_LIMIT_NAMES[gamma], lambda_s=lambda_s, lambda_i=lambda_i,
                                   **read)
@@ -90,7 +88,7 @@ def _limit_intensity(length: float, numer: float, chi: float, process: Process,
         i_lim = 0.0
     span = length * chi if process is Process.SPDC else math.pi * length
     partial = span * span if process is Process.SPDC else span * chi
-    if not (_FLOAT_MIN <= min(span, partial, i_lim) and i_lim <= _FLOAT_MAX):
+    if not _normal(span, partial, i_lim):
         raise _out_of_float_range(_LIMIT_NAMES[gamma], length=length, chi_eff=chi)
     return i_lim
 

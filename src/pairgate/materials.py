@@ -15,7 +15,8 @@ Keys: process (spdc|fwm), chi_eff (number + unit, pm/V or m/V for spdc,
 m2/V2 for fwm), optional indices n_p/n_s/n_i (default 1.0) and an optional
 free-text note. The declared chi unit must match the process order. Every
 value except the note may carry a trailing '# comment'. chi_eff is read by
-units._quantity, the reader of the unit flags, with the same range rule.
+units._quantity, the reader of the unit flags, and each index by
+units.parse_float, the reader of the index flags, with the same range rule.
 A file is UTF-8, with or without a byte-order mark.
 
 Each entry becomes a MaterialRecord (name, medium, note), checked once
@@ -34,7 +35,7 @@ from pathlib import Path
 
 from .constants import MATERIALS_ENV_VAR
 from .model import Medium, Process, _named_tuple
-from .units import CHI2_UNITS, CHI3_UNITS, UnitParseError, _quantity
+from .units import CHI2_UNITS, CHI3_UNITS, UnitParseError, _quantity, parse_float
 
 __all__ = [
     "MaterialRecord",
@@ -110,9 +111,9 @@ def _build_record(
         if key in fields:
             text, line = fields[key]
             try:
-                indices[key] = float(text)
-            except ValueError:
-                raise MaterialParseError(f"{key} must be a number, got {text!r}", origin, line)
+                indices[key] = parse_float(text)
+            except UnitParseError as exc:
+                raise MaterialParseError(f"{key}: {exc}", origin, line) from exc
 
     if not name:
         raise MaterialParseError("material name must be nonempty", origin, header_line)

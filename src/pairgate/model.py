@@ -30,12 +30,12 @@ oracle's gain._drive_coupling stays scalar, and a test pins _beta_ls to it.
 pairgate.sweep builds each sweep from these factors and column bodies, and
 checks it with the scalar kernels.
 
-One range rule holds for every derived value: it is a normal float,
-_FLOAT_MIN <= x <= _FLOAT_MAX, and so is each partial product it is computed
-through, or it is an exact 0 where the input driving it is 0 (beta*L = 0, a
-zero pump). Anything else (a zero, subnormal, infinite or NaN result of
-nonzero inputs) raises _out_of_float_range's "<what> out of the float range:
-k=v, ..." instead of printing 0.0, a few-digit number or inf.
+One range rule, stated once by _normal, holds for every derived value: it is a
+normal float, _FLOAT_MIN <= x <= _FLOAT_MAX, and so is each partial product it
+is computed through, or it is an exact 0 where the input driving it is 0
+(beta*L = 0, a zero pump). Anything else (a zero, subnormal, infinite or NaN
+result of nonzero inputs) raises _out_of_float_range's "<what> out of the
+float range: k=v, ..." instead of printing 0.0, a few-digit number or inf.
 tests/test_float_range.py holds each public callable and method to the rule.
 """
 
@@ -84,8 +84,17 @@ _FLOAT_MIN, _FLOAT_MAX = sys.float_info.min, sys.float_info.max  # the normal fl
 _AT_LIMIT_BAND = 0.01  # classify_regime's relative at-limit band, also `classify --band`'s
 
 
+def _normal(*values: float) -> bool:
+    """The range rule: every value is a normal float, _FLOAT_MIN <= x <= _FLOAT_MAX, so a
+    NaN at any position fails it."""
+    for value in values:
+        if not _FLOAT_MIN <= value <= _FLOAT_MAX:
+            return False
+    return True
+
+
 def _out_of_float_range(what: str, **inputs) -> ValueError:
-    """The range rule's error, built only where an inline `_FLOAT_MIN <= x <= _FLOAT_MAX` fails."""
+    """The range rule's error, built only where _normal fails."""
     return ValueError(f"{what} out of the float range: "
                       + ", ".join(f"{name}={value!r}" for name, value in inputs.items()))
 
@@ -181,7 +190,7 @@ class WaveTriplet(_named_tuple("WaveTriplet", "omega_s omega_i process")):
         _check_member("process", self.process, Process)
         for name in ("omega_s", "omega_i"):
             _check(name, getattr(self, name))
-        if not _FLOAT_MIN <= self.omega_p <= _FLOAT_MAX:
+        if not _normal(self.omega_p):
             raise _out_of_float_range("omega_p", omega_s=self.omega_s, omega_i=self.omega_i)
 
     @property
@@ -199,8 +208,8 @@ def triplet_from_wavelengths(lambda_s: float, lambda_i: float, process: Process)
     _check("lambda_s", lambda_s)
     _check("lambda_i", lambda_i)
     two_pi_c = 2.0 * math.pi * CODATA2018.c
-    omegas = two_pi_c / lambda_s, two_pi_c / lambda_i  # never below 2*pi*c/_FLOAT_MAX ~ 1e-299
-    if max(omegas) == math.inf:
+    omegas = two_pi_c / lambda_s, two_pi_c / lambda_i
+    if not _normal(*omegas):
         raise _out_of_float_range("angular frequency", lambda_s=lambda_s, lambda_i=lambda_i)
     return WaveTriplet(*omegas, process)
 
@@ -267,7 +276,7 @@ class PumpDrive(_named_tuple("PumpDrive", "intensity field_amplitude", (None, No
         if self.intensity is None:
             return self.field_amplitude
         field = _pump_fields((self.intensity,), n_p)[0]
-        if self.intensity and not _FLOAT_MIN <= field * field <= _FLOAT_MAX:
+        if self.intensity and not _normal(field * field):
             raise _out_of_float_range("pump field", intensity=self.intensity, n_p=n_p)
         return field
 
@@ -278,7 +287,7 @@ class PumpDrive(_named_tuple("PumpDrive", "intensity field_amplitude", (None, No
         e_p, k = self.field_amplitude, CODATA2018
         # a partial product off the float range takes the intensity off it too
         intensity = 0.5 * n_p * e_p * e_p / (k.c * k.mu0)
-        if e_p and not _FLOAT_MIN <= intensity <= _FLOAT_MAX:
+        if e_p and not _normal(intensity):
             raise _out_of_float_range("pump intensity", pump_field=e_p, n_p=n_p)
         return intensity
 
@@ -300,7 +309,7 @@ class Bandwidth(_named_tuple("Bandwidth", "delta_omega")):
 
     def __post_init__(self) -> None:
         _check("bandwidth delta_omega", self.delta_omega)
-        if not _FLOAT_MIN <= self.delta_nu:  # never above _FLOAT_MAX: 2*pi > 1
+        if not _normal(self.delta_nu):
             raise _out_of_float_range("bandwidth", delta_omega=self.delta_omega)
 
     @classmethod
@@ -343,7 +352,7 @@ def pair_flux_reduced(beta_l: float, delta_nu: float) -> float:
     _check("delta_nu", delta_nu)
     per_hz = 0.125 * delta_nu  # the one partial product that the result does not bound
     pairs = _pair_fluxes((growth,), per_hz)[0]
-    if beta_l and not (_FLOAT_MIN <= min(per_hz, pairs) and pairs <= _FLOAT_MAX):
+    if beta_l and not _normal(per_hz, pairs):
         raise _out_of_float_range("pair flux", beta_l=beta_l, delta_nu=delta_nu)
     return pairs
 
@@ -351,7 +360,7 @@ def pair_flux_reduced(beta_l: float, delta_nu: float) -> float:
 def pairs_per_bandwidth(beta_l: float) -> float:
     """Dimensionless pair flux per frequency unit, (1/8)*(exp(beta_l)-1)^2."""
     pairs = _pair_fluxes((_growth(beta_l),), 0.125)[0]
-    if beta_l and not _FLOAT_MIN <= pairs <= _FLOAT_MAX:
+    if beta_l and not _normal(pairs):
         raise _out_of_float_range("pairs per bandwidth", beta_l=beta_l)
     return pairs
 
@@ -372,7 +381,7 @@ def flux_asymptote(beta_l: float, branch: AsymptoteBranch) -> float:
     _check_member("branch", branch, AsymptoteBranch)
     small = branch is AsymptoteBranch.SMALL
     value = 0.125 * beta_l * beta_l if small else 0.125 * math.exp(2.0 * beta_l)
-    if beta_l and not _FLOAT_MIN <= value <= _FLOAT_MAX:
+    if beta_l and not _normal(value):
         raise _out_of_float_range("flux asymptote", beta_l=beta_l)
     return value
 
@@ -391,7 +400,7 @@ def limit_criteria() -> LimitCriteria:
 def field_ratio(beta_l: float) -> float:
     """Generated-field to vacuum-field amplitude ratio, exp(beta_l) - 1."""
     growth = _growth(beta_l)
-    if beta_l and not _FLOAT_MIN <= growth:  # never above _FLOAT_MAX: beta_l <= BETA_L_MAX
+    if beta_l and not _normal(growth):
         raise _out_of_float_range("field ratio", beta_l=beta_l)
     return growth
 

@@ -32,9 +32,8 @@ from .model import (
     PumpDrive,
     WaveTriplet,
     _check,
-    _FLOAT_MAX,
-    _FLOAT_MIN,
     _named_tuple,
+    _normal,
     _out_of_float_range,
 )
 
@@ -140,7 +139,7 @@ def oracle_pair_flux(
     p, q, hs, _ = _propagator(medium, triplet, pump, geometry, config.steps)
     d_s = p * vac_s + q * (hs * vac_i)
     partials = _photon_partials(d_s, triplet.omega_s, medium.n_s, geometry.section)
-    if not (_FLOAT_MIN <= min(partials) and partials[-1] <= _FLOAT_MAX) and pump.field(medium.n_p):
+    if not _normal(*partials) and pump.field(medium.n_p):
         raise _out_of_float_range("oracle pair flux", pump_field=pump.field(medium.n_p),
                                   length=geometry.length, delta_omega=bandwidth.delta_omega)
     return partials[-1]

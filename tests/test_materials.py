@@ -117,7 +117,11 @@ def test_malformed_lines_rejected():
     assert str(exc.value) == "<string>:2: process must be one of ['fwm', 'spdc'], got 'shg'"
     with pytest.raises(MaterialParseError) as exc:
         load_catalog("[x]\nprocess = spdc\nchi_eff = 1 pm/V\nn_p = abc\n")
-    assert str(exc.value) == "<string>:4: n_p must be a number, got 'abc'"
+    assert str(exc.value) == "<string>:4: n_p: invalid float value: 'abc'"
+    with pytest.raises(MaterialParseError) as exc:  # the message of the --n-p flag
+        load_catalog("[x]\nprocess = spdc\nchi_eff = 1 pm/V\nn_p = 1e-400\n")
+    assert str(exc.value) == ("<string>:4: n_p: number '1e-400' is out of the "
+                              "floating-point range")
 
 
 def test_a_subnormal_chi_eff_loads():

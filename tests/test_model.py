@@ -68,6 +68,28 @@ C = CODATA2018.c
 
 
 # --------------------------------------------------------------------------
+# the range rule
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("values, normal", [
+    ((sys.float_info.min,), True),
+    ((sys.float_info.max,), True),
+    ((0.0,), False),
+    ((-0.0,), False),
+    ((5e-324,), False),
+    ((-1.0,), False),
+    ((math.inf,), False),
+    ((math.nan, 1.0, 1.0), False),
+    ((1.0, math.nan, 1.0), False),
+    ((1.0, 1.0, math.nan), False),
+])
+def test_normal_is_the_range_rule_with_inclusive_edges(values, normal):
+    """model._normal, the range rule's one statement: true on the normal floats, both edges
+    included, and false on a NaN at any position."""
+    assert model._normal(*values) is normal
+
+
+# --------------------------------------------------------------------------
 # coupling factor
 # --------------------------------------------------------------------------
 

@@ -55,6 +55,13 @@ def test_each_kernel_of_a_configuration_is_one_object_wherever_it_is_read(home, 
         assert getattr(pairgate, name) is getattr(model, name) is getattr(module, name), name
 
 
+def test_only_model_names_the_float_range_edges():
+    """The range rule is stated once, by model._normal: no other module reads its edges."""
+    naming = sorted(path.name for path in Path(pairgate.__file__).parent.glob("*.py")
+                    if re.search(r"_FLOAT_M(IN|AX)", path.read_text(encoding="utf-8")))
+    assert naming == ["model.py"]
+
+
 def test_readme_library_snippet_runs():
     text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     library = text.split("## Library", 1)[1]
