@@ -66,31 +66,25 @@ ORACLE_REFERENCE = {
 
 
 def _say(line: str) -> None:
-    """Writes a diagnostic line to stderr, or drops it where stderr is closed or refuses it."""
+    """Writes a diagnostic line to stderr, or drops it where stderr is closed or refuses it;
+    it touches no descriptor (run re-points a stderr that refuses its final flush)."""
     try:
         sys.stderr.write(line + "\n")  # stderr is line-buffered: this write flushes it
     except (AttributeError, OSError):  # sys.stderr is None where descriptor 2 was closed
-        os.dup2(os.open(os.devnull, os.O_WRONLY), 2)  # so the final flush cannot fail on it
+        pass
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one stderr line, '<prog>: <message>', exit 2 (a flag the chosen
-    subcommand does not accept under that subcommand's prog), and writes --help by _write, so
-    a refused help raises OSError. main builds only the parser of the subcommand it runs."""
+    """Reports a usage error as one stderr line, '<prog>: <message>', exit 2, and writes
+    --help by _write, so a refused help raises OSError. A subcommand's own parser has the
+    prog 'pairgate <command>', so argparse reports a flag it does not accept under it."""
 
-    def error(self, message: str, prog: str | None = None):
-        _say(f"{prog or self.prog}: {message}")
+    def error(self, message: str):
+        _say(f"{self.prog}: {message}")
         raise SystemExit(EXIT_INPUT)
 
     def print_help(self, file=None):
         _write(self.format_help(), None)
-
-    def parse_args(self, args=None, namespace=None):
-        namespace, extras = self.parse_known_args(args, namespace)
-        if extras:
-            self.error(f"unrecognized arguments: {' '.join(extras)}",
-                       f"{self.prog} {namespace.command}")
-        return namespace
 
 
 class SweepSpec(model._named_tuple("SweepSpec", "start stop count log", (False,))):
@@ -138,8 +132,8 @@ class SweepSpec(model._named_tuple("SweepSpec", "start stop count log", (False,)
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """main's parser, whole, with the subcommand `command` alone or, when None, with every
-    subcommand; a subcommand's flags are added by functions of add_argument, in usage order."""
+    """main's parser: the subcommand `command`'s own (prog 'pairgate <command>') or, when None,
+    'pairgate' with every subcommand; flags are added by functions of add_argument, in order."""
     def out_flag(add):
         add("--out", metavar="PATH", default=None, help="write output to PATH instead of stdout")
 
@@ -171,16 +165,17 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         add("--pump-field", type=parse_field, metavar="E",
             help="pump field amplitude, e.g. 5MV/m (alternative to intensity)")
 
-    parser = _Parser(
-        prog="pairgate",
-        description="Photon-pair generation by SPDC/FWM: gain regimes, "
-                    "universal limit criteria, limit pump intensities.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+    if command:
+        parser = _Parser(prog=f"pairgate {command}")
+        parser.set_defaults(command=command)
+    else:
+        parser = _Parser(prog="pairgate", description="Photon-pair generation by SPDC/FWM: gain "
+                         "regimes, universal limit criteria, limit pump intensities.")
+        sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name, flags, help):
         if command in (None, name):
-            add = sub.add_parser(name, help=help).add_argument
+            add = (parser if command else sub.add_parser(name, help=help)).add_argument
             for function in flags:
                 function(add)
 
@@ -364,6 +359,8 @@ def cmd_criteria(args) -> str:
 
 
 def cmd_classify(args) -> str:
+    if (args.section is None) != (args.delta_nu is None):
+        raise ValueError("--section and --delta-nu go together")
     medium = _build_medium(args)
     triplet = _build_triplet(args, medium.process)
     pump = _build_pump(args)
@@ -378,8 +375,6 @@ def cmd_classify(args) -> str:
         ("pairs_per_bandwidth", report.pairs_per_bandwidth, format_sig(report.pairs_per_bandwidth)),
         ("field_ratio", report.field_ratio, format_sig(report.field_ratio)),
     ]
-    if (args.section is None) != (args.delta_nu is None):
-        raise ValueError("--section and --delta-nu go together")
     if args.section is not None:
         geometry = Geometry(length=args.length, section=args.section)
         bandwidth = Bandwidth.from_delta_nu(args.delta_nu)
@@ -447,11 +442,12 @@ def cmd_sweep(args) -> Iterator[str]:
                        + _MEDIUM_FLAGS + _WAVE_FLAGS, "{flag} does not apply to a figure sweep")
         from . import sweep
         return sweep.csv(SweepSpec(*sweep.FIGURE_GRIDS[args.figure]), sweep.figure(args.figure))
+    unread = {"beta_l": _MEDIUM_FLAGS + _WAVE_FLAGS + ("--length",),
+              "length": ("--length", "--delta-nu", "--n-p", "--n-s", "--n-i")}
+    _reject_unread(args, unread.get(args.variable, ()),
+                   f"{{flag}} does not apply to a {args.variable} sweep")
     if args.min is None or args.max is None:
         raise ValueError("explicit sweeps require --min and --max")
-    if args.variable == "length":
-        _reject_unread(args, ("--length", "--delta-nu", "--n-p", "--n-s", "--n-i"),
-                       "{flag} does not apply to a length sweep")
     parse = {"beta_l": parse_float, "length": parse_length,
              "pump_intensity": parse_intensity}[args.variable]
     try:
@@ -460,8 +456,6 @@ def cmd_sweep(args) -> Iterator[str]:
         raise ValueError(f"--min/--max: {exc}") from exc
     spec = SweepSpec(start, stop, 101 if args.count is None else args.count, args.scale == "log")
     if args.variable == "beta_l":
-        _reject_unread(args, _MEDIUM_FLAGS + _WAVE_FLAGS + ("--length",),
-                       "{flag} does not apply to a beta_l sweep")
         inputs = (args.delta_nu,)
     elif args.variable == "length":
         inputs = ([_build_medium(args)], *_wavelengths(args))
@@ -509,10 +503,10 @@ _COMMANDS = {
 }
 
 
-# main's parsers by subcommand, None for the one with every subcommand (--help, a missing or
-# unknown subcommand, an option before it). Each is built whole on the first call that needs
-# it and reused: parse_args keeps no state, so concurrent first calls need no lock (each may
-# build its own), and a library user who never calls main builds none.
+# main's parsers: each subcommand's own, for the argv after its name, and under None the one
+# with every subcommand (--help, a missing or unknown subcommand, an option before it), each
+# built on the first call that needs it and reused. parse_args keeps no state, so concurrent
+# first calls need no lock, and a library user who never calls main builds none.
 _parsers: dict[str | None, argparse.ArgumentParser] = {}
 
 
@@ -523,7 +517,7 @@ def main(argv: list[str] | None = None) -> int:
     if parser is None:
         parser = _parsers[command] = build_parser(command)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv[1:] if command else argv)
     except SystemExit as exc:  # argparse's, after --help or a usage error
         return exc.code
     except OSError as exc:  # stdout refused --help
@@ -546,9 +540,9 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> None:
     """The process entry (`pairgate`, `python -m pairgate.cli`): exits with main's code. It
     freezes the heap however main ends, so the collector's shutdown passes skip every object
-    the call made or imported. Where stdout refuses the bytes left in its buffer (a closed
-    pipe, which main has reported), its descriptor is pointed at os.devnull, so the final
-    flush drops them. main never freezes: an in-process caller keeps its heap."""
+    the call made or imported. Where stdout or stderr refuses the bytes left in its buffer (a
+    closed pipe, which main has reported, or a read-only stderr), its descriptor is pointed at
+    os.devnull, so the final flush drops them. main never freezes nor touches a descriptor."""
     try:
         code = main()
     except KeyboardInterrupt:
@@ -558,11 +552,13 @@ def run() -> None:
         signal.raise_signal(signal.SIGINT)  # so that a calling shell sees the interrupt
     finally:
         gc.freeze()
-    try:
-        if sys.stdout:  # None where descriptor 1 was closed at start-up
-            sys.stdout.flush()
-    except OSError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    for stream in sys.stdout, sys.stderr:  # None where its descriptor was closed at start-up
+        try:
+            if stream:
+                stream.flush()
+        except OSError:
+            with open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), stream.fileno())
     sys.exit(code)
 
 

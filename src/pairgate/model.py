@@ -119,8 +119,8 @@ def _check_member(name: str, value, kind: type) -> None:
 
 
 def _check_beta_l(beta_l: float) -> None:
-    if not (0.0 <= beta_l <= BETA_L_MAX and math.copysign(1.0, beta_l) > 0):
-        _check("beta_l", beta_l, inclusive=True)
+    _check("beta_l", beta_l, inclusive=True)
+    if beta_l > BETA_L_MAX:
         raise ValueError(f"beta_l must be <= BETA_L_MAX = {BETA_L_MAX:.2f}, got {beta_l!r}")
 
 

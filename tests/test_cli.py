@@ -668,19 +668,28 @@ ACCEPTED_OPTIONS = {
 }
 
 
+def _subparsers(parser):
+    return [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+
+
 def _accepted_options(parser):
-    """{subcommand: its sorted option strings} of a parser that build_parser returned."""
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    """{subcommand: its sorted option strings} of a parser that build_parser returned: of each
+    subparser of the parser with every subcommand, or of a subcommand's own parser itself."""
+    subparsers = _subparsers(parser)
+    parsers = subparsers[0].choices if subparsers else {parser.get_default("command"): parser}
     return {name: sorted(option for action in sub._actions for option in action.option_strings)
-            for name, sub in subparsers.choices.items()}
+            for name, sub in parsers.items()}
 
 
 def test_each_subcommand_accepts_only_the_flags_it_reads():
-    """The parser of every subcommand, and the parser of each subcommand alone."""
+    """The parser of every subcommand, and the parser of each subcommand alone, which has no
+    subparser and reports under its own prog."""
     expected = {name: sorted(options) for name, options in ACCEPTED_OPTIONS.items()}
     assert _accepted_options(cli.build_parser()) == expected
     for name, options in expected.items():
-        assert _accepted_options(cli.build_parser(name)) == {name: options}
+        parser = cli.build_parser(name)
+        assert (parser.prog, _subparsers(parser)) == (f"pairgate {name}", [])
+        assert _accepted_options(parser) == {name: options}
 
 
 def test_concurrent_first_calls_all_get_a_whole_parser(tmp_path, monkeypatch):
@@ -749,6 +758,22 @@ def test_no_call_state_leaks_into_the_next_call():
     child = subprocess.run([sys.executable, "-m", "pairgate.cli", *argv],
                            capture_output=True, text=True)
     assert (child.returncode, child.stdout, child.stderr) == first
+
+
+def test_failing_calls_without_stderr_leave_every_descriptor_as_it_was(monkeypatch):
+    """main with sys.stderr None, as Python sets it where descriptor 2 was closed, drops its
+    message and touches no descriptor: the host keeps its count of open descriptors and the
+    target of its descriptor 2."""
+    def descriptors():
+        return len(os.listdir("/proc/self/fd")), os.readlink("/proc/self/fd/2")
+
+    before = descriptors()
+    monkeypatch.setattr(sys, "stderr", None)
+    codes = [cli.main(argv) for _ in range(25)
+             for argv in (["limit", "--bogus"], ["flux", "--beta-l", "400", "--delta-nu", "1Hz"])]
+    after = descriptors()
+    assert codes == [2] * 50
+    assert after == before
 
 
 # --------------------------------------------------------------------------
