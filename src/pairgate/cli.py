@@ -18,7 +18,7 @@ the subcommand it runs.
 """
 
 import argparse
-import gc
+import atexit
 import math
 import os
 import sys
@@ -66,8 +66,7 @@ ORACLE_REFERENCE = {
 
 
 def _say(line: str) -> None:
-    """Writes a diagnostic line to stderr, or drops it where stderr is closed or refuses it;
-    it touches no descriptor (run re-points a stderr that refuses its final flush)."""
+    """Writes a diagnostic line to stderr, or drops it where stderr is closed or refuses it."""
     try:
         sys.stderr.write(line + "\n")  # stderr is line-buffered: this write flushes it
     except (AttributeError, OSError):  # sys.stderr is None where descriptor 2 was closed
@@ -538,11 +537,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    """The process entry (`pairgate`, `python -m pairgate.cli`): exits with main's code. It
-    freezes the heap however main ends, so the collector's shutdown passes skip every object
-    the call made or imported. Where stdout or stderr refuses the bytes left in its buffer (a
-    closed pipe, which main has reported, or a read-only stderr), its descriptor is pointed at
-    os.devnull, so the final flush drops them. main never freezes nor touches a descriptor."""
+    """The process entry (`pairgate`, `python -m pairgate.cli`): once main has returned, it ends
+    the process as the interpreter would, less its teardown. It runs the atexit callbacks,
+    flushes stdout and stderr, where a stream that refuses the flush (a closed pipe, which main
+    has reported, or a read-only stderr) drops its bytes, and leaves by os._exit with main's
+    code. Ctrl-C and any other exception out of main leave the usual way."""
     try:
         code = main()
     except KeyboardInterrupt:
@@ -550,16 +549,14 @@ def run() -> None:
         _say("pairgate: interrupted")
         signal.signal(signal.SIGINT, signal.SIG_DFL)
         signal.raise_signal(signal.SIGINT)  # so that a calling shell sees the interrupt
-    finally:
-        gc.freeze()
+    atexit._run_exitfuncs()
     for stream in sys.stdout, sys.stderr:  # None where its descriptor was closed at start-up
         try:
             if stream:
                 stream.flush()
         except OSError:
-            with open(os.devnull, "wb") as null:
-                os.dup2(null.fileno(), stream.fileno())
-    sys.exit(code)
+            pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -143,7 +143,9 @@ def load_catalog(text: str, origin: str = "<string>") -> list[MaterialRecord]:
             return
         records.append(_build_record(name, fields, origin, header_line))
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # \n, \r\n and \r end a line, as in a text-mode read; str.splitlines also ends one at \f
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -878,21 +878,42 @@ def test_main_in_process_leaves_the_heap_unfrozen():
     assert gc.get_freeze_count() == frozen
 
 
+def _run_entry(argv, setup=""):
+    """Runs the process entry as `python -m pairgate.cli` does, after the statements `setup`.
+    An atexit callback writes 'atexit' to descriptor 2, and an audit hook writes 'finalized'
+    there where the interpreter clears its state in its teardown."""
+    hook = ("import atexit, io, os, runpy, sys\n"
+            "atexit.register(os.write, 2, b'atexit\\n')\n"
+            "def audit(event, args, write=os.write):\n"
+            "    if event == 'cpython.PyInterpreterState_Clear':\n"
+            "        write(2, b'finalized\\n')\n"
+            "sys.addaudithook(audit)\n"
+            f"{setup}runpy.run_module('pairgate.cli', run_name='__main__', alter_sys=True)\n")
+    return subprocess.run([sys.executable, "-c", hook, *argv], capture_output=True, text=True,
+                          timeout=60)
+
+
 @pytest.mark.parametrize("argv, code", _ENDINGS)
-def test_the_process_entry_freezes_the_heap_and_keeps_the_exit_atexit_and_bytes(argv, code,
-                                                                                monkeypatch):
-    """However main ends, the process has frozen its heap by exit, so the collector's
-    shutdown passes skip it; atexit handlers still run, and the exit code and output are
-    main's."""
+def test_the_process_entry_runs_atexit_then_ends_without_finalizing(argv, code, monkeypatch):
+    """However main returns, the process runs the atexit callbacks, keeps main's exit code and
+    output, and ends without the interpreter's teardown."""
     monkeypatch.setenv("COLUMNS", "80")
-    hook = ("import atexit, gc, runpy, sys\n"
-            "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))\n"
-            "runpy.run_module('pairgate.cli', run_name='__main__', alter_sys=True)\n")
-    child = subprocess.run([sys.executable, "-c", hook, *argv], capture_output=True, text=True,
-                           timeout=60)
+    child = _run_entry(argv)
     expected_code, out, err = regen.run(argv)
     assert expected_code == code
-    assert (child.returncode, child.stdout, child.stderr) == (code, out, err + "True\n")
+    assert (child.returncode, child.stdout, child.stderr) == (code, out, err + "atexit\n")
+
+
+def test_an_exception_out_of_main_leaves_with_a_traceback_and_the_teardown():
+    """Only a return from main skips the teardown: a stdout whose write raises RuntimeError
+    ends the call with the traceback, exit 1, and the interpreter's own shutdown."""
+    child = _run_entry(["criteria"], setup="class Refusing(io.StringIO):\n"
+                                            "    def write(self, text):\n"
+                                            "        raise RuntimeError('refused')\n"
+                                            "sys.stdout = Refusing()\n")
+    assert (child.returncode, child.stdout) == (1, "")
+    assert child.stderr.startswith("Traceback (most recent call last):\n")
+    assert child.stderr.endswith("RuntimeError: refused\natexit\nfinalized\n")
 
 
 def test_the_console_script_runs_the_entry_of_the_main_block():

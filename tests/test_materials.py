@@ -147,6 +147,19 @@ def test_trailing_comments_are_stripped_except_from_the_note():
     assert record.note == "a # b"
 
 
+@pytest.mark.parametrize("char", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                                  "\u2029"], ids=repr)
+def test_only_a_text_files_line_ends_end_a_catalog_line(char):
+    """str.splitlines also ends a line at these characters: a note or a comment holding one
+    rejected the file, and the lines after it were misnumbered."""
+    doc = f"[x]\r\nprocess = spdc  # order{char}2\rnote = page{char}break\nchi_eff = 1 pm/V\n"
+    assert load_catalog(doc) == [MaterialRecord("x", Medium(Process.SPDC, 1e-12),
+                                                f"page{char}break")]
+    with pytest.raises(MaterialParseError) as exc:
+        load_catalog(doc + "n_p = 0.5\n")
+    assert str(exc.value) == "<string>:5: n_p must be >= 1 and finite, got 0.5"
+
+
 def test_lookup_hits_and_misses():
     records = load_catalog(GOOD_DOC)
     assert lookup(records, "crystal_a").name == "crystal_a"
