@@ -87,7 +87,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 class SweepSpec(model._named_tuple("SweepSpec", "start stop count log", (False,))):
-    """Axis of a parameter sweep; fixed parameters ride along via flags."""
+    """Axis of a parameter sweep; its grid is finite, starts at or above +0.0, never decreases."""
 
     __slots__ = ()
 
@@ -107,7 +107,7 @@ class SweepSpec(model._named_tuple("SweepSpec", "start stop count log", (False,)
 
     def points(self, lo: int, hi: int) -> list[float]:
         """Grid points lo to hi - 1, numpy.linspace's: i*step + start, with the last one exactly
-        stop; a log grid is 10**x over that grid between the log10 endpoints."""
+        stop and none past it; a log grid is 10**x over that grid between the log10 endpoints."""
         start, stop = self.start, self.stop
         if self.log:
             start, stop = math.log10(start), math.log10(stop)
@@ -118,6 +118,8 @@ class SweepSpec(model._named_tuple("SweepSpec", "start stop count log", (False,)
             points = [i * step + start for i in inner]
         else:  # a subnormal span whose step underflows: numpy scales i/div instead
             points = [i / div * (stop - start) + start for i in inner]
+        if points and points[-1] > stop:  # a subnormal step rounded up: numpy's passes stop
+            points = [min(point, stop) for point in points]
         if hi > div:
             points.append(stop)
         try:

@@ -31,7 +31,6 @@ built-in presets.
 """
 
 import os
-from pathlib import Path
 
 from .constants import MATERIALS_ENV_VAR
 from .model import Medium, Process, _named_tuple
@@ -84,6 +83,7 @@ _PRESETS = (
 )
 
 _INDEX_KEYS = ("n_p", "n_s", "n_i")
+_BLANKS = " \t\f\v"  # the ASCII blanks a line, header name, key and value lose at their ends
 
 
 def _build_record(
@@ -146,12 +146,12 @@ def load_catalog(text: str, origin: str = "<string>") -> list[MaterialRecord]:
     # \n, \r\n and \r end a line, as in a text-mode read; str.splitlines also ends one at \f
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
+        line = raw.strip(_BLANKS)
         if not line or line.startswith("#"):
             continue
         if line.startswith("[") and line.endswith("]"):
             flush()
-            name = line[1:-1].strip()
+            name = line[1:-1].strip(_BLANKS)
             header_line = lineno
             fields = {}
             if name in seen:
@@ -171,10 +171,10 @@ def load_catalog(text: str, origin: str = "<string>") -> list[MaterialRecord]:
                 "key/value line before any [material] header", origin, lineno
             )
         key, _, value = line.partition("=")
-        key = key.strip()
+        key = key.strip(_BLANKS)
         if key != "note":  # the note is free text and may contain '#'
             value = value.partition("#")[0]
-        value = value.strip()
+        value = value.strip(_BLANKS)
         if key not in ("process", "chi_eff", "note", *_INDEX_KEYS):
             raise MaterialParseError(f"unknown key {key!r}", origin, lineno)
         if key in fields:
@@ -189,16 +189,17 @@ def builtin_presets() -> list[MaterialRecord]:
     return list(_PRESETS)
 
 
-def resolve_catalog(explicit_path: str | Path | None = None) -> list[MaterialRecord]:
+def resolve_catalog(explicit_path: str | os.PathLike | None = None) -> list[MaterialRecord]:
     """Load the catalog honoring the explicit-path > env var > presets order."""
     if explicit_path is None and not os.environ.get(MATERIALS_ENV_VAR):
         return builtin_presets()
-    path = Path(os.environ[MATERIALS_ENV_VAR] if explicit_path is None else explicit_path)
+    path = os.fspath(os.environ[MATERIALS_ENV_VAR] if explicit_path is None else explicit_path)
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return load_catalog(text.removeprefix("\ufeff"), origin=str(path))
+    return load_catalog(text.removeprefix("\ufeff"), origin=path)
 
 
 def lookup(catalog: list[MaterialRecord], name: str) -> MaterialRecord:

@@ -14,10 +14,9 @@ constant along a sweep once (gain._gain_factors, limit._limit_factors) and
 returns (header, columns, row): header names the CSV columns, the point's
 first; columns evaluates a block with the model's column bodies (_pump_fields,
 _pair_fluxes, gain._beta_ls, limit._limit_quotients), unchecked; and row is the
-scalar kernels at one point. _check_block is the one place a block is checked:
-the row at the block's extremes vouches for every point, as each value is
-monotone in the swept point, and a block it rejects is walked with the row,
-which raises the scalar message at the first offending point.
+scalar kernels at one point. _check_block, the one place a block is checked,
+runs the row at its first, first nonzero and last points, and walks a block they
+reject with the row, which raises at the first offending point.
 
 A sweep is checked, then rendered, SWEEP_BLOCK grid points at a time. The check
 pass builds each block's points (SweepSpec.points) and checks them before any
@@ -60,20 +59,18 @@ _FIGURE_MEDIA = {
 
 def _check_block(points: list[float], row) -> None:
     """Raises what row, the scalar kernels of a sweep, raises at the first offending point of
-    a block, or nothing. row runs at the block's smallest, smallest nonzero and largest points,
-    and walks every point in order if one of them fails. Each derived value and partial
-    product of a sweep is a rounded chain of products, quotients, sqrt and expm1 of the point,
-    so it is monotone in it: on finite, nonnegative points the range rule holds at every point
-    once it holds at those three. A sweep's columns and row share their column bodies, so the
-    columns of a block that passes are the walk's result bit for bit."""
-    total, low, high = sum(points), min(points), max(points)
-    if total == total and 0.0 <= low and high < math.inf:  # no NaN, negative or inf point
-        try:
-            for point in (low, low or min(filter(None, points), default=low), high):
-                row(point)
-            return
-        except ValueError:
-            pass
+    a block, or nothing. A block is a run of a SweepSpec grid, finite, from +0.0 up and never
+    decreasing: row runs at its first, first nonzero and last points, its smallest, smallest
+    nonzero and largest, and walks every point in order if one of them fails. Each value and
+    partial product of a sweep is a rounded chain of products, quotients, sqrt and expm1 of the
+    point, monotone in it, so the range rule holds at every point once it holds at those three.
+    Columns and row share their column bodies: a passing block's columns are the walk's bits."""
+    try:
+        for point in (points[0], next(filter(None, points), 0.0), points[-1]):
+            row(point)
+        return
+    except ValueError:
+        pass
     for point in points:
         row(point)
 

@@ -182,8 +182,8 @@ def format_intensity(w_per_m2: float) -> str:
     per_cm2 = w_per_m2 * 1e-4
     if per_cm2 == 0.0 or not math.isfinite(per_cm2):
         return f"{per_cm2:g} W/cm2"
-    for unit in reversed(INTENSITY_UNITS):  # the per-cm2 units, largest first
-        scale = INTENSITY_UNITS[unit] / INTENSITY_UNITS["W/cm2"]  # an exact power of ten
-        if unit.endswith("/cm2") and per_cm2 >= scale:
-            return f"{format_sig(per_cm2 / scale)} {unit}"
+    for unit in (u for u in reversed(INTENSITY_UNITS) if u.endswith("/cm2")):  # largest first
+        shown = format_sig(per_cm2 / (INTENSITY_UNITS[unit] / INTENSITY_UNITS["W/cm2"]))
+        if float(shown) >= 1.0:  # the unit is read off the value as displayed
+            return f"{shown} {unit}"
     return f"{format_sig(per_cm2)} W/cm2"

@@ -160,6 +160,20 @@ def test_only_a_text_files_line_ends_end_a_catalog_line(char):
     assert str(exc.value) == "<string>:5: n_p must be >= 1 and finite, got 0.5"
 
 
+@pytest.mark.parametrize("char", ["\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u1680",
+                                  "\u2000", "\u2028", "\u2029", "\u3000"], ids=repr)
+def test_only_ascii_blanks_are_trimmed_from_a_catalog_line(char):
+    """str.strip also drops these Unicode spaces and separators: the note kept only "text".
+    A header or key that carries one is malformed like any other."""
+    doc = f"[x]\nprocess = spdc\nchi_eff = 1 pm/V\nnote = {char}text{char} \t\n"
+    assert load_catalog(doc) == [MaterialRecord("x", Medium(Process.SPDC, 1e-12),
+                                                f"{char}text{char}")]
+    with pytest.raises(MaterialParseError, match="^<string>:1: expected 'key = value'"):
+        load_catalog(f"[x]{char}\n")
+    with pytest.raises(MaterialParseError, match="^<string>:2: unknown key"):
+        load_catalog(f"[x]\n{char}process = spdc\n")
+
+
 def test_lookup_hits_and_misses():
     records = load_catalog(GOOD_DOC)
     assert lookup(records, "crystal_a").name == "crystal_a"
@@ -194,13 +208,17 @@ def test_resolution_order(tmp_path, monkeypatch):
     assert [r.name for r in resolve_catalog(explicit)] == ["from_flag"]
 
 
-def test_resolve_catalog_reports_path(tmp_path):
+def test_resolve_catalog_reports_path(tmp_path, monkeypatch):
     bad = tmp_path / "bad.mat"
     bad.write_text("[x]\nprocess = spdc\nchi_eff = 1 m2/V2\n")
     with pytest.raises(MaterialParseError) as err:
         resolve_catalog(bad)
     assert str(bad) in str(err.value)
     assert ":3:" in str(err.value)
+    monkeypatch.chdir(tmp_path)  # a path is named as it was written, not normalized
+    with pytest.raises(MaterialParseError) as err:
+        resolve_catalog("./bad.mat")
+    assert str(err.value).startswith("./bad.mat:3:")
 
 
 def test_a_leading_byte_order_mark_is_dropped(tmp_path):

@@ -370,19 +370,22 @@ def test_beta_l_column_is_the_drive_coupling_times_root_times_length(chi, field,
             == [gain._drive_coupling(chi, field, process) * root * length])
 
 
-# columns no grid produces: NaN, infinite, negative or zero points, anywhere in the column
-_ODD_COLUMNS = [[1.0, math.nan, 2.0], [1.0, 2.0, math.nan], [1.0, math.inf], [2.0, -1.0, 1.0],
-                [3.0, 0.0, 1.0], [1.0, -math.inf], [1.0, 400.0, math.nan]]
+# columns a SweepSpec grid makes: finite, from +0.0 up and never decreasing, with repeated
+# points (a capped or collapsed grid) and points at which the scalar kernels stop at the
+# first, the first nonzero, an inner or the last point
+_GRID_COLUMNS = [[0.0, 0.0, 5e-324], [0.0, 1e-320, 1e-300, 1.0], [1e-160, 1e-150, 1.0],
+                 [1.0, 400.0, 800.0], [1.0, 2.0, 2.0], [1e-3, 1.0, 1e300],
+                 [3.16205e-318, 3.162277e-318, 3.162277e-318]]
 
 
-@pytest.mark.parametrize("column", _ODD_COLUMNS)
+@pytest.mark.parametrize("column", _GRID_COLUMNS)
 @pytest.mark.parametrize("delta_nu", [None, 1e9, 0.0])
 def test_flux_columns_stop_where_the_scalar_kernels_do(column, delta_nu):
     assert (sweep_rows(model_sweep("beta_l", delta_nu=delta_nu), column)
             == scalar_walk("beta_l", column, delta_nu=delta_nu))
 
 
-@pytest.mark.parametrize("column", _ODD_COLUMNS)
+@pytest.mark.parametrize("column", _GRID_COLUMNS)
 @pytest.mark.parametrize("process", [Process.SPDC, Process.FWM])
 def test_gamma_columns_stop_where_the_scalar_kernel_does(column, process):
     inputs = [Medium(process, 1e-12), Medium(process, 1e-20, 1.5, 1.4, 1.6)], (1e-6, 1.2e-6)

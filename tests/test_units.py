@@ -121,6 +121,10 @@ def test_format_sig():
     (8.449277e11, "84.5 MW/cm2"),
     (1.0, "0.000100 W/cm2"),
     (0.0, "0 W/cm2"),
+    (9.9999e6, "1.00 kW/cm2"),  # the unit is read off the value as displayed
+    (9.995e9, "1.00 MW/cm2"),
+    (9997684.943425542, "1.00 kW/cm2"),
+    (9.9996e19, "1.00e+04 TW/cm2"),  # the top unit keeps its exponent form
 ])
 def test_format_intensity(value, expected):
     assert format_intensity(value) == expected
