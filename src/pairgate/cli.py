@@ -297,6 +297,16 @@ def _build_pump(args) -> PumpDrive:
     return PumpDrive(intensity=args.pump_intensity, field_amplitude=args.pump_field)
 
 
+def _assemble(args) -> tuple[Medium, model.WaveTriplet, float]:
+    """The medium, the triplet and beta*L of the medium, wave and pump flags over --length."""
+    medium = _build_medium(args)
+    triplet = _build_triplet(args, medium.process)
+    pump = _build_pump(args)
+    from .gain import _gain_product
+
+    return medium, triplet, _gain_product(medium, triplet, pump, args.length)
+
+
 # --------------------------------------------------------------------------
 # rendering
 # --------------------------------------------------------------------------
@@ -362,13 +372,8 @@ def cmd_criteria(args) -> str:
 def cmd_classify(args) -> str:
     if (args.section is None) != (args.delta_nu is None):
         raise ValueError("--section and --delta-nu go together")
-    medium = _build_medium(args)
-    triplet = _build_triplet(args, medium.process)
-    pump = _build_pump(args)
-    from .gain import _gain_product
-
-    report = model.classify_regime(_gain_product(medium, triplet, pump, args.length),
-                                   at_limit_band=args.band)
+    medium, triplet, beta_l = _assemble(args)
+    report = model.classify_regime(beta_l, at_limit_band=args.band)
 
     columns = [
         ("beta_l", report.beta_l, format_sig(report.beta_l)),
@@ -401,12 +406,7 @@ def cmd_flux(args) -> str:
     else:
         if args.length is None:
             raise ValueError("--length is required when --beta-l is not given")
-        medium = _build_medium(args)
-        triplet = _build_triplet(args, medium.process)
-        pump = _build_pump(args)
-        from .gain import _gain_product
-
-        beta_l = _gain_product(medium, triplet, pump, args.length)
+        beta_l = _assemble(args)[2]
 
     pairs = model.pair_flux_reduced(beta_l, args.delta_nu)
     return _report(args, [

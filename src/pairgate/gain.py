@@ -7,9 +7,8 @@ length sweep) never compiles it.
 
 The pump-independent factors of the gain, (chi, sqrt(ks*ki)), are
 _gain_factors; _beta_ls is the column body that evaluates beta*L over a column
-of pump fields, which gain_coefficient runs on a one-point column and a pump
-sweep on a block. Only the oracle's _drive_coupling stays scalar, and a test
-pins _beta_ls to it.
+of pump fields, which a pump sweep runs on a block. gain_coefficient and the
+oracle take the scalar _drive_coupling, and a test pins _beta_ls to it.
 """
 
 import math
@@ -79,8 +78,8 @@ def _drive_coupling(chi: float, e_p: float, process: Process) -> float:
     """Dimensionless chi*pump product whose units cancel against 1/m couplings.
 
     chi2*E_p for SPDC, (1/2)*chi3*E_p^2 for FWM (E_p the total two-wave
-    amplitude), with chi = _chi(medium). The oracle's one use; _beta_ls repeats
-    the product per point, as a one-point column costs the oracle ~20% of a call.
+    amplitude), with chi = _chi(medium). gain_coefficient and the oracle take it
+    at one pump field; _beta_ls repeats the product per point of a column.
     """
     return chi * e_p if process is Process.SPDC else chi * e_p * e_p
 
@@ -93,11 +92,11 @@ def gain_coefficient(medium: Medium, triplet: WaveTriplet, pump: PumpDrive) -> f
     """
     chi, root = _gain_factors(medium, triplet)
     field = pump.field(medium.n_p)
-    beta = _beta_ls((field,), chi, root, 1.0, medium.process)[0]
+    drive = _drive_coupling(chi, field, medium.process)
+    beta = drive * root
     # the chain's partial products: chi (chi3/2 for FWM), the drive coupling (chi*E_p is at
     # least the smaller of the two) and beta; pump.field checks E_p^2
-    partials = (chi, _drive_coupling(chi, field, medium.process), beta)
-    if any(pump) and not _normal(*partials):  # a nonzero pump
+    if any(pump) and not _normal(chi, drive, beta):  # a nonzero pump
         raise _out_of_float_range("gain", chi_eff=medium.chi_eff, pump_field=field)
     return beta
 

@@ -24,9 +24,9 @@ Kernels that sweeps evaluate are split into the factors constant along a sweep
 (gain._gain_factors; limit._limit_factors, the whole factor (numer, chi_eff,
 process), which Gamma takes at unit indices) and a column body, which evaluates
 the formula over a whole column of points in one pass (_pump_fields and
-_pair_fluxes here, gain._beta_ls, limit._limit_quotients). The scalar kernels
-call them on a one-point column, so each formula has one home; only the
-oracle's gain._drive_coupling stays scalar, and a test pins _beta_ls to it.
+_pair_fluxes here, gain._beta_ls, limit._limit_quotients). The other scalar
+kernels call them on a one-point column; gain_coefficient and the oracle take
+the scalar gain._drive_coupling, to which a test pins _beta_ls.
 pairgate.sweep builds each sweep from these factors and column bodies, and
 checks it with the scalar kernels.
 

@@ -118,10 +118,6 @@ def _quantity(text: str, table: dict[str, float], dimension: str) -> tuple[float
     return value, unit
 
 
-def _parse(text: str, table: dict[str, float], dimension: str) -> float:
-    return _quantity(text, table, dimension)[0]
-
-
 def parse_float(text: str) -> float:
     """'2.5' -> 2.5: a bare number as float() reads it, inf and nan too (the model rejects
     them), but not a nonzero number that rounds to 0.0."""
@@ -136,37 +132,37 @@ def parse_float(text: str) -> float:
 
 def parse_length(text: str) -> float:
     """'532nm' -> 5.32e-7 (m)."""
-    return _parse(text, LENGTH_UNITS, "length")
+    return _quantity(text, LENGTH_UNITS, "length")[0]
 
 
 def parse_area(text: str) -> float:
     """'1mm2' -> 1e-6 (m^2)."""
-    return _parse(text, AREA_UNITS, "area")
+    return _quantity(text, AREA_UNITS, "area")[0]
 
 
 def parse_intensity(text: str) -> float:
     """'40MW/cm2' -> 4e11 (W/m^2)."""
-    return _parse(text, INTENSITY_UNITS, "intensity")
+    return _quantity(text, INTENSITY_UNITS, "intensity")[0]
 
 
 def parse_frequency(text: str) -> float:
     """'1GHz' -> 1e9 (Hz)."""
-    return _parse(text, FREQUENCY_UNITS, "frequency")
+    return _quantity(text, FREQUENCY_UNITS, "frequency")[0]
 
 
 def parse_field(text: str) -> float:
     """'5MV/m' -> 5e6 (V/m)."""
-    return _parse(text, FIELD_UNITS, "field amplitude")
+    return _quantity(text, FIELD_UNITS, "field amplitude")[0]
 
 
 def parse_chi2(text: str) -> float:
     """'1pm/V' -> 1e-12 (m/V)."""
-    return _parse(text, CHI2_UNITS, "second-order susceptibility")
+    return _quantity(text, CHI2_UNITS, "second-order susceptibility")[0]
 
 
 def parse_chi3(text: str) -> float:
     """'1e-22m2/V2' -> 1e-22 (m^2/V^2)."""
-    return _parse(text, CHI3_UNITS, "third-order susceptibility")
+    return _quantity(text, CHI3_UNITS, "third-order susceptibility")[0]
 
 
 def format_sig(value: float) -> str:

@@ -1060,14 +1060,19 @@ def test_materials_flag_and_env(tmp_path, monkeypatch):
     assert code == 2
 
 
-def test_materials_parse_error_is_input_error(tmp_path):
+@pytest.mark.parametrize("record, message", [
+    ("chi_eff = 1 m2/V2\n", "3: chi_eff unit 'm2/V2' does not match process 'spdc'"),
+    ("chi_eff = 1e-400 pm/V\n", "3: chi '1e-400 pm/V' is out of the floating-point range"),
+    ("chi_eff = 1 pm/V\nn_p = 1e-400\n",
+     "4: n_p: number '1e-400' is out of the floating-point range"),
+], ids=["unit", "chi-underflow", "index-underflow"])
+def test_materials_parse_error_is_input_error(record, message, tmp_path):
     broken = tmp_path / "broken.mat"
-    broken.write_text("[x]\nprocess = spdc\nchi_eff = 1 m2/V2\n")
-    code, _, err = regen.run(
+    broken.write_text("[x]\nprocess = spdc\n" + record)
+    code, out, err = regen.run(
         ["classify", "--materials", str(broken), "--material", "x",
          "--length", "1cm", "--pump-intensity", "1MW/cm2"])
-    assert code == 2
-    assert ":3:" in err
+    assert (code, out, err) == (2, "", f"pairgate classify: {broken}:{message}\n")
 
 
 # --------------------------------------------------------------------------

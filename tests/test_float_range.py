@@ -223,7 +223,7 @@ CRYSTAL = Geometry(1e-3, 1e-6)
 SMALL, HIGH = AsymptoteBranch.SMALL, AsymptoteBranch.HIGH
 NAN, INF = math.nan, math.inf
 NEED = {name: f"{name} must be strictly positive and finite, got " for name in (
-    "omega", "section", "delta_omega", "delta_nu", "length", "lambda_s")}
+    "omega", "omega_s", "section", "delta_omega", "delta_nu", "length", "lambda_s", "lambda_i")}
 BETA_L = "beta_l must be nonnegative and finite, got "
 PUMP_DRIVE = "pump drive must be nonnegative and finite, got "
 PUMP_FIELD = "pump field out of the float range: "
@@ -231,6 +231,7 @@ ABOVE_MAX = "beta_l must be <= BETA_L_MAX = 354.89, got "
 BAND = "at_limit_band must lie in [0, 1)"
 ARM = "arm must be Arm.SIGNAL or Arm.IDLER, got "
 LIMIT = "limit pump intensity out of the float range: "
+BANDWIDTH = "bandwidth out of the float range: "
 
 ROWS = [
     # the product n*c (2*n is exact) and the quotient
@@ -390,7 +391,10 @@ ROWS = [
             ((1e-300, 1e-6, Process.SPDC),
              "angular frequency out of the float range: lambda_s=1e-300, lambda_i=1e-06"),
             ((2e-299, 2e-299, Process.SPDC), "omega_p out of the float range: "
-             "omega_s=9.418257836544265e+307, omega_i=9.418257836544265e+307"))),
+             "omega_s=9.418257836544265e+307, omega_i=9.418257836544265e+307"),
+            ((1e-6, 1e-6, Process.SPDC), (1883651567308853.2, 1883651567308853.2)),
+            ((0.0, 1e-6, Process.SPDC), NEED["lambda_s"] + "0.0"),
+            ((1e-6, 0.0, Process.SPDC), NEED["lambda_i"] + "0.0"))),
     # the sum rounds once; halving it is exact
     Row("WaveTriplet.omega_p", lambda *args: WaveTriplet(*args).omega_p,
         st.tuples(positive, positive, processes), exact_omega_p, 1, (
@@ -404,6 +408,8 @@ ROWS = [
              "omega_p out of the float range: omega_s=1e+308, omega_i=1e+308"),
             ((FLOAT_MIN / 2, FLOAT_MIN / 2, Process.SPDC), FLOAT_MIN),  # EDGE
             ((FLOAT_MAX / 2, FLOAT_MAX / 2, Process.SPDC), FLOAT_MAX),  # EDGE
+            ((1.2e15, 0.8e15, Process.FWM), 1e15),
+            ((NAN, 1e15, Process.SPDC), NEED["omega_s"] + "nan"),
             ((1e15, 1e15, "spdc"), "process must be Process.SPDC or Process.FWM, got 'spdc'"))),
     Row("WaveTriplet.omega", lambda *args: WaveTriplet(*args[:3]).omega(args[3]),
         st.tuples(positive, positive, processes, arms),
@@ -413,7 +419,8 @@ ROWS = [
         st.tuples(scenario().map(lambda media: media[0]), arms),
         lambda medium, arm: medium.n_s if arm is Arm.SIGNAL else medium.n_i, 0, (
             ((SPDC, Process.SPDC), ARM + "<Process.SPDC: 'spdc'>"),)),
-    Row("PumpDrive.from_intensity", lambda x: PumpDrive.from_intensity(x).intensity,
+    # read back by as_intensity, which passes an intensity through
+    Row("PumpDrive.from_intensity", lambda x: PumpDrive.from_intensity(x).as_intensity(1.0),
         st.tuples(maybe_zero(positive)), lambda x: x, 0, (
             ((0.0,), 0.0), ((-1.0,), PUMP_DRIVE + "-1.0"), ((NAN,), PUMP_DRIVE + "nan"),
             ((INF,), PUMP_DRIVE + "inf"))),
@@ -441,13 +448,16 @@ ROWS = [
     # 2*pi doubles math.pi exactly: one product
     Row("Bandwidth.from_delta_nu", lambda d: Bandwidth.from_delta_nu(d).delta_omega,
         st.tuples(positive), lambda d: 2 * PI * Decimal(d), 1, (
-            ((5e-309,), "bandwidth out of the float range: delta_nu=5e-309"),  # subnormal back
+            ((1e9,), 6283185307.179586),
+            ((5e-309,), BANDWIDTH + "delta_nu=5e-309"),  # subnormal back
+            ((1e308,), BANDWIDTH + "delta_nu=1e+308"),  # 2*pi*delta_nu overflows
+            ((1e-310,), BANDWIDTH + "delta_nu=1e-310"),  # 2*pi*delta_nu is subnormal
             ((0.0,), NEED["delta_nu"] + "0.0"))),
     # one quotient
     Row("Bandwidth.delta_nu", lambda d: Bandwidth(d).delta_nu, st.tuples(positive),
         lambda d: Decimal(d) / (2 * PI), 1, (
-            ((FLOAT_MIN,),  # was 3.54e-309
-             "bandwidth out of the float range: delta_omega=2.2250738585072014e-308"),
+            ((6283185307.179586,), 1e9),
+            ((FLOAT_MIN,), BANDWIDTH + "delta_omega=2.2250738585072014e-308"),  # was 3.54e-309
             ((1.3980551375161837e-307,), FLOAT_MIN))),  # EDGE
 ]
 

@@ -274,20 +274,6 @@ def test_small_branch_within_percent_below_hundredth(beta_l):
 # limit criteria and field ratio
 # --------------------------------------------------------------------------
 
-def test_limit_criteria_closed_forms():
-    crit = limit_criteria()
-    growth = math.e - 1.0
-    assert crit.pairs_limit == growth**2 / 8.0
-    assert crit.photons_limit == growth**2 / 4.0
-    assert crit.field_ratio_limit == growth
-
-
-def test_limit_criteria_identities():
-    crit = limit_criteria()
-    assert crit.photons_limit == pytest.approx(2.0 * crit.pairs_limit, rel=1e-15)
-    assert crit.field_ratio_limit**2 / 8.0 == pytest.approx(crit.pairs_limit, rel=1e-15)
-
-
 def test_limit_criteria_display_values():
     crit = limit_criteria()
     assert f"{crit.pairs_limit:.3f}" == "0.369"
@@ -561,102 +547,23 @@ def test_pairs_per_bandwidth_strictly_increasing(x1, x2):
 # domain types
 # --------------------------------------------------------------------------
 
-class TestWaveTriplet:
-    def test_energy_conservation_enforced(self):
-        spdc = WaveTriplet(1.2e15, 0.8e15, Process.SPDC)
-        assert spdc.omega_p == 1.2e15 + 0.8e15
-        fwm = WaveTriplet(1.2e15, 0.8e15, Process.FWM)
-        assert fwm.omega_p == 0.5 * (1.2e15 + 0.8e15)
-        assert WaveTriplet._fields == ("omega_s", "omega_i", "process")
-        with pytest.raises(AttributeError):
-            spdc.omega_p = 3e15  # derived, never stored
-
-    def test_positive_frequencies_required(self):
-        with pytest.raises(ValueError):
-            WaveTriplet(-1e15, 3e15, Process.SPDC)
-        with pytest.raises(ValueError, match="omega_s"):
-            WaveTriplet(math.nan, 1e15, Process.SPDC)
-        with pytest.raises(ValueError, match="lambda_s"):
-            triplet_from_wavelengths(0.0, 1e-6, Process.SPDC)
-
-    def test_from_wavelengths_degenerate(self):
-        triplet = triplet_from_wavelengths(1e-6, 1e-6, Process.SPDC)
-        assert triplet.omega_s == triplet.omega_i
-        assert triplet.omega_p == 2.0 * triplet.omega_s
-
-
-class TestMedium:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Medium(process=Process.SPDC, chi_eff=0.0)
-        with pytest.raises(ValueError):
-            Medium(process=Process.SPDC, chi_eff=1e-12, n_s=0.9)
-        with pytest.raises(ValueError, match="n_s"):
-            Medium(process=Process.SPDC, chi_eff=1e-12, n_s=math.inf)
-        with pytest.raises(ValueError, match="chi_eff"):
-            Medium(process=Process.SPDC, chi_eff=math.nan)
-
-
-class TestGeometry:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Geometry(length=0.0, section=1e-6)
-        with pytest.raises(ValueError):
-            Geometry(length=1e-3, section=-1e-6)
-        with pytest.raises(ValueError, match="length"):
-            Geometry(math.nan, 1e-6)
-
-
-class TestPumpDrive:
-    def test_exactly_one_representation(self):
-        with pytest.raises(ValueError):
-            PumpDrive()
-        with pytest.raises(ValueError):
-            PumpDrive(intensity=1.0, field_amplitude=1.0)
-        with pytest.raises(ValueError):
-            PumpDrive.from_intensity(-1.0)
-        with pytest.raises(ValueError, match="finite"):
-            PumpDrive.from_intensity(math.inf)
-        with pytest.raises(ValueError, match="finite"):
-            PumpDrive.from_field(math.nan)
-
-    def test_conversion_consistency(self):
-        drive = PumpDrive.from_intensity(1e13)
-        assert drive.field(1.0) == pytest.approx(86802109.8438, rel=1e-10)
-        assert drive.as_intensity(1.0) == 1e13
-        back = PumpDrive.from_field(drive.field(1.5))
-        assert back.as_intensity(1.5) == pytest.approx(1e13, rel=1e-12)
-
-
-class TestBandwidth:
-    def test_two_pi_relation(self):
-        bandwidth = Bandwidth.from_delta_nu(1e9)
-        assert bandwidth.delta_omega == pytest.approx(2.0 * math.pi * 1e9, rel=1e-15)
-        assert bandwidth.delta_nu == pytest.approx(1e9, rel=1e-15)
-
-    def test_positive_required(self):
-        with pytest.raises(ValueError):
-            Bandwidth(delta_omega=0.0)
-        with pytest.raises(ValueError):
-            Bandwidth.from_delta_nu(-1.0)
-        with pytest.raises(ValueError, match="finite"):
-            Bandwidth(math.nan)
-        with pytest.raises(ValueError, match=r"^bandwidth out of the float range: delta_nu=1e\+308"):
-            Bandwidth.from_delta_nu(1e308)  # 2*pi*delta_nu overflows
-        with pytest.raises(ValueError, match=r"^bandwidth out of the float range: delta_nu=1e-310"):
-            Bandwidth.from_delta_nu(1e-310)  # 2*pi*delta_nu is subnormal
-
-
 # (class, valid arguments, field, a value its check rejects, the message it raises)
 CHECKED_VALUES = [
     (WaveTriplet, (1e15, 1e15, Process.SPDC), "omega_s", -1e15,
      "omega_s must be strictly positive and finite, got -1000000000000000.0"),
+    (Medium, (Process.SPDC, 1e-12), "chi_eff", 0.0,
+     "chi_eff must be strictly positive and finite, got 0.0"),
     (Medium, (Process.SPDC, 1e-12), "n_p", 0.5, "n_p must be >= 1 and finite, got 0.5"),
+    (Medium, (Process.SPDC, 1e-12), "n_s", math.inf, "n_s must be >= 1 and finite, got inf"),
     (Medium, (Process.SPDC, 1e-12), "process", "spdc",  # the enum's value, not its member
      "process must be Process.SPDC or Process.FWM, got 'spdc'"),
+    (Geometry, (1e-3, 1e-6), "length", 0.0, "length must be strictly positive and finite, got 0.0"),
     (Geometry, (1e-3, 1e-6), "section", 0.0,
      "section must be strictly positive and finite, got 0.0"),
     (PumpDrive, (1e13,), "intensity", -1.0, "pump drive must be nonnegative and finite, got -1.0"),
+    (PumpDrive, (1e13,), "intensity", None, "specify exactly one of intensity or field_amplitude"),
+    (PumpDrive, (1e13,), "field_amplitude", 1.0,
+     "specify exactly one of intensity or field_amplitude"),
     (Bandwidth, (1e9,), "delta_omega", math.nan,
      "bandwidth delta_omega must be strictly positive and finite, got nan"),
     (OdeState, (0.0, 1.0, 0.0), "e_i", -1.0, "e_i must be nonnegative and finite, got -1.0"),
@@ -730,3 +637,4 @@ def test_replace_with_valid_values_returns_an_equal_value():
     assert replaced == (Process.SPDC, 1e-12, 2.0, 1.0, 1.0)
     length, section = Geometry(1e-3, 1e-6)
     assert (length, section) == (1e-3, 1e-6)
+    assert WaveTriplet(1e15, 2e15, Process.SPDC) == (1e15, 2e15, Process.SPDC)  # omega_p is derived
