@@ -6,9 +6,8 @@ call that computes no gain (`criteria`, `limit`, `flux --beta-l`, a beta_l or
 length sweep) never compiles it.
 
 The pump-independent factors of the gain, (chi, sqrt(ks*ki)), are
-_gain_factors; _beta_ls is the column body that evaluates beta*L over a column
-of pump fields, which a pump sweep runs on a block. gain_coefficient and the
-oracle take the scalar _drive_coupling, and a test pins _beta_ls to it.
+_gain_factors. gain_coefficient and the oracle take the scalar _drive_coupling,
+and pairgate.sweep's pump_intensity column repeats it times root times length.
 """
 
 import math
@@ -66,20 +65,13 @@ def _gain_factors(medium: Medium, triplet: WaveTriplet) -> tuple[float, float]:
     return _chi(medium), math.sqrt(ks * ki)
 
 
-def _beta_ls(fields, chi: float, root: float, length: float, process: Process) -> list[float]:
-    """beta*L at each pump field of a column, from the _gain_factors (chi, root) of a
-    medium and triplet: _drive_coupling times root times length, in that order."""
-    if process is Process.SPDC:
-        return [chi * e * root * length for e in fields]
-    return [chi * e * e * root * length for e in fields]
-
-
 def _drive_coupling(chi: float, e_p: float, process: Process) -> float:
     """Dimensionless chi*pump product whose units cancel against 1/m couplings.
 
     chi2*E_p for SPDC, (1/2)*chi3*E_p^2 for FWM (E_p the total two-wave
     amplitude), with chi = _chi(medium). gain_coefficient and the oracle take it
-    at one pump field; _beta_ls repeats the product per point of a column.
+    at one pump field; a pump sweep's column repeats the product per point, and
+    tests pin the two bit for bit.
     """
     return chi * e_p if process is Process.SPDC else chi * e_p * e_p
 
@@ -102,8 +94,8 @@ def gain_coefficient(medium: Medium, triplet: WaveTriplet, pump: PumpDrive) -> f
 
 
 def _gain_product(medium: Medium, triplet: WaveTriplet, pump: PumpDrive, length: float) -> float:
-    """beta*L of a pump drive over a length: gain_coefficient times the length, which the
-    _beta_ls chain of a sweep repeats bit for bit. Only a zero pump gives beta*L = 0."""
+    """beta*L of a pump drive over a length: gain_coefficient times the length, which a
+    pump sweep's column repeats bit for bit. Only a zero pump gives beta*L = 0."""
     _check("length", length)
     beta = gain_coefficient(medium, triplet, pump)
     beta_l = beta * length

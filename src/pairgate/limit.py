@@ -6,9 +6,8 @@ calls only `limit`, length sweeps and the Gamma figures (3 and 4) compile it.
 
 The length-independent factor of the limit intensity is _limit_factors, the
 whole factor (numer, chi_eff, process), which Gamma takes at unit indices;
-_limit_quotients is the column body that evaluates it over a column of
-lengths, which _limit_intensity runs on a one-point column and a length sweep
-on a block.
+_limit_intensity divides it by the denominator at one length, and
+pairgate.sweep's length column repeats that quotient per point.
 """
 
 import math
@@ -56,7 +55,7 @@ _LIMIT_NAMES = ("limit pump intensity", "effective limit intensity")
 
 def _limit_factors(medium: Medium, lambda_s: float, lambda_i: float, gamma: bool = False) -> tuple:
     """The length-independent factor of the limit intensity, (numer, chi_eff, process):
-    numer over _limit_quotients' denominator is I_lim, or Gamma at unit indices if gamma.
+    numer over _limit_intensity's denominator is I_lim, or Gamma at unit indices if gamma.
     Checks the partial products of numer: the index-wavelength products and, for FWM,
     n_p times their root."""
     _check("lambda_s", lambda_s)
@@ -78,27 +77,19 @@ def _limit_factors(medium: Medium, lambda_s: float, lambda_i: float, gamma: bool
 def _limit_intensity(length: float, numer: float, chi: float, process: Process,
                      gamma: bool = False) -> float:
     """The limit intensity at one length, I_lim or Gamma as gamma, from the _limit_factors
-    of a medium, checked: _limit_quotients on a one-point column, and the first partial
-    products of its denominator, L*chi2 and its square or pi*L and pi*L*chi3, which can
-    underflow while the quotient stays normal."""
+    of a medium: numer/(2*pi^2*mu0*c*(L*chi2)^2) for SPDC, numer/(pi*L*chi3) for FWM.
+    Checks first the partial products of its denominator, L*chi2 and its square or pi*L
+    and pi*L*chi3, which can underflow while the quotient stays normal; where they are
+    normal, the quotient cannot raise, and is checked last."""
     _check("length", length)
-    try:
-        i_lim = _limit_quotients((length,), numer, chi, process)[0]
-    except ArithmeticError:  # an intermediate left the float range: rejected below
-        i_lim = 0.0
-    span = length * chi if process is Process.SPDC else math.pi * length
-    partial = span * span if process is Process.SPDC else span * chi
-    if not _normal(span, partial, i_lim):
-        raise _out_of_float_range(_LIMIT_NAMES[gamma], length=length, chi_eff=chi)
-    return i_lim
-
-
-def _limit_quotients(lengths, numer: float, chi: float, process: Process) -> list[float]:
-    """The limit intensity at each length of a column, from the _limit_factors of a
-    medium: numer/(2*pi^2*mu0*c*(L*chi2)^2) for SPDC, numer/(pi*L*chi3) for FWM.
-    Raises ArithmeticError where an intermediate leaves the float range."""
-    if process is Process.SPDC:
-        scale = _SPDC_LIMIT_SCALE
-        return [numer / (scale * (length * chi) ** 2) for length in lengths]
-    pi = math.pi
-    return [numer / (pi * length * chi) for length in lengths]
+    spdc = process is Process.SPDC
+    span = length * chi if spdc else math.pi * length
+    partial = span * span if spdc else span * chi
+    if _normal(span, partial):
+        if spdc:
+            i_lim = numer / (_SPDC_LIMIT_SCALE * (length * chi) ** 2)
+        else:
+            i_lim = numer / (math.pi * length * chi)
+        if _normal(i_lim):
+            return i_lim
+    raise _out_of_float_range(_LIMIT_NAMES[gamma], length=length, chi_eff=chi)

@@ -20,15 +20,12 @@ generated_field, pair_flux_general). This module serves their public names too,
 through _HOMES and a module __getattr__ (PEP 562), so `model.gain_coefficient`
 reads as ever; no code here reads one of them as a global.
 
-Kernels that sweeps evaluate are split into the factors constant along a sweep
-(gain._gain_factors; limit._limit_factors, the whole factor (numer, chi_eff,
-process), which Gamma takes at unit indices) and a column body, which evaluates
-the formula over a whole column of points in one pass (_pump_fields and
-_pair_fluxes here, gain._beta_ls, limit._limit_quotients). The other scalar
-kernels call them on a one-point column; gain_coefficient and the oracle take
-the scalar gain._drive_coupling, to which a test pins _beta_ls.
-pairgate.sweep builds each sweep from these factors and column bodies, and
-checks it with the scalar kernels.
+Every kernel here and in those modules computes one checked scalar. Kernels that
+sweeps evaluate split off the factors constant along a sweep (gain._gain_factors;
+limit._limit_factors, the whole factor (numer, chi_eff, process), which Gamma
+takes at unit indices). pairgate.sweep builds each sweep from these factors,
+evaluates its columns by repeating the scalar kernels' expressions in their
+order, which tests pin bit for bit, and checks it with the scalar kernels.
 
 One range rule, stated once by _normal, holds for every derived value: it is a
 normal float, _FLOAT_MIN <= x <= _FLOAT_MAX, and so is each partial product it
@@ -106,8 +103,8 @@ def _check(name: str, value: float, low: float = 0.0, inclusive: bool = False) -
         return
     if low == 0.0:
         need = "nonnegative" if inclusive else "strictly positive"
-    else:
-        need = f"{'>=' if inclusive else '>'} {low:g}"
+    else:  # every nonzero low is the inclusive index floor 1.0
+        need = f">= {low:g}"
     raise ValueError(f"{name} must be {need} and finite, got {value!r}")
 
 
@@ -275,7 +272,8 @@ class PumpDrive(_named_tuple("PumpDrive", "intensity field_amplitude", (None, No
         Of an intensity, E_p^2 = 2*I*c*mu0/n_p is the partial product under the root."""
         if self.intensity is None:
             return self.field_amplitude
-        field = _pump_fields((self.intensity,), n_p)[0]
+        k = CODATA2018
+        field = math.sqrt(2.0 * self.intensity * k.c * k.mu0 / n_p)
         if self.intensity and not _normal(field * field):
             raise _out_of_float_range("pump field", intensity=self.intensity, n_p=n_p)
         return field
@@ -290,13 +288,6 @@ class PumpDrive(_named_tuple("PumpDrive", "intensity field_amplitude", (None, No
         if e_p and not _normal(intensity):
             raise _out_of_float_range("pump intensity", pump_field=e_p, n_p=n_p)
         return intensity
-
-
-def _pump_fields(intensities, n_p: float) -> list[float]:
-    """Pump field amplitude (V/m) at each nonnegative intensity (W/m^2) of a column,
-    at a checked pump index n_p."""
-    c, mu0, sqrt = CODATA2018.c, CODATA2018.mu0, math.sqrt
-    return [sqrt(2.0 * i * c * mu0 / n_p) for i in intensities]
 
 
 class Bandwidth(_named_tuple("Bandwidth", "delta_omega")):
@@ -351,7 +342,7 @@ def pair_flux_reduced(beta_l: float, delta_nu: float) -> float:
     growth = _growth(beta_l)
     _check("delta_nu", delta_nu)
     per_hz = 0.125 * delta_nu  # the one partial product that the result does not bound
-    pairs = _pair_fluxes((growth,), per_hz)[0]
+    pairs = per_hz * growth * growth
     if beta_l and not _normal(per_hz, pairs):
         raise _out_of_float_range("pair flux", beta_l=beta_l, delta_nu=delta_nu)
     return pairs
@@ -359,16 +350,11 @@ def pair_flux_reduced(beta_l: float, delta_nu: float) -> float:
 
 def pairs_per_bandwidth(beta_l: float) -> float:
     """Dimensionless pair flux per frequency unit, (1/8)*(exp(beta_l)-1)^2."""
-    pairs = _pair_fluxes((_growth(beta_l),), 0.125)[0]
+    growth = _growth(beta_l)
+    pairs = 0.125 * growth * growth
     if beta_l and not _normal(pairs):
         raise _out_of_float_range("pairs per bandwidth", beta_l=beta_l)
     return pairs
-
-
-def _pair_fluxes(growths, per_hz: float) -> list[float]:
-    """per_hz*growth^2 at each growth = expm1(beta_l) of a column: the pairs per
-    bandwidth at per_hz = 1/8 and the pair flux at per_hz = delta_nu/8."""
-    return [per_hz * g * g for g in growths]
 
 
 def flux_asymptote(beta_l: float, branch: AsymptoteBranch) -> float:
@@ -393,7 +379,7 @@ def limit_criteria() -> LimitCriteria:
     per s per Hz, and a generated/vacuum field ratio of 1.718.
     """
     growth = math.e - 1.0
-    pairs = _pair_fluxes((growth,), 0.125)[0]
+    pairs = 0.125 * growth * growth
     return LimitCriteria(pairs_limit=pairs, photons_limit=2.0 * pairs, field_ratio_limit=growth)
 
 

@@ -12,11 +12,12 @@ Each swept quantity has one model sweep, named after it: beta_l, pump_intensity
 and length, and figure() picks a figure's. It computes the model's factors
 constant along a sweep once (gain._gain_factors, limit._limit_factors) and
 returns (header, columns, row): header names the CSV columns, the point's
-first; columns evaluates a block with the model's column bodies (_pump_fields,
-_pair_fluxes, gain._beta_ls, limit._limit_quotients), unchecked; and row is the
-scalar kernels at one point. _check_block, the one place a block is checked,
-runs the row at its first, first nonzero and last points, and walks a block they
-reject with the row, which raises at the first offending point.
+first; columns, the package's only column loop, evaluates a block unchecked, by
+comprehensions that repeat the scalar kernels' expressions in their order, as
+tests pin bit for bit; and row is the scalar kernels at one point. _check_block,
+the one place a block is checked, runs the row at its first, first nonzero and
+last points, and walks a block they reject with the row, which raises at the
+first offending point.
 
 A sweep is checked, then rendered, SWEEP_BLOCK grid points at a time. The check
 pass builds each block's points (SweepSpec.points) and checks them before any
@@ -37,7 +38,7 @@ import threading
 from collections.abc import Iterator
 
 from . import model
-from .constants import DEFAULT_WAVELENGTH
+from .constants import CODATA2018, DEFAULT_WAVELENGTH
 
 SWEEP_BLOCK = 4096  # grid points per block: a sweep of up to 4096 points never forks
 
@@ -64,7 +65,8 @@ def _check_block(points: list[float], row) -> None:
     nonzero and largest, and walks every point in order if one of them fails. Each value and
     partial product of a sweep is a rounded chain of products, quotients, sqrt and expm1 of the
     point, monotone in it, so the range rule holds at every point once it holds at those three.
-    Columns and row share their column bodies: a passing block's columns are the walk's bits."""
+    Columns repeat the row's expressions in their order: a passing block's columns are the
+    walk's bits."""
     try:
         for point in (points[0], next(filter(None, points), 0.0), points[-1]):
             row(point)
@@ -82,7 +84,7 @@ def beta_l(delta_nu: float | None):
 
     def columns(beta_ls: list[float]) -> list[list[float]]:
         growths = list(map(math.expm1, beta_ls))
-        return [model._pair_fluxes(growths, factor) for factor in per_hz]
+        return [[factor * g * g for g in growths] for factor in per_hz]
 
     def row(beta_l: float) -> list[float]:
         pairs = model.pairs_per_bandwidth(beta_l)
@@ -96,14 +98,17 @@ def pump_intensity(medium: model.Medium, triplet: model.WaveTriplet, length: flo
     """The model sweep of `sweep --variable pump_intensity` over length: beta*L, then the
     beta_l columns; the row is _gain_product, which checks length, and the flux kernels, as
     classify and flux run."""
-    from .gain import _beta_ls, _gain_factors, _gain_product
+    from .gain import _gain_factors, _gain_product
 
     chi, root = _gain_factors(medium, triplet)
+    c, mu0, n_p, sqrt = CODATA2018.c, CODATA2018.mu0, medium.n_p, math.sqrt
+    spdc = medium.process is model.Process.SPDC
     flux_header, flux_columns, flux_row = beta_l(delta_nu)
 
     def columns(intensities: list[float]) -> list[list[float]]:
-        fields = model._pump_fields(intensities, medium.n_p)
-        beta_ls = _beta_ls(fields, chi, root, length, medium.process)
+        fields = [sqrt(2.0 * i * c * mu0 / n_p) for i in intensities]
+        beta_ls = ([chi * e * root * length for e in fields] if spdc
+                   else [chi * e * e * root * length for e in fields])
         return [beta_ls, *flux_columns(beta_ls)]
 
     def row(intensity: float) -> list[float]:
@@ -117,11 +122,16 @@ def length(media: list[model.Medium], lambda_s: float, lambda_i: float,
            labels=("gamma_W_per_m2",)):
     """The model sweep of `sweep --variable length` and figures 3-4: Gamma, the
     effective_limit_intensity, of each medium of media, in the column of its label."""
-    from .limit import _limit_factors, _limit_intensity, _limit_quotients
+    from .limit import _SPDC_LIMIT_SCALE, _limit_factors, _limit_intensity
 
     factors = [_limit_factors(medium, lambda_s, lambda_i, gamma=True) for medium in media]
-    return (["length_m", *labels],
-            lambda lengths: [_limit_quotients(lengths, *f) for f in factors],
+    scale, pi, spdc = _SPDC_LIMIT_SCALE, math.pi, model.Process.SPDC
+
+    def columns(lengths: list[float]) -> list[list[float]]:
+        return [[numer / (scale * (x * chi) ** 2) for x in lengths] if process is spdc
+                else [numer / (pi * x * chi) for x in lengths] for numer, chi, process in factors]
+
+    return (["length_m", *labels], columns,
             lambda point: [_limit_intensity(point, *f, gamma=True) for f in factors])
 
 

@@ -375,14 +375,15 @@ ROWS = [
     Row("effective_limit_intensity", model.effective_limit_intensity,
         with_scenario(positive, positive, positive).map(lambda d: (d[0], *d[2:])),
         exact_gamma, 8),
-    # the pairs per bandwidth 10u and the field ratio 4u; the first one's message comes first
+    # the pairs per bandwidth 10u and the field ratio 4u; the first one's message comes first,
+    # and beta_l's before the band's
     Row("classify_regime", lambda *args: model.classify_regime(*args)[1:3], st.tuples(beta_l),
         lambda beta, *band: (exact_pair_flux(beta, 1.0), decimal_expm1(beta)), 10, (
             ((0.0,), (0.0, 0.0)),
             ((1e-310,), "pairs per bandwidth out of the float range: beta_l=1e-310"),
             ((1.0, 1.0), BAND), ((1.0, -0.1), BAND), ((1.0, -0.0), BAND), ((1.0, NAN), BAND),
             ((-1.0,), BETA_L + "-1.0"), ((NAN,), BETA_L + "nan"), ((INF,), BETA_L + "inf"),
-            ((800.0,), ABOVE_MAX + "800.0"),
+            ((-1.0, 2.0), BETA_L + "-1.0"), ((800.0,), ABOVE_MAX + "800.0"),
             ((1.0, 0.0), (0.369061555252, 1.71828182846)))),  # the band's closed end
     # 2*pi*c rounds once and each quotient once
     Row("triplet_from_wavelengths", lambda *args: model.triplet_from_wavelengths(*args)[:2],

@@ -347,13 +347,20 @@ def test_effective_limit_divides_out_indices():
     assert gamma == pytest.approx(i_lim / (1.5 * math.sqrt(1.45 * 1.44)), rel=1e-12)
 
 
-@given(chi=st.floats(1e-25, 1e-8), field=st.floats(0.0, 1e12), root=st.floats(1e3, 1e9),
-       length=st.floats(1e-4, 1e3), process=st.sampled_from(list(Process)))
-def test_beta_l_column_is_the_drive_coupling_times_root_times_length(chi, field, root, length,
-                                                                     process):
-    """The oracle's scalar _drive_coupling and the sweeps' _beta_ls agree bit for bit."""
-    assert (gain._beta_ls((field,), chi, root, length, process)
-            == [gain._drive_coupling(chi, field, process) * root * length])
+@given(medium=media(), lambdas=st.tuples(wavelengths, wavelengths), length=lengths,
+       fractions=st.lists(st.just(0.0) | st.floats(1e-6, 100.0), min_size=1, max_size=8))
+def test_beta_l_column_is_the_drive_coupling_times_root_times_length(medium, lambdas, length,
+                                                                     fractions):
+    """A pump sweep's beta_l column and the oracle's scalar _drive_coupling, at the checked
+    PumpDrive.field of each intensity, times root times length agree bit for bit. The
+    intensities are zero or fractions of the limit intensity, so each beta_l is at most 100."""
+    i_lim = limit_pump_intensity(medium, *lambdas, length)
+    intensities = [fraction * i_lim for fraction in fractions]
+    chi, root = gain._gain_factors(medium, triplet_from_wavelengths(*lambdas, medium.process))
+    _, columns, _ = model_sweep("pump_intensity", [medium], lambdas, length)
+    assert columns(intensities)[0] == [
+        gain._drive_coupling(chi, PumpDrive.from_intensity(i).field(medium.n_p), medium.process)
+        * root * length for i in intensities]
 
 
 # columns a SweepSpec grid makes: finite, from +0.0 up and never decreasing, with repeated
