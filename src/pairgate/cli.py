@@ -13,15 +13,19 @@ A call imports and builds only what its subcommand runs: the material catalog
 on the first --material lookup, the oracle in `oracle`, the sweep module
 (pairgate.sweep, which checks, renders and streams a sweep) in `sweep` once its
 flags pass their checks, the model's gain, limit-intensity and field kernels
-(pairgate.gain, .limit, .fields) where it computes them, and only the parser of
-the subcommand it runs.
+(pairgate.gain, .limit, .fields) where it computes them, and argparse only for
+an argv it must read. `_add_flags` is the one list of a subcommand's flags.
+`_read_plain` reads a plain argv, FLAG VALUE pairs, from it; argparse, imported
+and built by `build_parser` from the same list, reads every other argv (--help,
+abbreviations, --flag=value, '-'-leading values, usage errors), so it is the
+one source of every help text and usage message.
 """
 
-import argparse
 import atexit
 import math
 import os
 import sys
+import types
 from collections.abc import Iterator
 
 from . import model
@@ -73,19 +77,6 @@ def _say(line: str) -> None:
         pass
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one stderr line, '<prog>: <message>', exit 2, and writes
-    --help by _write, so a refused help raises OSError. A subcommand's own parser has the
-    prog 'pairgate <command>', so argparse reports a flag it does not accept under it."""
-
-    def error(self, message: str):
-        _say(f"{self.prog}: {message}")
-        raise SystemExit(EXIT_INPUT)
-
-    def print_help(self, file=None):
-        _write(self.format_help(), None)
-
-
 class SweepSpec(model._named_tuple("SweepSpec", "start stop count log", (False,))):
     """Axis of a parameter sweep; its grid is finite, starts at or above +0.0, never decreases."""
 
@@ -132,58 +123,50 @@ class SweepSpec(model._named_tuple("SweepSpec", "start stop count log", (False,)
         return self.points(0, self.count)
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """main's parser: the subcommand `command`'s own (prog 'pairgate <command>') or, when None,
-    'pairgate' with every subcommand; flags are added by functions of add_argument, in order."""
-    def out_flag(add):
-        add("--out", metavar="PATH", default=None, help="write output to PATH instead of stdout")
+# subcommand: its line in `pairgate --help`
+_SUMMARIES = {
+    "criteria": "print the universal limit criteria at beta*L = 1",
+    "classify": "classify the operating regime of a configuration",
+    "flux": "absolute pair flux for a configuration or a given beta*L",
+    "limit": "limit pump intensity at which beta*L = 1",
+    "sweep": "CSV parameter sweeps, including figure presets",
+    "oracle": "compare the RK4 coupled-wave oracle against the closed form",
+}
 
-    def common(add):
-        out_flag(add)
+
+def _add_flags(command: str, add) -> None:
+    """Adds the flags of subcommand `command` by add(flag, **kwargs), an add_argument, in
+    --help order. It reads each converter from this module's globals on every call."""
+    add("--out", metavar="PATH", default=None, help="write output to PATH instead of stdout")
+    if command != "sweep":  # sweeps are always CSV
         add("--format", choices=("table", "csv"), default="table",
             help="output rendering for scalar reports")
-
-    def medium_flags(add):
-        add("--materials", metavar="PATH", default=None,
-            help=f"material catalog file for --material "
-                 f"(overrides ${MATERIALS_ENV_VAR} and presets)")
-        add("--material", help="material name from the catalog")
-        add("--chi2", type=parse_chi2, metavar="CHI",
-            help="second-order susceptibility, e.g. 1pm/V (implies spdc)")
-        add("--chi3", type=parse_chi3, metavar="CHI",
-            help="third-order susceptibility, e.g. 1e-22m2/V2 (implies fwm)")
-        add("--n-p", type=parse_float, default=None, help="pump refractive index")
-        add("--n-s", type=parse_float, default=None, help="signal refractive index")
-        add("--n-i", type=parse_float, default=None, help="idler refractive index")
-
-    def wave_flags(add):
-        add("--lambda-s", type=parse_length, metavar="LEN", help="signal wavelength (default 1um)")
-        add("--lambda-i", type=parse_length, metavar="LEN", help="idler wavelength (default 1um)")
-
-    def pump_flags(add):
+    if command == "oracle":
+        add("--beta-l", type=parse_float, required=True, help="gain product beta*L")
+        add("--steps", type=int, default=None,
+            help="fixed RK4 step count (default MAX_STEPS = 2^24)")
+        add("--delta-nu", type=parse_frequency, metavar="BW", default=1.0,
+            help="pair linewidth (default 1Hz)")
+    if command in ("criteria", "oracle"):
+        return
+    add("--materials", metavar="PATH", default=None,
+        help=f"material catalog file for --material (overrides ${MATERIALS_ENV_VAR} and presets)")
+    add("--material", help="material name from the catalog")
+    add("--chi2", type=parse_chi2, metavar="CHI",
+        help="second-order susceptibility, e.g. 1pm/V (implies spdc)")
+    add("--chi3", type=parse_chi3, metavar="CHI",
+        help="third-order susceptibility, e.g. 1e-22m2/V2 (implies fwm)")
+    add("--n-p", type=parse_float, default=None, help="pump refractive index")
+    add("--n-s", type=parse_float, default=None, help="signal refractive index")
+    add("--n-i", type=parse_float, default=None, help="idler refractive index")
+    add("--lambda-s", type=parse_length, metavar="LEN", help="signal wavelength (default 1um)")
+    add("--lambda-i", type=parse_length, metavar="LEN", help="idler wavelength (default 1um)")
+    if command in ("classify", "flux"):
         add("--pump-intensity", type=parse_intensity, metavar="I",
             help="pump intensity, e.g. 40MW/cm2 (FWM: total of both pump waves)")
         add("--pump-field", type=parse_field, metavar="E",
             help="pump field amplitude, e.g. 5MV/m (alternative to intensity)")
-
-    if command:
-        parser = _Parser(prog=f"pairgate {command}")
-        parser.set_defaults(command=command)
-    else:
-        parser = _Parser(prog="pairgate", description="Photon-pair generation by SPDC/FWM: gain "
-                         "regimes, universal limit criteria, limit pump intensities.")
-        sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_parser(name, flags, help):
-        if command in (None, name):
-            add = (parser if command else sub.add_parser(name, help=help)).add_argument
-            for function in flags:
-                function(add)
-
-    add_parser("criteria", (common,),
-               help="print the universal limit criteria at beta*L = 1")
-
-    def classify_flags(add):
+    if command == "classify":
         add("--length", type=parse_length, metavar="LEN", required=True,
             help="interaction length, e.g. 1cm")
         add("--section", type=parse_area, metavar="AREA", default=None,
@@ -192,26 +175,17 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             help="pair linewidth, e.g. 1GHz (enables field report)")
         add("--band", type=parse_float, default=model._AT_LIMIT_BAND,
             help=f"relative at-limit band on beta*L (default {model._AT_LIMIT_BAND:g})")
-    add_parser("classify", (common, medium_flags, wave_flags, pump_flags, classify_flags),
-               help="classify the operating regime of a configuration")
-
-    def flux_flags(add):
+    elif command == "flux":
         add("--beta-l", type=parse_float, default=None,
             help="gain product beta*L (bypasses the medium/pump flags)")
         add("--length", type=parse_length, metavar="LEN", default=None,
             help="interaction length (required without --beta-l)")
         add("--delta-nu", type=parse_frequency, metavar="BW", required=True,
             help="pair linewidth, e.g. 1GHz")
-    add_parser("flux", (common, medium_flags, wave_flags, pump_flags, flux_flags),
-               help="absolute pair flux for a configuration or a given beta*L")
-
-    def limit_flags(add):
+    elif command == "limit":
         add("--length", type=parse_length, metavar="LEN", required=True,
             help="interaction length, e.g. 1mm")
-    add_parser("limit", (common, medium_flags, wave_flags, limit_flags),
-               help="limit pump intensity at which beta*L = 1")
-
-    def sweep_flags(add):
+    else:
         add("--figure", choices=("2", "3", "4"), default=None,
             help="preset sweep reproducing one of the reference figures")
         add("--variable", choices=("beta_l", "length", "pump_intensity"),
@@ -224,18 +198,82 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             help="fixed interaction length (pump_intensity sweeps)")
         add("--delta-nu", type=parse_frequency, metavar="BW", default=None,
             help="pair linewidth for flux columns")
-    add_parser("sweep", (out_flag, medium_flags, wave_flags, sweep_flags),
-               help="CSV parameter sweeps, including figure presets")
 
-    def oracle_flags(add):
-        add("--beta-l", type=parse_float, required=True, help="gain product beta*L")
-        add("--steps", type=int, default=None,
-            help="fixed RK4 step count (default MAX_STEPS = 2^24)")
-        add("--delta-nu", type=parse_frequency, metavar="BW", default=1.0,
-            help="pair linewidth (default 1Hz)")
-    add_parser("oracle", (common, oracle_flags),
-               help="compare the RK4 coupled-wave oracle against the closed form")
 
+def _read_plain(command: str, argv: list[str]):
+    """The namespace that build_parser(command).parse_args(argv) gives, read without argparse,
+    or None where argv is not plain. A plain argv is FLAG VALUE pairs: each FLAG an option
+    string of `command`, given once; no VALUE starting with '-'; each choice one of its
+    choices; each converter without ValueError; every required flag given. argparse reads
+    every other argv: --help, an abbreviation, --flag=value, a '-'-leading value (whose rule
+    differs between Python releases), a repeat, a missing or unknown flag, a bad value."""
+    flags, values = {}, {"command": command}
+
+    def record(flag, type=None, choices=None, required=False, default=None, **_):
+        dest = flag[2:].replace("-", "_")
+        flags[flag], values[dest] = (dest, type, choices, required), default
+
+    _add_flags(command, record)
+    given = dict(zip(argv[::2], argv[1::2]))
+    if 2 * len(given) != len(argv):  # a flag without its value, or a repeated flag
+        return None
+    for flag, (dest, type, choices, required) in flags.items():
+        text = given.pop(flag, None)
+        if text is None:
+            if required:
+                return None
+            continue
+        if text.startswith("-"):
+            return None
+        try:
+            value = text if type is None else type(text)
+        except ValueError:
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    return None if given else types.SimpleNamespace(**values)
+
+
+def build_parser(command: str | None = None):
+    """main's argparse parser, built only for an argv that _read_plain declines: the subcommand
+    `command`'s own (prog 'pairgate <command>') or, when None, 'pairgate' with every
+    subcommand."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Reports a usage error as one stderr line, '<prog>: <message>', exit 2, and writes
+        --help by _write, so a refused help raises OSError. A subcommand's own parser has the
+        prog 'pairgate <command>', so argparse reports a flag it does not accept under it."""
+
+        def error(self, message: str):
+            _say(f"{self.prog}: {message}")
+            raise SystemExit(EXIT_INPUT)
+
+        def print_help(self, file=None):
+            _write(self.format_help(), None)
+
+    def adder(parser):
+        def add(flag, type=None, **kwargs):
+            def convert(text):  # a unit converter's ValueError becomes argparse's message
+                try:
+                    return type(text)
+                except ValueError as exc:
+                    raise argparse.ArgumentTypeError(str(exc)) from None
+            # int keeps argparse's own "invalid int value: '1e3'"
+            parser.add_argument(flag, type=type if type in (None, int) else convert, **kwargs)
+        return add
+
+    if command:
+        parser = _Parser(prog=f"pairgate {command}")
+        parser.set_defaults(command=command)
+        _add_flags(command, adder(parser))
+        return parser
+    parser = _Parser(prog="pairgate", description="Photon-pair generation by SPDC/FWM: gain "
+                     "regimes, universal limit criteria, limit pump intensities.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, summary in _SUMMARIES.items():
+        _add_flags(name, adder(sub.add_parser(name, help=summary)))
     return parser
 
 
@@ -504,26 +542,18 @@ _COMMANDS = {
 }
 
 
-# main's parsers: each subcommand's own, for the argv after its name, and under None the one
-# with every subcommand (--help, a missing or unknown subcommand, an option before it), each
-# built on the first call that needs it and reused. parse_args keeps no state, so concurrent
-# first calls need no lock, and a library user who never calls main builds none.
-_parsers: dict[str | None, argparse.ArgumentParser] = {}
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     command = argv[0] if argv and argv[0] in _COMMANDS else None
-    parser = _parsers.get(command)
-    if parser is None:
-        parser = _parsers[command] = build_parser(command)
-    try:
-        args = parser.parse_args(argv[1:] if command else argv)
-    except SystemExit as exc:  # argparse's, after --help or a usage error
-        return exc.code
-    except OSError as exc:  # stdout refused --help
-        _say(f"pairgate: cannot write output: {exc}")
-        return EXIT_IO
+    args = _read_plain(command, argv[1:]) if command else None
+    if args is None:
+        try:
+            args = build_parser(command).parse_args(argv[1:] if command else argv)
+        except SystemExit as exc:  # argparse's, after --help or a usage error
+            return exc.code
+        except OSError as exc:  # stdout refused --help
+            _say(f"pairgate: cannot write output: {exc}")
+            return EXIT_IO
     try:
         output = _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:

@@ -10,10 +10,11 @@ One reader, _quantity, turns each <number><unit> of a flag or a catalog into
 SI. It rejects a product that is not finite or that reads 0.0 from a nonzero
 mantissa (the number before its exponent), as parse_float does a bare number.
 
-The library core is strict SI; everything here converts to or from it.
+The library core is strict SI; everything here converts to or from it. Each
+parser raises a plain ValueError, UnitParseError, and imports no argparse: the
+CLI reads a plain argv without it.
 """
 
-import argparse
 import math
 import re
 
@@ -32,8 +33,8 @@ __all__ = [
 ]
 
 
-class UnitParseError(ValueError, argparse.ArgumentTypeError):
-    """Not a float-range <number>[<unit>]; an ArgumentTypeError, so argparse shows this text."""
+class UnitParseError(ValueError):
+    """Not a float-range <number>[<unit>]. The CLI's argparse parser shows its text."""
 
 
 LENGTH_UNITS = {

@@ -34,7 +34,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import model_sweep, regen, scalar_walk, sweep_rows
-from pairgate import cli, model, sweep
+from pairgate import cli, model, sweep, units
 from pairgate.materials import MATERIALS_ENV_VAR
 from pairgate.model import Medium, Process, PumpDrive, triplet_from_wavelengths
 from pairgate.oracle import MAX_STEPS
@@ -704,11 +704,101 @@ def test_each_subcommand_accepts_only_the_flags_it_reads():
         assert _accepted_options(parser) == {name: options}
 
 
-def test_concurrent_first_calls_all_get_a_whole_parser(tmp_path, monkeypatch):
-    """Threads that make main's first call at once each parse every flag they are given."""
-    monkeypatch.setattr(cli, "_parsers", {})
+# units a converter reads, to draw its values from; parse_float reads a bare number
+_UNITS_OF = {cli.parse_length: units.LENGTH_UNITS, cli.parse_area: units.AREA_UNITS,
+             cli.parse_intensity: units.INTENSITY_UNITS, cli.parse_field: units.FIELD_UNITS,
+             cli.parse_frequency: units.FREQUENCY_UNITS, cli.parse_chi2: units.CHI2_UNITS,
+             cli.parse_chi3: units.CHI3_UNITS, cli.parse_float: {"": 1.0}}
+_LEADING_DASH = ["-1", "-1e3", "-0", "-h", "--help", "-"]
+
+
+def _flag_table(command):
+    """{option string: the keyword arguments it is added with} of a subcommand's flags."""
+    table = {}
+    cli._add_flags(command, lambda flag, **kwargs: table.setdefault(flag, kwargs))
+    return table
+
+
+def _flag_value(draw, kwargs, good):
+    """A value of one flag: one it reads where good, else a bad choice, a bad unit or number,
+    a non-int or a '-'-leading value. The ints it reads include 1_0 and an Arabic-Indic 3."""
+    parse, choices = kwargs.get("type"), kwargs.get("choices")
+    if choices:
+        return draw(st.sampled_from(choices if good else ["bogus", "5", *_LEADING_DASH]))
+    if parse is int:
+        return draw(st.sampled_from(["16", "3", "1_0", "\u0663", " 7 "] if good
+                                    else ["1e3", "0x10", "1.5", "", *_LEADING_DASH]))
+    if parse is None:
+        return draw(st.sampled_from(["1", "1mm", "KTP_class", "x y", ""] if good
+                                    else _LEADING_DASH))
+    unit = draw(st.sampled_from([*sorted(_UNITS_OF[parse]), *([] if good else ["furlong"])]))
+    numbers = (["1", "2.5", ".5", "1e-3", "0", "3E2", "\u0661"] if good
+               else ["1e-400", "abc", "inf", "-1", "-1e3", "1"])
+    return draw(st.sampled_from(numbers)) + unit
+
+
+# ways to make an argv that argparse must read: a bad value, a dropped flag (a required one
+# among them), an abbreviation, --flag=value, a repeat, a flag without its value, an odd token
+_FAULTS = ["value", "drop", "abbreviate", "equals", "repeat", "cut", "odd"]
+
+
+@st.composite
+def parser_argv(draw):
+    """A subcommand and a plain argv after it, its required flags and some others, with up to
+    two of _FAULTS made to it."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    table = _flag_table(command)
+    pairs = [[flag, _flag_value(draw, kwargs, good=True)] for flag, kwargs in table.items()
+             if kwargs.get("required") or draw(st.booleans())]
+    for fault in draw(st.lists(st.sampled_from(_FAULTS), max_size=2)):
+        if fault == "odd" or not pairs:
+            pairs.append([draw(st.sampled_from(["--help", "-h", "--bogus", "--", "x"]))])
+            continue
+        k = draw(st.integers(0, len(pairs) - 1))
+        flag, *value = pairs[k]
+        if fault == "value":
+            pairs[k] = [flag, _flag_value(draw, table.get(flag, {}), good=False)]
+        elif fault == "drop":
+            del pairs[k]
+        elif fault == "abbreviate" and len(flag) > 3:
+            pairs[k] = [flag[:draw(st.integers(3, len(flag) - 1))], *value]
+        elif fault == "equals":
+            pairs[k] = ["=".join(pairs[k])]
+        elif fault == "repeat":
+            pairs.append(pairs[k])
+        elif fault == "cut":
+            pairs[k] = [flag]
+    argv = [token for pair in draw(st.permutations(pairs)) for token in pair]
+    return [command, *argv]
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=parser_argv())
+def test_the_plain_reader_gives_argparse_namespace_or_declines(argv):
+    """Where the plain reader reads an argv, argparse reads it into the same namespace; where
+    argparse exits, on --help or a usage error, the reader declines."""
+    command, rest = argv[0], argv[1:]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parsed = vars(cli.build_parser(command).parse_args(rest))
+        except SystemExit:
+            parsed = None
+    plain = cli._read_plain(command, rest)
+    assert plain is None or vars(plain) == parsed
+
+
+@pytest.mark.parametrize("argv", _argv("calls"), ids=" ".join)
+def test_every_calls_record_is_read_plain(argv):
+    plain = cli._read_plain(argv[0], argv[1:])
+    assert plain is not None
+    assert vars(plain) == vars(cli.build_parser(argv[0]).parse_args(argv[1:]))
+
+
+def test_concurrent_first_calls_all_get_a_whole_parser(tmp_path):
+    """Threads that call main at once, each building a parser for --format=csv, which the
+    plain reader declines, each parse every flag they are given."""
     argv = ["limit", "--chi2", "1pm/V", "--length", "1mm", "--lambda-s", "2um", "--n-i", "2",
-            "--format", "csv"]
+            "--format=csv"]
     barrier = threading.Barrier(8)
     codes = []
 
@@ -740,7 +830,9 @@ def test_help_still_exits_zero():
 
 
 def test_main_builds_one_parser_per_subcommand_it_runs(monkeypatch):
-    monkeypatch.setattr(cli, "_parsers", {})
+    """A plain call, as each calls record is, builds no parser; a call that argparse reads, as
+    each help record is, builds its subcommand's parser, or the one with every subcommand, on
+    every call."""
     built = []
     build_parser = cli.build_parser
 
@@ -749,12 +841,12 @@ def test_main_builds_one_parser_per_subcommand_it_runs(monkeypatch):
         return build_parser(command)
 
     monkeypatch.setattr(cli, "build_parser", counting_build_parser)
-    lines = regen.tagged("calls")
-    regen.records(lines)
-    assert sorted(built) == sorted({shlex.split(line)[0] for line in lines})
-    built.clear()
-    regen.records(lines)
+    regen.records(regen.tagged("calls"))
     assert built == []
+    lines = regen.tagged("help")
+    regen.records(lines + lines)
+    commands = [line.split()[0] if line.split()[0] in cli._COMMANDS else None for line in lines]
+    assert built == commands + commands
     assert build_parser("limit") is not build_parser("limit")
 
 
@@ -1108,19 +1200,6 @@ def test_every_subcommand_runs_without_numpy():
     assert result.stdout == "".join(map(_EXPECTED.get, regen.tagged("calls")))
 
 
-def test_cli_import_loads_no_dataclass_or_typing_machinery():
-    src = Path(__file__).parent.parent / "src"
-    script = (
-        "import sys\n"
-        f"sys.path.insert(0, {str(src)!r})\n"
-        "import pairgate.cli\n"
-        "print(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))\n"
-    )
-    result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
-
-
 # sweeps that cmd_sweep rejects in its flag checks: a unit --min does not take, and --length
 # on a length sweep
 _REJECTED_SWEEPS = [
@@ -1149,14 +1228,21 @@ def _lazy_modules(argv):
     return [f"pairgate.{name}" for name, loaded in loads.items() if loaded]
 
 
+# modules a call must not load: argparse, with the gettext and locale it loads, where the argv
+# is plain, and the dataclass and typing machinery anywhere
+_HEAVY = {"argparse", "dataclasses", "gettext", "inspect", "locale", "typing"}
+_NOT_PLAIN = ["limit", "--chi2=1pm/V", "--length", "1mm"]
+
+
 @pytest.mark.parametrize("argv, lazy", [([], [])] + [  # [] is a bare `import pairgate`
     (argv, _lazy_modules(argv)) for argv in _argv("imports")]
-    + [(argv, []) for argv in _REJECTED_SWEEPS],
+    + [(argv, []) for argv in _REJECTED_SWEEPS] + [(_NOT_PLAIN, ["pairgate.limit"])],
     ids=lambda value: " ".join(value) or "none")
 def test_a_call_imports_the_catalog_and_oracle_only_where_it_runs_them(argv, lazy):
     """A call loads pairgate.materials only for --material, pairgate.oracle only for oracle,
     pairgate.sweep only for a sweep that passes its flag checks, and pairgate.gain,
-    pairgate.limit and pairgate.fields only where it computes their kernels."""
+    pairgate.limit and pairgate.fields only where it computes their kernels. It loads
+    argparse only for an argv that is not plain, and no dataclass or typing machinery."""
     src = Path(__file__).parent.parent / "src"
     script = (
         "import contextlib, io, sys\n"
@@ -1169,11 +1255,18 @@ def test_a_call_imports_the_catalog_and_oracle_only_where_it_runs_them(argv, laz
         "        code = cli.main(sys.argv[1:])\n"
         "lazy = {'fields', 'gain', 'limit', 'materials', 'oracle', 'sweep'}\n"
         "print(code, *sorted({f'pairgate.{name}' for name in lazy} & set(sys.modules)))\n"
+        f"print(*sorted({_HEAVY!r} & set(sys.modules)))\n"
     )
     result = subprocess.run([sys.executable, "-S", "-c", script, *argv], capture_output=True,
                             text=True, env={**os.environ, MATERIALS_ENV_VAR: ""})
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == [str(2 if argv in _REJECTED_SWEEPS else 0), *lazy]
+    calls, heavy = result.stdout.splitlines()
+    assert calls.split() == [str(2 if argv in _REJECTED_SWEEPS else 0), *lazy]
+    if argv == _NOT_PLAIN:
+        assert "argparse" in heavy.split()
+        assert set(heavy.split()) <= {"argparse", "gettext", "locale"}
+    else:
+        assert heavy == ""
 
 
 @pytest.mark.parametrize("argv", [
